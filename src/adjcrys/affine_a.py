@@ -17,16 +17,16 @@ from typing import Optional
 
 from .counting import compositions
 from .crystal_graph import (
+    OUTSIDE,
+    UNDEFINED,
     CheckResult,
-    Report,
-    check_boundary_multiplicity,
+    LevelModel,
+    TheoremSpec,
     check_commutation,
-    check_embedding,
-    check_f0_landing,
-    check_weight_injective,
-    merge_checks,
+    check_map,
+    run_theorems,
 )
-from .root_data import Family, RootDatum, Weight, in_shell
+from .root_data import Family, RootDatum, Weight
 from .tableaux import Tableau, TensorPair, Word, column_missing, flatten_letters
 
 
@@ -300,26 +300,16 @@ def expected_size(n: int, l: int) -> int:
 # model adapters
 
 
-class _FactorCrystal:
+class _FactorCrystal(LevelModel):
     """Shared adapter plumbing for the row and column factor crystals."""
 
-    closed_stats = True
-
-    def __init__(self, n: int, l: int):
-        self.rank = n
-        self.level = l
-        self.index_set = tuple(range(n + 1))
-        self._datum = RootDatum(Family.A, n)
+    datum_family = Family.A
 
     def weight_coords(self, b) -> tuple[int, ...]:
         return b.content()
 
     def component(self, b) -> Optional[int]:
         return None
-
-    def root_step(self, i: int) -> tuple[int, ...]:
-        w = self._datum.theta() if i == 0 else -self._datum.simple_root(i)
-        return w.coeffs
 
     def expected_size(self) -> int:
         return factor_size(self.rank, self.level)
@@ -351,17 +341,11 @@ class ColCrystal(_FactorCrystal):
         return b.y
 
 
-class CrystalA:
+class CrystalA(LevelModel):
     """Model adapter for the level-l pair crystal."""
 
     family = "a1"
-    closed_stats = True
-
-    def __init__(self, n: int, l: int):
-        self.rank = n
-        self.level = l
-        self.index_set = tuple(range(n + 1))
-        self._datum = RootDatum(Family.A, n)
+    datum_family = Family.A
 
     def elements(self):
         return elements(self.rank, self.level)
@@ -371,18 +355,8 @@ class CrystalA:
         y = ",".join(str(c) for c in b.col.y)
         return f"A{self.rank}:x={x};y={y}"
 
-    def weight_coords(self, b: AdjElemA) -> tuple[int, ...]:
-        return b.weight().coeffs
-
-    def component(self, b: AdjElemA) -> int:
-        return b.k
-
     def sort_key(self, b: AdjElemA):
         return b.coords()
-
-    def root_step(self, i: int) -> tuple[int, ...]:
-        w = self._datum.theta() if i == 0 else -self._datum.simple_root(i)
-        return w.coeffs
 
     def expected_size(self) -> int:
         return expected_size(self.rank, self.level)
@@ -392,120 +366,64 @@ class CrystalA:
 # exhaustive verification
 
 
-def verify_theorems(n: int, l: int) -> Report:
-    """Machine-check the structure theorems of the pair model at (n, l):
-    the level-one embedding, the commuting level-raising maps, the boundary
-    image description, weight multiplicity freeness, and the f_0 landing."""
-    datum = RootDatum(Family.A, n)
-    labels0 = tuple(range(1, n + 1))
-    labels = tuple(range(n + 1))
-    big = elements(n, l)
-    small = elements(n, l - 1) if l >= 1 else []
-    checks: Report = []
-
-    theta1 = lambda b: theta_map(1, b)
-
-    bad = ""
-    for b in small:
-        if theta_map(1, b).k != b.k:
-            bad = bad or f"component changed by the level map at {b}"
-    checks.append(CheckResult("theta1-component", "embedding", not bad, len(small), bad))
-
-    checks.append(check_commutation(
-        small, theta1,
-        [(d, i, False) for d in ("f", "e") for i in labels0],
-        name="theta1-classical-commute", category="embedding",
-    ))
-    checks.append(check_commutation(
-        small, theta1, [("f", 0, True), ("e", 0, True)],
-        name="theta1-affine-commute-nonzero", category="embedding",
-    ))
-
-    bad = ""
-    cases = 0
-    for b in small:
-        tb = theta_map(1, b)
-        if b.f(0) is None:
+def _theta1_checks(run) -> list[CheckResult]:
+    """theta_1 keeps the component, commutes with every classical operator
+    and with the zero-node ones where they are defined, and where f_0 or e_0
+    vanishes below, the image sits one zero-node step from component l."""
+    small, big, theta1 = run.small, run.big, run.embedding
+    checks = [
+        check_map(
+            small, theta1, lambda b, c: big.comp[c] == small.comp[b],
+            "component changed by the level map at {}",
+            name="theta1-component", category="embedding",
+        ),
+        check_commutation(
+            small, big, theta1, [(d, i, False) for d in ("f", "e") for i in run.labels0],
+            name="theta1-classical-commute", category="embedding",
+        ),
+        check_commutation(
+            small, big, theta1, [("f", 0, True), ("e", 0, True)],
+            name="theta1-affine-commute-nonzero", category="embedding",
+        ),
+    ]
+    bad, cases = "", 0
+    steps = (("f_0", "phi", small.f[0], big.f[0]), ("e_0", "eps", small.e[0], big.e[0]))
+    for b, c in enumerate(theta1):
+        for op, stat, below, above in steps:
+            if below[b] != UNDEFINED:
+                continue
             cases += 1
-            z = tb.f(0)
-            if tb.phi(0) != 1 or z is None or z.k != l:
-                bad = bad or f"f_0 boundary step wrong above {b}"
-        if b.e(0) is None:
-            cases += 1
-            z = tb.e(0)
-            if tb.eps(0) != 1 or z is None or z.k != l:
-                bad = bad or f"e_0 boundary step wrong above {b}"
+            z = above[c] if c >= 0 else OUTSIDE
+            if z < 0 or getattr(big.elems[c], stat)(0) != 1 or big.comp[z] != run.l:
+                bad = bad or f"{op} boundary step wrong above {small.elems[b]}"
     checks.append(CheckResult("theta1-boundary-step", "embedding", not bad, cases, bad))
-
-    checks.append(check_embedding(
-        small, theta1, labels, name="theta1-full-subgraph", category="embedding",
-    ))
-
-    shift_parts = []
-    weight_parts = []
-    classical_parts = []
-    affine_parts = []
-    for j in range(2, n + 2):
-        vmap = lambda b, j=j: theta_map(j, b)
-        bad = ""
-        for b in small:
-            if vmap(b).k != b.k + 1:
-                bad = bad or f"level map {j} does not raise the component at {b}"
-        shift_parts.append(CheckResult(f"j={j}", "commute", not bad, len(small), bad))
-        bad = ""
-        for b in small:
-            if vmap(b).weight() != b.weight():
-                bad = bad or f"level map {j} changes the weight at {b}"
-        weight_parts.append(CheckResult(f"j={j}", "commute", not bad, len(small), bad))
-        classical_parts.append(check_commutation(
-            small, vmap, [(d, i, True) for d in ("f", "e") for i in labels0],
-            name=f"j={j}", category="commute",
-        ))
-        affine_parts.append(check_commutation(
-            small, vmap, [("f", 0, False), ("e", 0, False)],
-            name=f"j={j}", category="commute",
-        ))
-    checks.append(merge_checks("thetaj-component-shift", "commute", shift_parts))
-    checks.append(merge_checks("thetaj-weight-preserving", "commute", weight_parts))
-    checks.append(merge_checks("thetaj-classical-commute-nonzero", "commute", classical_parts))
-    checks.append(merge_checks("thetaj-affine-commute", "commute", affine_parts))
-
-    images = {
-        theta_map(j, b) for j in range(2, n + 2) for b in small
-    }
-
-    bad = ""
-    cases = 0
-    for k in range(l + 1):
-        rhs = {b for b in big if b.k == k and in_shell(b.weight(), k - 1)}
-        lhs = {
-            theta_map(j, b)
-            for j in range(2, n + 2)
-            for b in small
-            if b.k == k - 1
-        } if k >= 1 else set()
-        cases += len(rhs)
-        if lhs != rhs:
-            bad = bad or f"image description fails in component k={k}"
-    checks.append(CheckResult("image-equality", "boundary", not bad, cases, bad))
-
-    checks.append(check_boundary_multiplicity(
-        big, l, name="boundary-weights-free", category="multiplicity",
-    ))
-    complement = [b for b in big if b not in images]
-    checks.append(check_weight_injective(
-        complement, name="weight-injective-off-images", category="multiplicity",
-    ))
-
-    checks.extend(check_f0_landing(big, images, datum, l))
     return checks
 
 
-def promotion_checks(n: int, l: int) -> Report:
+def verify_theorems(n: int, l: int, category: str = "all") -> list[CheckResult]:
+    """Machine-check the structure theorems of the pair model at (n, l):
+    the level-one embedding, the commuting level-raising maps, the boundary
+    image description, weight multiplicity freeness, and the f_0 landing."""
+    return run_theorems(SPEC, n, l, category)
+
+
+SPEC = TheoremSpec(
+    model=CrystalA,
+    family=Family.A,
+    embedding="theta1",
+    include=lambda b, l: theta_map(1, b),
+    prefix="thetaj",
+    raise_map=lambda j, b: theta_map(j, b),
+    steps=lambda n: [(j, 1, 1) for j in range(2, n + 2)],
+    extras=_theta1_checks,
+)
+
+
+def promotion_checks(n: int, l: int) -> list[CheckResult]:
     """The cyclic-shift identities on both factor crystals: the twist
     sigma o op_j = op_{j+1} o sigma, the zero-node conjugation, and the
     order of sigma."""
-    checks: Report = []
+    checks: list[CheckResult] = []
     domains = list(row_elements(n, l)) + list(col_elements(n, l))
 
     bad = ""
@@ -545,13 +463,13 @@ def promotion_checks(n: int, l: int) -> Report:
     return checks
 
 
-def alpha_checks(n: int, l: int) -> Report:
+def alpha_checks(n: int, l: int) -> list[CheckResult]:
     """`alpha` as a classical isomorphism: bijectivity onto the tableau
     components, weight preservation, and intertwining all classical
     operators."""
     from .tableaux import enumerate_crystal
 
-    checks: Report = []
+    checks: list[CheckResult] = []
     big = elements(n, l)
 
     bad = ""

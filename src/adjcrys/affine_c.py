@@ -14,17 +14,8 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .counting import compositions
-from .crystal_graph import (
-    CheckResult,
-    Report,
-    check_boundary_multiplicity,
-    check_commutation,
-    check_embedding,
-    check_f0_landing,
-    check_weight_injective,
-    merge_checks,
-)
-from .root_data import Family, RootDatum, Weight, in_shell, on_boundary
+from .crystal_graph import CheckResult, LevelModel, TheoremSpec, run_theorems
+from .root_data import Family, RootDatum, Weight
 
 
 @dataclass(frozen=True)
@@ -149,17 +140,11 @@ def expected_size(n: int, l: int) -> int:
     return sum(shell_size(n, k) for k in range(l + 1))
 
 
-class CrystalC:
+class CrystalC(LevelModel):
     """Model adapter for the level-l coordinate crystal."""
 
     family = "c1"
-    closed_stats = True
-
-    def __init__(self, n: int, l: int):
-        self.rank = n
-        self.level = l
-        self.index_set = tuple(range(n + 1))
-        self._datum = RootDatum(Family.C, n)
+    datum_family = Family.C
 
     def elements(self):
         return elements(self.rank, self.level)
@@ -169,95 +154,25 @@ class CrystalC:
         xb = ",".join(str(c) for c in b.coords[self.rank:])
         return f"C{self.rank}:x={x};xb={xb}"
 
-    def weight_coords(self, b: ElemC) -> tuple[int, ...]:
-        return b.weight().coeffs
-
-    def component(self, b: ElemC) -> int:
-        return b.k
-
     def sort_key(self, b: ElemC):
         return b.coords
-
-    def root_step(self, i: int) -> tuple[int, ...]:
-        w = self._datum.theta() if i == 0 else -self._datum.simple_root(i)
-        return w.coeffs
 
     def expected_size(self) -> int:
         return expected_size(self.rank, self.level)
 
 
-def verify_theorems(n: int, l: int) -> Report:
+def verify_theorems(n: int, l: int, category: str = "all") -> list[CheckResult]:
     """Machine-check the structure theorems of the C-type model at (n, l)."""
-    datum = RootDatum(Family.C, n)
-    labels0 = tuple(range(1, n + 1))
-    labels = tuple(range(n + 1))
-    big = elements(n, l)
-    small = elements(n, l - 1) if l >= 1 else []
-    checks: Report = []
+    return run_theorems(SPEC, n, l, category)
 
-    include = lambda b: ElemC(b.coords, l)
-    checks.append(check_embedding(
-        small, include, labels,
-        name="level-inclusion-full-subgraph", category="embedding",
-    ))
 
-    shift_parts = []
-    weight_parts = []
-    classical_parts = []
-    affine_parts = []
-    for j in range(1, n + 1):
-        vmap = lambda b, j=j: phi_map(j, b)
-        bad = ""
-        for b in small:
-            if vmap(b).k != b.k + 1:
-                bad = bad or f"level map {j} does not raise the component at {b}"
-        shift_parts.append(CheckResult(f"j={j}", "commute", not bad, len(small), bad))
-        bad = ""
-        for b in small:
-            if vmap(b).weight() != b.weight():
-                bad = bad or f"level map {j} changes the weight at {b}"
-        weight_parts.append(CheckResult(f"j={j}", "commute", not bad, len(small), bad))
-        classical_parts.append(check_commutation(
-            small, vmap, [(d, i, True) for d in ("f", "e") for i in labels0],
-            name=f"j={j}", category="commute",
-        ))
-        affine_parts.append(check_commutation(
-            small, vmap, [("f", 0, False), ("e", 0, False)],
-            name=f"j={j}", category="commute",
-        ))
-    checks.append(merge_checks("phij-component-shift", "commute", shift_parts))
-    checks.append(merge_checks("phij-weight-preserving", "commute", weight_parts))
-    checks.append(merge_checks("phij-classical-commute-nonzero", "commute", classical_parts))
-    checks.append(merge_checks("phij-affine-commute", "commute", affine_parts))
-
-    images = {phi_map(j, b) for j in range(1, n + 1) for b in small}
-
-    bad = ""
-    cases = 0
-    for k in range(l + 1):
-        rhs = {b for b in big if b.k == k and in_shell(b.weight(), k - 1)}
-        lhs = {
-            phi_map(j, b) for j in range(1, n + 1) for b in small if b.k == k - 1
-        } if k >= 1 else set()
-        cases += len(rhs)
-        if lhs != rhs:
-            bad = bad or f"image description fails in component k={k}"
-    checks.append(CheckResult("image-equality", "boundary", not bad, cases, bad))
-
-    bad = ""
-    for b in big:
-        coordinate = all(min(b.x(j), b.xbar(j)) == 0 for j in range(1, n + 1))
-        if coordinate != on_boundary(b.weight(), b.k):
-            bad = bad or f"coordinate boundary criterion fails at {b}"
-    checks.append(CheckResult("coordinate-criterion", "boundary", not bad, len(big), bad))
-
-    checks.append(check_boundary_multiplicity(
-        big, l, name="boundary-weights-free", category="multiplicity",
-    ))
-    complement = [b for b in big if b not in images]
-    checks.append(check_weight_injective(
-        complement, name="weight-injective-off-images", category="multiplicity",
-    ))
-
-    checks.extend(check_f0_landing(big, images, datum, l))
-    return checks
+SPEC = TheoremSpec(
+    model=CrystalC,
+    family=Family.C,
+    embedding="level-inclusion",
+    include=lambda b, l: ElemC(b.coords, l),
+    prefix="phij",
+    raise_map=lambda j, b: phi_map(j, b),
+    steps=lambda n: [(j, 1, 1) for j in range(1, n + 1)],
+    coordinate_boundary=lambda b: all(min(b.x(j), b.xbar(j)) == 0 for j in range(1, b.n + 1)),
+)

@@ -14,17 +14,8 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .counting import compositions
-from .crystal_graph import (
-    CheckResult,
-    Report,
-    check_boundary_multiplicity,
-    check_commutation,
-    check_embedding,
-    check_f0_landing,
-    check_weight_injective,
-    merge_checks,
-)
-from .root_data import Family, RootDatum, Weight, in_shell, on_boundary
+from .crystal_graph import CheckResult, LevelModel, TheoremSpec, run_theorems
+from .root_data import Family, RootDatum, Weight
 
 
 @dataclass(frozen=True)
@@ -170,17 +161,11 @@ def expected_size(n: int, l: int) -> int:
     return sum(shell_size(n, k) for k in range(l + 1))
 
 
-class CrystalD2:
+class CrystalD2(LevelModel):
     """Model adapter for the level-l coordinate crystal."""
 
     family = "d2"
-    closed_stats = True
-
-    def __init__(self, n: int, l: int):
-        self.rank = n
-        self.level = l
-        self.index_set = tuple(range(n + 1))
-        self._datum = RootDatum(Family.B, n)
+    datum_family = Family.B
 
     def elements(self):
         return elements(self.rank, self.level)
@@ -190,107 +175,31 @@ class CrystalD2:
         xb = ",".join(str(c) for c in b.xbar)
         return f"D{self.rank}:x={x};x0={b.x0};xb={xb}"
 
-    def weight_coords(self, b: ElemD) -> tuple[int, ...]:
-        return b.weight().coeffs
-
-    def component(self, b: ElemD) -> int:
-        return b.k
-
     def sort_key(self, b: ElemD):
         return b.coords
-
-    def root_step(self, i: int) -> tuple[int, ...]:
-        w = self._datum.theta() if i == 0 else -self._datum.simple_root(i)
-        return w.coeffs
 
     def expected_size(self) -> int:
         return expected_size(self.rank, self.level)
 
 
-def verify_theorems(n: int, l: int) -> Report:
+def verify_theorems(n: int, l: int, category: str = "all") -> list[CheckResult]:
     """Machine-check the structure theorems of the twisted model at (n, l).
 
-    The maps for j < n raise two levels, so the harness works with the three
+    The maps for j < n raise two levels, so the runner works with the three
     consecutive levels l-2, l-1, l.
     """
-    datum = RootDatum(Family.B, n)
-    labels0 = tuple(range(1, n + 1))
-    labels = tuple(range(n + 1))
-    big = elements(n, l)
-    small = elements(n, l - 1) if l >= 1 else []
-    smaller = elements(n, l - 2) if l >= 2 else []
-    checks: Report = []
+    return run_theorems(SPEC, n, l, category)
 
-    include = lambda b: ElemD(b.x, b.x0, b.xbar, l)
-    checks.append(check_embedding(
-        small, include, labels,
-        name="level-inclusion-full-subgraph", category="embedding",
-    ))
 
-    shift_parts = []
-    classical_parts = []
-    affine_parts = []
-    weight_parts = []
-    for j in range(1, n + 1):
-        domain = small if j == n else smaller
-        step = 1 if j == n else 2
-        vmap = lambda b, j=j: psi_map(j, b)
-        bad = ""
-        for b in domain:
-            if vmap(b).k != b.k + step:
-                bad = bad or f"level map {j} does not raise the component by {step} at {b}"
-        shift_parts.append(CheckResult(f"j={j}", "commute", not bad, len(domain), bad))
-        bad = ""
-        for b in domain:
-            if vmap(b).weight() != b.weight():
-                bad = bad or f"level map {j} changes the weight at {b}"
-        weight_parts.append(CheckResult(f"j={j}", "commute", not bad, len(domain), bad))
-        classical_parts.append(check_commutation(
-            domain, vmap, [(d, i, True) for d in ("f", "e") for i in labels0],
-            name=f"j={j}", category="commute",
-        ))
-        affine_parts.append(check_commutation(
-            domain, vmap, [("f", 0, False), ("e", 0, False)],
-            name=f"j={j}", category="commute",
-        ))
-    checks.append(merge_checks("psij-component-shift", "commute", shift_parts))
-    checks.append(merge_checks("psij-weight-preserving", "commute", weight_parts))
-    checks.append(merge_checks("psij-classical-commute-nonzero", "commute", classical_parts))
-    checks.append(merge_checks("psij-affine-commute", "commute", affine_parts))
-
-    images = {psi_map(j, b) for j in range(1, n) for b in smaller}
-    images |= {psi_map(n, b) for b in small}
-
-    bad = ""
-    cases = 0
-    for k in range(l + 1):
-        rhs = {b for b in big if b.k == k and in_shell(b.weight(), k - 1)}
-        lhs = {
-            psi_map(j, b) for j in range(1, n) for b in smaller if b.k == k - 2
-        } if k >= 2 else set()
-        if k >= 1:
-            lhs |= {psi_map(n, b) for b in small if b.k == k - 1}
-        cases += len(rhs)
-        if lhs != rhs:
-            bad = bad or f"image description fails in component k={k}"
-    checks.append(CheckResult("image-equality", "boundary", not bad, cases, bad))
-
-    bad = ""
-    for b in big:
-        coordinate = b.x0 == 0 and all(
-            min(b.xval(j), b.xbarval(j)) == 0 for j in range(1, n + 1)
-        )
-        if coordinate != on_boundary(b.weight(), b.k):
-            bad = bad or f"coordinate boundary criterion fails at {b}"
-    checks.append(CheckResult("coordinate-criterion", "boundary", not bad, len(big), bad))
-
-    checks.append(check_boundary_multiplicity(
-        big, l, name="boundary-weights-free", category="multiplicity",
-    ))
-    complement = [b for b in big if b not in images]
-    checks.append(check_weight_injective(
-        complement, name="weight-injective-off-images", category="multiplicity",
-    ))
-
-    checks.extend(check_f0_landing(big, images, datum, l))
-    return checks
+SPEC = TheoremSpec(
+    model=CrystalD2,
+    family=Family.B,
+    embedding="level-inclusion",
+    include=lambda b, l: ElemD(b.x, b.x0, b.xbar, l),
+    prefix="psij",
+    raise_map=lambda j, b: psi_map(j, b),
+    steps=lambda n: [(j, 1, 1) if j == n else (j, 2, 2) for j in range(1, n + 1)],
+    coordinate_boundary=lambda b: b.x0 == 0 and all(
+        min(b.xval(j), b.xbarval(j)) == 0 for j in range(1, b.n + 1)
+    ),
+)

@@ -13,15 +13,18 @@ from typing import Optional
 
 from . import affine_a, affine_c, affine_d2
 from .crystal_graph import (
+    SECTIONS,
     all_passed,
     axiom_checks,
     build_graph,
     export,
+    level_table,
     render_report,
     restrict_to_component,
 )
 
 SIZE_LIMIT = 10**6
+FAMILIES = {"a1": affine_a, "c1": affine_c, "d2": affine_d2}
 
 CHECK_NAMES = (
     "all", "axioms", "embedding", "commute", "boundary",
@@ -36,16 +39,7 @@ def _fail_usage(message: str) -> int:
 
 
 def _build_model(family: str, rank: int, level: int):
-    if family == "a1":
-        return affine_a.CrystalA(rank, level)
-    if family == "c1":
-        return affine_c.CrystalC(rank, level)
-    return affine_d2.CrystalD2(rank, level)
-
-
-def _model_size(family: str, rank: int, level: int) -> int:
-    mod = {"a1": affine_a, "c1": affine_c, "d2": affine_d2}[family]
-    return mod.expected_size(rank, level)
+    return FAMILIES[family].SPEC.model(rank, level)
 
 
 def _check_bounds(args) -> Optional[int]:
@@ -53,7 +47,7 @@ def _check_bounds(args) -> Optional[int]:
         return _fail_usage(f"rank must be >= 2, got {args.rank}")
     if args.level < 0:
         return _fail_usage(f"level must be >= 0, got {args.level}")
-    size = _model_size(args.family, args.rank, args.level)
+    size = FAMILIES[args.family].expected_size(args.rank, args.level)
     if size > SIZE_LIMIT and not args.force:
         return _fail_usage(
             f"crystal has {size} elements (> {SIZE_LIMIT}); pass --force to proceed"
@@ -61,12 +55,16 @@ def _check_bounds(args) -> Optional[int]:
     return None
 
 
-def _write_output(data: bytes, out: Optional[str]) -> None:
+def _write_output(data: bytes, out: Optional[str]) -> int:
     if out is None:
         sys.stdout.write(data.decode("utf-8"))
-    else:
+        return 0
+    try:
         with open(out, "wb") as handle:
             handle.write(data)
+    except OSError as err:
+        return _fail_usage(f"cannot write {out}: {err.strerror or err}")
+    return 0
 
 
 def cmd_graph(args) -> int:
@@ -80,17 +78,10 @@ def cmd_graph(args) -> int:
                 f"component {args.component} out of range 0..{args.level}"
             )
         model = restrict_to_component(model, args.component)
-    graph = build_graph(model)
-    _write_output(export(graph, args.format), args.out)
-    return 0
+    return _write_output(export(build_graph(model), args.format), args.out)
 
 
 def _verification_report(family: str, rank: int, level: int, selector: str):
-    sections = {
-        "a1": affine_a.verify_theorems,
-        "c1": affine_c.verify_theorems,
-        "d2": affine_d2.verify_theorems,
-    }
     report = []
     if selector in ("all", "axioms"):
         report.extend(axiom_checks(_build_model(family, rank, level)))
@@ -102,12 +93,9 @@ def _verification_report(family: str, rank: int, level: int, selector: str):
                 report.extend(
                     replace(c, name=f"{prefix}-{c.name}") for c in axiom_checks(factor)
                 )
-    if selector in ("all", "embedding", "commute", "boundary", "multiplicity", "f0-landing"):
-        section = sections[family](rank, level)
-        if selector == "all":
-            report.extend(section)
-        else:
-            report.extend(c for c in section if c.category == selector)
+    if selector in ("all",) + SECTIONS:
+        report.extend(FAMILIES[family].verify_theorems(rank, level, selector))
+    level_table.cache_clear()  # free the tables before the a1 oracles build their own
     if family == "a1":
         if selector in ("all", "promotion"):
             report.extend(affine_a.promotion_checks(rank, level))
@@ -127,20 +115,15 @@ def cmd_verify(args) -> int:
         f"== adjcrys verify family={args.family} rank={args.rank}"
         f" level={args.level} check={args.check} ==\n"
     )
-    _write_output((header + render_report(report)).encode("utf-8"), args.out)
-    return 0 if all_passed(report) else 1
+    written = _write_output((header + render_report(report)).encode("utf-8"), args.out)
+    return written or (0 if all_passed(report) else 1)
 
 
 def _parse_start(args):
     n, l = args.rank, args.level
     text = args.start.strip()
     if text == "highest-of":
-        k = args.k if args.k is not None else l
-        if args.family == "a1":
-            return affine_a.highest(n, l, k)
-        if args.family == "c1":
-            return affine_c.highest(n, l, k)
-        return affine_d2.highest(n, l, k)
+        return FAMILIES[args.family].highest(n, l, args.k if args.k is not None else l)
     text = text.strip("()")
     try:
         coords = tuple(int(part) for part in text.split(","))
@@ -196,8 +179,7 @@ def cmd_apply(args) -> int:
             lines.append("0")
             break
         lines.append(_format_element(args.family, current))
-    _write_output(("\n".join(lines) + "\n").encode("utf-8"), args.out)
-    return 0
+    return _write_output(("\n".join(lines) + "\n").encode("utf-8"), args.out)
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:

@@ -1,10 +1,26 @@
-"""Finite crystal graphs: construction, structural checks, DOT/JSON export.
+"""Finite crystal graphs: operator tables, exhaustive checks, DOT/JSON export.
 
 A model is any object with `family`, `rank`, `level`, `index_set`,
 `elements()`, plus per-element accessors `element_id`, `weight_coords`,
 `component`, `sort_key` and `root_step(i)` (the expected weight change of
 f_i).  Elements themselves expose `e(i)`/`f(i)` (None when undefined) and,
 when `closed_stats` is set on the model, closed `eps(i)`/`phi(i)`.
+
+The checks run on tables, not on the operators.  An `OperatorTable`
+enumerates a model once and calls each element's `e_i` and `f_i` exactly
+once per label; rows `f[i]`/`e[i]` hold the index of the result, UNDEFINED
+where the operator vanishes and OUTSIDE where it returns an element missing
+from the enumeration (an ef-inverse failure).  The object operators stay the
+specification: the table records what they returned, with each index's
+weight coordinates and component.  `level_table` caches the level-l tables,
+so `axiom_checks` and the theorem runner of one `verify` share them.
+
+`run_theorems` checks one family's structure theorems from a `TheoremSpec`:
+the model class, the level embedding `B_{l-1} -> B_l`, the level-raising
+maps with their level and component steps, an optional coordinate form of
+the boundary shell, and an extras hook for family-specific embedding checks.
+It compiles the tables of levels l, l-1 and, for maps raising two levels,
+l-2, turns each map into an index map, and computes only the category asked.
 """
 
 from __future__ import annotations
@@ -12,10 +28,10 @@ from __future__ import annotations
 import json
 from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property, lru_cache
 from typing import Callable, Iterable, Optional, Sequence
 
-from .root_data import ShellStep, classify_shift, in_shell, on_boundary
-from .tableaux import eps_phi
+from .root_data import Family, RootDatum, ShellStep, Weight, classify_shift, in_shell, on_boundary
 
 
 # ---------------------------------------------------------------------------
@@ -29,9 +45,6 @@ class CheckResult:
     passed: bool
     cases: int
     details: str = ""
-
-
-Report = list
 
 
 def all_passed(report: Iterable[CheckResult]) -> bool:
@@ -210,209 +223,251 @@ def restrict_to_component(model, k: int) -> _ComponentModel:
     return _ComponentModel(model, k)
 
 
+class LevelModel:
+    """Adapter plumbing shared by the level-l models, whose elements carry
+    `weight()` and the component `k`.  Subclasses set `family` and
+    `datum_family` and add `elements`, `element_id`, `sort_key` and
+    `expected_size`."""
+
+    closed_stats = True
+    datum_family: Family
+
+    def __init__(self, n: int, l: int):
+        self.rank = n
+        self.level = l
+        self.index_set = tuple(range(n + 1))
+        self._datum = RootDatum(self.datum_family, n)
+
+    def weight_coords(self, b) -> tuple[int, ...]:
+        return b.weight().coeffs
+
+    def component(self, b) -> Optional[int]:
+        return b.k
+
+    def root_step(self, i: int) -> tuple[int, ...]:
+        w = self._datum.theta() if i == 0 else -self._datum.simple_root(i)
+        return w.coeffs
+
+
 # ---------------------------------------------------------------------------
-# generic checks
+# operator tables
+
+UNDEFINED = -1  # the operator vanishes
+OUTSIDE = -2  # the operator returned an element missing from the enumeration
 
 
-def _apply(b, direction: str, i: int):
-    return b.f(i) if direction == "f" else b.e(i)
+class OperatorTable:
+    """A model enumerated once, its operators recorded as rows of indices.
+
+    A cached table is shared by every caller, so nothing may modify it.
+    """
+
+    def __init__(self, model):
+        self.elems = list(model.elements())
+        self.index = {b: pos for pos, b in enumerate(self.elems)}
+        self.labels = tuple(model.index_set)
+        get = self.index.get
+
+        def record(results) -> tuple[int, ...]:
+            return tuple(UNDEFINED if c is None else get(c, OUTSIDE) for c in results)
+
+        self.f = {i: record(b.f(i) for b in self.elems) for i in self.labels}
+        self.e = {i: record(b.e(i) for b in self.elems) for i in self.labels}
+        self.weight = [tuple(model.weight_coords(b)) for b in self.elems]
+        self.comp = [model.component(b) for b in self.elems]
+
+    def row(self, direction: str, i: int) -> tuple[int, ...]:
+        return self.f[i] if direction == "f" else self.e[i]
 
 
-def check_commutation(domain, vmap, ops, *, name: str, category: str) -> CheckResult:
-    """Verify vmap(op(b)) == op(vmap(b)) over the domain.
+@lru_cache(maxsize=4)
+def level_table(model_class, n: int, level: int) -> OperatorTable:
+    """The table of `model_class(n, level)`, kept for the rest of the run.
+
+    A negative level gives the empty table.  Code that patches an operator
+    must call `level_table.cache_clear()` before and after.
+    """
+    return OperatorTable(model_class(n, level))
+
+
+def compile_map(domain: OperatorTable, target: OperatorTable, vmap) -> list[int]:
+    """`vmap` as an index map: the target index of vmap(b) for each domain b."""
+    get = target.index.get
+    return [get(vmap(b), OUTSIDE) for b in domain.elems]
+
+
+# ---------------------------------------------------------------------------
+# checks on tables
+
+
+def check_map(domain: OperatorTable, imap, ok, message: str, *,
+              name: str, category: str) -> CheckResult:
+    """ok(b, imap[b]) at every domain index; `message` names the first failure."""
+    bad = next(
+        (message.format(domain.elems[b]) for b, c in enumerate(imap) if c < 0 or not ok(b, c)),
+        "",
+    )
+    return CheckResult(name, category, not bad, len(imap), bad)
+
+
+def check_commutation(domain: OperatorTable, target: OperatorTable, imap, ops, *,
+                      name: str, category: str) -> CheckResult:
+    """Verify imap(op(b)) == op(imap(b)) over the domain.
 
     `ops` is a sequence of (direction, label, only_when_defined).  With
     only_when_defined the statement is checked just where op(b) is defined;
     otherwise vanishing must agree on both sides as well.
     """
+    rows = [(d, i, only, domain.row(d, i), target.row(d, i)) for d, i, only in ops]
     cases = 0
-    for b in domain:
-        for direction, i, only_when_defined in ops:
-            a = _apply(b, direction, i)
-            if a is None:
-                if only_when_defined:
-                    continue
-                cases += 1
-                other = _apply(vmap(b), direction, i)
-                if other is not None:
-                    return CheckResult(
-                        name, category, False, cases,
-                        f"{direction}_{i} vanishes on {b} but not on its image",
-                    )
+    for b, c in enumerate(imap):
+        for direction, i, only_when_defined, inner, outer in rows:
+            a, other = inner[b], outer[c] if c >= 0 else OUTSIDE
+            if a == UNDEFINED and only_when_defined:
                 continue
             cases += 1
-            other = _apply(vmap(b), direction, i)
-            if other != vmap(a):
-                return CheckResult(
-                    name, category, False, cases,
-                    f"{direction}_{i} does not commute with the map at {b}",
-                )
+            if a == UNDEFINED:
+                bad = other != UNDEFINED and "vanishes on {} but not on its image"
+            else:
+                bad = (a < 0 or imap[a] < 0 or other != imap[a]) and "does not commute with the map at {}"
+            if bad:
+                detail = f"{direction}_{i} " + bad.format(domain.elems[b])
+                return CheckResult(name, category, False, cases, detail)
     return CheckResult(name, category, True, cases)
 
 
-def check_embedding(domain, vmap, labels, *, name: str, category: str) -> CheckResult:
-    """Verify vmap identifies the domain with a full subgraph of the target.
+def check_embedding(domain: OperatorTable, target: OperatorTable, imap, labels, *,
+                    name: str, category: str) -> CheckResult:
+    """Verify imap identifies the domain with a full subgraph of the target.
 
     Injectivity, then arrow-for-arrow correspondence: a present arrow maps to
     the corresponding arrow; an absent arrow must be absent on the image or
     escape the image set.
     """
-    image = {}
-    cases = 0
-    for b in domain:
-        im = vmap(b)
-        if im in image:
+    image: dict[int, int] = {}
+    for b, c in enumerate(imap):
+        if c < 0:
             return CheckResult(
-                name, category, False, cases, f"map not injective: {b} and {image[im]}"
+                name, category, False, 0, f"{domain.elems[b]} maps outside the target"
             )
-        image[im] = b
-    image_set = set(image)
-    for b in domain:
-        for i in labels:
-            for direction in ("f", "e"):
-                cases += 1
-                inner = _apply(b, direction, i)
-                outer = _apply(vmap(b), direction, i)
-                if inner is not None:
-                    if outer != vmap(inner):
-                        return CheckResult(
-                            name, category, False, cases,
-                            f"arrow {direction}_{i} at {b} not preserved",
-                        )
-                elif outer is not None and outer in image_set:
+        if c in image:
+            return CheckResult(
+                name, category, False, 0,
+                f"map not injective: {domain.elems[b]} and {domain.elems[image[c]]}",
+            )
+        image[c] = b
+    rows = [(d, i, domain.row(d, i), target.row(d, i)) for i in labels for d in ("f", "e")]
+    cases = 0
+    for b, c in enumerate(imap):
+        for direction, i, inner_row, outer_row in rows:
+            cases += 1
+            inner, outer = inner_row[b], outer_row[c]
+            if inner != UNDEFINED:
+                if inner < 0 or outer != imap[inner]:
                     return CheckResult(
                         name, category, False, cases,
-                        f"extra arrow {direction}_{i} inside the image at {b}",
+                        f"arrow {direction}_{i} at {domain.elems[b]} not preserved",
                     )
-    return CheckResult(name, category, True, cases)
-
-
-def check_boundary_multiplicity(big, l: int, *, name: str, category: str) -> CheckResult:
-    """Every boundary-shell weight occurs exactly once in its component."""
-    cases = 0
-    for k in range(l + 1):
-        counts = Counter(b.weight() for b in big if b.k == k)
-        cases += sum(counts.values())
-        for mu, count in counts.items():
-            if on_boundary(mu, k) and count != 1:
+            elif outer in image:
                 return CheckResult(
                     name, category, False, cases,
-                    f"weight {mu} has multiplicity {count} in component k={k}",
+                    f"extra arrow {direction}_{i} inside the image at {domain.elems[b]}",
                 )
     return CheckResult(name, category, True, cases)
 
 
-def check_weight_injective(complement, *, name: str, category: str) -> CheckResult:
-    """Weights are pairwise distinct off the images of the level-raising maps."""
-    counts = Counter(b.weight() for b in complement)
-    for mu, count in counts.items():
-        if count != 1:
-            return CheckResult(
-                name, category, False, len(complement),
-                f"weight {mu} repeats {count} times off the images",
-            )
-    return CheckResult(name, category, True, len(complement))
+def _chain_lengths(step: Sequence[int]) -> list[int]:
+    """How often `step` applies from each index before it vanishes.
 
-
-def check_f0_landing(big, images, datum, l: int, *, category: str = "f0-landing") -> Report:
-    """The f_0 action on elements outside the level-raising images.
-
-    Checks the vanishing criterion (k = l and weight + theta off the top
-    shell), the landing component predicted by the shell classification, and
-    uniqueness of the landing element by weight.
+    Each chain is walked once.  An OUTSIDE result ends a chain after one
+    step; indices that walk into a cycle get -4, which no statistic equals.
     """
-    complement = [b for b in big if b not in images]
-    complement_set = set(complement)
-    weight_counts = Counter(b.weight() for b in complement)
-    theta = datum.theta()
-
-    kill_bad = ""
-    comp_bad = ""
-    uniq_bad = ""
-    kill_cases = comp_cases = uniq_cases = 0
-    for b in complement:
-        mu = b.weight()
-        z = b.f(0)
-        kill_cases += 1
-        expect_dead = b.k == l and not in_shell(mu + theta, l)
-        if (z is None) != expect_dead:
-            kill_bad = kill_bad or f"vanishing criterion wrong at {b}"
-            continue
-        if z is None:
-            continue
-        comp_cases += 1
-        if not on_boundary(mu, b.k):
-            comp_bad = comp_bad or f"{b} escapes the level-raising images but is not on its boundary shell"
-            continue
-        shift = classify_shift(mu, b.k)
-        target = b.k + {ShellStep.UP: 1, ShellStep.SAME: 0, ShellStep.DOWN: -1}[shift.step]
-        if z.k != target:
-            comp_bad = comp_bad or f"f_0 lands in k={z.k} at {b}, classification says {target}"
-            continue
-        uniq_cases += 1
-        if z not in complement_set:
-            uniq_bad = uniq_bad or f"f_0 image of {b} lies in the level-raising images"
-        elif weight_counts[z.weight()] != 1:
-            uniq_bad = uniq_bad or f"f_0 image of {b} is not unique of its weight"
-    return [
-        CheckResult("vanishing-criterion", category, not kill_bad, kill_cases, kill_bad),
-        CheckResult("landing-component", category, not comp_bad, comp_cases, comp_bad),
-        CheckResult("landing-unique-by-weight", category, not uniq_bad, uniq_cases, uniq_bad),
-    ]
+    unknown, on_path, cycle = -2, -3, -4
+    out = [unknown] * len(step)
+    for start in range(len(step)):
+        path, cur = [], start
+        while cur >= 0 and out[cur] == unknown:
+            out[cur] = on_path
+            path.append(cur)
+            cur = step[cur]
+        run = {UNDEFINED: -1, OUTSIDE: 0}[cur] if cur < 0 else out[cur]
+        for node in reversed(path):
+            run = cycle if run in (on_path, cycle) else run + 1
+            out[node] = run
+    return out
 
 
-# ---------------------------------------------------------------------------
-# model-level axiom checks
+def _connected(table: OperatorTable) -> bool:
+    """Connectivity of the f-arrows, taken undirected, by breadth-first search."""
+    size = len(table.elems)
+    if size <= 1:
+        return True
+    adjacent: list[list[int]] = [[] for _ in range(size)]
+    for row in table.f.values():
+        for b, c in enumerate(row):
+            if c >= 0:
+                adjacent[b].append(c)
+                adjacent[c].append(b)
+    seen = [False] * size
+    seen[0] = True
+    queue = [0]
+    for b in queue:
+        for c in adjacent[b]:
+            if not seen[c]:
+                seen[c] = True
+                queue.append(c)
+    return len(queue) == size
 
 
-def axiom_checks(model) -> Report:
+def axiom_checks(model) -> list[CheckResult]:
     """Inverse pairing, closed statistics, weight steps, count, connectivity."""
-    elems = list(model.elements())
-    labels = list(model.index_set)
-    checks: Report = []
+    # a level-l model shares its cached table with the theorem runner
+    if model.level is None:
+        table = OperatorTable(model)
+    else:
+        table = level_table(type(model), model.rank, model.level)
+    elems, labels, weight = table.elems, table.labels, table.weight
+    checks: list[CheckResult] = []
 
     bad = ""
-    cases = 0
-    for b in elems:
-        for i in labels:
-            for direction in ("f", "e"):
-                cases += 1
-                c = _apply(b, direction, i)
-                if c is None:
-                    continue
-                back = _apply(c, "e" if direction == "f" else "f", i)
-                if back != b:
-                    bad = bad or f"{direction}_{i} not inverted at {model.element_id(b)}"
-    checks.append(CheckResult("ef-inverse", "axioms", not bad, cases, bad))
+    pairs = [
+        (f"{d}_{i}", table.row(d, i), table.row("e" if d == "f" else "f", i))
+        for i in labels for d in ("f", "e")
+    ]
+    for b in range(len(elems)):
+        for op, fwd, back in pairs:
+            c = fwd[b]
+            if c == OUTSIDE:
+                bad = bad or f"{op} leaves the crystal at {model.element_id(elems[b])}"
+            elif c >= 0 and back[c] != b:
+                bad = bad or f"{op} not inverted at {model.element_id(elems[b])}"
+    checks.append(CheckResult("ef-inverse", "axioms", not bad, len(elems) * len(pairs), bad))
 
     if getattr(model, "closed_stats", False):
         bad = ""
-        cases = 0
-        for b in elems:
+        eps = {i: _chain_lengths(table.e[i]) for i in labels}
+        phi = {i: _chain_lengths(table.f[i]) for i in labels}
+        for b, elem in enumerate(elems):
             for i in labels:
-                cases += 1
-                if (b.eps(i), b.phi(i)) != eps_phi(b, i):
-                    bad = bad or f"closed statistics wrong at {model.element_id(b)}, i={i}"
-        checks.append(CheckResult("stats-closed-vs-iteration", "axioms", not bad, cases, bad))
+                if (elem.eps(i), elem.phi(i)) != (eps[i][b], phi[i][b]):
+                    bad = bad or f"closed statistics wrong at {model.element_id(elem)}, i={i}"
+        checks.append(CheckResult(
+            "stats-closed-vs-iteration", "axioms", not bad, len(elems) * len(labels), bad,
+        ))
 
     bad = ""
     cases = 0
-    for b in elems:
-        wb = model.weight_coords(b)
-        for i in labels:
-            step = model.root_step(i)
-            c = b.f(i)
-            if c is not None:
+    steps = [
+        (f"{d}_{i}", table.row(d, i), sign, tuple(model.root_step(i)))
+        for i in labels for d, sign in (("f", 1), ("e", -1))
+    ]
+    for b, wb in enumerate(weight):
+        for op, row, sign, step in steps:
+            c = row[b]
+            if c >= 0:
                 cases += 1
-                wc = model.weight_coords(c)
-                if tuple(x - y for x, y in zip(wc, wb)) != tuple(step):
-                    bad = bad or f"f_{i} weight step wrong at {model.element_id(b)}"
-            c = b.e(i)
-            if c is not None:
-                cases += 1
-                wc = model.weight_coords(c)
-                if tuple(y - x for x, y in zip(wc, wb)) != tuple(step):
-                    bad = bad or f"e_{i} weight step wrong at {model.element_id(b)}"
+                if tuple(sign * (x - y) for x, y in zip(weight[c], wb)) != step:
+                    bad = bad or f"{op} weight step wrong at {model.element_id(elems[b])}"
     checks.append(CheckResult("weight-step", "axioms", not bad, cases, bad))
 
     expected = model.expected_size()
@@ -423,9 +478,236 @@ def axiom_checks(model) -> Report:
             "" if ok else f"enumerated {len(elems)}, closed form gives {expected}",
         ))
 
-    graph = build_graph(model)
+    connected = _connected(table)
     checks.append(CheckResult(
-        "connected", "axioms", is_connected(graph), len(graph.vertices),
-        "" if is_connected(graph) else "crystal graph is disconnected",
+        "connected", "axioms", connected, len(elems),
+        "" if connected else "crystal graph is disconnected",
     ))
     return checks
+
+
+# ---------------------------------------------------------------------------
+# the structure theorems of one family
+
+
+@dataclass(frozen=True)
+class TheoremSpec:
+    """What `run_theorems` needs to know about one family.
+
+    `include(b, l)` embeds an element of level l-1 into level l.  Each
+    level-raising map is `raise_map(j, b)`; `steps(n)` lists its
+    (j, level step, component step).  `coordinate_boundary(b)` is the
+    coordinate form of the boundary shell, where the family has one.
+    `extras(run)` returns embedding checks reported before the embedding.
+    """
+
+    model: type
+    family: Family
+    embedding: str
+    include: Callable
+    prefix: str
+    raise_map: Callable
+    steps: Callable[[int], Sequence[tuple[int, int, int]]]
+    coordinate_boundary: Optional[Callable] = None
+    extras: Optional[Callable] = None
+
+
+SECTIONS = ("embedding", "commute", "boundary", "multiplicity", "f0-landing")
+_SHELL_MOVE = {ShellStep.UP: 1, ShellStep.SAME: 0, ShellStep.DOWN: -1}
+
+
+class TheoremRun:
+    """One family's theorems at (n, l); each table and map is built on first use."""
+
+    def __init__(self, spec: TheoremSpec, n: int, l: int):
+        self.spec, self.n, self.l = spec, n, l
+        self.datum = RootDatum(spec.family, n)
+        self.labels0 = tuple(range(1, n + 1))
+
+    def table(self, level: int) -> OperatorTable:
+        return level_table(self.spec.model, self.n, level)
+
+    @cached_property
+    def big(self) -> OperatorTable:
+        return self.table(self.l)
+
+    @cached_property
+    def small(self) -> OperatorTable:
+        return self.table(self.l - 1)
+
+    @cached_property
+    def embedding(self) -> list[int]:
+        return compile_map(self.small, self.big, lambda b: self.spec.include(b, self.l))
+
+    @cached_property
+    def level_maps(self) -> list[tuple[int, int, OperatorTable, list[int]]]:
+        """(j, component step, domain table, index map) for each level-raising map."""
+        out = []
+        for j, level_step, comp_step in self.spec.steps(self.n):
+            domain = self.table(self.l - level_step)
+            imap = compile_map(domain, self.big, lambda b, j=j: self.spec.raise_map(j, b))
+            out.append((j, comp_step, domain, imap))
+        return out
+
+    @cached_property
+    def complement(self) -> list[int]:
+        """Indices of level l off the images of the level-raising maps."""
+        images = {c for *_, imap in self.level_maps for c in imap}
+        return [b for b in range(len(self.big.elems)) if b not in images]
+
+    @cached_property
+    def mus(self) -> list[Weight]:
+        return [Weight(self.datum, w) for w in self.big.weight]
+
+    def embedding_checks(self) -> list[CheckResult]:
+        checks = list(self.spec.extras(self)) if self.spec.extras else []
+        checks.append(check_embedding(
+            self.small, self.big, self.embedding, self.big.labels,
+            name=f"{self.spec.embedding}-full-subgraph", category="embedding",
+        ))
+        return checks
+
+    def commute_checks(self) -> list[CheckResult]:
+        big = self.big
+        shift, weight, classical, affine = [], [], [], []
+        for j, comp_step, domain, imap in self.level_maps:
+            name = f"j={j}"
+            shift.append(check_map(
+                domain, imap, lambda b, c: big.comp[c] == domain.comp[b] + comp_step,
+                f"level map {j} does not raise the component by {comp_step} at {{}}",
+                name=name, category="commute",
+            ))
+            weight.append(check_map(
+                domain, imap, lambda b, c: big.weight[c] == domain.weight[b],
+                f"level map {j} changes the weight at {{}}", name=name, category="commute",
+            ))
+            classical.append(check_commutation(
+                domain, big, imap, [(d, i, True) for d in ("f", "e") for i in self.labels0],
+                name=name, category="commute",
+            ))
+            affine.append(check_commutation(
+                domain, big, imap, [("f", 0, False), ("e", 0, False)],
+                name=name, category="commute",
+            ))
+        prefix = self.spec.prefix
+        return [
+            merge_checks(f"{prefix}-component-shift", "commute", shift),
+            merge_checks(f"{prefix}-weight-preserving", "commute", weight),
+            merge_checks(f"{prefix}-classical-commute-nonzero", "commute", classical),
+            merge_checks(f"{prefix}-affine-commute", "commute", affine),
+        ]
+
+    def boundary_checks(self) -> list[CheckResult]:
+        big, l, mus = self.big, self.l, self.mus
+        images = [set() for _ in range(l + 1)]  # by source component + step
+        for _, comp_step, domain, imap in self.level_maps:
+            for b, c in enumerate(imap):
+                k = domain.comp[b] + comp_step
+                if k <= l:
+                    images[k].add(c)
+        inner = [set() for _ in range(l + 1)]  # level-l weights inside (k-1)*theta
+        for b, k in enumerate(big.comp):
+            if in_shell(mus[b], k - 1):
+                inner[k].add(b)
+        bad = next(
+            (f"image description fails in component k={k}"
+             for k in range(l + 1) if images[k] != inner[k]),
+            "",
+        )
+        checks = [CheckResult(
+            "image-equality", "boundary", not bad, sum(len(s) for s in inner), bad,
+        )]
+        coordinate = self.spec.coordinate_boundary
+        if coordinate is not None:
+            bad = next(
+                (f"coordinate boundary criterion fails at {elem}"
+                 for elem, mu, k in zip(big.elems, mus, big.comp)
+                 if coordinate(elem) != on_boundary(mu, k)),
+                "",
+            )
+            checks.append(CheckResult(
+                "coordinate-criterion", "boundary", not bad, len(big.elems), bad,
+            ))
+        return checks
+
+    def multiplicity_checks(self) -> list[CheckResult]:
+        big, l = self.big, self.l
+        bad, cases = "", 0
+        for k in range(l + 1):
+            counts = Counter(w for w, kb in zip(big.weight, big.comp) if kb == k)
+            cases += sum(counts.values())
+            bad = next(
+                (f"weight {_fmt_weight(w)} has multiplicity {count} in component k={k}"
+                 for w, count in counts.items()
+                 if count != 1 and on_boundary(Weight(self.datum, w), k)),
+                "",
+            )
+            if bad:
+                break
+        checks = [CheckResult("boundary-weights-free", "multiplicity", not bad, cases, bad)]
+        counts = Counter(big.weight[b] for b in self.complement)
+        bad = next(
+            (f"weight {_fmt_weight(w)} repeats {count} times off the images"
+             for w, count in counts.items() if count != 1),
+            "",
+        )
+        checks.append(CheckResult(
+            "weight-injective-off-images", "multiplicity", not bad, len(self.complement), bad,
+        ))
+        return checks
+
+    def f0_landing_checks(self) -> list[CheckResult]:
+        """The f_0 action on elements outside the level-raising images.
+
+        Checks the vanishing criterion (k = l and weight + theta off the top
+        shell), the landing component predicted by the shell classification,
+        and uniqueness of the landing element by weight.
+        """
+        big, l, mus = self.big, self.l, self.mus
+        complement = self.complement
+        off_images = set(complement)
+        weight_counts = Counter(big.weight[b] for b in complement)
+        theta = self.datum.theta()
+        f0 = big.f[0]
+
+        kill_bad = comp_bad = uniq_bad = ""
+        kill_cases = comp_cases = uniq_cases = 0
+        for b in complement:
+            mu, k, z, elem = mus[b], big.comp[b], f0[b], big.elems[b]
+            kill_cases += 1
+            expect_dead = k == l and not in_shell(mu + theta, l)
+            if (z == UNDEFINED) != expect_dead:
+                kill_bad = kill_bad or f"vanishing criterion wrong at {elem}"
+                continue
+            if z == UNDEFINED:
+                continue
+            comp_cases += 1
+            if not on_boundary(mu, k):
+                comp_bad = comp_bad or f"{elem} escapes the level-raising images but is not on its boundary shell"
+                continue
+            target = k + _SHELL_MOVE[classify_shift(mu, k).step]
+            landed = big.comp[z] if z >= 0 else None
+            if landed != target:
+                comp_bad = comp_bad or f"f_0 lands in k={landed} at {elem}, classification says {target}"
+                continue
+            uniq_cases += 1
+            if z not in off_images:
+                uniq_bad = uniq_bad or f"f_0 image of {elem} lies in the level-raising images"
+            elif weight_counts[big.weight[z]] != 1:
+                uniq_bad = uniq_bad or f"f_0 image of {elem} is not unique of its weight"
+        return [
+            CheckResult("vanishing-criterion", "f0-landing", not kill_bad, kill_cases, kill_bad),
+            CheckResult("landing-component", "f0-landing", not comp_bad, comp_cases, comp_bad),
+            CheckResult("landing-unique-by-weight", "f0-landing", not uniq_bad, uniq_cases, uniq_bad),
+        ]
+
+
+def run_theorems(spec: TheoremSpec, n: int, l: int, category: str = "all") -> list[CheckResult]:
+    """The theorem checks of one family at (n, l): every section, or just `category`."""
+    run = TheoremRun(spec, n, l)
+    sections = (run.embedding_checks, run.commute_checks, run.boundary_checks,
+                run.multiplicity_checks, run.f0_landing_checks)
+    return [
+        c for name, checks in zip(SECTIONS, sections) if category in ("all", name)
+        for c in checks()
+    ]

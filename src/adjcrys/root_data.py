@@ -122,10 +122,6 @@ class Weight:
         """Coefficients (c_1, ..., c_n) with mu = sum c_i * (i-th fundamental weight)."""
         return tuple(self.pairing(i) for i in self.datum.index_set)
 
-    def positive_support(self) -> tuple[int, ...]:
-        """Indices j with m_j > 0."""
-        return tuple(j for j, c in enumerate(self.coeffs, start=1) if c > 0)
-
     def positive_sum(self) -> int:
         """Sum of the positive coordinates."""
         return sum(c for c in self.coeffs if c > 0)
@@ -133,9 +129,6 @@ class Weight:
     def abs_sum(self) -> int:
         """Sum of |m_j| over all coordinates."""
         return sum(abs(c) for c in self.coeffs)
-
-    def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
 
     def __str__(self) -> str:
         return "(" + ",".join(str(c) for c in self.coeffs) + ")"

@@ -196,3 +196,18 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert len(json.loads(proc.stdout)["nodes"]) == 1
+
+
+def test_unwritable_out_is_usage_error(tmp_path, capsys):
+    target = tmp_path / "missing-dir" / "report.txt"
+    for argv in (
+        ["verify", "--family", "c1", "--rank", "2", "--level", "1"],
+        ["graph", "--family", "c1", "--rank", "2", "--level", "1"],
+        ["apply", "--family", "c1", "--rank", "2", "--level", "1",
+         "--start", "0,0,0,0", "--word", "f0"],
+    ):
+        assert main(argv + ["--out", str(target)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: cannot write")
+    assert not target.parent.exists()

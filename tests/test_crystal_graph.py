@@ -2,16 +2,18 @@
 
 import pytest
 
-from adjcrys.affine_a import CrystalA, elements as a_elements, theta_map
-from adjcrys.affine_c import CrystalC, ElemC, elements as c_elements
+from adjcrys.affine_a import CrystalA, theta_map
+from adjcrys.affine_c import CrystalC, ElemC
 from adjcrys.affine_d2 import CrystalD2
 from adjcrys.crystal_graph import (
     CrystalGraph,
     all_passed,
     axiom_checks,
     build_graph,
+    OperatorTable,
     check_commutation,
     check_embedding,
+    compile_map,
     export,
     graph_from_json,
     is_connected,
@@ -95,15 +97,15 @@ def test_export_determinism():
 
 
 def test_check_embedding_accepts_true_embeddings():
-    small = a_elements(2, 1)
+    small, big = OperatorTable(CrystalA(2, 1)), OperatorTable(CrystalA(2, 2))
     result = check_embedding(
-        small, lambda b: theta_map(1, b), (0, 1, 2),
+        small, big, compile_map(small, big, lambda b: theta_map(1, b)), (0, 1, 2),
         name="theta1", category="embedding",
     )
     assert result.passed
-    small_c = c_elements(2, 1)
+    small_c, big_c = OperatorTable(CrystalC(2, 1)), OperatorTable(CrystalC(2, 2))
     result = check_embedding(
-        small_c, lambda b: ElemC(b.coords, 2), (0, 1, 2),
+        small_c, big_c, compile_map(small_c, big_c, lambda b: ElemC(b.coords, 2)), (0, 1, 2),
         name="inclusion", category="embedding",
     )
     assert result.passed
@@ -111,7 +113,7 @@ def test_check_embedding_accepts_true_embeddings():
 
 def test_check_embedding_flags_corrupted_map():
     # identity inclusion with two images swapped: some arrow must break
-    small = c_elements(2, 1)
+    small, big = OperatorTable(CrystalC(2, 1)), OperatorTable(CrystalC(2, 2))
     a = ElemC((2, 0, 0, 0), 2)
     b = ElemC((0, 0, 0, 2), 2)
 
@@ -124,27 +126,30 @@ def test_check_embedding_flags_corrupted_map():
         return wide
 
     result = check_embedding(
-        small, corrupted, (0, 1, 2), name="corrupted", category="embedding",
+        small, big, compile_map(small, big, corrupted), (0, 1, 2),
+        name="corrupted", category="embedding",
     )
     assert not result.passed
     assert result.details
 
 
 def test_check_embedding_flags_noninjective_map():
-    small = c_elements(2, 1)
+    small, big = OperatorTable(CrystalC(2, 1)), OperatorTable(CrystalC(2, 2))
     collapse = lambda elem: ElemC((0, 0, 0, 0), 2)
     result = check_embedding(
-        small, collapse, (0,), name="collapse", category="embedding",
+        small, big, compile_map(small, big, collapse), (0,),
+        name="collapse", category="embedding",
     )
     assert not result.passed and "injective" in result.details
 
 
 def test_check_commutation_side_conditions():
-    small = c_elements(2, 1)
     from adjcrys.affine_c import phi_map
 
+    small, big = OperatorTable(CrystalC(2, 1)), OperatorTable(CrystalC(2, 2))
+    phi1 = compile_map(small, big, lambda b: phi_map(1, b))
     strict = check_commutation(
-        small, lambda b: phi_map(1, b),
+        small, big, phi1,
         [("f", 0, False), ("e", 0, False)],
         name="affine", category="commute",
     )
@@ -152,7 +157,7 @@ def test_check_commutation_side_conditions():
     # the classical operators only commute where defined; the unconditional
     # variant must fail (phi_1 creates room for f_1 where there was none)
     loose = check_commutation(
-        small, lambda b: phi_map(1, b),
+        small, big, phi1,
         [("f", 1, False), ("e", 1, False)],
         name="classical-unconditional", category="commute",
     )
