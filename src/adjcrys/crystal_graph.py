@@ -29,7 +29,7 @@ import json
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
 from .root_data import Family, RootDatum, ShellStep, Weight, classify_shift, in_shell, on_boundary
 
@@ -422,10 +422,10 @@ def _connected(table: OperatorTable) -> bool:
 def axiom_checks(model) -> list[CheckResult]:
     """Inverse pairing, closed statistics, weight steps, count, connectivity."""
     # a level-l model shares its cached table with the theorem runner
-    if model.level is None:
-        table = OperatorTable(model)
-    else:
+    if isinstance(model, LevelModel):
         table = level_table(type(model), model.rank, model.level)
+    else:
+        table = OperatorTable(model)
     elems, labels, weight = table.elems, table.labels, table.weight
     checks: list[CheckResult] = []
 
@@ -490,8 +490,7 @@ def axiom_checks(model) -> list[CheckResult]:
 # the structure theorems of one family
 
 
-@dataclass(frozen=True)
-class TheoremSpec:
+class TheoremSpec(NamedTuple):
     """What `run_theorems` needs to know about one family.
 
     `include(b, l)` embeds an element of level l-1 into level l.  Each

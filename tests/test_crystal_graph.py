@@ -62,6 +62,7 @@ def test_component_restriction():
     assert len(graph.vertices) == 5
     assert all(v.k == 1 for v in graph.vertices)
     assert all(e.label in (1, 2) for e in graph.edges)
+    assert all_passed(axiom_checks(model))
 
 
 def test_dot_export():
