@@ -413,7 +413,7 @@ SPEC = TheoremSpec(
     embedding="theta1",
     include=lambda b, l: theta_map(1, b),
     prefix="thetaj",
-    raise_map=lambda j, b: theta_map(j, b),
+    raise_map=theta_map,
     steps=lambda n: [(j, 1, 1) for j in range(2, n + 2)],
     extras=_theta1_checks,
 )

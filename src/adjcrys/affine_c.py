@@ -172,7 +172,7 @@ SPEC = TheoremSpec(
     embedding="level-inclusion",
     include=lambda b, l: ElemC(b.coords, l),
     prefix="phij",
-    raise_map=lambda j, b: phi_map(j, b),
+    raise_map=phi_map,
     steps=lambda n: [(j, 1, 1) for j in range(1, n + 1)],
     coordinate_boundary=lambda b: all(min(b.x(j), b.xbar(j)) == 0 for j in range(1, b.n + 1)),
 )

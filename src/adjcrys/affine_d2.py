@@ -197,7 +197,7 @@ SPEC = TheoremSpec(
     embedding="level-inclusion",
     include=lambda b, l: ElemD(b.x, b.x0, b.xbar, l),
     prefix="psij",
-    raise_map=lambda j, b: psi_map(j, b),
+    raise_map=psi_map,
     steps=lambda n: [(j, 1, 1) if j == n else (j, 2, 2) for j in range(1, n + 1)],
     coordinate_boundary=lambda b: b.x0 == 0 and all(
         min(b.xval(j), b.xbarval(j)) == 0 for j in range(1, b.n + 1)

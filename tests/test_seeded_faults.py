@@ -2,7 +2,8 @@
 
 A check that cannot fail proves nothing, so every fault here was chosen to
 break exactly the statement its check names.  The faults are monkeypatched
-into the models or the check helpers; the rest of the report is not asserted.
+into the models, the family specs or the check helpers; the rest of the
+report is not asserted.
 """
 
 import pytest
@@ -60,7 +61,7 @@ def test_phi_map_wrong_xbar_index(monkeypatch):
         out[2 * b.n - j - 1] += 1  # the model bumps 2n - j, that is xbar_j
         return ElemC(tuple(out), b.level + 1)
 
-    monkeypatch.setattr(affine_c, "phi_map", phi_map)
+    monkeypatch.setattr(affine_c, "SPEC", affine_c.SPEC._replace(raise_map=phi_map))
     assert "commute/phij-weight-preserving" in _failed("c1", 2, 2)
 
 
@@ -88,5 +89,5 @@ def test_psi_map_n_bumps_x1(monkeypatch):
         xbar[0] += 1
         return ElemD(tuple(x), 0, tuple(xbar), b.level + 1)
 
-    monkeypatch.setattr(affine_d2, "psi_map", psi_map)
+    monkeypatch.setattr(affine_d2, "SPEC", affine_d2.SPEC._replace(raise_map=psi_map))
     assert "commute/psij-weight-preserving" in _failed("d2", 3, 3)
