@@ -21,6 +21,7 @@ from .crystal_graph import (
     UNDEFINED,
     CheckResult,
     LevelModel,
+    OperatorTable,
     TheoremSpec,
     check_commutation,
     check_map,
@@ -400,21 +401,21 @@ def _theta1_checks(run) -> list[CheckResult]:
     return checks
 
 
-def verify_theorems(n: int, l: int, category: str = "all") -> list[CheckResult]:
+def verify_theorems(n: int, l: int, category: str = "all",
+                    table: Optional[OperatorTable] = None) -> list[CheckResult]:
     """Machine-check the structure theorems of the pair model at (n, l):
     the level-one embedding, the commuting level-raising maps, the boundary
     image description, weight multiplicity freeness, and the f_0 landing."""
-    return run_theorems(SPEC, n, l, category)
+    return run_theorems(SPEC, n, l, category, table)
 
 
 SPEC = TheoremSpec(
     model=CrystalA,
-    family=Family.A,
     embedding="theta1",
     include=lambda b, l: theta_map(1, b),
     prefix="thetaj",
     raise_map=theta_map,
-    steps=lambda n: [(j, 1, 1) for j in range(2, n + 2)],
+    steps=lambda n: [(j, 1) for j in range(2, n + 2)],
     extras=_theta1_checks,
 )
 

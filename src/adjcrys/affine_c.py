@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .counting import compositions
-from .crystal_graph import CheckResult, LevelModel, TheoremSpec, run_theorems
+from .crystal_graph import CheckResult, LevelModel, OperatorTable, TheoremSpec, run_theorems
 from .root_data import Family, RootDatum, Weight
 
 
@@ -161,18 +161,18 @@ class CrystalC(LevelModel):
         return expected_size(self.rank, self.level)
 
 
-def verify_theorems(n: int, l: int, category: str = "all") -> list[CheckResult]:
+def verify_theorems(n: int, l: int, category: str = "all",
+                    table: Optional[OperatorTable] = None) -> list[CheckResult]:
     """Machine-check the structure theorems of the C-type model at (n, l)."""
-    return run_theorems(SPEC, n, l, category)
+    return run_theorems(SPEC, n, l, category, table)
 
 
 SPEC = TheoremSpec(
     model=CrystalC,
-    family=Family.C,
     embedding="level-inclusion",
     include=lambda b, l: ElemC(b.coords, l),
     prefix="phij",
     raise_map=phi_map,
-    steps=lambda n: [(j, 1, 1) for j in range(1, n + 1)],
+    steps=lambda n: [(j, 1) for j in range(1, n + 1)],
     coordinate_boundary=lambda b: all(min(b.x(j), b.xbar(j)) == 0 for j in range(1, b.n + 1)),
 )

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .counting import compositions
-from .crystal_graph import CheckResult, LevelModel, TheoremSpec, run_theorems
+from .crystal_graph import CheckResult, LevelModel, OperatorTable, TheoremSpec, run_theorems
 from .root_data import Family, RootDatum, Weight
 
 
@@ -182,23 +182,23 @@ class CrystalD2(LevelModel):
         return expected_size(self.rank, self.level)
 
 
-def verify_theorems(n: int, l: int, category: str = "all") -> list[CheckResult]:
+def verify_theorems(n: int, l: int, category: str = "all",
+                    table: Optional[OperatorTable] = None) -> list[CheckResult]:
     """Machine-check the structure theorems of the twisted model at (n, l).
 
     The maps for j < n raise two levels, so the runner works with the three
     consecutive levels l-2, l-1, l.
     """
-    return run_theorems(SPEC, n, l, category)
+    return run_theorems(SPEC, n, l, category, table)
 
 
 SPEC = TheoremSpec(
     model=CrystalD2,
-    family=Family.B,
     embedding="level-inclusion",
     include=lambda b, l: ElemD(b.x, b.x0, b.xbar, l),
     prefix="psij",
     raise_map=psi_map,
-    steps=lambda n: [(j, 1, 1) if j == n else (j, 2, 2) for j in range(1, n + 1)],
+    steps=lambda n: [(j, 1 if j == n else 2) for j in range(1, n + 1)],
     coordinate_boundary=lambda b: b.x0 == 0 and all(
         min(b.xval(j), b.xbarval(j)) == 0 for j in range(1, b.n + 1)
     ),

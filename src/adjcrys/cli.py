@@ -17,8 +17,8 @@ from .crystal_graph import (
     all_passed,
     axiom_checks,
     build_graph,
+    OperatorTable,
     export,
-    level_table,
     render_report,
     restrict_to_component,
 )
@@ -83,19 +83,22 @@ def cmd_graph(args) -> int:
 
 def _verification_report(family: str, rank: int, level: int, selector: str):
     report = []
-    if selector in ("all", "axioms"):
-        report.extend(axiom_checks(_build_model(family, rank, level)))
-        if family == "a1":
-            for prefix, factor in (
-                ("row", affine_a.RowCrystal(rank, level)),
-                ("col", affine_a.ColCrystal(rank, level)),
-            ):
-                report.extend(
-                    replace(c, name=f"{prefix}-{c.name}") for c in axiom_checks(factor)
-                )
-    if selector in ("all",) + SECTIONS:
-        report.extend(FAMILIES[family].verify_theorems(rank, level, selector))
-    level_table.cache_clear()  # free the tables before the a1 oracles build their own
+    if selector in ("all", "axioms") + SECTIONS:
+        model = _build_model(family, rank, level)
+        table = OperatorTable(model)  # shared by the axioms and the theorems
+        if selector in ("all", "axioms"):
+            report.extend(axiom_checks(model, table))
+            if family == "a1":
+                for prefix, factor in (
+                    ("row", affine_a.RowCrystal(rank, level)),
+                    ("col", affine_a.ColCrystal(rank, level)),
+                ):
+                    report.extend(
+                        replace(c, name=f"{prefix}-{c.name}") for c in axiom_checks(factor)
+                    )
+        if selector in ("all",) + SECTIONS:
+            report.extend(FAMILIES[family].verify_theorems(rank, level, selector, table))
+        del model, table  # free the table before the a1 oracles build their own
     if family == "a1":
         if selector in ("all", "promotion"):
             report.extend(affine_a.promotion_checks(rank, level))

@@ -12,15 +12,15 @@ once per label; rows `f[i]`/`e[i]` hold the index of the result, UNDEFINED
 where the operator vanishes and OUTSIDE where it returns an element missing
 from the enumeration (an ef-inverse failure).  The object operators stay the
 specification: the table records what they returned, with each index's
-weight coordinates and component.  `level_table` caches the level-l tables,
-so `axiom_checks` and the theorem runner of one `verify` share them.
+weight coordinates and component.  `axiom_checks` and `run_theorems` take
+the level-l table as an argument, so one `verify` builds it once.
 
 `run_theorems` checks one family's structure theorems from a `TheoremSpec`:
 the model class, the level embedding `B_{l-1} -> B_l`, the level-raising
-maps with their level and component steps, an optional coordinate form of
-the boundary shell, and an extras hook for family-specific embedding checks.
-It compiles the tables of levels l, l-1 and, for maps raising two levels,
-l-2, turns each map into an index map, and computes only the category asked.
+maps with the step by which each raises level and component, an optional
+coordinate boundary and an extras hook for family-specific embedding checks.
+It builds the tables of levels l-1 and, for maps raising two levels, l-2,
+turns each map into an index map, and computes only the category asked.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from __future__ import annotations
 import json
 from collections import Counter
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
 from .root_data import Family, RootDatum, ShellStep, Weight, classify_shift, in_shell, on_boundary
@@ -257,10 +257,7 @@ OUTSIDE = -2  # the operator returned an element missing from the enumeration
 
 
 class OperatorTable:
-    """A model enumerated once, its operators recorded as rows of indices.
-
-    A cached table is shared by every caller, so nothing may modify it.
-    """
+    """A model enumerated once, its operators recorded as rows of indices."""
 
     def __init__(self, model):
         self.elems = list(model.elements())
@@ -278,16 +275,6 @@ class OperatorTable:
 
     def row(self, direction: str, i: int) -> tuple[int, ...]:
         return self.f[i] if direction == "f" else self.e[i]
-
-
-@lru_cache(maxsize=4)
-def level_table(model_class, n: int, level: int) -> OperatorTable:
-    """The table of `model_class(n, level)`, kept for the rest of the run.
-
-    A negative level gives the empty table.  Code that patches an operator
-    must call `level_table.cache_clear()` before and after.
-    """
-    return OperatorTable(model_class(n, level))
 
 
 def compile_map(domain: OperatorTable, target: OperatorTable, vmap) -> list[int]:
@@ -419,12 +406,10 @@ def _connected(table: OperatorTable) -> bool:
     return len(queue) == size
 
 
-def axiom_checks(model) -> list[CheckResult]:
-    """Inverse pairing, closed statistics, weight steps, count, connectivity."""
-    # a level-l model shares its cached table with the theorem runner
-    if isinstance(model, LevelModel):
-        table = level_table(type(model), model.rank, model.level)
-    else:
+def axiom_checks(model, table: Optional[OperatorTable] = None) -> list[CheckResult]:
+    """Inverse pairing, closed statistics, weight steps, count, connectivity,
+    on the model's table: `table` if the caller shares one, else built here."""
+    if table is None:
         table = OperatorTable(model)
     elems, labels, weight = table.elems, table.labels, table.weight
     checks: list[CheckResult] = []
@@ -494,19 +479,19 @@ class TheoremSpec(NamedTuple):
     """What `run_theorems` needs to know about one family.
 
     `include(b, l)` embeds an element of level l-1 into level l.  Each
-    level-raising map is `raise_map(j, b)`; `steps(n)` lists its
-    (j, level step, component step).  `coordinate_boundary(b)` is the
-    coordinate form of the boundary shell, where the family has one.
+    level-raising map is `raise_map(j, b)`; `steps(n)` lists (j, step) for
+    the map that takes level l-step to level l and raises the component by
+    step.  The root datum is `model.datum_family`.  `coordinate_boundary(b)`
+    is the coordinate form of the boundary shell, where the family has one.
     `extras(run)` returns embedding checks reported before the embedding.
     """
 
     model: type
-    family: Family
     embedding: str
     include: Callable
     prefix: str
     raise_map: Callable
-    steps: Callable[[int], Sequence[tuple[int, int, int]]]
+    steps: Callable[[int], Sequence[tuple[int, int]]]
     coordinate_boundary: Optional[Callable] = None
     extras: Optional[Callable] = None
 
@@ -516,23 +501,24 @@ _SHELL_MOVE = {ShellStep.UP: 1, ShellStep.SAME: 0, ShellStep.DOWN: -1}
 
 
 class TheoremRun:
-    """One family's theorems at (n, l); each table and map is built on first use."""
+    """One family's theorems at (n, l) on the level-l table `big`; the
+    lower tables and the maps are built on first use, once per run."""
 
-    def __init__(self, spec: TheoremSpec, n: int, l: int):
-        self.spec, self.n, self.l = spec, n, l
-        self.datum = RootDatum(spec.family, n)
+    def __init__(self, spec: TheoremSpec, n: int, l: int, big: OperatorTable):
+        self.spec, self.n, self.l, self.big = spec, n, l, big
+        self.datum = RootDatum(spec.model.datum_family, n)
         self.labels0 = tuple(range(1, n + 1))
+        self._lower: dict[int, OperatorTable] = {}
 
-    def table(self, level: int) -> OperatorTable:
-        return level_table(self.spec.model, self.n, level)
-
-    @cached_property
-    def big(self) -> OperatorTable:
-        return self.table(self.l)
+    def table(self, step: int) -> OperatorTable:
+        """The table of level l - step; a negative level gives the empty table."""
+        if step not in self._lower:
+            self._lower[step] = OperatorTable(self.spec.model(self.n, self.l - step))
+        return self._lower[step]
 
     @cached_property
     def small(self) -> OperatorTable:
-        return self.table(self.l - 1)
+        return self.table(1)
 
     @cached_property
     def embedding(self) -> list[int]:
@@ -540,12 +526,12 @@ class TheoremRun:
 
     @cached_property
     def level_maps(self) -> list[tuple[int, int, OperatorTable, list[int]]]:
-        """(j, component step, domain table, index map) for each level-raising map."""
+        """(j, step, domain table, index map) for each level-raising map."""
         out = []
-        for j, level_step, comp_step in self.spec.steps(self.n):
-            domain = self.table(self.l - level_step)
+        for j, step in self.spec.steps(self.n):
+            domain = self.table(step)
             imap = compile_map(domain, self.big, lambda b, j=j: self.spec.raise_map(j, b))
-            out.append((j, comp_step, domain, imap))
+            out.append((j, step, domain, imap))
         return out
 
     @cached_property
@@ -569,11 +555,11 @@ class TheoremRun:
     def commute_checks(self) -> list[CheckResult]:
         big = self.big
         shift, weight, classical, affine = [], [], [], []
-        for j, comp_step, domain, imap in self.level_maps:
+        for j, step, domain, imap in self.level_maps:
             name = f"j={j}"
             shift.append(check_map(
-                domain, imap, lambda b, c: big.comp[c] == domain.comp[b] + comp_step,
-                f"level map {j} does not raise the component by {comp_step} at {{}}",
+                domain, imap, lambda b, c: big.comp[c] == domain.comp[b] + step,
+                f"level map {j} does not raise the component by {step} at {{}}",
                 name=name, category="commute",
             ))
             weight.append(check_map(
@@ -599,9 +585,9 @@ class TheoremRun:
     def boundary_checks(self) -> list[CheckResult]:
         big, l, mus = self.big, self.l, self.mus
         images = [set() for _ in range(l + 1)]  # by source component + step
-        for _, comp_step, domain, imap in self.level_maps:
+        for _, step, domain, imap in self.level_maps:
             for b, c in enumerate(imap):
-                k = domain.comp[b] + comp_step
+                k = domain.comp[b] + step
                 if k <= l:
                     images[k].add(c)
         inner = [set() for _ in range(l + 1)]  # level-l weights inside (k-1)*theta
@@ -701,9 +687,13 @@ class TheoremRun:
         ]
 
 
-def run_theorems(spec: TheoremSpec, n: int, l: int, category: str = "all") -> list[CheckResult]:
-    """The theorem checks of one family at (n, l): every section, or just `category`."""
-    run = TheoremRun(spec, n, l)
+def run_theorems(spec: TheoremSpec, n: int, l: int, category: str = "all",
+                 table: Optional[OperatorTable] = None) -> list[CheckResult]:
+    """The theorem checks of one family at (n, l): every section, or just
+    `category`, on the table of `spec.model(n, l)` (`table` if given)."""
+    if table is None:
+        table = OperatorTable(spec.model(n, l))
+    run = TheoremRun(spec, n, l, table)
     sections = (run.embedding_checks, run.commute_checks, run.boundary_checks,
                 run.multiplicity_checks, run.f0_landing_checks)
     return [

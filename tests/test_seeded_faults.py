@@ -6,22 +6,11 @@ into the models, the family specs or the check helpers; the rest of the
 report is not asserted.
 """
 
-import pytest
-
 from adjcrys import affine_c, affine_d2, crystal_graph
 from adjcrys.affine_c import ElemC
 from adjcrys.affine_d2 import ElemD
 from adjcrys.cli import _verification_report
-from adjcrys.crystal_graph import level_table
 from adjcrys.root_data import Family, ShellShift, ShellStep
-
-
-@pytest.fixture(autouse=True)
-def fresh_tables():
-    """Operator tables are cached; a patched operator must not meet a stale one."""
-    level_table.cache_clear()
-    yield
-    level_table.cache_clear()
 
 
 def _failed(family, n, l):
