@@ -10,6 +10,7 @@ from adjcrys import affine_c, affine_d2, crystal_graph
 from adjcrys.affine_c import ElemC
 from adjcrys.affine_d2 import ElemD
 from adjcrys.cli import _verification_report
+from adjcrys.crystal_graph import all_passed, axiom_checks
 from adjcrys.root_data import Family, ShellShift, ShellStep
 
 
@@ -24,7 +25,7 @@ def test_eps0_off_by_one(monkeypatch):
     assert "axioms/stats-closed-vs-iteration" in _failed("c1", 2, 2)
 
 
-def test_f0_strict_comparison(monkeypatch):
+def _patch_strict_f0(monkeypatch):
     original = ElemC.f
 
     def f(self, i):
@@ -38,9 +39,22 @@ def test_f0_strict_comparison(monkeypatch):
         return self._moved({2 * self.n - 1: -2})
 
     monkeypatch.setattr(ElemC, "f", f)
+
+
+def test_f0_strict_comparison(monkeypatch):
+    _patch_strict_f0(monkeypatch)
     failed = _failed("c1", 2, 2)
     assert "axioms/ef-inverse" in failed
     assert "f0-landing/vanishing-criterion" in failed
+
+
+def test_fault_found_after_a_clean_run(monkeypatch):
+    """No operator table outlives the call that built it, so clean library
+    runs of the same instance cannot hide a fault planted afterwards."""
+    assert all_passed(axiom_checks(affine_c.CrystalC(2, 2)))
+    assert all_passed(affine_c.verify_theorems(2, 2))
+    _patch_strict_f0(monkeypatch)
+    assert "axioms/ef-inverse" in _failed("c1", 2, 2)
 
 
 def test_phi_map_wrong_xbar_index(monkeypatch):
