@@ -6,7 +6,8 @@ into the models, the family specs or the check helpers; the rest of the
 report is not asserted.
 """
 
-from adjcrys import affine_c, affine_d2, crystal_graph
+from adjcrys import affine_a, affine_c, affine_d2, crystal_graph, tableaux
+from adjcrys.affine_a import AdjElemA, ColElem
 from adjcrys.affine_c import ElemC
 from adjcrys.affine_d2 import ElemD
 from adjcrys.cli import _verification_report
@@ -17,6 +18,11 @@ from adjcrys.root_data import Family, ShellShift, ShellStep
 def _failed(family, n, l):
     report = _verification_report(family, n, l, "all")
     return {f"{c.category}/{c.name}" for c in report if not c.passed}
+
+
+def _failures(family, n, l, check="all"):
+    report = _verification_report(family, n, l, check)
+    return {f"{c.category}/{c.name}": (c.cases, c.details) for c in report if not c.passed}
 
 
 def test_eps0_off_by_one(monkeypatch):
@@ -94,3 +100,54 @@ def test_psi_map_n_bumps_x1(monkeypatch):
 
     monkeypatch.setattr(affine_d2, "SPEC", affine_d2.SPEC._replace(raise_map=psi_map))
     assert "commute/psij-weight-preserving" in _failed("d2", 3, 3)
+
+
+def _a1_element(x, y):
+    return repr(AdjElemA(affine_a.RowElem(x), ColElem(y)))
+
+
+def test_content_counts_letter_one_twice(monkeypatch):
+    original = tableaux.Tableau.content
+
+    def content(self):
+        counts = original(self)
+        return (counts[0] + 1,) + counts[1:]
+
+    monkeypatch.setattr(tableaux.Tableau, "content", content)
+    failures = _failures("a1", 2, 2)
+    assert set(failures) == {"alpha/weight-preserving"}
+    assert failures["alpha/weight-preserving"] == (
+        36, f"alpha changes the weight at {_a1_element((0, 0, 2), (0, 0, 2))}")
+
+
+def test_alpha_inverse_moves_a_column(monkeypatch):
+    original = affine_a.alpha_inverse
+
+    def alpha_inverse(n, l, t):
+        b = original(n, l, t)
+        y = list(b.col.y)
+        if y[0]:
+            y[0] -= 1  # one column missing 1 becomes a column missing 2
+            y[1] += 1
+        return AdjElemA(b.row, ColElem(tuple(y)))
+
+    monkeypatch.setattr(affine_a, "alpha_inverse", alpha_inverse)
+    expected = (39, f"alpha round trip fails at {_a1_element((0, 0, 2), (1, 0, 1))}")
+    assert _failures("a1", 2, 2, "alpha") == {"alpha/bijection": expected}
+    assert _failures("a1", 2, 2)["alpha/bijection"] == expected
+
+
+def test_adj_e_strict_tie_rule(monkeypatch):
+    def e(self, i):
+        if self.row.phi(i) > self.col.eps(i):  # the model has >=
+            new = self.row.e(i)
+            return None if new is None else AdjElemA(new, self.col)
+        new = self.col.e(i)
+        return None if new is None else AdjElemA(self.row, new)
+
+    monkeypatch.setattr(AdjElemA, "e", e)
+    failures = _failures("a1", 2, 2)
+    assert failures["alpha/intertwines-classical"] == (
+        144, f"alpha breaks vanishing of e_2 at {_a1_element((0, 0, 2), (0, 0, 2))}")
+    assert "alpha/bijection" not in failures
+    assert "alpha/weight-preserving" not in failures

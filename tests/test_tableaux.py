@@ -70,6 +70,30 @@ def test_tableau_validation():
         Tableau(2, ((4,),))  # letter out of range
 
 
+
+@pytest.mark.parametrize("n, columns, message", [
+    (0, (), "rank must be positive"),
+    (2, ((1,), ()), "empty column"),
+    (2, ((1, 2, 3),), "column depth 3 exceeds rank 2"),
+    (2, ((1, 4),), "entries must lie in 1..3"),
+    (2, ((2, 1),), "column (2, 1) not strictly increasing"),
+    (2, ((1,), (1, 2)), "column depths must weakly decrease left to right"),
+    (2, ((1, 2), (2, 1)), "column (2, 1) not strictly increasing"),
+    (2, ((2,), (1,)), "rows must weakly increase left to right"),
+    (2, ((1, 3), (1, 2)), "rows must weakly increase left to right"),
+    (2, ((1, 2), (1,)), ""),
+    (2, ((0, 0),), "entries must lie in 1..3"),  # range is checked before strictness
+])
+def test_tableau_validation_messages(n, columns, message):
+    """One input per validation branch, with its exact message; the last
+    column is both out of range and not increasing, pinning the order."""
+    if not message:
+        assert Tableau(n, columns).columns == columns
+        return
+    with pytest.raises(ValueError) as err:
+        Tableau(n, columns)
+    assert str(err.value) == message
+
 def test_signature_rule_on_two_letter_tensors():
     assert word_apply((1, 1), 1, "f") == (2, 1)
     assert word_apply((2, 1), 1, "f") == (2, 2)
