@@ -28,7 +28,7 @@ from .crystal_graph import (
     run_theorems,
 )
 from .root_data import Family, RootDatum, Weight
-from .tableaux import Tableau, TensorPair, Word, column_missing, flatten_letters
+from .tableaux import ShapeTable, Tableau, TensorPair, Word, column_missing, flatten_letters
 
 
 def _shift(vec: tuple[int, ...], minus: int, plus: int) -> Optional[tuple[int, ...]]:
@@ -464,58 +464,128 @@ def promotion_checks(n: int, l: int) -> list[CheckResult]:
     return checks
 
 
-def alpha_checks(n: int, l: int) -> list[CheckResult]:
+def alpha_checks(n: int, l: int, table: Optional[OperatorTable] = None) -> list[CheckResult]:
     """`alpha` as a classical isomorphism: bijectivity onto the tableau
     components, weight preservation, and intertwining all classical
-    operators."""
-    from .tableaux import enumerate_crystal
+    operators.
 
-    checks: list[CheckResult] = []
-    big = elements(n, l)
+    The model side is read from the level-l table, built here when not
+    given.  Each component B((2k, k^(n-1))) is a `ShapeTable`, and `alpha`
+    runs once per element, kept as an index into its component's table; only
+    an image outside that table is kept as a tableau.  A result the
+    `Tableau` constructor rejects fails the check at the element.
+    """
+    if table is None:
+        table = OperatorTable(CrystalA(n, l))
+    elems, comp = table.elems, table.comp
+    shapes = [ShapeTable(n, shape_component(n, k)) for k in range(l + 1)]
+    ks: list[Optional[int]] = []
+    at: list[int] = []  # index of alpha(b) in shapes[k], or OUTSIDE
+    strays: dict[int, Tableau] = {}  # alpha(b) where it is not in shapes[k]
+    rejected: dict[int, str] = {}  # why alpha(b) is not a tableau
+    for b, elem in enumerate(elems):
+        try:
+            k, t = alpha(elem)
+        except ValueError as err:
+            k, t = None, None
+            rejected[b] = f"alpha({elem}) is not a tableau: {err}"
+        pos = shapes[k].index.get(t, OUTSIDE) if k in range(l + 1) else OUTSIDE
+        if pos == OUTSIDE and t is not None:
+            strays[b] = t
+        ks.append(k)
+        at.append(pos)
 
-    bad = ""
-    cases = 0
-    seen: dict[tuple[int, Tableau], AdjElemA] = {}
-    for b in big:
-        k, t = alpha(b)
-        cases += 1
-        if k != b.k:
-            bad = bad or f"alpha component mismatch at {b}"
-        if (k, t) in seen:
-            bad = bad or f"alpha not injective: {b} and {seen[(k, t)]}"
-        seen[(k, t)] = b
-        if alpha_inverse(n, l, t) != b or t.shape != shape_component(n, k):
-            bad = bad or f"alpha round trip fails at {b}"
-    for k in range(l + 1):
-        target = enumerate_crystal(n, shape_component(n, k))
-        got = {t for (kk, t) in seen if kk == k}
-        cases += 1
-        if got != set(target):
-            bad = bad or f"alpha image differs from the component crystal at k={k}"
-    checks.append(CheckResult("bijection", "alpha", not bad, cases, bad))
+    def tableau(b: int) -> Tableau:
+        return shapes[ks[b]].elems[at[b]] if at[b] >= 0 else strays[b]
 
-    bad = ""
-    for b in big:
-        k, t = alpha(b)
-        normalized = tuple(c - k for c in t.content())
-        if normalized != b.weight().coeffs:
-            bad = bad or f"alpha changes the weight at {b}"
-    checks.append(CheckResult("weight-preserving", "alpha", not bad, len(big), bad))
+    def bijection():
+        owners = [[-1] * len(s.elems) for s in shapes]
+        stray_owners: dict[tuple[int, Tableau], int] = {}
+        for b, elem in enumerate(elems):
+            if b in rejected:
+                yield rejected[b]
+                continue
+            k, pos, t = ks[b], at[b], tableau(b)
+            if k != comp[b]:
+                yield f"alpha component mismatch at {elem}"
+            if pos >= 0:
+                prev, owners[k][pos] = owners[k][pos], b
+            else:
+                prev = stray_owners.get((k, t), -1)
+                stray_owners[(k, t)] = b
+            if prev >= 0:
+                yield f"alpha not injective: {elem} and {elems[prev]}"
+            if t.shape != shape_component(n, k) or not _round_trips(n, l, t, elem):
+                yield f"alpha round trip fails at {elem}"
+        for k, owner in enumerate(owners):
+            if -1 in owner or any(kk == k for kk, _ in stray_owners):
+                yield f"alpha image differs from the component crystal at k={k}"
 
-    bad = ""
-    cases = 0
-    for b in big:
-        k, t = alpha(b)
-        for i in range(1, n + 1):
-            for direction in ("f", "e"):
-                cases += 1
-                a = getattr(b, direction)(i)
-                ta = getattr(t, direction)(i)
-                if a is None:
-                    if ta is not None:
-                        bad = bad or f"alpha breaks vanishing of {direction}_{i} at {b}"
-                    continue
-                if ta is None or alpha(a) != (a.k, ta):
-                    bad = bad or f"alpha does not intertwine {direction}_{i} at {b}"
-    checks.append(CheckResult("intertwines-classical", "alpha", not bad, cases, bad))
+    def weight_changes():
+        weights = [[tuple(c - k for c in t.content()) for t in s.elems]
+                   for k, s in enumerate(shapes)]
+        for b, elem in enumerate(elems):
+            if b in rejected:
+                yield rejected[b]
+                continue
+            k, pos = ks[b], at[b]
+            w = weights[k][pos] if pos >= 0 else tuple(c - k for c in strays[b].content())
+            if w != table.weight[b]:
+                yield f"alpha changes the weight at {elem}"
+
+    def intertwining_failures():
+        ops = [(d, i, table.row(d, i), [s.row(d, i) for s in shapes])
+               for i in range(1, n + 1) for d in ("f", "e")]
+        for b, elem in enumerate(elems):
+            if b in rejected:
+                yield rejected[b]
+                continue
+            k, pos = ks[b], at[b]
+            for d, i, row, shape_rows in ops:
+                a = row[b]
+                r = shape_rows[k][pos] if pos >= 0 else OUTSIDE
+                if r == OUTSIDE or a == OUTSIDE or (a >= 0 and at[a] < 0):
+                    bad = _intertwining_on_objects(elem, tableau(b), d, i)
+                elif a == UNDEFINED:
+                    bad = r != UNDEFINED and f"alpha breaks vanishing of {d}_{i} at {elem}"
+                else:
+                    ka = ks[a]
+                    same = r != UNDEFINED and ka == comp[a] and (
+                        at[a] == r if ka == k else tableau(a) == shapes[k].elems[r])
+                    bad = not same and f"alpha does not intertwine {d}_{i} at {elem}"
+                if bad:
+                    yield bad
+
+    checks = []
+    for name, cases, failures in (
+        ("bijection", len(elems) + l + 1, bijection()),
+        ("weight-preserving", len(elems), weight_changes()),
+        ("intertwines-classical", len(elems) * 2 * n, intertwining_failures()),
+    ):
+        bad = next(failures, "")
+        checks.append(CheckResult(name, "alpha", not bad, cases, bad))
     return checks
+
+
+def _round_trips(n: int, l: int, t: Tableau, b: AdjElemA) -> bool:
+    try:
+        return alpha_inverse(n, l, t) == b
+    except ValueError:
+        return False
+
+
+def _intertwining_on_objects(b: AdjElemA, t: Tableau, direction: str, i: int) -> str:
+    """The intertwining statement at one slot, on objects: for the slots
+    whose results are not in the tables."""
+    try:
+        ta = getattr(t, direction)(i)
+    except ValueError as err:
+        return f"{direction}_{i} of alpha({b}) is not a tableau: {err}"
+    a = getattr(b, direction)(i)
+    if a is None:
+        return f"alpha breaks vanishing of {direction}_{i} at {b}" if ta is not None else ""
+    try:
+        same = ta is not None and alpha(a) == (a.k, ta)
+    except ValueError:
+        same = False
+    return "" if same else f"alpha does not intertwine {direction}_{i} at {b}"

@@ -83,9 +83,10 @@ def cmd_graph(args) -> int:
 
 def _verification_report(family: str, rank: int, level: int, selector: str):
     report = []
+    table = None  # the level-l table, shared by every check that reads it
     if selector in ("all", "axioms") + SECTIONS:
         model = _build_model(family, rank, level)
-        table = OperatorTable(model)  # shared by the axioms and the theorems
+        table = OperatorTable(model)
         if selector in ("all", "axioms"):
             report.extend(axiom_checks(model, table))
             if family == "a1":
@@ -98,12 +99,11 @@ def _verification_report(family: str, rank: int, level: int, selector: str):
                     )
         if selector in ("all",) + SECTIONS:
             report.extend(FAMILIES[family].verify_theorems(rank, level, selector, table))
-        del model, table  # free the table before the a1 oracles build their own
     if family == "a1":
         if selector in ("all", "promotion"):
             report.extend(affine_a.promotion_checks(rank, level))
         if selector in ("all", "alpha"):
-            report.extend(affine_a.alpha_checks(rank, level))
+            report.extend(affine_a.alpha_checks(rank, level, table))
     return report
 
 

@@ -12,7 +12,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import gt, lt
 from typing import Iterator, Optional
+
+from .crystal_graph import OUTSIDE, UNDEFINED
 
 
 def letter_f(c: int, i: int) -> Optional[int]:
@@ -129,22 +132,23 @@ class Tableau:
     columns: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
-        if self.n < 1:
+        n = self.n
+        if n < 1:
             raise ValueError("rank must be positive")
         cols = self.columns
         for col in cols:
             if not col:
                 raise ValueError("empty column")
-            if len(col) > self.n:
-                raise ValueError(f"column depth {len(col)} exceeds rank {self.n}")
-            if any(not 1 <= c <= self.n + 1 for c in col):
-                raise ValueError(f"entries must lie in 1..{self.n + 1}")
-            if any(col[r] >= col[r + 1] for r in range(len(col) - 1)):
+            if len(col) > n:
+                raise ValueError(f"column depth {len(col)} exceeds rank {n}")
+            if min(col) < 1 or max(col) > n + 1:
+                raise ValueError(f"entries must lie in 1..{n + 1}")
+            if not all(map(lt, col, col[1:])):
                 raise ValueError(f"column {col} not strictly increasing")
         for a, b in zip(cols, cols[1:]):
             if len(a) < len(b):
                 raise ValueError("column depths must weakly decrease left to right")
-            if any(a[r] > b[r] for r in range(len(b))):
+            if any(map(gt, a, b)):  # stops at the shorter column b
                 raise ValueError("rows must weakly increase left to right")
 
     @classmethod
@@ -287,6 +291,47 @@ def enumerate_crystal(n: int, shape) -> frozenset[Tableau]:
                     nxt.append(c)
         frontier = nxt
     return frozenset(seen)
+
+
+class ShapeTable:
+    """B(lambda) generated from its highest-weight tableau by one
+    breadth-first search, with e_i and f_i recorded as rows of indices.
+
+    Each operator runs once per slot: the f rows are filled during the
+    search and the e rows after it.  As in `OperatorTable`, a row holds
+    UNDEFINED where the operator vanishes and OUTSIDE where its result is
+    not in the table, or is not a semistandard tableau at all.
+    """
+
+    def __init__(self, n: int, shape):
+        start = Tableau.highest_weight(n, tuple(s for s in shape if s > 0))
+        self.elems = [start]
+        self.index = {start: 0}
+        self.labels = tuple(range(1, n + 1))
+
+        def add(t: Tableau) -> int:
+            pos = self.index.setdefault(t, len(self.elems))
+            if pos == len(self.elems):
+                self.elems.append(t)
+            return pos
+
+        self.f: dict[int, list[int]] = {i: [] for i in self.labels}
+        for t in self.elems:  # the list grows behind the loop: a FIFO queue
+            for i in self.labels:
+                self.f[i].append(_record(t.f, i, add))
+        locate = lambda t: self.index.get(t, OUTSIDE)  # noqa: E731
+        self.e = {i: [_record(t.e, i, locate) for t in self.elems] for i in self.labels}
+
+    def row(self, direction: str, i: int) -> list[int]:
+        return self.f[i] if direction == "f" else self.e[i]
+
+
+def _record(op, i: int, locate) -> int:
+    try:
+        t = op(i)
+    except ValueError:  # the result is not semistandard
+        return OUTSIDE
+    return UNDEFINED if t is None else locate(t)
 
 
 def all_ssyt(n: int, shape) -> Iterator[Tableau]:

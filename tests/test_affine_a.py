@@ -23,7 +23,7 @@ from adjcrys.affine_a import (
     theta_map,
     verify_theorems,
 )
-from adjcrys.crystal_graph import all_passed, render_report
+from adjcrys.crystal_graph import OperatorTable, all_passed, render_report
 from adjcrys.tableaux import TensorPair, Word, eps_phi
 
 
@@ -202,6 +202,15 @@ def test_alpha_checks_pass():
         for l in (1, 2):
             report = alpha_checks(n, l)
             assert all_passed(report), render_report(report)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("l", [0, 1, 2, 3])
+def test_alpha_checks_on_a_given_table(n, l):
+    """Reading a prebuilt level-l table gives the report of a fresh one."""
+    report = alpha_checks(n, l, OperatorTable(CrystalA(n, l)))
+    assert report == alpha_checks(n, l)
+    assert all_passed(report), render_report(report)
 
 
 def test_verify_theorems_passes():

@@ -10,7 +10,7 @@ from adjcrys import affine_a, affine_c, affine_d2, crystal_graph, tableaux
 from adjcrys.affine_a import AdjElemA, ColElem
 from adjcrys.affine_c import ElemC
 from adjcrys.affine_d2 import ElemD
-from adjcrys.cli import _verification_report
+from adjcrys.cli import _verification_report, main
 from adjcrys.crystal_graph import all_passed, axiom_checks
 from adjcrys.root_data import Family, ShellShift, ShellStep
 
@@ -106,7 +106,7 @@ def _a1_element(x, y):
     return repr(AdjElemA(affine_a.RowElem(x), ColElem(y)))
 
 
-def test_content_counts_letter_one_twice(monkeypatch):
+def _patch_content_counts_one_twice(monkeypatch):
     original = tableaux.Tableau.content
 
     def content(self):
@@ -114,6 +114,10 @@ def test_content_counts_letter_one_twice(monkeypatch):
         return (counts[0] + 1,) + counts[1:]
 
     monkeypatch.setattr(tableaux.Tableau, "content", content)
+
+
+def test_content_counts_letter_one_twice(monkeypatch):
+    _patch_content_counts_one_twice(monkeypatch)
     failures = _failures("a1", 2, 2)
     assert set(failures) == {"alpha/weight-preserving"}
     assert failures["alpha/weight-preserving"] == (
@@ -151,3 +155,62 @@ def test_adj_e_strict_tie_rule(monkeypatch):
         144, f"alpha breaks vanishing of e_2 at {_a1_element((0, 0, 2), (0, 0, 2))}")
     assert "alpha/bijection" not in failures
     assert "alpha/weight-preserving" not in failures
+
+
+def test_tableau_fault_found_after_a_clean_alpha_run(monkeypatch):
+    """The component tables live only as long as one alpha_checks call."""
+    assert all_passed(affine_a.alpha_checks(2, 2))
+    _patch_content_counts_one_twice(monkeypatch)
+    failed = {c.name for c in affine_a.alpha_checks(2, 2) if not c.passed}
+    assert failed == {"weight-preserving"}
+
+
+def _verify_a1_failures(capsys):
+    """Exit code and {label: (cases, detail)} of each FAIL line printed."""
+    code = main(["verify", "--family", "a1", "--rank", "2", "--level", "2"])
+    lines = capsys.readouterr().out.splitlines()
+    fails = {}
+    for line, detail in zip(lines, lines[1:] + [""]):
+        if line.startswith("FAIL  "):
+            label, cases = line[6:].split(maxsplit=1)
+            fails[label] = (cases, detail.strip())
+    return code, fails
+
+
+def test_e_on_leftmost_unmatched_letter_is_a_failure(monkeypatch, capsys):
+    """A non-semistandard result of e_i is reported, not raised."""
+    original = tableaux.word_apply
+
+    def word_apply(word, i, direction):
+        raisable, _ = tableaux.unmatched_positions(word, i)
+        if direction != "e" or not raisable:
+            return original(word, i, direction)
+        out = list(word)
+        out[raisable[0]] = i  # the rule raises the rightmost unmatched i+1
+        return tuple(out)
+
+    monkeypatch.setattr(tableaux, "word_apply", word_apply)
+    code, fails = _verify_a1_failures(capsys)
+    assert code == 1
+    detail = (f"e_2 of alpha({_a1_element((0, 0, 2), (0, 0, 2))}) is not a tableau:"
+              " rows must weakly increase left to right")
+    assert fails == {"alpha/intertwines-classical": ("(144 cases)", detail)}
+
+
+def test_column_factor_in_increasing_order_is_a_failure(monkeypatch, capsys):
+    """A non-semistandard image of alpha is reported, not raised."""
+    def to_tableau(self):
+        cols = []
+        for j in range(1, self.n + 2):  # the model runs j downwards
+            cols.extend([tableaux.column_missing(self.n, j)] * self.y[j - 1])
+        return tableaux.Tableau(self.n, tuple(cols))
+
+    monkeypatch.setattr(ColElem, "to_tableau", to_tableau)
+    code, fails = _verify_a1_failures(capsys)
+    assert code == 1
+    detail = (f"alpha({_a1_element((0, 0, 2), (0, 1, 1))}) is not a tableau:"
+              " rows must weakly increase left to right")
+    assert fails["alpha/bijection"] == ("(39 cases)", detail)
+    assert fails["alpha/weight-preserving"] == ("(36 cases)", detail)
+    assert set(fails) == {"alpha/bijection", "alpha/weight-preserving",
+                          "alpha/intertwines-classical"}

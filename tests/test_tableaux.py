@@ -5,8 +5,11 @@ from itertools import product
 import pytest
 from hypothesis import given, strategies as st
 
+from adjcrys.affine_a import shape_component
+from adjcrys.crystal_graph import UNDEFINED
 from adjcrys.tableaux import (
     ClassicalCrystal,
+    ShapeTable,
     Tableau,
     TensorPair,
     Word,
@@ -242,3 +245,21 @@ def test_ssyt_count_examples():
     assert ssyt_count((), 5) == 1
     assert ssyt_count((1,), 4) == 4
     assert ssyt_count((2, 1, 1), 4) == 15  # adjoint of rank 3
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("k", [0, 1, 2, 3])
+def test_shape_table_against_direct_enumeration(n, k):
+    """The component tables alpha reads match the backtracking enumeration,
+    the hook-content count, and the object operators slot by slot."""
+    shape = shape_component(n, k)
+    table = ShapeTable(n, shape)
+    assert set(table.elems) == set(all_ssyt(n, shape))
+    assert len(table.elems) == ssyt_count(shape, n + 1) == len(table.index)
+    for i in range(1, n + 1):
+        for direction in ("f", "e"):
+            row = table.row(direction, i)
+            assert len(row) == len(table.elems)
+            for t, pos in zip(table.elems, row):
+                expected = getattr(t, direction)(i)
+                assert (pos == UNDEFINED) if expected is None else table.elems[pos] == expected
