@@ -548,10 +548,8 @@ def alpha_checks(n: int, l: int, table: Optional[OperatorTable] = None) -> list[
                     bad = _intertwining_on_objects(elem, tableau(b), d, i)
                 elif a == UNDEFINED:
                     bad = r != UNDEFINED and f"alpha breaks vanishing of {d}_{i} at {elem}"
-                else:
-                    ka = ks[a]
-                    same = r != UNDEFINED and ka == comp[a] and (
-                        at[a] == r if ka == k else tableau(a) == shapes[k].elems[r])
+                else:  # tables of different components share no tableau
+                    same = r != UNDEFINED and ks[a] == comp[a] == k and at[a] == r
                     bad = not same and f"alpha does not intertwine {d}_{i} at {elem}"
                 if bad:
                     yield bad

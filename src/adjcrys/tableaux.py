@@ -275,22 +275,7 @@ def flatten_letters(b) -> tuple[int, ...]:
 
 def enumerate_crystal(n: int, shape) -> frozenset[Tableau]:
     """All of B(lambda), generated from the highest-weight tableau by f_i."""
-    shape = tuple(s for s in shape if s > 0)
-    if not shape:
-        return frozenset({Tableau(n, ())})
-    start = Tableau.highest_weight(n, shape)
-    seen = {start}
-    frontier = [start]
-    while frontier:
-        nxt = []
-        for b in frontier:
-            for i in range(1, n + 1):
-                c = b.f(i)
-                if c is not None and c not in seen:
-                    seen.add(c)
-                    nxt.append(c)
-        frontier = nxt
-    return frozenset(seen)
+    return frozenset(ShapeTable(n, shape).elems)
 
 
 class ShapeTable:
