@@ -304,7 +304,10 @@ class ShapeTable:
         for t in self.elems:  # the list grows behind the loop: a FIFO queue
             for i in self.labels:
                 self.f[i].append(_record(t.f, i, add))
-        locate = lambda t: self.index.get(t, OUTSIDE)  # noqa: E731
+
+        def locate(t: Tableau) -> int:
+            return self.index.get(t, OUTSIDE)
+
         self.e = {i: [_record(t.e, i, locate) for t in self.elems] for i in self.labels}
 
     def row(self, direction: str, i: int) -> list[int]:
