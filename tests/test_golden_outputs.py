@@ -1,8 +1,10 @@
 """Golden-output gate: `verify` and `graph` print exactly the pinned bytes.
 
 tests/golden_outputs.json holds the exit code, byte length and sha256 of
-each invocation's stdout, captured at the commit it names.  An intended
-change of output edits that file by hand, so the edit shows in review.
+each invocation's stdout.  The `verify` and `graph --format json` entries
+were captured at `commit`; the `graph --format dot` and `--component`
+entries at `dot_and_component_commit`.  An intended change of output edits
+that file by hand, so the edit shows in review.
 """
 
 import hashlib
@@ -29,6 +31,9 @@ def _invocations():
             for l in range(4):
                 yield f"verify --family {family} --rank {n} --level {l} --check all"
                 yield f"graph --family {family} --rank {n} --level {l} --format json"
+                yield f"graph --family {family} --rank {n} --level {l} --format dot"
+            for k in range(4):
+                yield f"graph --family {family} --rank {n} --level 3 --format json --component {k}"
     for family, categories in CATEGORIES.items():
         for category in categories:
             yield f"verify --family {family} --rank 3 --level 3 --check {category}"
