@@ -30,7 +30,6 @@ from .crystal_graph import (
     build_graph,
     export,
     graph_from_json,
-    is_connected,
     render_report,
     restrict_to_component,
 )

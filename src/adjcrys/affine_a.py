@@ -176,6 +176,7 @@ class AdjElemA:
         """Index of the classical component the element belongs to."""
         return self.level - min(self.row.x[0], self.col.y[0])
 
+    @property
     def coords(self) -> tuple[int, ...]:
         return self.row.x + self.col.y
 
@@ -355,9 +356,6 @@ class CrystalA(LevelModel):
         x = ",".join(str(c) for c in b.row.x)
         y = ",".join(str(c) for c in b.col.y)
         return f"A{self.rank}:x={x};y={y}"
-
-    def sort_key(self, b: AdjElemA):
-        return b.coords()
 
     def expected_size(self) -> int:
         return expected_size(self.rank, self.level)

@@ -154,9 +154,6 @@ class CrystalC(LevelModel):
         xb = ",".join(str(c) for c in b.coords[self.rank:])
         return f"C{self.rank}:x={x};xb={xb}"
 
-    def sort_key(self, b: ElemC):
-        return b.coords
-
     def expected_size(self) -> int:
         return expected_size(self.rank, self.level)
 

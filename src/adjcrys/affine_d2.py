@@ -175,9 +175,6 @@ class CrystalD2(LevelModel):
         xb = ",".join(str(c) for c in b.xbar)
         return f"D{self.rank}:x={x};x0={b.x0};xb={xb}"
 
-    def sort_key(self, b: ElemD):
-        return b.coords
-
     def expected_size(self) -> int:
         return expected_size(self.rank, self.level)
 

@@ -149,9 +149,8 @@ def _parse_start(args):
     return affine_d2.ElemD(coords[:n], coords[n], coords[n + 1:], l)
 
 
-def _format_element(family: str, b) -> str:
-    coords = b.coords() if family == "a1" else b.coords
-    return "(" + ",".join(str(c) for c in coords) + ")"
+def _format_element(b) -> str:
+    return "(" + ",".join(str(c) for c in b.coords) + ")"
 
 
 def _parse_word(text: str) -> list[tuple[str, int]]:
@@ -173,7 +172,7 @@ def cmd_apply(args) -> int:
     except ValueError as err:
         return _fail_usage(str(err))
     n = args.rank
-    lines = [_format_element(args.family, current)]
+    lines = [_format_element(current)]
     for direction, i in ops:
         if not 0 <= i <= n:
             return _fail_usage(f"operator index {i} out of range 0..{n}")
@@ -181,7 +180,7 @@ def cmd_apply(args) -> int:
         if current is None:
             lines.append("0")
             break
-        lines.append(_format_element(args.family, current))
+        lines.append(_format_element(current))
     return _write_output(("\n".join(lines) + "\n").encode("utf-8"), args.out)
 
 

@@ -3,17 +3,21 @@
 A model is any object with `family`, `rank`, `level`, `index_set`,
 `elements()`, plus per-element accessors `element_id`, `weight_coords`,
 `component`, `sort_key` and `root_step(i)` (the expected weight change of
-f_i).  Elements themselves expose `e(i)`/`f(i)` (None when undefined) and,
-when `closed_stats` is set on the model, closed `eps(i)`/`phi(i)`.
+f_i).  `LevelModel` supplies all but `elements` and `element_id` for the
+level-l models, with `sort_key` the element's coordinates.  Elements
+themselves expose `e(i)`/`f(i)` (None when undefined) and, when
+`closed_stats` is set on the model, closed `eps(i)`/`phi(i)`.
 
-The checks run on tables, not on the operators.  An `OperatorTable`
-enumerates a model once and calls each element's `e_i` and `f_i` exactly
-once per label; rows `f[i]`/`e[i]` hold the index of the result, UNDEFINED
-where the operator vanishes and OUTSIDE where it returns an element missing
-from the enumeration (an ef-inverse failure).  The object operators stay the
-specification: the table records what they returned, with each index's
-weight coordinates and component.  `axiom_checks` and `run_theorems` take
-the level-l table as an argument, so one `verify` builds it once.
+The graph and the checks run on tables, not on the operators.  An
+`OperatorTable` enumerates a model once and calls each element's `e_i` and
+`f_i` at most once per label; rows `f[i]`/`e[i]` hold the index of the
+result, UNDEFINED where the operator vanishes and OUTSIDE where it returns an
+element missing from the enumeration (an ef-inverse failure).  The `f` rows
+are recorded when the table is built and the `e` rows on their first read,
+so `build_graph`, which reads only `f`, calls no `e_i`.  The object operators
+stay the specification: the table records what they returned, with each
+index's weight coordinates and component.  `axiom_checks` and `run_theorems`
+take the level-l table as an argument, so one `verify` builds it once.
 
 `run_theorems` checks one family's structure theorems from a `TheoremSpec`:
 the model class, the level embedding `B_{l-1} -> B_l`, the level-raising
@@ -99,19 +103,22 @@ class CrystalGraph:
 
 
 def build_graph(model) -> CrystalGraph:
-    """Exhaustively enumerate the model and record every f_i arrow."""
-    elems = sorted(model.elements(), key=model.sort_key)
-    vertices = tuple(
-        Vertex(model.element_id(b), model.component(b), tuple(model.weight_coords(b)))
-        for b in elems
-    )
+    """Every f_i arrow of the model, read from its operator table.
+
+    Raises ValueError when an f_i result is missing from the enumeration.
+    """
+    table = OperatorTable(model)
+    elems = table.elems
+    ids = [model.element_id(b) for b in elems]
+    order = sorted(range(len(elems)), key=lambda b: model.sort_key(elems[b]))
+    vertices = tuple(Vertex(ids[b], table.comp[b], table.weight[b]) for b in order)
     edges = []
-    for b in elems:
-        src = model.element_id(b)
-        for i in model.index_set:
-            c = b.f(i)
-            if c is not None:
-                edges.append(Edge(src, model.element_id(c), i))
+    for i, row in table.f.items():
+        for b, c in enumerate(row):
+            if c == OUTSIDE:
+                raise ValueError(f"f_{i} leaves the enumeration at {ids[b]}")
+            if c != UNDEFINED:
+                edges.append(Edge(ids[b], ids[c], i))
     edges.sort(key=lambda e: (e.src, e.label, e.dst))
     return CrystalGraph(model.family, model.rank, model.level, vertices, tuple(edges))
 
@@ -166,54 +173,20 @@ def graph_from_json(data) -> CrystalGraph:
     return CrystalGraph(data["family"], data["rank"], data["level"], vertices, edges)
 
 
-def is_connected(graph: CrystalGraph) -> bool:
-    """Connectivity of the underlying undirected graph over all labels."""
-    if len(graph.vertices) <= 1:
-        return True
-    adj: dict[str, set[str]] = {v.id: set() for v in graph.vertices}
-    for e in graph.edges:
-        adj[e.src].add(e.dst)
-        adj[e.dst].add(e.src)
-    start = graph.vertices[0].id
-    seen = {start}
-    stack = [start]
-    while stack:
-        for nb in adj[stack.pop()]:
-            if nb not in seen:
-                seen.add(nb)
-                stack.append(nb)
-    return len(seen) == len(graph.vertices)
-
-
 class _ComponentModel:
-    """A single classical component of an affine model (labels 1..n only)."""
+    """A single classical component of an affine model (labels 1..n only);
+    what it does not override comes from the base model."""
 
     def __init__(self, base, k: int):
         self._base = base
         self._k = k
-        self.family = base.family
-        self.rank = base.rank
-        self.level = base.level
         self.index_set = tuple(i for i in base.index_set if i != 0)
-        self.closed_stats = getattr(base, "closed_stats", False)
+
+    def __getattr__(self, name: str):
+        return getattr(self._base, name)
 
     def elements(self):
         return [b for b in self._base.elements() if self._base.component(b) == self._k]
-
-    def element_id(self, b):
-        return self._base.element_id(b)
-
-    def weight_coords(self, b):
-        return self._base.weight_coords(b)
-
-    def component(self, b):
-        return self._base.component(b)
-
-    def sort_key(self, b):
-        return self._base.sort_key(b)
-
-    def root_step(self, i):
-        return self._base.root_step(i)
 
     def expected_size(self):
         return None
@@ -225,9 +198,8 @@ def restrict_to_component(model, k: int) -> _ComponentModel:
 
 class LevelModel:
     """Adapter plumbing shared by the level-l models, whose elements carry
-    `weight()` and the component `k`.  Subclasses set `family` and
-    `datum_family` and add `elements`, `element_id`, `sort_key` and
-    `expected_size`."""
+    `coords`, `weight()` and the component `k`.  Subclasses set `family` and
+    `datum_family` and add `elements`, `element_id` and `expected_size`."""
 
     closed_stats = True
     datum_family: Family
@@ -243,6 +215,9 @@ class LevelModel:
 
     def component(self, b) -> Optional[int]:
         return b.k
+
+    def sort_key(self, b) -> tuple[int, ...]:
+        return b.coords
 
     def root_step(self, i: int) -> tuple[int, ...]:
         w = self._datum.theta() if i == 0 else -self._datum.simple_root(i)
@@ -263,15 +238,19 @@ class OperatorTable:
         self.elems = list(model.elements())
         self.index = {b: pos for pos, b in enumerate(self.elems)}
         self.labels = tuple(model.index_set)
-        get = self.index.get
-
-        def record(results) -> tuple[int, ...]:
-            return tuple(UNDEFINED if c is None else get(c, OUTSIDE) for c in results)
-
-        self.f = {i: record(b.f(i) for b in self.elems) for i in self.labels}
-        self.e = {i: record(b.e(i) for b in self.elems) for i in self.labels}
+        self.f = {i: self._record(b.f(i) for b in self.elems) for i in self.labels}
         self.weight = [tuple(model.weight_coords(b)) for b in self.elems]
         self.comp = [model.component(b) for b in self.elems]
+
+    def _record(self, results) -> tuple[int, ...]:
+        get = self.index.get
+        return tuple(UNDEFINED if c is None else get(c, OUTSIDE) for c in results)
+
+    @cached_property
+    def e(self) -> dict[int, tuple[int, ...]]:
+        """The e rows, recorded on first read: a table read only for `f`
+        calls no e_i."""
+        return {i: self._record(b.e(i) for b in self.elems) for i in self.labels}
 
     def row(self, direction: str, i: int) -> tuple[int, ...]:
         return self.f[i] if direction == "f" else self.e[i]

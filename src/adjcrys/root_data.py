@@ -87,10 +87,6 @@ class Weight:
         if self.datum.family is Family.A and sum(self.coeffs) != 0:
             raise ValueError("family A weight coordinates must sum to zero")
 
-    def m(self, j: int) -> int:
-        """Coefficient of eps_j (1-indexed)."""
-        return self.coeffs[j - 1]
-
     def _require_same_datum(self, other: "Weight") -> None:
         if self.datum != other.datum:
             raise ValueError("weights over different root data")

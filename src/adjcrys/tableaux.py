@@ -189,27 +189,20 @@ class Tableau:
         word = self.reading_word()
         return tuple(word.count(c) for c in range(1, self.n + 2))
 
-    def size(self) -> int:
-        return sum(len(c) for c in self.columns)
-
-    def _positions(self) -> list[tuple[int, int]]:
-        # (column index, row index) of each reading-word position
-        pos = []
-        for ci in range(len(self.columns) - 1, -1, -1):
-            for ri in range(len(self.columns[ci])):
-                pos.append((ci, ri))
-        return pos
-
     def _apply(self, i: int, direction: str) -> Optional["Tableau"]:
         word = self.reading_word()
         new_word = word_apply(word, i, direction)
         if new_word is None:
             return None
         changed = next(p for p in range(len(word)) if word[p] != new_word[p])
-        ci, ri = self._positions()[changed]
-        cols = [list(col) for col in self.columns]
-        cols[ci][ri] = new_word[changed]
-        return Tableau(self.n, tuple(tuple(col) for col in cols))
+        # the reading word runs the columns from the rightmost one
+        cols = self.columns
+        ci, ri = len(cols) - 1, changed
+        while ri >= len(cols[ci]):
+            ri -= len(cols[ci])
+            ci -= 1
+        col = cols[ci][:ri] + (new_word[changed],) + cols[ci][ri + 1:]
+        return Tableau(self.n, cols[:ci] + (col,) + cols[ci + 1:])
 
     def e(self, i: int) -> Optional["Tableau"]:
         return self._apply(i, "e")
@@ -222,10 +215,6 @@ class Tableau:
 
     def phi(self, i: int) -> int:
         return eps_phi(self, i)[1]
-
-    def sort_key(self) -> tuple[int, ...]:
-        # canonical order: lexicographic on reading words
-        return self.reading_word()
 
 
 @dataclass(frozen=True)

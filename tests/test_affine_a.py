@@ -139,9 +139,9 @@ def test_alpha_inverse_rejects_bad_shapes():
 
 def test_theta_map_examples():
     empty = AdjElemA(RowElem((0, 0, 0)), ColElem((0, 0, 0)))
-    assert theta_map(1, empty).coords() == (1, 0, 0, 1, 0, 0)
+    assert theta_map(1, empty).coords == (1, 0, 0, 1, 0, 0)
     t2 = theta_map(2, empty)
-    assert t2.coords() == (0, 1, 0, 0, 1, 0)
+    assert t2.coords == (0, 1, 0, 0, 1, 0)
     assert t2.k == 1
     for l in (1, 2):
         for b in elements(2, l - 1):

@@ -1,5 +1,7 @@
 """Graph construction, structural checks, and the two export formats."""
 
+from collections import Counter
+
 import pytest
 
 from adjcrys.affine_a import CrystalA, theta_map
@@ -16,7 +18,6 @@ from adjcrys.crystal_graph import (
     compile_map,
     export,
     graph_from_json,
-    is_connected,
     render_report,
     restrict_to_component,
 )
@@ -53,7 +54,33 @@ def test_counts_match_closed_forms_and_connectivity():
     ):
         report = axiom_checks(model)
         assert all_passed(report), render_report(report)
-        assert is_connected(build_graph(model))
+
+
+def test_graph_calls_each_f_once_and_no_e(monkeypatch):
+    calls = Counter()
+    for op in ("e", "f"):
+        def counted(self, i, op=op, original=getattr(ElemC, op)):
+            calls[op, self, i] += 1
+            return original(self, i)
+        monkeypatch.setattr(ElemC, op, counted)
+    model = CrystalC(2, 2)
+    build_graph(model)
+    assert calls == Counter({("f", b, i): 1 for b in model.elements() for i in model.index_set})
+
+
+def test_graph_rejects_an_arrow_leaving_the_enumeration():
+    class Dropped(CrystalC):
+        def elements(self):
+            return super().elements()[:-1]
+
+    model = Dropped(2, 2)
+    dropped = CrystalC(2, 2).elements()[-1]
+    i, b = next(
+        (i, b) for i in model.index_set for b in model.elements() if b.f(i) == dropped
+    )
+    with pytest.raises(ValueError) as err:
+        build_graph(model)
+    assert str(err.value) == f"f_{i} leaves the enumeration at {model.element_id(b)}"
 
 
 def test_component_restriction():
