@@ -141,6 +141,24 @@ def test_alpha_inverse_moves_a_column(monkeypatch):
     assert _failures("a1", 2, 2)["alpha/bijection"] == expected
 
 
+def test_alpha_collision_is_not_injective(monkeypatch):
+    """Two elements of component 2 sharing one image: the injectivity
+    statement names the element and the earlier owner of the image."""
+    original = affine_a.alpha
+    src = AdjElemA(affine_a.RowElem((0, 2, 0)), ColElem((0, 1, 1)))
+    dst = AdjElemA(affine_a.RowElem((0, 1, 1)), ColElem((0, 1, 1)))
+    monkeypatch.setattr(affine_a, "alpha", lambda b: original(dst if b == src else b))
+    failures = _failures("a1", 2, 2, "alpha")
+    assert failures == {
+        "alpha/bijection": (39, f"alpha not injective: {_a1_element((0, 2, 0), (0, 1, 1))}"
+                                f" and {_a1_element((0, 1, 1), (0, 1, 1))}"),
+        "alpha/weight-preserving": (
+            36, f"alpha changes the weight at {_a1_element((0, 2, 0), (0, 1, 1))}"),
+        "alpha/intertwines-classical": (
+            144, f"alpha does not intertwine e_2 at {_a1_element((0, 1, 1), (0, 1, 1))}"),
+    }
+
+
 def test_adj_e_strict_tie_rule(monkeypatch):
     def e(self, i):
         if self.row.phi(i) > self.col.eps(i):  # the model has >=
@@ -214,3 +232,22 @@ def test_column_factor_in_increasing_order_is_a_failure(monkeypatch, capsys):
     assert fails["alpha/weight-preserving"] == ("(36 cases)", detail)
     assert set(fails) == {"alpha/bijection", "alpha/weight-preserving",
                           "alpha/intertwines-classical"}
+
+
+def test_f_on_rightmost_unmatched_letter_is_a_failure(monkeypatch):
+    """A non-semistandard result of f_i fails the intertwining check."""
+    original = tableaux.word_apply
+
+    def word_apply(word, i, direction):
+        _, lowerable = tableaux.unmatched_positions(word, i)
+        if direction != "f" or not lowerable:
+            return original(word, i, direction)
+        out = list(word)
+        out[lowerable[-1]] = i + 1  # the rule lowers the leftmost unmatched i
+        return tuple(out)
+
+    monkeypatch.setattr(tableaux, "word_apply", word_apply)
+    fails = _failures("a1", 2, 2)
+    detail = (f"f_2 of alpha({_a1_element((0, 0, 2), (0, 0, 2))}) is not a tableau:"
+              " rows must weakly increase left to right")
+    assert fails["alpha/intertwines-classical"] == (144, detail)
