@@ -12,6 +12,7 @@ map `alpha` onto tableaux of shape (2k, k^(n-1)).
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from typing import Optional
 
@@ -28,7 +29,7 @@ from .crystal_graph import (
     run_theorems,
 )
 from .root_data import Family, RootDatum, Weight
-from .tableaux import ShapeTable, Tableau, TensorPair, Word, column_missing, flatten_letters
+from .tableaux import Tableau, TensorPair, Word, column_missing, flatten_letters, ssyt_count
 
 
 def _shift(vec: tuple[int, ...], minus: int, plus: int) -> Optional[tuple[int, ...]]:
@@ -468,87 +469,76 @@ def alpha_checks(n: int, l: int, table: Optional[OperatorTable] = None) -> list[
     operators.
 
     The model side is read from the level-l table, built here when not
-    given.  Each component B((2k, k^(n-1))) is a `ShapeTable`, and `alpha`
-    runs once per element, kept as an index into its component's table; only
-    an image outside that table is kept as a tableau.  A result the
-    `Tableau` constructor rejects fails the check at the element.
+    given.  The tableau side runs on objects and shares no code with the
+    checker: `alpha` runs once per element and each `Tableau.e_i`/`f_i` once
+    per slot.  Every image is a validated tableau and a wrong shape fails
+    the round trip, so the distinct images of component k are all of
+    B((2k, k^(n-1))) when there are as many as the hook-content formula
+    counts.  A result the `Tableau` constructor rejects fails the check at
+    the element.
     """
     if table is None:
         table = OperatorTable(CrystalA(n, l))
     elems, comp = table.elems, table.comp
-    shapes = [ShapeTable(n, shape_component(n, k)) for k in range(l + 1)]
-    ks: list[Optional[int]] = []
-    at: list[int] = []  # index of alpha(b) in shapes[k], or OUTSIDE
-    strays: dict[int, Tableau] = {}  # alpha(b) where it is not in shapes[k]
+    images: list[Optional[tuple[int, Tableau]]] = []  # alpha(b), None if rejected
     rejected: dict[int, str] = {}  # why alpha(b) is not a tableau
     for b, elem in enumerate(elems):
         try:
-            k, t = alpha(elem)
+            images.append(alpha(elem))
         except ValueError as err:
-            k, t = None, None
+            images.append(None)
             rejected[b] = f"alpha({elem}) is not a tableau: {err}"
-        pos = shapes[k].index.get(t, OUTSIDE) if k in range(l + 1) else OUTSIDE
-        if pos == OUTSIDE and t is not None:
-            strays[b] = t
-        ks.append(k)
-        at.append(pos)
-
-    def tableau(b: int) -> Tableau:
-        return shapes[ks[b]].elems[at[b]] if at[b] >= 0 else strays[b]
 
     def bijection():
-        owners = [[-1] * len(s.elems) for s in shapes]
-        stray_owners: dict[tuple[int, Tableau], int] = {}
+        owners: dict[tuple[int, Tableau], int] = {}
         for b, elem in enumerate(elems):
             if b in rejected:
                 yield rejected[b]
                 continue
-            k, pos, t = ks[b], at[b], tableau(b)
+            k, t = images[b]
             if k != comp[b]:
                 yield f"alpha component mismatch at {elem}"
-            if pos >= 0:
-                prev, owners[k][pos] = owners[k][pos], b
-            else:
-                prev = stray_owners.get((k, t), -1)
-                stray_owners[(k, t)] = b
-            if prev >= 0:
+            prev = owners.setdefault(images[b], b)
+            if prev != b:
                 yield f"alpha not injective: {elem} and {elems[prev]}"
             if t.shape != shape_component(n, k) or not _round_trips(n, l, t, elem):
                 yield f"alpha round trip fails at {elem}"
-        for k, owner in enumerate(owners):
-            if -1 in owner or any(kk == k for kk, _ in stray_owners):
+        sizes = Counter(k for k, _ in owners)
+        for k in range(l + 1):
+            if sizes[k] != ssyt_count(shape_component(n, k), n + 1):
                 yield f"alpha image differs from the component crystal at k={k}"
 
     def weight_changes():
-        weights = [[tuple(c - k for c in t.content()) for t in s.elems]
-                   for k, s in enumerate(shapes)]
         for b, elem in enumerate(elems):
             if b in rejected:
                 yield rejected[b]
                 continue
-            k, pos = ks[b], at[b]
-            w = weights[k][pos] if pos >= 0 else tuple(c - k for c in strays[b].content())
-            if w != table.weight[b]:
+            k, t = images[b]
+            if tuple(c - k for c in t.content()) != table.weight[b]:
                 yield f"alpha changes the weight at {elem}"
 
     def intertwining_failures():
-        ops = [(d, i, table.row(d, i), [s.row(d, i) for s in shapes])
-               for i in range(1, n + 1) for d in ("f", "e")]
+        ops = [(d, i, table.row(d, i)) for i in range(1, n + 1) for d in ("f", "e")]
         for b, elem in enumerate(elems):
             if b in rejected:
                 yield rejected[b]
                 continue
-            k, pos = ks[b], at[b]
-            for d, i, row, shape_rows in ops:
+            k, t = images[b]
+            for d, i, row in ops:
+                try:
+                    ta = getattr(t, d)(i)
+                except ValueError as err:
+                    yield f"{d}_{i} of alpha({elem}) is not a tableau: {err}"
+                    continue
                 a = row[b]
-                r = shape_rows[k][pos] if pos >= 0 else OUTSIDE
-                if r == OUTSIDE or a == OUTSIDE or (a >= 0 and at[a] < 0):
-                    bad = _intertwining_on_objects(elem, tableau(b), d, i)
-                elif a == UNDEFINED:
-                    bad = r != UNDEFINED and f"alpha breaks vanishing of {d}_{i} at {elem}"
-                else:  # tables of different components share no tableau
-                    same = r != UNDEFINED and ks[a] == comp[a] == k and at[a] == r
+                if a == UNDEFINED:
+                    bad = ta is not None and f"alpha breaks vanishing of {d}_{i} at {elem}"
+                elif a >= 0:
+                    same = ta is not None and comp[a] == k and images[a] == (k, ta)
                     bad = not same and f"alpha does not intertwine {d}_{i} at {elem}"
+                else:  # OUTSIDE: the model's result is missing from the table
+                    bad = not _maps_to(getattr(elem, d)(i), ta) and (
+                        f"alpha does not intertwine {d}_{i} at {elem}")
                 if bad:
                     yield bad
 
@@ -570,18 +560,8 @@ def _round_trips(n: int, l: int, t: Tableau, b: AdjElemA) -> bool:
         return False
 
 
-def _intertwining_on_objects(b: AdjElemA, t: Tableau, direction: str, i: int) -> str:
-    """The intertwining statement at one slot, on objects: for the slots
-    whose results are not in the tables."""
+def _maps_to(a: AdjElemA, t: Optional[Tableau]) -> bool:
     try:
-        ta = getattr(t, direction)(i)
-    except ValueError as err:
-        return f"{direction}_{i} of alpha({b}) is not a tableau: {err}"
-    a = getattr(b, direction)(i)
-    if a is None:
-        return f"alpha breaks vanishing of {direction}_{i} at {b}" if ta is not None else ""
-    try:
-        same = ta is not None and alpha(a) == (a.k, ta)
+        return t is not None and alpha(a) == (a.k, t)
     except ValueError:
-        same = False
-    return "" if same else f"alpha does not intertwine {direction}_{i} at {b}"
+        return False

@@ -1,7 +1,7 @@
 """Command-line front end: graph export, theorem verification, operator words.
 
 Exit codes: 0 all checks pass / output written, 1 a verification check
-failed, 2 usage error.  Identical invocations produce byte-identical output.
+failed or the model is faulty, 2 usage error.  Identical invocations produce byte-identical output.
 """
 
 from __future__ import annotations
@@ -78,7 +78,12 @@ def cmd_graph(args) -> int:
                 f"component {args.component} out of range 0..{args.level}"
             )
         model = restrict_to_component(model, args.component)
-    return _write_output(export(build_graph(model), args.format), args.out)
+    try:
+        graph = build_graph(model)
+    except ValueError as err:  # an f_i leaves the enumeration: a model fault
+        print(f"error: {err}", file=sys.stderr)
+        return 1
+    return _write_output(export(graph, args.format), args.out)
 
 
 def _verification_report(family: str, rank: int, level: int, selector: str):

@@ -15,8 +15,6 @@ from fractions import Fraction
 from operator import gt, lt
 from typing import Iterator, Optional
 
-from .crystal_graph import OUTSIDE, UNDEFINED
-
 
 def letter_f(c: int, i: int) -> Optional[int]:
     """Lowering operator on a single letter: i -> i+1, undefined elsewhere."""
@@ -264,51 +262,16 @@ def flatten_letters(b) -> tuple[int, ...]:
 
 def enumerate_crystal(n: int, shape) -> frozenset[Tableau]:
     """All of B(lambda), generated from the highest-weight tableau by f_i."""
-    return frozenset(ShapeTable(n, shape).elems)
-
-
-class ShapeTable:
-    """B(lambda) generated from its highest-weight tableau by one
-    breadth-first search, with e_i and f_i recorded as rows of indices.
-
-    Each operator runs once per slot: the f rows are filled during the
-    search and the e rows after it.  As in `OperatorTable`, a row holds
-    UNDEFINED where the operator vanishes and OUTSIDE where its result is
-    not in the table, or is not a semistandard tableau at all.
-    """
-
-    def __init__(self, n: int, shape):
-        start = Tableau.highest_weight(n, tuple(s for s in shape if s > 0))
-        self.elems = [start]
-        self.index = {start: 0}
-        self.labels = tuple(range(1, n + 1))
-
-        def add(t: Tableau) -> int:
-            pos = self.index.setdefault(t, len(self.elems))
-            if pos == len(self.elems):
-                self.elems.append(t)
-            return pos
-
-        self.f: dict[int, list[int]] = {i: [] for i in self.labels}
-        for t in self.elems:  # the list grows behind the loop: a FIFO queue
-            for i in self.labels:
-                self.f[i].append(_record(t.f, i, add))
-
-        def locate(t: Tableau) -> int:
-            return self.index.get(t, OUTSIDE)
-
-        self.e = {i: [_record(t.e, i, locate) for t in self.elems] for i in self.labels}
-
-    def row(self, direction: str, i: int) -> list[int]:
-        return self.f[i] if direction == "f" else self.e[i]
-
-
-def _record(op, i: int, locate) -> int:
-    try:
-        t = op(i)
-    except ValueError:  # the result is not semistandard
-        return OUTSIDE
-    return UNDEFINED if t is None else locate(t)
+    start = Tableau.highest_weight(n, tuple(s for s in shape if s > 0))
+    seen = {start}
+    queue = [start]
+    for t in queue:  # the list grows behind the loop: a FIFO queue
+        for i in range(1, n + 1):
+            c = t.f(i)
+            if c is not None and c not in seen:
+                seen.add(c)
+                queue.append(c)
+    return frozenset(seen)
 
 
 def all_ssyt(n: int, shape) -> Iterator[Tableau]:

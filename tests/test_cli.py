@@ -211,3 +211,15 @@ def test_unwritable_out_is_usage_error(tmp_path, capsys):
         assert captured.out == ""
         assert captured.err.startswith("error: cannot write")
     assert not target.parent.exists()
+
+
+def test_graph_reports_an_arrow_leaving_the_enumeration(capsys, monkeypatch):
+    """A model fault in graph exits 1 with a message, as a failed check does."""
+    from adjcrys.affine_c import CrystalC
+
+    original = CrystalC.elements
+    monkeypatch.setattr(CrystalC, "elements", lambda self: original(self)[:-1])
+    assert main(["graph", "--family", "c1", "--rank", "2", "--level", "2"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: f_0 leaves the enumeration at C2:x=2,0;xb=0,0\n"

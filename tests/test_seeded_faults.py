@@ -176,7 +176,8 @@ def test_adj_e_strict_tie_rule(monkeypatch):
 
 
 def test_tableau_fault_found_after_a_clean_alpha_run(monkeypatch):
-    """The component tables live only as long as one alpha_checks call."""
+    """Nothing alpha_checks computes outlives the call, so a clean run of
+    the same instance cannot hide a tableau fault planted afterwards."""
     assert all_passed(affine_a.alpha_checks(2, 2))
     _patch_content_counts_one_twice(monkeypatch)
     failed = {c.name for c in affine_a.alpha_checks(2, 2) if not c.passed}
@@ -251,3 +252,4 @@ def test_f_on_rightmost_unmatched_letter_is_a_failure(monkeypatch):
     detail = (f"f_2 of alpha({_a1_element((0, 0, 2), (0, 0, 2))}) is not a tableau:"
               " rows must weakly increase left to right")
     assert fails["alpha/intertwines-classical"] == (144, detail)
+    assert "alpha/bijection" not in fails  # each check fails only for its own statement
