@@ -1,7 +1,8 @@
 """Command-line front end: graph export, theorem verification, operator words.
 
 Exit codes: 0 all checks pass / output written, 1 a verification check
-failed or the model is faulty, 2 usage error.  Identical invocations produce byte-identical output.
+failed or the model is faulty, 2 usage error.  Identical invocations
+produce byte-identical output.
 """
 
 from __future__ import annotations
