@@ -29,9 +29,9 @@ from .crystal_graph import (
     axiom_checks,
     build_graph,
     export,
-    graph_from_json,
     render_report,
     restrict_to_component,
+    stream_graph,
 )
 from .root_data import (
     Family,

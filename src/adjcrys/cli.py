@@ -10,18 +10,17 @@ from __future__ import annotations
 import argparse
 import sys
 from dataclasses import replace
-from typing import Optional
+from typing import Iterable, Optional
 
 from . import affine_a, affine_c, affine_d2
 from .crystal_graph import (
     SECTIONS,
     all_passed,
     axiom_checks,
-    build_graph,
     OperatorTable,
-    export,
     render_report,
     restrict_to_component,
+    stream_graph,
 )
 
 SIZE_LIMIT = 10**6
@@ -56,13 +55,16 @@ def _check_bounds(args) -> Optional[int]:
     return None
 
 
-def _write_output(data: bytes, out: Optional[str]) -> int:
+def _write_output(chunks: Iterable[str], out: Optional[str]) -> int:
+    """Write the text chunks to stdout, or as UTF-8 to the file `out`."""
     if out is None:
-        sys.stdout.write(data.decode("utf-8"))
+        for chunk in chunks:
+            sys.stdout.write(chunk)
         return 0
     try:
         with open(out, "wb") as handle:
-            handle.write(data)
+            for chunk in chunks:
+                handle.write(chunk.encode("utf-8"))
     except OSError as err:
         return _fail_usage(f"cannot write {out}: {err.strerror or err}")
     return 0
@@ -80,11 +82,11 @@ def cmd_graph(args) -> int:
             )
         model = restrict_to_component(model, args.component)
     try:
-        graph = build_graph(model)
+        chunks = stream_graph(model, args.format)
     except ValueError as err:  # an f_i leaves the enumeration: a model fault
         print(f"error: {err}", file=sys.stderr)
         return 1
-    return _write_output(export(graph, args.format), args.out)
+    return _write_output(chunks, args.out)
 
 
 def _verification_report(family: str, rank: int, level: int, selector: str):
@@ -124,7 +126,7 @@ def cmd_verify(args) -> int:
         f"== adjcrys verify family={args.family} rank={args.rank}"
         f" level={args.level} check={args.check} ==\n"
     )
-    written = _write_output((header + render_report(report)).encode("utf-8"), args.out)
+    written = _write_output([header + render_report(report)], args.out)
     return written or (0 if all_passed(report) else 1)
 
 
@@ -187,7 +189,7 @@ def cmd_apply(args) -> int:
             lines.append("0")
             break
         lines.append(_format_element(current))
-    return _write_output(("\n".join(lines) + "\n").encode("utf-8"), args.out)
+    return _write_output(["\n".join(lines) + "\n"], args.out)
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:

@@ -14,10 +14,19 @@ The graph and the checks run on tables, not on the operators.  An
 result, UNDEFINED where the operator vanishes and OUTSIDE where it returns an
 element missing from the enumeration (an ef-inverse failure).  The `f` rows
 are recorded when the table is built and the `e` rows on their first read,
-so `build_graph`, which reads only `f`, calls no `e_i`.  The object operators
+so graph export, which reads only `f`, calls no `e_i`.  The object operators
 stay the specification: the table records what they returned, with each
 index's weight coordinates and component.  `axiom_checks` and `run_theorems`
 take the level-l table as an argument, so one `verify` builds it once.
+
+`stream_graph` formats the DOT or JSON export straight from the table rows
+and yields it in batches of a few thousand records, so it holds the table and
+one token per element but no `Vertex`, `Edge` or whole document.  Nodes come
+in `sort_key` order; edges by source id, then by label.  Each f_i is a
+function and the ids are distinct, so that is the (src, label, dst) order
+without sorting the edges.  Every `f` row is checked for OUTSIDE before the
+first chunk.  `build_graph` and `export` give the same bytes as values, and
+`export` runs the same record formatter.
 
 `run_theorems` checks one family's structure theorems from a `TheoremSpec`:
 the model class, the level embedding `B_{l-1} -> B_l`, the level-raising
@@ -33,7 +42,8 @@ import json
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Iterable, NamedTuple, Optional, Sequence
+from itertools import islice
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .root_data import Family, RootDatum, ShellStep, Weight, classify_shift, in_shell, on_boundary
 
@@ -107,70 +117,142 @@ def build_graph(model) -> CrystalGraph:
 
     Raises ValueError when an f_i result is missing from the enumeration.
     """
-    table = OperatorTable(model)
-    elems = table.elems
-    ids = [model.element_id(b) for b in elems]
-    order = sorted(range(len(elems)), key=lambda b: model.sort_key(elems[b]))
-    vertices = tuple(Vertex(ids[b], table.comp[b], table.weight[b]) for b in order)
-    edges = []
-    for i, row in table.f.items():
-        for b, c in enumerate(row):
-            if c == OUTSIDE:
-                raise ValueError(f"f_{i} leaves the enumeration at {ids[b]}")
-            if c != UNDEFINED:
-                edges.append(Edge(ids[b], ids[c], i))
-    edges.sort(key=lambda e: (e.src, e.label, e.dst))
-    return CrystalGraph(model.family, model.rank, model.level, vertices, tuple(edges))
+    table, ids = _graph_table(model)
+    vertices = tuple(
+        Vertex(ids[b], table.comp[b], table.weight[b]) for b in _node_order(model, table)
+    )
+    edges = tuple(Edge(*e) for e in _edges(table, _id_order(ids), ids))
+    return CrystalGraph(model.family, model.rank, model.level, vertices, edges)
 
 
 def export(graph: CrystalGraph, fmt: str) -> bytes:
     """Serialize a graph to 'dot' or 'json'; deterministic byte output."""
-    if fmt == "dot":
-        return _to_dot(graph).encode("utf-8")
-    if fmt == "json":
-        return _to_json(graph).encode("utf-8")
-    raise ValueError(f"unknown export format {fmt!r}")
+    name, chunks = _format(fmt)
+    nodes = ((name(v.id), v.k, v.weight) for v in graph.vertices)
+    edges = ((name(e.src), name(e.dst), e.label) for e in graph.edges)
+    return "".join(chunks(graph.family, graph.rank, graph.level, nodes, edges)).encode("utf-8")
+
+
+def stream_graph(model, fmt: str) -> Iterator[str]:
+    """The text of `export(build_graph(model), fmt)`, in chunks of a few
+    thousand records formatted straight from the operator table.
+
+    Builds no `Vertex`, `Edge` or whole document.  Raises ValueError when an
+    f_i result is missing from the enumeration, before the first chunk.
+    """
+    name, chunks = _format(fmt)
+    table, ids = _graph_table(model)
+    by_id = _id_order(ids)
+    names = ids  # each id gives way to its token, so the two lists never coexist
+    for b, s in enumerate(names):
+        names[b] = name(s)
+    nodes = ((names[b], table.comp[b], table.weight[b]) for b in _node_order(model, table))
+    return chunks(model.family, model.rank, model.level, nodes, _edges(table, by_id, names))
+
+
+def _graph_table(model) -> tuple[OperatorTable, list[str]]:
+    """The model's table and element ids; ValueError at the first f_i row
+    (in label order) that leaves the enumeration, at its first element."""
+    table = OperatorTable(model)
+    ids = [model.element_id(b) for b in table.elems]
+    for i, row in table.f.items():
+        if OUTSIDE in row:
+            raise ValueError(f"f_{i} leaves the enumeration at {ids[row.index(OUTSIDE)]}")
+    return table, ids
+
+
+def _node_order(model, table: OperatorTable) -> list[int]:
+    elems = table.elems
+    return sorted(range(len(elems)), key=lambda b: model.sort_key(elems[b]))
+
+
+def _id_order(ids: list[str]) -> list[int]:
+    return sorted(range(len(ids)), key=ids.__getitem__)
+
+
+def _edges(table: OperatorTable, by_id: list[int], names: list) -> Iterator[tuple]:
+    """(src, dst, i) for every f_i arrow, sources in `by_id` order, each
+    source's arrows by ascending i.  Each f_i is a function and the ids are
+    distinct, so this is the (src, i, dst) order of the ids without a sort."""
+    rows = sorted(table.f.items())
+    for b in by_id:
+        src = names[b]
+        for i, row in rows:
+            c = row[b]
+            if c >= 0:
+                yield src, names[c], i
+
+
+# The record formatter of each export format, shared by `export` and
+# `stream_graph`: `name` turns an element id into the token the format
+# writes, `chunks(family, rank, level, nodes, edges)` yields the text, with
+# nodes (name, k, weight) and edges (src name, dst name, label).
+
+_BATCH = 4096
+
+
+def _batches(records: Iterable[tuple], line: Callable[..., str]) -> Iterator[list[str]]:
+    records = iter(records)
+    while batch := [line(*r) for r in islice(records, _BATCH)]:
+        yield batch
 
 
 def _fmt_weight(weight: tuple[int, ...]) -> str:
     return "(" + ",".join(str(c) for c in weight) + ")"
 
 
-def _to_dot(graph: CrystalGraph) -> str:
-    lines = ["digraph crystal {"]
-    for v in graph.vertices:
-        k = "-" if v.k is None else str(v.k)
-        lines.append(f'  "{v.id}" [label="{v.id}\\nwt={_fmt_weight(v.weight)} k={k}"];')
-    for e in graph.edges:
-        lines.append(f'  "{e.src}" -> "{e.dst}" [label="{e.label}"];')
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+def _dot_node(name: str, k: Optional[int], weight: tuple[int, ...]) -> str:
+    return f'  "{name}" [label="{name}\\nwt={_fmt_weight(weight)} k={"-" if k is None else k}"];\n'
 
 
-def _to_json(graph: CrystalGraph) -> str:
-    obj = {
-        "family": graph.family,
-        "rank": graph.rank,
-        "level": graph.level,
-        "nodes": [
-            {"id": v.id, "k": v.k, "weight": list(v.weight)} for v in graph.vertices
-        ],
-        "edges": [
-            {"src": e.src, "dst": e.dst, "i": e.label} for e in graph.edges
-        ],
-    }
-    return json.dumps(obj, indent=2) + "\n"
+def _dot_edge(src: str, dst: str, label: int) -> str:
+    return f'  "{src}" -> "{dst}" [label="{label}"];\n'
 
 
-def graph_from_json(data) -> CrystalGraph:
-    """Rebuild a graph from exported JSON (bytes, str, or parsed dict)."""
-    if isinstance(data, (bytes, str)):
-        data = json.loads(data)
-    vertices = tuple(
-        Vertex(n["id"], n["k"], tuple(n["weight"])) for n in data["nodes"]
+def _dot_chunks(family, rank, level, nodes, edges) -> Iterator[str]:
+    yield "digraph crystal {\n"
+    for records, line in ((nodes, _dot_node), (edges, _dot_edge)):
+        for batch in _batches(records, line):
+            yield "".join(batch)
+    yield "}\n"
+
+
+def _json_node(name: str, k: Optional[int], weight: tuple[int, ...]) -> str:
+    coords = "[\n        " + ",\n        ".join(map(str, weight)) + "\n      ]" if weight else "[]"
+    return f'    {{\n      "id": {name},\n      "k": {json.dumps(k)},\n      "weight": {coords}\n    }}'
+
+
+def _json_edge(src: str, dst: str, label: int) -> str:
+    return f'    {{\n      "src": {src},\n      "dst": {dst},\n      "i": {label}\n    }}'
+
+
+def _json_records(records, line) -> Iterator[str]:
+    """A list of records as `json.dumps(..., indent=2)` lays out a top-level value."""
+    sep = "\n"
+    for batch in _batches(records, line):
+        yield sep + ",\n".join(batch)
+        sep = ",\n"
+    yield "]" if sep == "\n" else "\n  ]"
+
+
+def _json_chunks(family, rank, level, nodes, edges) -> Iterator[str]:
+    yield (
+        f'{{\n  "family": {json.dumps(family)},\n  "rank": {json.dumps(rank)},\n'
+        f'  "level": {json.dumps(level)},\n  "nodes": ['
     )
-    edges = tuple(Edge(e["src"], e["dst"], e["i"]) for e in data["edges"])
-    return CrystalGraph(data["family"], data["rank"], data["level"], vertices, edges)
+    yield from _json_records(nodes, _json_node)
+    yield ',\n  "edges": ['
+    yield from _json_records(edges, _json_edge)
+    yield "\n}\n"
+
+
+_FORMATS = {"dot": (str, _dot_chunks), "json": (json.dumps, _json_chunks)}
+
+
+def _format(fmt: str):
+    if fmt not in _FORMATS:
+        raise ValueError(f"unknown export format {fmt!r}")
+    return _FORMATS[fmt]
 
 
 class _ComponentModel:

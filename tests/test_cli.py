@@ -1,12 +1,17 @@
 """Command-line behavior: output shapes, exit codes, determinism."""
 
+import hashlib
 import json
 import subprocess
 import sys
+from collections import Counter
+from pathlib import Path
 
 import pytest
 
 from adjcrys.cli import main
+
+GOLDEN = json.loads((Path(__file__).parent / "golden_outputs.json").read_text())["outputs"]
 
 
 def run_cli(capsys, *argv):
@@ -223,3 +228,63 @@ def test_graph_reports_an_arrow_leaving_the_enumeration(capsys, monkeypatch):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: f_0 leaves the enumeration at C2:x=2,0;xb=0,0\n"
+
+
+def test_graph_fault_creates_no_out_file(tmp_path, capsys, monkeypatch):
+    """The model fault is found before the --out file is opened."""
+    from adjcrys.affine_c import CrystalC
+
+    original = CrystalC.elements
+    monkeypatch.setattr(CrystalC, "elements", lambda self: original(self)[:-1])
+    target = tmp_path / "g.json"
+    assert main(["graph", "--family", "c1", "--rank", "2", "--level", "2",
+                 "--out", str(target)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: f_0 leaves the enumeration at C2:x=2,0;xb=0,0\n"
+    assert not target.exists()
+
+
+@pytest.mark.parametrize("invocation", (
+    "graph --family a1 --rank 3 --level 3 --format json",
+    "graph --family c1 --rank 3 --level 3 --format dot",
+    "graph --family d2 --rank 3 --level 3 --format json --component 2",
+))
+@pytest.mark.parametrize("to_file", (False, True))
+def test_graph_streams_without_building_the_graph(invocation, to_file, tmp_path, capsys,
+                                                   monkeypatch):
+    """graph writes the golden bytes with build_graph, export and the graph
+    value classes made to raise: it formats straight from the operator table."""
+    from adjcrys import cli, crystal_graph
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the graph was materialised")
+
+    for name in ("build_graph", "export", "CrystalGraph", "Vertex", "Edge"):
+        monkeypatch.setattr(crystal_graph, name, refuse)
+        monkeypatch.setattr(cli, name, refuse, raising=False)
+    target = tmp_path / "graph.out"
+    argv = invocation.split() + (["--out", str(target)] if to_file else [])
+    code = main(argv)
+    out = capsys.readouterr().out
+    data = target.read_bytes() if to_file else out.encode("utf-8")
+    assert out == "" or not to_file
+    want = GOLDEN[invocation]
+    assert (code, len(data), hashlib.sha256(data).hexdigest()) == (
+        want["exit"], want["bytes"], want["sha256"]
+    )
+
+
+@pytest.mark.parametrize("component", (None, 1))
+def test_graph_cli_calls_each_f_once_and_no_e(component, elemc_calls, capsys):
+    from adjcrys.affine_c import CrystalC
+
+    argv = ["graph", "--family", "c1", "--rank", "2", "--level", "2"]
+    model = CrystalC(2, 2)
+    elems, labels = model.elements(), model.index_set
+    if component is not None:
+        argv += ["--component", str(component)]
+        elems = [b for b in elems if b.k == component]
+        labels = labels[1:]
+    assert main(argv) == 0
+    assert elemc_calls == Counter({("f", b, i): 1 for b in elems for i in labels})

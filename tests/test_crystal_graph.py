@@ -1,14 +1,18 @@
 """Graph construction, structural checks, and the two export formats."""
 
+import json
 from collections import Counter
 
 import pytest
 
+from adjcrys import crystal_graph
 from adjcrys.affine_a import CrystalA, theta_map
 from adjcrys.affine_c import CrystalC, ElemC
 from adjcrys.affine_d2 import CrystalD2
 from adjcrys.crystal_graph import (
     CrystalGraph,
+    Edge,
+    Vertex,
     all_passed,
     axiom_checks,
     build_graph,
@@ -17,11 +21,22 @@ from adjcrys.crystal_graph import (
     check_embedding,
     compile_map,
     export,
-    graph_from_json,
     render_report,
     restrict_to_component,
+    stream_graph,
 )
 from adjcrys.tableaux import ClassicalCrystal
+
+
+def graph_from_json(data) -> CrystalGraph:
+    """Rebuild a graph from exported JSON (bytes, str, or parsed dict)."""
+    if isinstance(data, (bytes, str)):
+        data = json.loads(data)
+    vertices = tuple(
+        Vertex(n["id"], n["k"], tuple(n["weight"])) for n in data["nodes"]
+    )
+    edges = tuple(Edge(e["src"], e["dst"], e["i"]) for e in data["edges"])
+    return CrystalGraph(data["family"], data["rank"], data["level"], vertices, edges)
 
 
 def test_letter_crystal_graph():
@@ -56,16 +71,12 @@ def test_counts_match_closed_forms_and_connectivity():
         assert all_passed(report), render_report(report)
 
 
-def test_graph_calls_each_f_once_and_no_e(monkeypatch):
-    calls = Counter()
-    for op in ("e", "f"):
-        def counted(self, i, op=op, original=getattr(ElemC, op)):
-            calls[op, self, i] += 1
-            return original(self, i)
-        monkeypatch.setattr(ElemC, op, counted)
+def test_graph_calls_each_f_once_and_no_e(elemc_calls):
     model = CrystalC(2, 2)
     build_graph(model)
-    assert calls == Counter({("f", b, i): 1 for b in model.elements() for i in model.index_set})
+    assert elemc_calls == Counter(
+        {("f", b, i): 1 for b in model.elements() for i in model.index_set}
+    )
 
 
 def test_graph_rejects_an_arrow_leaving_the_enumeration():
@@ -109,6 +120,50 @@ def test_empty_graph_exports():
 def test_unknown_format_rejected():
     with pytest.raises(ValueError):
         export(CrystalGraph("c1", 2, 0, (), ()), "svg")
+    with pytest.raises(ValueError):
+        stream_graph(CrystalC(2, 0), "svg")
+
+
+@pytest.mark.parametrize("batch", (1, 2, 4096))
+def test_json_layout_matches_json_dumps(batch, monkeypatch):
+    """The hand-written layout is that of json.dumps(..., indent=2), also
+    for null k and level, empty lists, escaped ids and batch seams."""
+    monkeypatch.setattr(crystal_graph, "_BATCH", batch)
+    vertices = (
+        Vertex('a"\\é', None, ()),
+        Vertex("b", 3, (1, -2)),
+        Vertex("c\n", 0, (0,)),
+    )
+    edges = (Edge("b", 'a"\\é', 0), Edge("b", "c\n", 12), Edge("c\n", "b", 1))
+    for graph in (
+        CrystalGraph("c1", 2, None, (), ()),
+        CrystalGraph("d2", 3, 1, vertices, ()),
+        CrystalGraph("a1", 4, 2, vertices, edges),
+        CrystalGraph("a1", 4, 2, vertices[1:2], edges[:1]),
+    ):
+        obj = {
+            "family": graph.family,
+            "rank": graph.rank,
+            "level": graph.level,
+            "nodes": [{"id": v.id, "k": v.k, "weight": list(v.weight)} for v in graph.vertices],
+            "edges": [{"src": e.src, "dst": e.dst, "i": e.label} for e in graph.edges],
+        }
+        assert export(graph, "json").decode() == json.dumps(obj, indent=2) + "\n"
+
+
+MODELS = {"a1": CrystalA, "c1": CrystalC, "d2": CrystalD2}
+
+
+@pytest.mark.parametrize("family", sorted(MODELS))
+@pytest.mark.parametrize("n", (2, 3))
+@pytest.mark.parametrize("l", range(4))
+def test_streamed_bytes_match_export(family, n, l):
+    """stream_graph gives export(build_graph(m), fmt) for the whole model and
+    each component, in both formats: 168 cases over the parameters."""
+    model = MODELS[family](n, l)
+    for m in [model] + [restrict_to_component(model, k) for k in range(l + 1)]:
+        for fmt in ("json", "dot"):
+            assert "".join(stream_graph(m, fmt)).encode() == export(build_graph(m), fmt)
 
 
 def test_json_round_trip():
