@@ -1,13 +1,15 @@
 """Command-line front end: graph export, theorem verification, operator words.
 
 Exit codes: 0 all checks pass / output written, 1 a verification check
-failed or the model is faulty, 2 usage error.  Identical invocations
-produce byte-identical output.
+failed or the model is faulty, 2 usage error.  A reader that closes stdout
+early (`| head`) ends the output quietly, with the exit code of the run.
+Identical invocations produce byte-identical output.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from dataclasses import replace
 from typing import Iterable, Optional
@@ -58,13 +60,19 @@ def _check_bounds(args) -> Optional[int]:
 def _write_output(chunks: Iterable[str], out: Optional[str]) -> int:
     """Write the text chunks to stdout, or as UTF-8 to the file `out`."""
     if out is None:
-        for chunk in chunks:
-            sys.stdout.write(chunk)
+        try:
+            sys.stdout.writelines(chunks)
+            sys.stdout.flush()
+        except BrokenPipeError:  # the reader stopped early, as `| head` does
+            # send what is still buffered to /dev/null, so the flush at exit
+            # does not raise again
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
         return 0
     try:
         with open(out, "wb") as handle:
-            for chunk in chunks:
-                handle.write(chunk.encode("utf-8"))
+            handle.writelines(chunk.encode("utf-8") for chunk in chunks)
     except OSError as err:
         return _fail_usage(f"cannot write {out}: {err.strerror or err}")
     return 0

@@ -203,6 +203,19 @@ def test_module_entry_point():
     assert len(json.loads(proc.stdout)["nodes"]) == 1
 
 
+def test_graph_into_a_closed_pipe_ends_quietly():
+    """A reader that stops early, as `| head` does, gets no traceback."""
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "adjcrys", "graph", "--family", "c1", "--rank", "3",
+         "--level", "5", "--format", "dot"],  # 1.2 MB, more than a pipe holds
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+    )
+    assert proc.stdout.read(10) == b"digraph cr"
+    proc.stdout.close()
+    assert proc.stderr.read() == b""
+    assert proc.wait(timeout=60) == 0
+
+
 def test_unwritable_out_is_usage_error(tmp_path, capsys):
     target = tmp_path / "missing-dir" / "report.txt"
     for argv in (
