@@ -205,15 +205,15 @@ def test_module_entry_point():
 
 def test_graph_into_a_closed_pipe_ends_quietly():
     """A reader that stops early, as `| head` does, gets no traceback."""
-    proc = subprocess.Popen(
+    with subprocess.Popen(
         [sys.executable, "-m", "adjcrys", "graph", "--family", "c1", "--rank", "3",
          "--level", "5", "--format", "dot"],  # 1.2 MB, more than a pipe holds
         stdout=subprocess.PIPE, stderr=subprocess.PIPE,
-    )
-    assert proc.stdout.read(10) == b"digraph cr"
-    proc.stdout.close()
-    assert proc.stderr.read() == b""
-    assert proc.wait(timeout=60) == 0
+    ) as proc:
+        assert proc.stdout.read(10) == b"digraph cr"
+        proc.stdout.close()
+        assert proc.stderr.read() == b""
+    assert proc.returncode == 0
 
 
 def test_unwritable_out_is_usage_error(tmp_path, capsys):
@@ -280,8 +280,11 @@ def test_graph_streams_without_building_the_graph(invocation, to_file, tmp_path,
     argv = invocation.split() + (["--out", str(target)] if to_file else [])
     code = main(argv)
     out = capsys.readouterr().out
-    data = target.read_bytes() if to_file else out.encode("utf-8")
-    assert out == "" or not to_file
+    if to_file:
+        assert out == ""
+        data = target.read_bytes()
+    else:
+        data = out.encode("utf-8")
     want = GOLDEN[invocation]
     assert (code, len(data), hashlib.sha256(data).hexdigest()) == (
         want["exit"], want["bytes"], want["sha256"]
