@@ -42,16 +42,12 @@ from .root_data import (
     classify_shift,
     in_shell,
     on_boundary,
-    weight_from_fundamental,
 )
 from .tableaux import (
-    ClassicalCrystal,
     Tableau,
     TensorPair,
     Word,
-    all_ssyt,
     column_missing,
-    enumerate_crystal,
     eps_phi,
     ssyt_count,
 )

@@ -7,6 +7,10 @@ factor are cyclic shifts of the classical ones via the promotion map; the
 pair carries the two-factor tensor rule.  The classical decomposition into
 components indexed by k = l - min(x_1, y_1) is realized explicitly by the
 map `alpha` onto tableaux of shape (2k, k^(n-1)).
+
+The crystals themselves are `ROW_KERNEL`, `COL_KERNEL` and the pair
+`KERNEL`: pure functions on multiplicity vectors and on pairs (x, y) of
+them.  The element classes and the model adapters call into them.
 """
 
 from __future__ import annotations
@@ -14,6 +18,8 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
+from itertools import product
+from operator import sub
 from typing import Optional
 
 from .counting import compositions
@@ -21,6 +27,7 @@ from .crystal_graph import (
     OUTSIDE,
     UNDEFINED,
     CheckResult,
+    Kernel,
     LevelModel,
     OperatorTable,
     TheoremSpec,
@@ -29,7 +36,14 @@ from .crystal_graph import (
     run_theorems,
 )
 from .root_data import Family, RootDatum, Weight
-from .tableaux import Tableau, TensorPair, Word, column_missing, flatten_letters, ssyt_count
+from .tableaux import Tableau, column_missing, ssyt_count
+
+
+# ---------------------------------------------------------------------------
+# the kernels (`ROW_KERNEL`, `COL_KERNEL` and `KERNEL` below): the row and
+# column factors on multiplicity vectors, the pair on (x, y).  Labels act
+# cyclically on the n+1 slots (index -1 is slot n), so each factor operator
+# is one shift.  No operator needs the level l.
 
 
 def _shift(vec: tuple[int, ...], minus: int, plus: int) -> Optional[tuple[int, ...]]:
@@ -39,6 +53,42 @@ def _shift(vec: tuple[int, ...], minus: int, plus: int) -> Optional[tuple[int, .
     out[minus] -= 1
     out[plus] += 1
     return tuple(out)
+
+
+def _pair_f(b, i: int, l=None):
+    x, y = b
+    if ROW_KERNEL.phi(x, i) > COL_KERNEL.eps(y, i):
+        new = ROW_KERNEL.f(x, i)
+        return None if new is None else (new, y)
+    new = COL_KERNEL.f(y, i)
+    return None if new is None else (x, new)
+
+
+def _pair_e(b, i: int, l=None):
+    x, y = b
+    if ROW_KERNEL.phi(x, i) >= COL_KERNEL.eps(y, i):
+        new = ROW_KERNEL.e(x, i)
+        return None if new is None else (new, y)
+    new = COL_KERNEL.e(y, i)
+    return None if new is None else (x, new)
+
+
+def _pair_eps(b, i: int, l=None) -> int:
+    x, y = b
+    return ROW_KERNEL.eps(x, i) + max(0, COL_KERNEL.eps(y, i) - ROW_KERNEL.phi(x, i))
+
+
+def _pair_phi(b, i: int, l=None) -> int:
+    x, y = b
+    return COL_KERNEL.phi(y, i) + max(0, ROW_KERNEL.phi(x, i) - COL_KERNEL.eps(y, i))
+
+
+def _theta(j: int, b):
+    """theta_j: add a letter j to the row and a column missing j to the column factor."""
+    x, y = list(b[0]), list(b[1])
+    x[j - 1] += 1
+    y[j - 1] += 1
+    return tuple(x), tuple(y)
 
 
 @dataclass(frozen=True)
@@ -68,24 +118,18 @@ class RowElem:
         return RowElem(self.x[1:] + (self.x[0],))
 
     def f(self, i: int) -> Optional["RowElem"]:
-        if i == 0:
-            out = _shift(self.x, self.n, 0)
-        else:
-            out = _shift(self.x, i - 1, i)
+        out = ROW_KERNEL.f(self.x, i)
         return None if out is None else RowElem(out)
 
     def e(self, i: int) -> Optional["RowElem"]:
-        if i == 0:
-            out = _shift(self.x, 0, self.n)
-        else:
-            out = _shift(self.x, i, i - 1)
+        out = ROW_KERNEL.e(self.x, i)
         return None if out is None else RowElem(out)
 
     def eps(self, i: int) -> int:
-        return self.x[0] if i == 0 else self.x[i]
+        return ROW_KERNEL.eps(self.x, i)
 
     def phi(self, i: int) -> int:
-        return self.x[self.n] if i == 0 else self.x[i - 1]
+        return ROW_KERNEL.phi(self.x, i)
 
     def content(self) -> tuple[int, ...]:
         return self.x
@@ -122,27 +166,21 @@ class ColElem:
         return ColElem(self.y[1:] + (self.y[0],))
 
     def f(self, i: int) -> Optional["ColElem"]:
-        if i == 0:
-            out = _shift(self.y, 0, self.n)
-        else:
-            out = _shift(self.y, i, i - 1)
+        out = COL_KERNEL.f(self.y, i)
         return None if out is None else ColElem(out)
 
     def e(self, i: int) -> Optional["ColElem"]:
-        if i == 0:
-            out = _shift(self.y, self.n, 0)
-        else:
-            out = _shift(self.y, i - 1, i)
+        out = COL_KERNEL.e(self.y, i)
         return None if out is None else ColElem(out)
 
     def eps(self, i: int) -> int:
-        return self.y[self.n] if i == 0 else self.y[i - 1]
+        return COL_KERNEL.eps(self.y, i)
 
     def phi(self, i: int) -> int:
-        return self.y[0] if i == 0 else self.y[i]
+        return COL_KERNEL.phi(self.y, i)
 
     def content(self) -> tuple[int, ...]:
-        return tuple(self.level - c for c in self.y)
+        return COL_KERNEL.weight(self.y)
 
     def to_tableau(self) -> Tableau:
         cols = []
@@ -182,34 +220,25 @@ class AdjElemA:
         return self.row.x + self.col.y
 
     def f(self, i: int) -> Optional["AdjElemA"]:
-        if self.row.phi(i) > self.col.eps(i):
-            new = self.row.f(i)
-            return None if new is None else AdjElemA(new, self.col)
-        new = self.col.f(i)
-        return None if new is None else AdjElemA(self.row, new)
+        b = KERNEL.f((self.row.x, self.col.y), i, self.level)
+        return None if b is None else _pair_element(b)
 
     def e(self, i: int) -> Optional["AdjElemA"]:
-        if self.row.phi(i) >= self.col.eps(i):
-            new = self.row.e(i)
-            return None if new is None else AdjElemA(new, self.col)
-        new = self.col.e(i)
-        return None if new is None else AdjElemA(self.row, new)
+        b = KERNEL.e((self.row.x, self.col.y), i, self.level)
+        return None if b is None else _pair_element(b)
 
     def eps(self, i: int) -> int:
-        return self.row.eps(i) + max(0, self.col.eps(i) - self.row.phi(i))
+        return KERNEL.eps((self.row.x, self.col.y), i, self.level)
 
     def phi(self, i: int) -> int:
-        return self.col.phi(i) + max(0, self.row.phi(i) - self.col.eps(i))
+        return KERNEL.phi((self.row.x, self.col.y), i, self.level)
 
     def weight(self) -> Weight:
-        datum = RootDatum(Family.A, self.n)
-        return datum.weight(a - b for a, b in zip(self.row.x, self.col.y))
+        return RootDatum(Family.A, self.n).weight(KERNEL.weight((self.row.x, self.col.y)))
 
-    def to_tensor(self) -> TensorPair:
-        return TensorPair(self.row.to_tableau(), self.col.to_tableau())
 
-    def to_word(self) -> Word:
-        return Word(self.n, flatten_letters(self.to_tensor()))
+def _pair_element(b, l=None) -> AdjElemA:
+    return AdjElemA(RowElem(b[0]), ColElem(b[1]))
 
 
 def theta_map(j: int, b: AdjElemA) -> AdjElemA:
@@ -217,11 +246,7 @@ def theta_map(j: int, b: AdjElemA) -> AdjElemA:
     to the column factor.  Injective and weight preserving."""
     if not 1 <= j <= b.n + 1:
         raise ValueError(f"map index {j} out of range 1..{b.n + 1}")
-    x = list(b.row.x)
-    y = list(b.col.y)
-    x[j - 1] += 1
-    y[j - 1] += 1
-    return AdjElemA(RowElem(tuple(x)), ColElem(tuple(y)))
+    return _pair_element(_theta(j, (b.row.x, b.col.y)))
 
 
 def shape_component(n: int, k: int) -> tuple[int, ...]:
@@ -242,8 +267,8 @@ def alpha(b: AdjElemA) -> tuple[int, Tableau]:
     return k, Tableau(b.n, tuple(cols))
 
 
-def alpha_inverse(n: int, l: int, t: Tableau) -> AdjElemA:
-    """Inverse of `alpha` at level l for a tableau of component shape."""
+def _alpha_inverse(n: int, l: int, t: Tableau) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The value (x, y) of `alpha_inverse`."""
     shape = t.shape
     k = shape[0] // 2 if shape else 0
     if shape != shape_component(n, k):
@@ -259,7 +284,12 @@ def alpha_inverse(n: int, l: int, t: Tableau) -> AdjElemA:
         x[col[0] - 1] += 1
     x[0] += l - k
     y[0] += l - k
-    return AdjElemA(RowElem(tuple(x)), ColElem(tuple(y)))
+    return tuple(x), tuple(y)
+
+
+def alpha_inverse(n: int, l: int, t: Tableau) -> AdjElemA:
+    """Inverse of `alpha` at level l for a tableau of component shape."""
+    return _pair_element(_alpha_inverse(n, l, t))
 
 
 def row_elements(n: int, l: int) -> list[RowElem]:
@@ -271,11 +301,7 @@ def col_elements(n: int, l: int) -> list[ColElem]:
 
 
 def elements(n: int, l: int) -> list[AdjElemA]:
-    return [
-        AdjElemA(row, col)
-        for row in row_elements(n, l)
-        for col in col_elements(n, l)
-    ]
+    return [_pair_element(b) for b in KERNEL.values(n, l)]
 
 
 def shell(n: int, l: int, k: int) -> list[AdjElemA]:
@@ -299,49 +325,53 @@ def expected_size(n: int, l: int) -> int:
     return factor_size(n, l) ** 2
 
 
+def _factor_values(n: int, l: int) -> list[tuple[int, ...]]:
+    return list(compositions(l, n + 1))
+
+
+ROW_KERNEL = Kernel(
+    values=_factor_values,
+    f=lambda x, i, l=None: _shift(x, i - 1, i),
+    e=lambda x, i, l=None: _shift(x, i, i - 1),
+    eps=lambda x, i, l=None: x[i],
+    phi=lambda x, i, l=None: x[i - 1],
+    weight=tuple, component=lambda x, l: None, element=lambda x, l: RowElem(x),
+    element_id=lambda x, n: f"A{n}:x=" + ",".join(map(str, x)), size=factor_size,
+)
+COL_KERNEL = Kernel(
+    values=_factor_values,
+    f=lambda y, i, l=None: _shift(y, i, i - 1),
+    e=lambda y, i, l=None: _shift(y, i - 1, i),
+    eps=lambda y, i, l=None: y[i - 1],
+    phi=lambda y, i, l=None: y[i],
+    weight=lambda y: tuple(sum(y) - c for c in y),
+    component=lambda y, l: None, element=lambda y, l: ColElem(y),
+    element_id=lambda y, n: f"A{n}:y=" + ",".join(map(str, y)), size=factor_size,
+)
+KERNEL = Kernel(
+    values=lambda n, l: list(product(_factor_values(n, l), repeat=2)),
+    f=_pair_f, e=_pair_e, eps=_pair_eps, phi=_pair_phi,
+    weight=lambda b: tuple(map(sub, *b)), component=lambda b, l: l - min(b[0][0], b[1][0]),
+    element=_pair_element,
+    element_id=lambda b, n: f"A{n}:x={','.join(map(str, b[0]))};y={','.join(map(str, b[1]))}",
+    size=expected_size,
+)
+
+
 # ---------------------------------------------------------------------------
 # model adapters
 
 
-class _FactorCrystal(LevelModel):
-    """Shared adapter plumbing for the row and column factor crystals."""
-
-    datum_family = Family.A
-
-    def weight_coords(self, b) -> tuple[int, ...]:
-        return b.content()
-
-    def component(self, b) -> Optional[int]:
-        return None
-
-    def expected_size(self) -> int:
-        return factor_size(self.rank, self.level)
-
-
-class RowCrystal(_FactorCrystal):
+class RowCrystal(LevelModel):
     family = "a1-row"
-
-    def elements(self):
-        return row_elements(self.rank, self.level)
-
-    def element_id(self, b) -> str:
-        return f"A{self.rank}:x=" + ",".join(str(c) for c in b.x)
-
-    def sort_key(self, b):
-        return b.x
+    datum_family = Family.A
+    kernel = ROW_KERNEL
 
 
-class ColCrystal(_FactorCrystal):
+class ColCrystal(LevelModel):
     family = "a1-col"
-
-    def elements(self):
-        return col_elements(self.rank, self.level)
-
-    def element_id(self, b) -> str:
-        return f"A{self.rank}:y=" + ",".join(str(c) for c in b.y)
-
-    def sort_key(self, b):
-        return b.y
+    datum_family = Family.A
+    kernel = COL_KERNEL
 
 
 class CrystalA(LevelModel):
@@ -349,17 +379,7 @@ class CrystalA(LevelModel):
 
     family = "a1"
     datum_family = Family.A
-
-    def elements(self):
-        return elements(self.rank, self.level)
-
-    def element_id(self, b: AdjElemA) -> str:
-        x = ",".join(str(c) for c in b.row.x)
-        y = ",".join(str(c) for c in b.col.y)
-        return f"A{self.rank}:x={x};y={y}"
-
-    def expected_size(self) -> int:
-        return expected_size(self.rank, self.level)
+    kernel = KERNEL
 
 
 # ---------------------------------------------------------------------------
@@ -394,8 +414,8 @@ def _theta1_checks(run) -> list[CheckResult]:
                 continue
             cases += 1
             z = above[c] if c >= 0 else OUTSIDE
-            if z < 0 or getattr(big.elems[c], stat)(0) != 1 or big.comp[z] != run.l:
-                bad = bad or f"{op} boundary step wrong above {small.elems[b]}"
+            if z < 0 or getattr(big.model, stat)(big.elems[c], 0) != 1 or big.comp[z] != run.l:
+                bad = bad or f"{op} boundary step wrong above {small.element(b)}"
     checks.append(CheckResult("theta1-boundary-step", "embedding", not bad, cases, bad))
     return checks
 
@@ -411,9 +431,9 @@ def verify_theorems(n: int, l: int, category: str = "all",
 SPEC = TheoremSpec(
     model=CrystalA,
     embedding="theta1",
-    include=lambda b, l: theta_map(1, b),
+    include=lambda b: _theta(1, b),
     prefix="thetaj",
-    raise_map=theta_map,
+    raise_map=_theta,
     steps=lambda n: [(j, 1) for j in range(2, n + 2)],
     extras=_theta1_checks,
 )
@@ -470,8 +490,9 @@ def alpha_checks(n: int, l: int, table: Optional[OperatorTable] = None) -> list[
 
     The model side is read from the level-l table, built here when not
     given.  The tableau side runs on objects and shares no code with the
-    checker: `alpha` runs once per element and each `Tableau.e_i`/`f_i` once
-    per slot.  Every image is a validated tableau and a wrong shape fails
+    checker: `alpha` runs once per element, on the one `AdjElemA` built for
+    it, and each `Tableau.e_i`/`f_i` once per slot; the round trip compares
+    coordinates.  Every image is a validated tableau and a wrong shape fails
     the round trip, so the distinct images of component k are all of
     B((2k, k^(n-1))) when there are as many as the hook-content formula
     counts.  A result the `Tableau` constructor rejects fails the check at
@@ -479,7 +500,8 @@ def alpha_checks(n: int, l: int, table: Optional[OperatorTable] = None) -> list[
     """
     if table is None:
         table = OperatorTable(CrystalA(n, l))
-    elems, comp = table.elems, table.comp
+    elems = [table.element(b) for b in range(len(table.elems))]
+    comp = table.comp
     images: list[Optional[tuple[int, Tableau]]] = []  # alpha(b), None if rejected
     rejected: dict[int, str] = {}  # why alpha(b) is not a tableau
     for b, elem in enumerate(elems):
@@ -501,7 +523,7 @@ def alpha_checks(n: int, l: int, table: Optional[OperatorTable] = None) -> list[
             prev = owners.setdefault(images[b], b)
             if prev != b:
                 yield f"alpha not injective: {elem} and {elems[prev]}"
-            if t.shape != shape_component(n, k) or not _round_trips(n, l, t, elem):
+            if t.shape != shape_component(n, k) or not _round_trips(n, l, t, table.elems[b]):
                 yield f"alpha round trip fails at {elem}"
         sizes = Counter(k for k, _ in owners)
         for k in range(l + 1):
@@ -553,9 +575,9 @@ def alpha_checks(n: int, l: int, table: Optional[OperatorTable] = None) -> list[
     return checks
 
 
-def _round_trips(n: int, l: int, t: Tableau, b: AdjElemA) -> bool:
+def _round_trips(n: int, l: int, t: Tableau, b) -> bool:
     try:
-        return alpha_inverse(n, l, t) == b
+        return _alpha_inverse(n, l, t) == b
     except ValueError:
         return False
 

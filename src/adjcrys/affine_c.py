@@ -5,17 +5,84 @@ integers with even coordinate sum at most 2l; the component index is
 k = (sum)/2.  The tuple is stored exactly in that order and serialized the
 same way.  The level l is part of the element: the zero-node statistics
 depend on l - k, so equal tuples at different levels are distinct values.
+
+The crystal itself is `KERNEL`, pure functions on the coordinate tuples that
+take the level as an argument, with x_j at index j-1 and xbar_j at index -j;
+`ElemC` and the model adapter `CrystalC` call into it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import sub
 from typing import Optional
 
 from .counting import compositions
-from .crystal_graph import CheckResult, LevelModel, OperatorTable, TheoremSpec, run_theorems
+from .crystal_graph import CheckResult, Kernel, LevelModel, OperatorTable, TheoremSpec, run_theorems
 from .root_data import Family, RootDatum, Weight
+
+
+def _moved(x: tuple[int, ...], l: int, i: int, di: int, j: int = 0, dj: int = 0):
+    """x with x[i] += di and x[j] += dj; None when that leaves the crystal."""
+    out = list(x)
+    out[i] += di
+    out[j] += dj
+    return tuple(out) if min(out) >= 0 and sum(out) <= 2 * l else None
+
+
+def _f(x: tuple[int, ...], i: int, l: int) -> Optional[tuple[int, ...]]:
+    n = len(x) // 2
+    if i == 0:
+        if x[0] >= x[-1]:
+            return _moved(x, l, 0, +2)
+        if x[0] == x[-1] - 1:
+            return _moved(x, l, 0, +1, -1, -1)
+        return _moved(x, l, -1, -2)
+    if i == n:
+        return _moved(x, l, n - 1, -1, n, +1)
+    if x[i] >= x[-1 - i]:
+        return _moved(x, l, i - 1, -1, i, +1)
+    return _moved(x, l, -1 - i, -1, -i, +1)
+
+
+def _e(x: tuple[int, ...], i: int, l: int) -> Optional[tuple[int, ...]]:
+    n = len(x) // 2
+    if i == 0:
+        if x[0] >= x[-1] + 2:
+            return _moved(x, l, 0, -2)
+        if x[0] == x[-1] + 1:
+            return _moved(x, l, 0, -1, -1, +1)
+        return _moved(x, l, -1, +2)
+    if i == n:
+        return _moved(x, l, n - 1, +1, n, -1)
+    if x[i] > x[-1 - i]:
+        return _moved(x, l, i - 1, +1, i, -1)
+    return _moved(x, l, -1 - i, +1, -i, -1)
+
+
+def _eps(x: tuple[int, ...], i: int, l: int) -> int:
+    if i == 0:
+        return (l - sum(x) // 2) + max(0, x[0] - x[-1])
+    if i == len(x) // 2:
+        return x[-i]
+    return x[-i] + max(0, x[i] - x[-1 - i])
+
+
+def _phi(x: tuple[int, ...], i: int, l: int) -> int:
+    if i == 0:
+        return (l - sum(x) // 2) + max(0, x[-1] - x[0])
+    if i == len(x) // 2:
+        return x[i - 1]
+    return x[i - 1] + max(0, x[-1 - i] - x[i])
+
+
+def _raise(j: int, x: tuple[int, ...]) -> tuple[int, ...]:
+    """phi_j: bump x_j and xbar_j, raising the level and the component by one."""
+    out = list(x)
+    out[j - 1] += 1
+    out[-j] += 1
+    return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -46,73 +113,31 @@ class ElemC:
         return self.coords[j - 1]
 
     def xbar(self, j: int) -> int:
-        return self.coords[2 * self.n - j]
+        return self.coords[-j]
 
     def weight(self) -> Weight:
-        datum = RootDatum(Family.C, self.n)
-        return datum.weight(self.x(j) - self.xbar(j) for j in range(1, self.n + 1))
-
-    def _moved(self, deltas: dict[int, int]) -> Optional["ElemC"]:
-        out = list(self.coords)
-        for idx, d in deltas.items():
-            out[idx] += d
-        if any(c < 0 for c in out) or sum(out) > 2 * self.level:
-            return None
-        return ElemC(tuple(out), self.level)
+        return RootDatum(Family.C, self.n).weight(KERNEL.weight(self.coords))
 
     def e(self, i: int) -> Optional["ElemC"]:
-        n = self.n
-        if i == 0:
-            x1, xb1 = self.x(1), self.xbar(1)
-            if x1 >= xb1 + 2:
-                return self._moved({0: -2})
-            if x1 == xb1 + 1:
-                return self._moved({0: -1, 2 * n - 1: +1})
-            return self._moved({2 * n - 1: +2})
-        if i == n:
-            return self._moved({n - 1: +1, n: -1})
-        if self.x(i + 1) > self.xbar(i + 1):
-            return self._moved({i - 1: +1, i: -1})
-        return self._moved({2 * n - i - 1: +1, 2 * n - i: -1})
+        c = KERNEL.e(self.coords, i, self.level)
+        return None if c is None else ElemC(c, self.level)
 
     def f(self, i: int) -> Optional["ElemC"]:
-        n = self.n
-        if i == 0:
-            x1, xb1 = self.x(1), self.xbar(1)
-            if x1 >= xb1:
-                return self._moved({0: +2})
-            if x1 == xb1 - 1:
-                return self._moved({0: +1, 2 * n - 1: -1})
-            return self._moved({2 * n - 1: -2})
-        if i == n:
-            return self._moved({n - 1: -1, n: +1})
-        if self.x(i + 1) >= self.xbar(i + 1):
-            return self._moved({i - 1: -1, i: +1})
-        return self._moved({2 * n - i - 1: -1, 2 * n - i: +1})
+        c = KERNEL.f(self.coords, i, self.level)
+        return None if c is None else ElemC(c, self.level)
 
     def eps(self, i: int) -> int:
-        if i == 0:
-            return (self.level - self.k) + max(0, self.x(1) - self.xbar(1))
-        if i == self.n:
-            return self.xbar(self.n)
-        return self.xbar(i) + max(0, self.x(i + 1) - self.xbar(i + 1))
+        return KERNEL.eps(self.coords, i, self.level)
 
     def phi(self, i: int) -> int:
-        if i == 0:
-            return (self.level - self.k) + max(0, self.xbar(1) - self.x(1))
-        if i == self.n:
-            return self.x(self.n)
-        return self.x(i) + max(0, self.xbar(i + 1) - self.x(i + 1))
+        return KERNEL.phi(self.coords, i, self.level)
 
 
 def phi_map(j: int, b: ElemC) -> ElemC:
     """Raise the level and the component by one: bump x_j and xbar_j."""
     if not 1 <= j <= b.n:
         raise ValueError(f"map index {j} out of range 1..{b.n}")
-    out = list(b.coords)
-    out[j - 1] += 1
-    out[2 * b.n - j] += 1
-    return ElemC(tuple(out), b.level + 1)
+    return ElemC(_raise(j, b.coords), b.level + 1)
 
 
 def shell(n: int, l: int, k: int) -> list[ElemC]:
@@ -120,10 +145,7 @@ def shell(n: int, l: int, k: int) -> list[ElemC]:
 
 
 def elements(n: int, l: int) -> list[ElemC]:
-    out: list[ElemC] = []
-    for k in range(l + 1):
-        out.extend(shell(n, l, k))
-    return out
+    return [ElemC(c, l) for c in KERNEL.values(n, l)]
 
 
 def highest(n: int, l: int, k: int) -> ElemC:
@@ -140,22 +162,23 @@ def expected_size(n: int, l: int) -> int:
     return sum(shell_size(n, k) for k in range(l + 1))
 
 
+KERNEL = Kernel(
+    values=lambda n, l: [c for k in range(l + 1) for c in compositions(2 * k, 2 * n)],
+    f=_f, e=_e, eps=_eps, phi=_phi,
+    weight=lambda x: tuple(map(sub, x[:len(x) // 2], reversed(x[len(x) // 2:]))),
+    component=lambda x, l: sum(x) // 2,
+    element=ElemC,
+    element_id=lambda x, n: f"C{n}:x={','.join(map(str, x[:n]))};xb={','.join(map(str, x[n:]))}",
+    size=expected_size,
+)
+
+
 class CrystalC(LevelModel):
     """Model adapter for the level-l coordinate crystal."""
 
     family = "c1"
     datum_family = Family.C
-
-    def elements(self):
-        return elements(self.rank, self.level)
-
-    def element_id(self, b: ElemC) -> str:
-        x = ",".join(str(c) for c in b.coords[: self.rank])
-        xb = ",".join(str(c) for c in b.coords[self.rank:])
-        return f"C{self.rank}:x={x};xb={xb}"
-
-    def expected_size(self) -> int:
-        return expected_size(self.rank, self.level)
+    kernel = KERNEL
 
 
 def verify_theorems(n: int, l: int, category: str = "all",
@@ -167,9 +190,9 @@ def verify_theorems(n: int, l: int, category: str = "all",
 SPEC = TheoremSpec(
     model=CrystalC,
     embedding="level-inclusion",
-    include=lambda b, l: ElemC(b.coords, l),
+    include=lambda x: x,  # the level is the model's, so a tuple of level l-1 is one of level l
     prefix="phij",
-    raise_map=phi_map,
+    raise_map=_raise,
     steps=lambda n: [(j, 1) for j in range(1, n + 1)],
-    coordinate_boundary=lambda b: all(min(b.x(j), b.xbar(j)) == 0 for j in range(1, b.n + 1)),
+    coordinate_boundary=lambda x: all(min(x[j], x[-1 - j]) == 0 for j in range(len(x) // 2)),
 )

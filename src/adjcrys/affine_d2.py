@@ -5,17 +5,106 @@ integers with x_0 restricted to {0, 1}; the component index is the full
 coordinate sum k <= l.  The x_0 slot is kept as a separate field so the
 two-valued invariant is structural, and it is invisible to the weight.  The
 level is part of the element, as in the C-type model.
+
+The crystal itself is `KERNEL`, pure functions on the flat tuples
+`coords` = x + (x_0,) + xbar that take the level as an argument, with x_j at
+index j-1, x_0 at index n and xbar_j at index -j; `ElemD` and the model
+adapter `CrystalD2` call into it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import sub
 from typing import Optional
 
 from .counting import compositions
-from .crystal_graph import CheckResult, LevelModel, OperatorTable, TheoremSpec, run_theorems
+from .crystal_graph import CheckResult, Kernel, LevelModel, OperatorTable, TheoremSpec, run_theorems
 from .root_data import Family, RootDatum, Weight
+
+
+def _moved(b: tuple[int, ...], l: int, i: int, di: int, j: int = 0, dj: int = 0):
+    """b with b[i] += di and b[j] += dj; None when that leaves the crystal."""
+    out = list(b)
+    out[i] += di
+    out[j] += dj
+    ok = min(out) >= 0 and out[len(out) // 2] <= 1 and sum(out) <= l
+    return tuple(out) if ok else None
+
+
+def _f(b: tuple[int, ...], i: int, l: int) -> Optional[tuple[int, ...]]:
+    n = len(b) // 2
+    if i == 0:
+        if b[0] >= b[-1]:
+            return _moved(b, l, 0, +1)
+        return _moved(b, l, -1, -1)
+    if i == n:
+        if b[n] == 0:
+            return _moved(b, l, n - 1, -1, n, +1)
+        return _moved(b, l, n, -1, n + 1, +1)
+    if b[i] >= b[-1 - i]:
+        return _moved(b, l, i - 1, -1, i, +1)
+    return _moved(b, l, -1 - i, -1, -i, +1)
+
+
+def _e(b: tuple[int, ...], i: int, l: int) -> Optional[tuple[int, ...]]:
+    n = len(b) // 2
+    if i == 0:
+        if b[0] > b[-1]:
+            return _moved(b, l, 0, -1)
+        return _moved(b, l, -1, +1)
+    if i == n:
+        if b[n] == 0:
+            return _moved(b, l, n, +1, n + 1, -1)
+        return _moved(b, l, n - 1, +1, n, -1)
+    if b[i] > b[-1 - i]:
+        return _moved(b, l, i - 1, +1, i, -1)
+    return _moved(b, l, -1 - i, +1, -i, -1)
+
+
+def _eps(b: tuple[int, ...], i: int, l: int) -> int:
+    n = len(b) // 2
+    if i == 0:
+        return (l - sum(b)) + 2 * max(0, b[0] - b[-1])
+    if i == n:
+        return 2 * b[-n] + b[n]
+    return b[-i] + max(0, b[i] - b[-1 - i])
+
+
+def _phi(b: tuple[int, ...], i: int, l: int) -> int:
+    n = len(b) // 2
+    if i == 0:
+        return (l - sum(b)) + 2 * max(0, b[-1] - b[0])
+    if i == n:
+        return 2 * b[n - 1] + b[n]
+    return b[i - 1] + max(0, b[-1 - i] - b[i])
+
+
+def _raise(j: int, b: tuple[int, ...]) -> tuple[int, ...]:
+    """psi_j: bump x_j and xbar_j across two levels for j < n; the j = n map
+    raises one level, toggling the x_0 slot."""
+    n = len(b) // 2
+    out = list(b)
+    if j < n:
+        out[j - 1] += 1
+        out[-j] += 1
+    elif b[n] == 0:
+        out[n] = 1
+    else:
+        out[n - 1] += 1
+        out[n] = 0
+        out[-n] += 1
+    return tuple(out)
+
+
+def _shell(n: int, k: int) -> list[tuple[int, ...]]:
+    return [c[:n] + (x0,) + c[n:] for x0 in (0, 1) for c in compositions(k - x0, 2 * n)]
+
+
+def _element(b: tuple[int, ...], l: int) -> "ElemD":
+    n = len(b) // 2
+    return ElemD(b[:n], b[n], b[n + 1:], l)
 
 
 @dataclass(frozen=True)
@@ -54,97 +143,37 @@ class ElemD:
         return self.xbar[self.n - j]
 
     def weight(self) -> Weight:
-        datum = RootDatum(Family.B, self.n)
-        return datum.weight(self.xval(j) - self.xbarval(j) for j in range(1, self.n + 1))
-
-    def _moved(self, deltas: dict[int, int]) -> Optional["ElemD"]:
-        out = list(self.coords)
-        for idx, d in deltas.items():
-            out[idx] += d
-        n = self.n
-        if any(c < 0 for c in out) or out[n] > 1 or sum(out) > self.level:
-            return None
-        return ElemD(tuple(out[:n]), out[n], tuple(out[n + 1:]), self.level)
+        return RootDatum(Family.B, self.n).weight(KERNEL.weight(self.coords))
 
     def e(self, i: int) -> Optional["ElemD"]:
-        n = self.n
-        if i == 0:
-            if self.xval(1) > self.xbarval(1):
-                return self._moved({0: -1})
-            return self._moved({2 * n: +1})
-        if i == n:
-            if self.x0 == 0:
-                return self._moved({n: +1, n + 1: -1})
-            return self._moved({n - 1: +1, n: -1})
-        if self.xval(i + 1) > self.xbarval(i + 1):
-            return self._moved({i - 1: +1, i: -1})
-        return self._moved({2 * n - i: +1, 2 * n - i + 1: -1})
+        c = KERNEL.e(self.coords, i, self.level)
+        return None if c is None else _element(c, self.level)
 
     def f(self, i: int) -> Optional["ElemD"]:
-        n = self.n
-        if i == 0:
-            if self.xval(1) >= self.xbarval(1):
-                return self._moved({0: +1})
-            return self._moved({2 * n: -1})
-        if i == n:
-            if self.x0 == 0:
-                return self._moved({n - 1: -1, n: +1})
-            return self._moved({n: -1, n + 1: +1})
-        if self.xval(i + 1) >= self.xbarval(i + 1):
-            return self._moved({i - 1: -1, i: +1})
-        return self._moved({2 * n - i: -1, 2 * n - i + 1: +1})
+        c = KERNEL.f(self.coords, i, self.level)
+        return None if c is None else _element(c, self.level)
 
     def eps(self, i: int) -> int:
-        if i == 0:
-            return (self.level - self.k) + 2 * max(0, self.xval(1) - self.xbarval(1))
-        if i == self.n:
-            return 2 * self.xbarval(self.n) + self.x0
-        return self.xbarval(i) + max(0, self.xval(i + 1) - self.xbarval(i + 1))
+        return KERNEL.eps(self.coords, i, self.level)
 
     def phi(self, i: int) -> int:
-        if i == 0:
-            return (self.level - self.k) + 2 * max(0, self.xbarval(1) - self.xval(1))
-        if i == self.n:
-            return 2 * self.xval(self.n) + self.x0
-        return self.xval(i) + max(0, self.xbarval(i + 1) - self.xval(i + 1))
+        return KERNEL.phi(self.coords, i, self.level)
 
 
 def psi_map(j: int, b: ElemD) -> ElemD:
     """Level-raising maps: bump x_j and xbar_j across two levels for j < n;
     the j = n map raises one level, toggling the x_0 slot."""
-    n = b.n
-    if not 1 <= j <= n:
-        raise ValueError(f"map index {j} out of range 1..{n}")
-    if j < n:
-        x = list(b.x)
-        xbar = list(b.xbar)
-        x[j - 1] += 1
-        xbar[n - j] += 1
-        return ElemD(tuple(x), b.x0, tuple(xbar), b.level + 2)
-    if b.x0 == 0:
-        return ElemD(b.x, 1, b.xbar, b.level + 1)
-    x = list(b.x)
-    xbar = list(b.xbar)
-    x[n - 1] += 1
-    xbar[0] += 1
-    return ElemD(tuple(x), 0, tuple(xbar), b.level + 1)
+    if not 1 <= j <= b.n:
+        raise ValueError(f"map index {j} out of range 1..{b.n}")
+    return _element(_raise(j, b.coords), b.level + (1 if j == b.n else 2))
 
 
 def shell(n: int, l: int, k: int) -> list[ElemD]:
-    out: list[ElemD] = []
-    for x0 in (0, 1):
-        if k - x0 < 0:
-            continue
-        for c in compositions(k - x0, 2 * n):
-            out.append(ElemD(c[:n], x0, c[n:], l))
-    return out
+    return [_element(b, l) for b in _shell(n, k)]
 
 
 def elements(n: int, l: int) -> list[ElemD]:
-    out: list[ElemD] = []
-    for k in range(l + 1):
-        out.extend(shell(n, l, k))
-    return out
+    return [_element(b, l) for b in KERNEL.values(n, l)]
 
 
 def highest(n: int, l: int, k: int) -> ElemD:
@@ -161,22 +190,25 @@ def expected_size(n: int, l: int) -> int:
     return sum(shell_size(n, k) for k in range(l + 1))
 
 
+KERNEL = Kernel(
+    values=lambda n, l: [b for k in range(l + 1) for b in _shell(n, k)],
+    f=_f, e=_e, eps=_eps, phi=_phi,
+    weight=lambda b: tuple(map(sub, b[:len(b) // 2], reversed(b[len(b) // 2 + 1:]))),
+    component=lambda b, l: sum(b),
+    element=_element,
+    element_id=lambda b, n: (
+        f"D{n}:x={','.join(map(str, b[:n]))};x0={b[n]};xb={','.join(map(str, b[n + 1:]))}"
+    ),
+    size=expected_size,
+)
+
+
 class CrystalD2(LevelModel):
     """Model adapter for the level-l coordinate crystal."""
 
     family = "d2"
     datum_family = Family.B
-
-    def elements(self):
-        return elements(self.rank, self.level)
-
-    def element_id(self, b: ElemD) -> str:
-        x = ",".join(str(c) for c in b.x)
-        xb = ",".join(str(c) for c in b.xbar)
-        return f"D{self.rank}:x={x};x0={b.x0};xb={xb}"
-
-    def expected_size(self) -> int:
-        return expected_size(self.rank, self.level)
+    kernel = KERNEL
 
 
 def verify_theorems(n: int, l: int, category: str = "all",
@@ -192,11 +224,11 @@ def verify_theorems(n: int, l: int, category: str = "all",
 SPEC = TheoremSpec(
     model=CrystalD2,
     embedding="level-inclusion",
-    include=lambda b, l: ElemD(b.x, b.x0, b.xbar, l),
+    include=lambda b: b,  # the level is the model's, so a tuple of level l-1 is one of level l
     prefix="psij",
-    raise_map=psi_map,
+    raise_map=_raise,
     steps=lambda n: [(j, 1 if j == n else 2) for j in range(1, n + 1)],
-    coordinate_boundary=lambda b: b.x0 == 0 and all(
-        min(b.xval(j), b.xbarval(j)) == 0 for j in range(1, b.n + 1)
+    coordinate_boundary=lambda b: b[len(b) // 2] == 0 and all(
+        min(b[j], b[-1 - j]) == 0 for j in range(len(b) // 2)
     ),
 )

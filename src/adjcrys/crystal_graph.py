@@ -1,23 +1,28 @@
 """Finite crystal graphs: operator tables, exhaustive checks, DOT/JSON export.
 
-A model is any object with `family`, `rank`, `level`, `index_set`,
-`elements()`, plus per-element accessors `element_id`, `weight_coords`,
-`component`, `sort_key` and `root_step(i)` (the expected weight change of
-f_i).  `LevelModel` supplies all but `elements` and `element_id` for the
-level-l models, with `sort_key` the element's coordinates.  Elements
-themselves expose `e(i)`/`f(i)` (None when undefined) and, when
-`closed_stats` is set on the model, closed `eps(i)`/`phi(i)`.
+A model is any object with `family`, `rank`, `level`, `index_set` and
+`elements()`, which lists its values: hashable, and for the level-l models
+plain coordinate tuples.  On a value b it gives `f(b, i)`/`e(b, i)` (a value,
+or None when undefined), `element_id`, `weight_coords`, `component`,
+`sort_key` and `element(b)`, the user-facing object that failure messages
+print; with `closed_stats` set, also closed `eps(b, i)`/`phi(b, i)`.
+`root_step(i)` is the expected weight change of f_i.  Each family writes its
+crystal once, as a `Kernel` of pure functions on coordinate tuples;
+`LevelModel` turns a kernel into a model, and the element classes call the
+same kernel.
 
 The graph and the checks run on tables, not on the operators.  An
-`OperatorTable` enumerates a model once and calls each element's `e_i` and
-`f_i` at most once per label; rows `f[i]`/`e[i]` hold the index of the
-result, UNDEFINED where the operator vanishes and OUTSIDE where it returns an
-element missing from the enumeration (an ef-inverse failure).  The `f` rows
-are recorded when the table is built and the `e` rows on their first read,
-so graph export, which reads only `f`, calls no `e_i`.  The object operators
-stay the specification: the table records what they returned, with each
-index's weight coordinates and component.  `axiom_checks` and `run_theorems`
-take the level-l table as an argument, so one `verify` builds it once.
+`OperatorTable` enumerates a model's values once and calls `model.f` and
+`model.e` at most once per value and label; rows `f[i]`/`e[i]` hold the
+index of the result, found through a dict from value to index, UNDEFINED
+where the operator vanishes and OUTSIDE where it returns a value missing
+from the enumeration (an ef-inverse failure).  The `f` rows are recorded
+when the table is built and the `e` rows, from the model's own `e`, on their
+first read, so graph export, which reads only `f`, calls no e_i.  The table
+also holds each index's weight coordinates and component.  Elements are
+built only where a message or an oracle needs one.  `axiom_checks` and
+`run_theorems` take the level-l table as an argument, so one `verify` builds
+it once.
 
 `stream_graph` formats the DOT or JSON export straight from the table rows
 and yields it in batches of a few thousand records, so it holds the table and
@@ -41,8 +46,9 @@ from __future__ import annotations
 import json
 from collections import Counter
 from dataclasses import dataclass
-from functools import cached_property
-from itertools import islice
+from functools import cached_property, partial
+from itertools import islice, repeat
+from operator import sub
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .root_data import Family, RootDatum, ShellStep, Weight, classify_shift, in_shell, on_boundary
@@ -255,55 +261,94 @@ def _format(fmt: str):
     return _FORMATS[fmt]
 
 
-class _ComponentModel:
-    """A single classical component of an affine model (labels 1..n only);
-    what it does not override comes from the base model."""
+@dataclass
+class Kernel:
+    """One crystal as pure functions on its values, hashable coordinate
+    tuples; `n` is the rank, `l` the level, `i` a label.
 
-    def __init__(self, base, k: int):
-        self._base = base
-        self._k = k
-        self.index_set = tuple(i for i in base.index_set if i != 0)
+    `values(n, l)` lists the values; `f`/`e(b, i, l)` give a value or None
+    and `eps`/`phi(b, i, l)` the closed statistics; `weight(b)` is the weight
+    coordinates, `component(b, l)` the component or None; `element(b, l)` is
+    the user-facing object and `element_id(b, n)` its id; `size(n, l)` is
+    the closed-form count.  Assigning a field replaces it for every model
+    and element of the kernel.
+    """
 
-    def __getattr__(self, name: str):
-        return getattr(self._base, name)
-
-    def elements(self):
-        return [b for b in self._base.elements() if self._base.component(b) == self._k]
-
-    def expected_size(self):
-        return None
-
-
-def restrict_to_component(model, k: int) -> _ComponentModel:
-    return _ComponentModel(model, k)
+    values: Callable
+    f: Callable
+    e: Callable
+    eps: Callable
+    phi: Callable
+    weight: Callable
+    component: Callable
+    element: Callable
+    element_id: Callable
+    size: Callable
 
 
 class LevelModel:
-    """Adapter plumbing shared by the level-l models, whose elements carry
-    `coords`, `weight()` and the component `k`.  Subclasses set `family` and
-    `datum_family` and add `elements`, `element_id` and `expected_size`."""
+    """The crystal of `kernel` at rank n and level l, as a model: the whole
+    crystal, or with `component=k` its classical component k over labels
+    1..n.  Subclasses set `family`, `datum_family` and `kernel`."""
 
     closed_stats = True
+    family: str
     datum_family: Family
+    kernel: Kernel
 
-    def __init__(self, n: int, l: int):
+    def __init__(self, n: int, l: int, component: Optional[int] = None):
         self.rank = n
         self.level = l
-        self.index_set = tuple(range(n + 1))
+        self.restriction = component
+        self.index_set = tuple(range(0 if component is None else 1, n + 1))
         self._datum = RootDatum(self.datum_family, n)
 
+    def elements(self) -> list:
+        values = self.kernel.values(self.rank, self.level)
+        if self.restriction is None:
+            return values
+        return [b for b in values if self.component(b) == self.restriction]
+
+    def f(self, b, i: int):
+        return self.kernel.f(b, i, self.level)
+
+    def e(self, b, i: int):
+        return self.kernel.e(b, i, self.level)
+
+    def eps(self, b, i: int) -> int:
+        return self.kernel.eps(b, i, self.level)
+
+    def phi(self, b, i: int) -> int:
+        return self.kernel.phi(b, i, self.level)
+
     def weight_coords(self, b) -> tuple[int, ...]:
-        return b.weight().coeffs
+        return self.kernel.weight(b)
 
     def component(self, b) -> Optional[int]:
-        return b.k
+        return self.kernel.component(b, self.level)
 
-    def sort_key(self, b) -> tuple[int, ...]:
-        return b.coords
+    def element(self, b):
+        return self.kernel.element(b, self.level)
+
+    def element_id(self, b) -> str:
+        return self.kernel.element_id(b, self.rank)
+
+    def sort_key(self, b):
+        return b
 
     def root_step(self, i: int) -> tuple[int, ...]:
         w = self._datum.theta() if i == 0 else -self._datum.simple_root(i)
         return w.coeffs
+
+    def expected_size(self) -> Optional[int]:
+        if self.restriction is not None:
+            return None
+        return self.kernel.size(self.rank, self.level)
+
+
+def restrict_to_component(model: LevelModel, k: int) -> LevelModel:
+    """Component k of the model, over the classical labels 1..n."""
+    return type(model)(model.rank, model.level, k)
 
 
 # ---------------------------------------------------------------------------
@@ -314,32 +359,40 @@ OUTSIDE = -2  # the operator returned an element missing from the enumeration
 
 
 class OperatorTable:
-    """A model enumerated once, its operators recorded as rows of indices."""
+    """A model's values enumerated once, its operators recorded as rows of
+    indices through a dict from value to index."""
 
     def __init__(self, model):
+        self.model = model
         self.elems = list(model.elements())
         self.index = {b: pos for pos, b in enumerate(self.elems)}
         self.labels = tuple(model.index_set)
-        self.f = {i: self._record(b.f(i) for b in self.elems) for i in self.labels}
+        self.f = {i: self._record(model.f, i) for i in self.labels}
         self.weight = [tuple(model.weight_coords(b)) for b in self.elems]
         self.comp = [model.component(b) for b in self.elems]
 
-    def _record(self, results) -> tuple[int, ...]:
+    def _record(self, op, i: int) -> tuple[int, ...]:
         get = self.index.get
-        return tuple(UNDEFINED if c is None else get(c, OUTSIDE) for c in results)
+        return tuple(
+            UNDEFINED if c is None else get(c, OUTSIDE) for c in map(op, self.elems, repeat(i))
+        )
 
     @cached_property
     def e(self) -> dict[int, tuple[int, ...]]:
         """The e rows, recorded on first read: a table read only for `f`
         calls no e_i."""
-        return {i: self._record(b.e(i) for b in self.elems) for i in self.labels}
+        return {i: self._record(self.model.e, i) for i in self.labels}
 
     def row(self, direction: str, i: int) -> tuple[int, ...]:
         return self.f[i] if direction == "f" else self.e[i]
 
+    def element(self, b: int):
+        """The user-facing object of index b, for messages and oracles."""
+        return self.model.element(self.elems[b])
+
 
 def compile_map(domain: OperatorTable, target: OperatorTable, vmap) -> list[int]:
-    """`vmap` as an index map: the target index of vmap(b) for each domain b."""
+    """`vmap` as an index map: the target index of vmap(b) for each domain value b."""
     get = target.index.get
     return [get(vmap(b), OUTSIDE) for b in domain.elems]
 
@@ -352,7 +405,7 @@ def check_map(domain: OperatorTable, imap, ok, message: str, *,
               name: str, category: str) -> CheckResult:
     """ok(b, imap[b]) at every domain index; `message` names the first failure."""
     bad = next(
-        (message.format(domain.elems[b]) for b, c in enumerate(imap) if c < 0 or not ok(b, c)),
+        (message.format(domain.element(b)) for b, c in enumerate(imap) if c < 0 or not ok(b, c)),
         "",
     )
     return CheckResult(name, category, not bad, len(imap), bad)
@@ -379,7 +432,7 @@ def check_commutation(domain: OperatorTable, target: OperatorTable, imap, ops, *
             else:
                 bad = (a < 0 or imap[a] < 0 or other != imap[a]) and "does not commute with the map at {}"
             if bad:
-                detail = f"{direction}_{i} " + bad.format(domain.elems[b])
+                detail = f"{direction}_{i} " + bad.format(domain.element(b))
                 return CheckResult(name, category, False, cases, detail)
     return CheckResult(name, category, True, cases)
 
@@ -396,12 +449,12 @@ def check_embedding(domain: OperatorTable, target: OperatorTable, imap, labels, 
     for b, c in enumerate(imap):
         if c < 0:
             return CheckResult(
-                name, category, False, 0, f"{domain.elems[b]} maps outside the target"
+                name, category, False, 0, f"{domain.element(b)} maps outside the target"
             )
         if c in image:
             return CheckResult(
                 name, category, False, 0,
-                f"map not injective: {domain.elems[b]} and {domain.elems[image[c]]}",
+                f"map not injective: {domain.element(b)} and {domain.element(image[c])}",
             )
         image[c] = b
     rows = [(d, i, domain.row(d, i), target.row(d, i)) for i in labels for d in ("f", "e")]
@@ -414,12 +467,12 @@ def check_embedding(domain: OperatorTable, target: OperatorTable, imap, labels, 
                 if inner < 0 or outer != imap[inner]:
                     return CheckResult(
                         name, category, False, cases,
-                        f"arrow {direction}_{i} at {domain.elems[b]} not preserved",
+                        f"arrow {direction}_{i} at {domain.element(b)} not preserved",
                     )
             elif outer in image:
                 return CheckResult(
                     name, category, False, cases,
-                    f"extra arrow {direction}_{i} inside the image at {domain.elems[b]}",
+                    f"extra arrow {direction}_{i} inside the image at {domain.element(b)}",
                 )
     return CheckResult(name, category, True, cases)
 
@@ -493,10 +546,10 @@ def axiom_checks(model, table: Optional[OperatorTable] = None) -> list[CheckResu
         bad = ""
         eps = {i: _chain_lengths(table.e[i]) for i in labels}
         phi = {i: _chain_lengths(table.f[i]) for i in labels}
-        for b, elem in enumerate(elems):
+        for b, value in enumerate(elems):
             for i in labels:
-                if (elem.eps(i), elem.phi(i)) != (eps[i][b], phi[i][b]):
-                    bad = bad or f"closed statistics wrong at {model.element_id(elem)}, i={i}"
+                if (model.eps(value, i), model.phi(value, i)) != (eps[i][b], phi[i][b]):
+                    bad = bad or f"closed statistics wrong at {model.element_id(value)}, i={i}"
         checks.append(CheckResult(
             "stats-closed-vs-iteration", "axioms", not bad, len(elems) * len(labels), bad,
         ))
@@ -504,15 +557,15 @@ def axiom_checks(model, table: Optional[OperatorTable] = None) -> list[CheckResu
     bad = ""
     cases = 0
     steps = [
-        (f"{d}_{i}", table.row(d, i), sign, tuple(model.root_step(i)))
+        (f"{d}_{i}", table.row(d, i), tuple(sign * x for x in model.root_step(i)))
         for i in labels for d, sign in (("f", 1), ("e", -1))
     ]
     for b, wb in enumerate(weight):
-        for op, row, sign, step in steps:
+        for op, row, step in steps:
             c = row[b]
             if c >= 0:
                 cases += 1
-                if tuple(sign * (x - y) for x, y in zip(weight[c], wb)) != step:
+                if tuple(map(sub, weight[c], wb)) != step:
                     bad = bad or f"{op} weight step wrong at {model.element_id(elems[b])}"
     checks.append(CheckResult("weight-step", "axioms", not bad, cases, bad))
 
@@ -539,11 +592,12 @@ def axiom_checks(model, table: Optional[OperatorTable] = None) -> list[CheckResu
 class TheoremSpec(NamedTuple):
     """What `run_theorems` needs to know about one family.
 
-    `include(b, l)` embeds an element of level l-1 into level l.  Each
-    level-raising map is `raise_map(j, b)`; `steps(n)` lists (j, step) for
-    the map that takes level l-step to level l and raises the component by
-    step.  The root datum is `model.datum_family`.  `coordinate_boundary(b)`
-    is the coordinate form of the boundary shell, where the family has one.
+    The maps and predicates act on the model's values.  `include(b)` embeds
+    a value of level l-1 into level l.  Each level-raising map is
+    `raise_map(j, b)`; `steps(n)` lists (j, step) for the map that takes
+    level l-step to level l and raises the component by step.  The root
+    datum is `model.datum_family`.  `coordinate_boundary(b)` is the
+    coordinate form of the boundary shell, where the family has one.
     `extras(run)` returns embedding checks reported before the embedding.
     """
 
@@ -583,7 +637,7 @@ class TheoremRun:
 
     @cached_property
     def embedding(self) -> list[int]:
-        return compile_map(self.small, self.big, lambda b: self.spec.include(b, self.l))
+        return compile_map(self.small, self.big, self.spec.include)
 
     @cached_property
     def level_maps(self) -> list[tuple[int, int, OperatorTable, list[int]]]:
@@ -591,7 +645,7 @@ class TheoremRun:
         out = []
         for j, step in self.spec.steps(self.n):
             domain = self.table(step)
-            imap = compile_map(domain, self.big, lambda b, j=j: self.spec.raise_map(j, b))
+            imap = compile_map(domain, self.big, partial(self.spec.raise_map, j))
             out.append((j, step, domain, imap))
         return out
 
@@ -666,9 +720,9 @@ class TheoremRun:
         coordinate = self.spec.coordinate_boundary
         if coordinate is not None:
             bad = next(
-                (f"coordinate boundary criterion fails at {elem}"
-                 for elem, mu, k in zip(big.elems, mus, big.comp)
-                 if coordinate(elem) != on_boundary(mu, k)),
+                (f"coordinate boundary criterion fails at {big.element(b)}"
+                 for b, value in enumerate(big.elems)
+                 if coordinate(value) != on_boundary(mus[b], big.comp[b])),
                 "",
             )
             checks.append(CheckResult(
@@ -719,28 +773,28 @@ class TheoremRun:
         kill_bad = comp_bad = uniq_bad = ""
         kill_cases = comp_cases = uniq_cases = 0
         for b in complement:
-            mu, k, z, elem = mus[b], big.comp[b], f0[b], big.elems[b]
+            mu, k, z = mus[b], big.comp[b], f0[b]
             kill_cases += 1
             expect_dead = k == l and not in_shell(mu + theta, l)
             if (z == UNDEFINED) != expect_dead:
-                kill_bad = kill_bad or f"vanishing criterion wrong at {elem}"
+                kill_bad = kill_bad or f"vanishing criterion wrong at {big.element(b)}"
                 continue
             if z == UNDEFINED:
                 continue
             comp_cases += 1
             if not on_boundary(mu, k):
-                comp_bad = comp_bad or f"{elem} escapes the level-raising images but is not on its boundary shell"
+                comp_bad = comp_bad or f"{big.element(b)} escapes the level-raising images but is not on its boundary shell"
                 continue
             target = k + _SHELL_MOVE[classify_shift(mu, k).step]
             landed = big.comp[z] if z >= 0 else None
             if landed != target:
-                comp_bad = comp_bad or f"f_0 lands in k={landed} at {elem}, classification says {target}"
+                comp_bad = comp_bad or f"f_0 lands in k={landed} at {big.element(b)}, classification says {target}"
                 continue
             uniq_cases += 1
             if z not in off_images:
-                uniq_bad = uniq_bad or f"f_0 image of {elem} lies in the level-raising images"
+                uniq_bad = uniq_bad or f"f_0 image of {big.element(b)} lies in the level-raising images"
             elif weight_counts[big.weight[z]] != 1:
-                uniq_bad = uniq_bad or f"f_0 image of {elem} is not unique of its weight"
+                uniq_bad = uniq_bad or f"f_0 image of {big.element(b)} is not unique of its weight"
         return [
             CheckResult("vanishing-criterion", "f0-landing", not kill_bad, kill_cases, kill_bad),
             CheckResult("landing-component", "f0-landing", not comp_bad, comp_cases, comp_bad),

@@ -130,37 +130,6 @@ class Weight:
         return "(" + ",".join(str(c) for c in self.coeffs) + ")"
 
 
-def weight_from_fundamental(datum: RootDatum, coeffs) -> Weight:
-    """Inverse of `Weight.fundamental_coeffs`.
-
-    Raises ValueError when the given combination has no integral
-    epsilon-coordinate vector (possible for A when the total is not a
-    multiple of n+1, and for B when c_n is odd).
-    """
-    coeffs = tuple(int(c) for c in coeffs)
-    n = datum.rank
-    if len(coeffs) != n:
-        raise ValueError(f"expected {n} fundamental coefficients, got {len(coeffs)}")
-    if datum.family is Family.A:
-        raw = [sum(coeffs[i - 1] for i in range(j, n + 1)) for j in range(1, n + 1)]
-        raw.append(0)
-        total = sum(raw)
-        if total % (n + 1) != 0:
-            raise ValueError("no integral sum-zero epsilon-coordinates for this weight")
-        shift = total // (n + 1)
-        return datum.weight(c - shift for c in raw)
-    if datum.family is Family.C:
-        return datum.weight(
-            sum(coeffs[i - 1] for i in range(j, n + 1)) for j in range(1, n + 1)
-        )
-    if coeffs[n - 1] % 2 != 0:
-        raise ValueError("family B needs an even spin coefficient for integral coordinates")
-    half = coeffs[n - 1] // 2
-    return datum.weight(
-        sum(coeffs[i - 1] for i in range(j, n)) + half for j in range(1, n + 1)
-    )
-
-
 def in_shell(mu: Weight, k: int) -> bool:
     """Whether mu is a weight of the module with highest weight k*theta.
 

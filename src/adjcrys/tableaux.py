@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import gt, lt
-from typing import Iterator, Optional
+from typing import Optional
 
 
 def letter_f(c: int, i: int) -> Optional[int]:
@@ -249,110 +249,6 @@ class TensorPair:
 
     def content(self) -> tuple[int, ...]:
         return tuple(a + b for a, b in zip(self.left.content(), self.right.content()))
-
-
-def flatten_letters(b) -> tuple[int, ...]:
-    """Flatten a nested TensorPair/Word/Tableau element to its letter word."""
-    if isinstance(b, TensorPair):
-        return flatten_letters(b.left) + flatten_letters(b.right)
-    if isinstance(b, Word):
-        return b.letters
-    return b.reading_word()
-
-
-def enumerate_crystal(n: int, shape) -> frozenset[Tableau]:
-    """All of B(lambda), generated from the highest-weight tableau by f_i."""
-    start = Tableau.highest_weight(n, tuple(s for s in shape if s > 0))
-    seen = {start}
-    queue = [start]
-    for t in queue:  # the list grows behind the loop: a FIFO queue
-        for i in range(1, n + 1):
-            c = t.f(i)
-            if c is not None and c not in seen:
-                seen.add(c)
-                queue.append(c)
-    return frozenset(seen)
-
-
-def all_ssyt(n: int, shape) -> Iterator[Tableau]:
-    """Direct backtracking enumeration of semistandard tableaux.
-
-    Independent of the crystal operators; used as the oracle against the
-    BFS enumeration.
-    """
-    shape = tuple(s for s in shape if s > 0)
-    if not shape:
-        yield Tableau(n, ())
-        return
-    rows = [[0] * s for s in shape]
-    cells = [(r, c) for r in range(len(shape)) for c in range(shape[r])]
-
-    def fill(idx: int) -> Iterator[Tableau]:
-        if idx == len(cells):
-            yield Tableau.from_rows(n, [tuple(row) for row in rows])
-            return
-        r, c = cells[idx]
-        lo = 1
-        if c > 0:
-            lo = max(lo, rows[r][c - 1])
-        if r > 0:
-            lo = max(lo, rows[r - 1][c] + 1)
-        for val in range(lo, n + 2):
-            rows[r][c] = val
-            yield from fill(idx + 1)
-        rows[r][c] = 0
-
-    yield from fill(0)
-
-
-class ClassicalCrystal:
-    """Model adapter for B(lambda) on tableaux, classical labels 1..n.
-
-    Weight coordinates are contents; statistics come from iteration, so
-    there is no closed-statistics cross-check here.
-    """
-
-    family = "A"
-    closed_stats = False
-
-    def __init__(self, n: int, shape):
-        self.rank = n
-        self.shape = tuple(s for s in shape if s > 0)
-        self.level = None
-        self.index_set = tuple(range(1, n + 1))
-
-    def elements(self):
-        return sorted(
-            enumerate_crystal(self.rank, self.shape), key=lambda t: t.reading_word()
-        )
-
-    def element_id(self, t: Tableau) -> str:
-        return f"T{self.rank}:w=" + ",".join(str(c) for c in t.reading_word())
-
-    def weight_coords(self, t: Tableau) -> tuple[int, ...]:
-        return t.content()
-
-    def component(self, t: Tableau) -> Optional[int]:
-        shape = self.shape
-        if not shape:
-            return 0
-        k, rem = divmod(shape[0], 2)
-        if rem == 0 and shape == (2 * k,) + (k,) * (self.rank - 1):
-            return k
-        return None
-
-    def sort_key(self, t: Tableau):
-        return t.reading_word()
-
-    def root_step(self, i: int) -> tuple[int, ...]:
-        # content change of f_i: one letter i becomes i+1
-        step = [0] * (self.rank + 1)
-        step[i - 1] = -1
-        step[i] = 1
-        return tuple(step)
-
-    def expected_size(self) -> int:
-        return ssyt_count(self.shape, self.rank + 1)
 
 
 def ssyt_count(shape, max_entry: int) -> int:

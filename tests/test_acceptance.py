@@ -49,7 +49,7 @@ def test_criterion_01_crystal_axioms():
     start = time.time()
     violations = 0
     for model in _models():
-        for b in model.elements():
+        for b in map(model.element, model.elements()):
             for i in model.index_set:
                 low = b.f(i)
                 if low is not None and low.e(i) != b:
@@ -66,7 +66,7 @@ def test_criterion_01_crystal_axioms():
 def test_criterion_02_closed_statistics():
     violations = 0
     for model in list(_models()) + list(_factor_crystals()):
-        for b in model.elements():
+        for b in map(model.element, model.elements()):
             for i in model.index_set:
                 if (b.eps(i), b.phi(i)) != eps_phi(b, i):
                     violations += 1

@@ -24,7 +24,8 @@ from adjcrys.affine_a import (
     verify_theorems,
 )
 from adjcrys.crystal_graph import OperatorTable, all_passed, render_report
-from adjcrys.tableaux import TensorPair, Word, eps_phi
+from adjcrys.tableaux import TensorPair, eps_phi
+from helpers import to_tensor, to_word
 
 
 def test_promotion_examples():
@@ -60,7 +61,7 @@ def test_pair_operator_examples():
         assert b.f(i) is None
         assert b.e(i) is None
     # ... and the letter-word realization agrees
-    word = b.to_word()
+    word = to_word(b)
     assert word.letters == (1, 2, 3)
     assert word.f(1) is None
 
@@ -83,7 +84,7 @@ def test_pair_classical_ops_match_letter_words():
     for n in (2, 3):
         for l in range(3):
             for b in elements(n, l):
-                word = b.to_word()
+                word = to_word(b)
                 for i in range(1, n + 1):
                     for direction in ("e", "f"):
                         got = getattr(b, direction)(i)
@@ -92,14 +93,14 @@ def test_pair_classical_ops_match_letter_words():
                             assert expected is None
                         else:
                             assert expected is not None
-                            assert got.to_word() == expected
+                            assert to_word(got) == expected
 
 
 def test_pair_classical_ops_match_tensor_of_tableaux():
     for n in (2, 3):
         for l in range(3):
             for b in elements(n, l):
-                pair = b.to_tensor()
+                pair = to_tensor(b)
                 for i in range(1, n + 1):
                     for direction in ("e", "f"):
                         got = getattr(b, direction)(i)
@@ -108,7 +109,7 @@ def test_pair_classical_ops_match_tensor_of_tableaux():
                             assert expected is None
                         else:
                             assert isinstance(expected, TensorPair)
-                            assert got.to_tensor() == expected
+                            assert to_tensor(got) == expected
 
 
 def test_alpha_examples():
@@ -221,7 +222,7 @@ def test_verify_theorems_passes():
 
 def test_model_adapter_ids():
     model = CrystalA(2, 1)
-    b = AdjElemA(RowElem((1, 0, 0)), ColElem((0, 1, 0)))
+    b = ((1, 0, 0), (0, 1, 0))
     assert model.element_id(b) == "A2:x=1,0,0;y=0,1,0"
     assert model.component(b) == 1
     assert model.expected_size() == 9

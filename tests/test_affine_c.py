@@ -169,5 +169,5 @@ def test_verify_theorems_passes():
 
 def test_model_adapter_ids():
     model = CrystalC(2, 1)
-    assert model.element_id(ElemC((0, 0, 0, 2), 1)) == "C2:x=0,0;xb=0,2"
+    assert model.element_id((0, 0, 0, 2)) == "C2:x=0,0;xb=0,2"
     assert model.expected_size() == 11

@@ -177,5 +177,5 @@ def test_verify_theorems_passes():
 
 def test_model_adapter_ids():
     model = CrystalD2(2, 1)
-    assert model.element_id(ElemD((0, 1), 1, (0, 0), 2)) == "D2:x=0,1;x0=1;xb=0,0"
+    assert model.element_id((0, 1, 1, 0, 0)) == "D2:x=0,1;x0=1;xb=0,0"
     assert model.expected_size() == 6

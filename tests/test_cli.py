@@ -300,7 +300,41 @@ def test_graph_cli_calls_each_f_once_and_no_e(component, elemc_calls, capsys):
     elems, labels = model.elements(), model.index_set
     if component is not None:
         argv += ["--component", str(component)]
-        elems = [b for b in elems if b.k == component]
+        elems = [b for b in elems if model.component(b) == component]
         labels = labels[1:]
     assert main(argv) == 0
     assert elemc_calls == Counter({("f", b, i): 1 for b in elems for i in labels})
+
+
+@pytest.fixture
+def constructed(monkeypatch):
+    """Counts of element objects built, by class name, through __post_init__."""
+    from adjcrys.affine_a import AdjElemA
+    from adjcrys.affine_c import ElemC
+    from adjcrys.affine_d2 import ElemD
+
+    counts = Counter()
+    for cls in (AdjElemA, ElemC, ElemD):
+        def counted(self, name=cls.__name__, original=cls.__post_init__):
+            counts[name] += 1
+            original(self)
+        monkeypatch.setattr(cls, "__post_init__", counted)
+    return counts
+
+
+@pytest.mark.parametrize("family", ("a1", "c1", "d2"))
+def test_clean_verify_builds_elements_only_for_alpha(family, constructed):
+    """The tables run on coordinate tuples: a passing report builds no
+    ElemC or ElemD, and for a1 at most one AdjElemA per element, for alpha."""
+    from adjcrys.affine_a import expected_size
+    from adjcrys.cli import _verification_report
+    from adjcrys.crystal_graph import all_passed
+
+    assert all_passed(_verification_report(family, 2, 2, "all"))
+    assert constructed["ElemC"] == constructed["ElemD"] == 0
+    assert constructed["AdjElemA"] <= (expected_size(2, 2) if family == "a1" else 0)
+
+
+def test_graph_a1_builds_no_elements(constructed, capsys):
+    assert main(["graph", "--family", "a1", "--rank", "2", "--level", "2"]) == 0
+    assert constructed["AdjElemA"] == 0

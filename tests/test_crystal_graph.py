@@ -5,9 +5,9 @@ from collections import Counter
 
 import pytest
 
-from adjcrys import crystal_graph
-from adjcrys.affine_a import CrystalA, theta_map
-from adjcrys.affine_c import CrystalC, ElemC
+from adjcrys import affine_a, affine_c, crystal_graph
+from adjcrys.affine_a import CrystalA
+from adjcrys.affine_c import CrystalC
 from adjcrys.affine_d2 import CrystalD2
 from adjcrys.crystal_graph import (
     CrystalGraph,
@@ -25,7 +25,7 @@ from adjcrys.crystal_graph import (
     restrict_to_component,
     stream_graph,
 )
-from adjcrys.tableaux import ClassicalCrystal
+from helpers import ClassicalCrystal
 
 
 def graph_from_json(data) -> CrystalGraph:
@@ -87,7 +87,7 @@ def test_graph_rejects_an_arrow_leaving_the_enumeration():
     model = Dropped(2, 2)
     dropped = CrystalC(2, 2).elements()[-1]
     i, b = next(
-        (i, b) for i in model.index_set for b in model.elements() if b.f(i) == dropped
+        (i, b) for i in model.index_set for b in model.elements() if model.f(b, i) == dropped
     )
     with pytest.raises(ValueError) as err:
         build_graph(model)
@@ -182,13 +182,13 @@ def test_export_determinism():
 def test_check_embedding_accepts_true_embeddings():
     small, big = OperatorTable(CrystalA(2, 1)), OperatorTable(CrystalA(2, 2))
     result = check_embedding(
-        small, big, compile_map(small, big, lambda b: theta_map(1, b)), (0, 1, 2),
+        small, big, compile_map(small, big, affine_a.SPEC.include), (0, 1, 2),
         name="theta1", category="embedding",
     )
     assert result.passed
     small_c, big_c = OperatorTable(CrystalC(2, 1)), OperatorTable(CrystalC(2, 2))
     result = check_embedding(
-        small_c, big_c, compile_map(small_c, big_c, lambda b: ElemC(b.coords, 2)), (0, 1, 2),
+        small_c, big_c, compile_map(small_c, big_c, affine_c.SPEC.include), (0, 1, 2),
         name="inclusion", category="embedding",
     )
     assert result.passed
@@ -197,11 +197,10 @@ def test_check_embedding_accepts_true_embeddings():
 def test_check_embedding_flags_corrupted_map():
     # identity inclusion with two images swapped: some arrow must break
     small, big = OperatorTable(CrystalC(2, 1)), OperatorTable(CrystalC(2, 2))
-    a = ElemC((2, 0, 0, 0), 2)
-    b = ElemC((0, 0, 0, 2), 2)
+    a = (2, 0, 0, 0)
+    b = (0, 0, 0, 2)
 
-    def corrupted(elem):
-        wide = ElemC(elem.coords, 2)
+    def corrupted(wide):
         if wide == a:
             return b
         if wide == b:
@@ -218,7 +217,7 @@ def test_check_embedding_flags_corrupted_map():
 
 def test_check_embedding_flags_noninjective_map():
     small, big = OperatorTable(CrystalC(2, 1)), OperatorTable(CrystalC(2, 2))
-    collapse = lambda elem: ElemC((0, 0, 0, 0), 2)
+    collapse = lambda x: (0, 0, 0, 0)
     result = check_embedding(
         small, big, compile_map(small, big, collapse), (0,),
         name="collapse", category="embedding",
@@ -227,10 +226,8 @@ def test_check_embedding_flags_noninjective_map():
 
 
 def test_check_commutation_side_conditions():
-    from adjcrys.affine_c import phi_map
-
     small, big = OperatorTable(CrystalC(2, 1)), OperatorTable(CrystalC(2, 2))
-    phi1 = compile_map(small, big, lambda b: phi_map(1, b))
+    phi1 = compile_map(small, big, lambda x: affine_c.SPEC.raise_map(1, x))
     strict = check_commutation(
         small, big, phi1,
         [("f", 0, False), ("e", 0, False)],

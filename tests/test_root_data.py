@@ -14,9 +14,8 @@ from adjcrys.root_data import (
     classify_shift,
     in_shell,
     on_boundary,
-    weight_from_fundamental,
 )
-from adjcrys.tableaux import all_ssyt
+from helpers import all_ssyt, weight_from_fundamental
 
 A2 = RootDatum(Family.A, 2)
 C2 = RootDatum(Family.C, 2)

@@ -8,8 +8,6 @@ report is not asserted.
 
 from adjcrys import affine_a, affine_c, affine_d2, crystal_graph, tableaux
 from adjcrys.affine_a import AdjElemA, ColElem
-from adjcrys.affine_c import ElemC
-from adjcrys.affine_d2 import ElemD
 from adjcrys.cli import _verification_report, main
 from adjcrys.crystal_graph import all_passed, axiom_checks
 from adjcrys.root_data import Family, ShellShift, ShellStep
@@ -26,25 +24,37 @@ def _failures(family, n, l, check="all"):
 
 
 def test_eps0_off_by_one(monkeypatch):
-    original = ElemC.eps
-    monkeypatch.setattr(ElemC, "eps", lambda self, i: original(self, i) + (i == 0))
+    original = affine_c.KERNEL.eps
+    monkeypatch.setattr(affine_c.KERNEL, "eps", lambda x, i, l: original(x, i, l) + (i == 0))
     assert "axioms/stats-closed-vs-iteration" in _failed("c1", 2, 2)
 
 
+def test_d2_eps_n_drops_x0(monkeypatch):
+    original = affine_d2.KERNEL.eps
+
+    def eps(b, i, l):
+        n = len(b) // 2
+        return original(b, i, l) - (b[n] if i == n else 0)  # the model adds x_0 to eps_n
+
+    monkeypatch.setattr(affine_d2.KERNEL, "eps", eps)
+    assert _failures("d2", 2, 2) == {"axioms/stats-closed-vs-iteration": (
+        60, "closed statistics wrong at D2:x=0,0;x0=1;xb=0,0, i=2")}
+
+
 def _patch_strict_f0(monkeypatch):
-    original = ElemC.f
+    original = affine_c.KERNEL.f
 
-    def f(self, i):
+    def f(x, i, l):
         if i != 0:
-            return original(self, i)
-        x1, xb1 = self.x(1), self.xbar(1)
+            return original(x, i, l)
+        x1, xb1 = x[0], x[-1]
         if x1 > xb1:  # the model has >=
-            return self._moved({0: +2})
+            return affine_c._moved(x, l, 0, +2)
         if x1 == xb1 - 1:
-            return self._moved({0: +1, 2 * self.n - 1: -1})
-        return self._moved({2 * self.n - 1: -2})
+            return affine_c._moved(x, l, 0, +1, -1, -1)
+        return affine_c._moved(x, l, -1, -2)
 
-    monkeypatch.setattr(ElemC, "f", f)
+    monkeypatch.setattr(affine_c.KERNEL, "f", f)
 
 
 def test_f0_strict_comparison(monkeypatch):
@@ -64,11 +74,11 @@ def test_fault_found_after_a_clean_run(monkeypatch):
 
 
 def test_phi_map_wrong_xbar_index(monkeypatch):
-    def phi_map(j, b):
-        out = list(b.coords)
+    def phi_map(j, x):
+        out = list(x)
         out[j - 1] += 1
-        out[2 * b.n - j - 1] += 1  # the model bumps 2n - j, that is xbar_j
-        return ElemC(tuple(out), b.level + 1)
+        out[len(x) - j - 1] += 1  # the model bumps 2n - j, that is xbar_j
+        return tuple(out)
 
     monkeypatch.setattr(affine_c, "SPEC", affine_c.SPEC._replace(raise_map=phi_map))
     assert "commute/phij-weight-preserving" in _failed("c1", 2, 2)
@@ -88,15 +98,17 @@ def test_classify_shift_up_for_minus_one(monkeypatch):
 
 
 def test_psi_map_n_bumps_x1(monkeypatch):
-    original = affine_d2.psi_map
+    original = affine_d2.SPEC.raise_map
 
     def psi_map(j, b):
-        if j != b.n or b.x0 == 0:
+        n = len(b) // 2
+        if j != n or b[n] == 0:
             return original(j, b)
-        x, xbar = list(b.x), list(b.xbar)
-        x[0] += 1  # the model bumps x_n
-        xbar[0] += 1
-        return ElemD(tuple(x), 0, tuple(xbar), b.level + 1)
+        out = list(b)
+        out[0] += 1  # the model bumps x_n
+        out[n] = 0
+        out[n + 1] += 1  # xbar_n
+        return tuple(out)
 
     monkeypatch.setattr(affine_d2, "SPEC", affine_d2.SPEC._replace(raise_map=psi_map))
     assert "commute/psij-weight-preserving" in _failed("d2", 3, 3)
@@ -125,17 +137,17 @@ def test_content_counts_letter_one_twice(monkeypatch):
 
 
 def test_alpha_inverse_moves_a_column(monkeypatch):
-    original = affine_a.alpha_inverse
+    original = affine_a._alpha_inverse
 
     def alpha_inverse(n, l, t):
-        b = original(n, l, t)
-        y = list(b.col.y)
+        x, y = original(n, l, t)
+        y = list(y)
         if y[0]:
             y[0] -= 1  # one column missing 1 becomes a column missing 2
             y[1] += 1
-        return AdjElemA(b.row, ColElem(tuple(y)))
+        return x, tuple(y)
 
-    monkeypatch.setattr(affine_a, "alpha_inverse", alpha_inverse)
+    monkeypatch.setattr(affine_a, "_alpha_inverse", alpha_inverse)
     expected = (39, f"alpha round trip fails at {_a1_element((0, 0, 2), (1, 0, 1))}")
     assert _failures("a1", 2, 2, "alpha") == {"alpha/bijection": expected}
     assert _failures("a1", 2, 2)["alpha/bijection"] == expected
@@ -160,14 +172,17 @@ def test_alpha_collision_is_not_injective(monkeypatch):
 
 
 def test_adj_e_strict_tie_rule(monkeypatch):
-    def e(self, i):
-        if self.row.phi(i) > self.col.eps(i):  # the model has >=
-            new = self.row.e(i)
-            return None if new is None else AdjElemA(new, self.col)
-        new = self.col.e(i)
-        return None if new is None else AdjElemA(self.row, new)
+    row, col = affine_a.ROW_KERNEL, affine_a.COL_KERNEL
 
-    monkeypatch.setattr(AdjElemA, "e", e)
+    def e(b, i, l):
+        x, y = b
+        if row.phi(x, i, l) > col.eps(y, i, l):  # the model has >=
+            new = row.e(x, i, l)
+            return None if new is None else (new, y)
+        new = col.e(y, i, l)
+        return None if new is None else (x, new)
+
+    monkeypatch.setattr(affine_a.KERNEL, "e", e)
     failures = _failures("a1", 2, 2)
     assert failures["alpha/intertwines-classical"] == (
         144, f"alpha breaks vanishing of e_2 at {_a1_element((0, 0, 2), (0, 0, 2))}")

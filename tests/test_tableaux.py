@@ -9,21 +9,18 @@ from hypothesis import given, strategies as st
 import adjcrys.tableaux
 from adjcrys.affine_a import shape_component
 from adjcrys.tableaux import (
-    ClassicalCrystal,
     Tableau,
     TensorPair,
     Word,
-    all_ssyt,
     column_missing,
-    enumerate_crystal,
     eps_phi,
-    flatten_letters,
     letter_e,
     letter_f,
     ssyt_count,
     unmatched_positions,
     word_apply,
 )
+from helpers import ClassicalCrystal, all_ssyt, enumerate_crystal, flatten_letters
 
 
 def partitions_up_to(boxes, depth):
