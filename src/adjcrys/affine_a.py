@@ -500,11 +500,11 @@ def alpha_checks(n: int, l: int, table: Optional[OperatorTable] = None) -> list[
     """
     if table is None:
         table = OperatorTable(CrystalA(n, l))
-    elems = [table.element(b) for b in range(len(table.elems))]
-    comp = table.comp
+    size, comp, element = len(table.elems), table.comp, table.element
     images: list[Optional[tuple[int, Tableau]]] = []  # alpha(b), None if rejected
     rejected: dict[int, str] = {}  # why alpha(b) is not a tableau
-    for b, elem in enumerate(elems):
+    for b in range(size):
+        elem = element(b)  # the one object built per element; messages build their own
         try:
             images.append(alpha(elem))
         except ValueError as err:
@@ -513,35 +513,35 @@ def alpha_checks(n: int, l: int, table: Optional[OperatorTable] = None) -> list[
 
     def bijection():
         owners: dict[tuple[int, Tableau], int] = {}
-        for b, elem in enumerate(elems):
+        for b in range(size):
             if b in rejected:
                 yield rejected[b]
                 continue
             k, t = images[b]
             if k != comp[b]:
-                yield f"alpha component mismatch at {elem}"
+                yield f"alpha component mismatch at {element(b)}"
             prev = owners.setdefault(images[b], b)
             if prev != b:
-                yield f"alpha not injective: {elem} and {elems[prev]}"
+                yield f"alpha not injective: {element(b)} and {element(prev)}"
             if t.shape != shape_component(n, k) or not _round_trips(n, l, t, table.elems[b]):
-                yield f"alpha round trip fails at {elem}"
+                yield f"alpha round trip fails at {element(b)}"
         sizes = Counter(k for k, _ in owners)
         for k in range(l + 1):
             if sizes[k] != ssyt_count(shape_component(n, k), n + 1):
                 yield f"alpha image differs from the component crystal at k={k}"
 
     def weight_changes():
-        for b, elem in enumerate(elems):
+        for b in range(size):
             if b in rejected:
                 yield rejected[b]
                 continue
             k, t = images[b]
             if tuple(c - k for c in t.content()) != table.weight[b]:
-                yield f"alpha changes the weight at {elem}"
+                yield f"alpha changes the weight at {element(b)}"
 
     def intertwining_failures():
         ops = [(d, i, table.row(d, i)) for i in range(1, n + 1) for d in ("f", "e")]
-        for b, elem in enumerate(elems):
+        for b in range(size):
             if b in rejected:
                 yield rejected[b]
                 continue
@@ -550,25 +550,25 @@ def alpha_checks(n: int, l: int, table: Optional[OperatorTable] = None) -> list[
                 try:
                     ta = getattr(t, d)(i)
                 except ValueError as err:
-                    yield f"{d}_{i} of alpha({elem}) is not a tableau: {err}"
+                    yield f"{d}_{i} of alpha({element(b)}) is not a tableau: {err}"
                     continue
                 a = row[b]
                 if a == UNDEFINED:
-                    bad = ta is not None and f"alpha breaks vanishing of {d}_{i} at {elem}"
+                    bad = ta is not None and f"alpha breaks vanishing of {d}_{i} at {element(b)}"
                 elif a >= 0:
                     same = ta is not None and comp[a] == k and images[a] == (k, ta)
-                    bad = not same and f"alpha does not intertwine {d}_{i} at {elem}"
+                    bad = not same and f"alpha does not intertwine {d}_{i} at {element(b)}"
                 else:  # OUTSIDE: the model's result is missing from the table
-                    bad = not _maps_to(getattr(elem, d)(i), ta) and (
-                        f"alpha does not intertwine {d}_{i} at {elem}")
+                    bad = not _maps_to(getattr(element(b), d)(i), ta) and (
+                        f"alpha does not intertwine {d}_{i} at {element(b)}")
                 if bad:
                     yield bad
 
     checks = []
     for name, cases, failures in (
-        ("bijection", len(elems) + l + 1, bijection()),
-        ("weight-preserving", len(elems), weight_changes()),
-        ("intertwines-classical", len(elems) * 2 * n, intertwining_failures()),
+        ("bijection", size + l + 1, bijection()),
+        ("weight-preserving", size, weight_changes()),
+        ("intertwines-classical", size * 2 * n, intertwining_failures()),
     ):
         bad = next(failures, "")
         checks.append(CheckResult(name, "alpha", not bad, cases, bad))
