@@ -355,7 +355,7 @@ def restrict_to_component(model: LevelModel, k: int) -> LevelModel:
 # operator tables
 
 UNDEFINED = -1  # the operator vanishes
-OUTSIDE = -2  # the operator returned an element missing from the enumeration
+OUTSIDE = -2  # the operator returned a value missing from the enumeration
 
 
 class OperatorTable:
