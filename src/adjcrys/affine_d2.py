@@ -42,7 +42,7 @@ def _f(b: tuple[int, ...], i: int, l: int) -> Optional[tuple[int, ...]]:
     if i == n:
         if b[n] == 0:
             return _moved(b, l, n - 1, -1, n, +1)
-        return _moved(b, l, n, -1, n + 1, +1)
+        return _moved(b, l, n, -1, -n, +1)
     if b[i] >= b[-1 - i]:
         return _moved(b, l, i - 1, -1, i, +1)
     return _moved(b, l, -1 - i, -1, -i, +1)
@@ -56,7 +56,7 @@ def _e(b: tuple[int, ...], i: int, l: int) -> Optional[tuple[int, ...]]:
         return _moved(b, l, -1, +1)
     if i == n:
         if b[n] == 0:
-            return _moved(b, l, n, +1, n + 1, -1)
+            return _moved(b, l, n, +1, -n, -1)
         return _moved(b, l, n - 1, +1, n, -1)
     if b[i] > b[-1 - i]:
         return _moved(b, l, i - 1, +1, i, -1)
