@@ -16,7 +16,6 @@ them.  The element classes and the model adapters call into them.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
 from itertools import product
 from operator import sub
@@ -491,28 +490,28 @@ def alpha_checks(n: int, l: int, table: Optional[OperatorTable] = None) -> list[
     The model side is read from the level-l table, built here when not
     given.  The tableau side runs on objects and shares no code with the
     checker: `alpha` runs once per element, on the one `AdjElemA` built for
-    it, and each `Tableau.e_i`/`f_i` once per slot; the round trip compares
-    coordinates.  Every image is a validated tableau and a wrong shape fails
-    the round trip, so the distinct images of component k are all of
+    it, and one bracketing per label gives each image's `e_i` and `f_i`
+    cells; the round trip compares coordinates, images compare as
+    (k, columns).  Every image is a validated tableau and a wrong shape
+    fails the round trip, so the distinct images of component k are all of
     B((2k, k^(n-1))) when there are as many as the hook-content formula
-    counts.  A result the `Tableau` constructor rejects fails the check at
-    the element.
+    counts.  An image or result that fails its check fails at the element.
     """
     if table is None:
         table = OperatorTable(CrystalA(n, l))
     size, comp, element = len(table.elems), table.comp, table.element
-    images: list[Optional[tuple[int, Tableau]]] = []  # alpha(b), None if rejected
+    images: list[tuple[Optional[int], Optional[Tableau]]] = []  # alpha(b), or (None, None)
     rejected: dict[int, str] = {}  # why alpha(b) is not a tableau
     for b in range(size):
         elem = element(b)  # the one object built per element; messages build their own
         try:
             images.append(alpha(elem))
         except ValueError as err:
-            images.append(None)
+            images.append((None, None))
             rejected[b] = f"alpha({elem}) is not a tableau: {err}"
 
     def bijection():
-        owners: dict[tuple[int, Tableau], int] = {}
+        owners: dict[int, dict[tuple, int]] = {}  # k, then columns of an image: its first owner
         for b in range(size):
             if b in rejected:
                 yield rejected[b]
@@ -520,14 +519,13 @@ def alpha_checks(n: int, l: int, table: Optional[OperatorTable] = None) -> list[
             k, t = images[b]
             if k != comp[b]:
                 yield f"alpha component mismatch at {element(b)}"
-            prev = owners.setdefault(images[b], b)
+            prev = owners.setdefault(k, {}).setdefault(t.columns, b)
             if prev != b:
                 yield f"alpha not injective: {element(b)} and {element(prev)}"
             if t.shape != shape_component(n, k) or not _round_trips(n, l, t, table.elems[b]):
                 yield f"alpha round trip fails at {element(b)}"
-        sizes = Counter(k for k, _ in owners)
         for k in range(l + 1):
-            if sizes[k] != ssyt_count(shape_component(n, k), n + 1):
+            if len(owners.get(k, ())) != ssyt_count(shape_component(n, k), n + 1):
                 yield f"alpha image differs from the component crystal at k={k}"
 
     def weight_changes():
@@ -540,29 +538,34 @@ def alpha_checks(n: int, l: int, table: Optional[OperatorTable] = None) -> list[
                 yield f"alpha changes the weight at {element(b)}"
 
     def intertwining_failures():
-        ops = [(d, i, table.row(d, i)) for i in range(1, n + 1) for d in ("f", "e")]
+        rows = [(i, table.row("f", i), table.row("e", i)) for i in range(1, n + 1)]
         for b in range(size):
             if b in rejected:
                 yield rejected[b]
                 continue
             k, t = images[b]
-            for d, i, row in ops:
-                try:
-                    ta = getattr(t, d)(i)
-                except ValueError as err:
-                    yield f"{d}_{i} of alpha({element(b)}) is not a tableau: {err}"
-                    continue
-                a = row[b]
-                if a == UNDEFINED:
-                    bad = ta is not None and f"alpha breaks vanishing of {d}_{i} at {element(b)}"
-                elif a >= 0:
-                    same = ta is not None and comp[a] == k and images[a] == (k, ta)
-                    bad = not same and f"alpha does not intertwine {d}_{i} at {element(b)}"
-                else:  # OUTSIDE: the model's result is missing from the table
-                    bad = not _maps_to(getattr(element(b), d)(i), ta) and (
-                        f"alpha does not intertwine {d}_{i} at {element(b)}")
-                if bad:
-                    yield bad
+            for i, f_row, e_row in rows:
+                raise_pos, lower_pos = t.rule_cells(i)
+                for d, pos, letter, row in (("f", lower_pos, i + 1, f_row),
+                                            ("e", raise_pos, i, e_row)):
+                    try:
+                        ta = t.moved(pos, letter)
+                    except ValueError as err:
+                        yield f"{d}_{i} of alpha({element(b)}) is not a tableau: {err}"
+                        continue
+                    a = row[b]
+                    if a == UNDEFINED:
+                        bad = ta is not None and (
+                            f"alpha breaks vanishing of {d}_{i} at {element(b)}")
+                    elif a >= 0:
+                        same = (ta is not None and comp[a] == k == images[a][0]
+                                and images[a][1].columns == ta.columns)
+                        bad = not same and f"alpha does not intertwine {d}_{i} at {element(b)}"
+                    else:  # OUTSIDE: the model's result is missing from the table
+                        bad = not _maps_to(getattr(element(b), d)(i), ta) and (
+                            f"alpha does not intertwine {d}_{i} at {element(b)}")
+                    if bad:
+                        yield bad
 
     checks = []
     for name, cases, failures in (

@@ -102,22 +102,6 @@ class Weight:
     def __neg__(self) -> "Weight":
         return Weight(self.datum, tuple(-a for a in self.coeffs))
 
-    def pairing(self, i: int) -> int:
-        """Integer pairing <h_i, mu> with the i-th simple coroot."""
-        n = self.datum.rank
-        if not 1 <= i <= n:
-            raise IndexError(f"coroot index {i} out of range 1..{n}")
-        fam = self.datum.family
-        if fam is Family.A or i < n:
-            return self.coeffs[i - 1] - self.coeffs[i]
-        if fam is Family.C:
-            return self.coeffs[n - 1]
-        return 2 * self.coeffs[n - 1]
-
-    def fundamental_coeffs(self) -> tuple[int, ...]:
-        """Coefficients (c_1, ..., c_n) with mu = sum c_i * (i-th fundamental weight)."""
-        return tuple(self.pairing(i) for i in self.datum.index_set)
-
     def positive_sum(self) -> int:
         """Sum of the positive coordinates."""
         return sum(c for c in self.coeffs if c > 0)

@@ -5,7 +5,13 @@ Entries range over 1..n+1.  Every element carries a column reading word
 lowering operators act through the bracketing rule on that word: drop all
 letters other than i and i+1, cancel adjacent i,(i+1) pairs until the word
 is (i+1)^r i^s, then raise the rightmost surviving i+1 or lower the leftmost
-surviving i.  An undefined operator is the value None, never a sentinel.
+surviving i; `rule_cells` alone makes that choice.  An undefined operator is
+the value None, never a sentinel.
+
+Validation: the public `Tableau(...)` constructor checks the whole tableau.
+An operator changes one cell, the only one that can break semistandardness,
+so `Tableau.moved` checks that cell alone, with the full check's messages in
+its order, and skips the full check.
 """
 
 from __future__ import annotations
@@ -14,16 +20,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from operator import gt, lt
 from typing import Optional
-
-
-def letter_f(c: int, i: int) -> Optional[int]:
-    """Lowering operator on a single letter: i -> i+1, undefined elsewhere."""
-    return i + 1 if c == i else None
-
-
-def letter_e(c: int, i: int) -> Optional[int]:
-    """Raising operator on a single letter: i+1 -> i, undefined elsewhere."""
-    return i if c == i + 1 else None
 
 
 def unmatched_positions(word, i: int) -> tuple[list[int], list[int]]:
@@ -45,19 +41,21 @@ def unmatched_positions(word, i: int) -> tuple[list[int], list[int]]:
     return raisable, lowerable
 
 
+def rule_cells(word, i: int) -> tuple[Optional[int], Optional[int]]:
+    """The positions of `word` that e_i raises and f_i lowers: the rightmost
+    unmatched i+1 and the leftmost unmatched i, None where there is none."""
+    raisable, lowerable = unmatched_positions(word, i)
+    return (raisable[-1] if raisable else None), (lowerable[0] if lowerable else None)
+
+
 def word_apply(word, i: int, direction: str) -> Optional[tuple[int, ...]]:
     """Apply e_i or f_i to a letter word; None when the operator vanishes."""
-    raisable, lowerable = unmatched_positions(word, i)
-    if direction == "f":
-        if not lowerable:
-            return None
-        pos, new = lowerable[0], i + 1
-    elif direction == "e":
-        if not raisable:
-            return None
-        pos, new = raisable[-1], i
-    else:
+    if direction not in ("e", "f"):
         raise ValueError(f"direction must be 'e' or 'f', got {direction!r}")
+    raise_pos, lower_pos = rule_cells(word, i)
+    pos, new = (lower_pos, i + 1) if direction == "f" else (raise_pos, i)
+    if pos is None:
+        return None
     out = list(word)
     out[pos] = new
     return tuple(out)
@@ -107,9 +105,6 @@ class Word:
     def phi(self, i: int) -> int:
         return eps_phi(self, i)[1]
 
-    def content(self) -> tuple[int, ...]:
-        return tuple(self.letters.count(c) for c in range(1, self.n + 2))
-
 
 def column_missing(n: int, j: int) -> tuple[int, ...]:
     """The depth-n column with entries 1..n+1 except j."""
@@ -123,7 +118,7 @@ class Tableau:
     """Semistandard Young tableau, stored as strictly increasing columns.
 
     Column-major storage keeps the reading word and the depth-n columns
-    native; row views are derived.
+    native.
     """
 
     n: int
@@ -134,7 +129,11 @@ class Tableau:
         if n < 1:
             raise ValueError("rank must be positive")
         cols = self.columns
+        prev = None
         for col in cols:
+            if col is prev:  # the same column object again: checked already
+                continue
+            prev = col
             if not col:
                 raise ValueError("empty column")
             if len(col) > n:
@@ -144,6 +143,8 @@ class Tableau:
             if not all(map(lt, col, col[1:])):
                 raise ValueError(f"column {col} not strictly increasing")
         for a, b in zip(cols, cols[1:]):
+            if a is b:
+                continue
             if len(a) < len(b):
                 raise ValueError("column depths must weakly decrease left to right")
             if any(map(gt, a, b)):  # stops at the shorter column b
@@ -158,24 +159,16 @@ class Tableau:
             cols.append(tuple(row[c] for row in rows if c < len(row)))
         return cls(n, tuple(cols))
 
-    @classmethod
-    def highest_weight(cls, n: int, shape) -> "Tableau":
-        """The standard filling: every box of row r holds the letter r."""
-        shape = tuple(shape)
-        return cls.from_rows(n, [(r,) * shape[r - 1] for r in range(1, len(shape) + 1)])
-
     @property
     def shape(self) -> tuple[int, ...]:
-        depth = max((len(c) for c in self.columns), default=0)
-        return tuple(
-            sum(1 for c in self.columns if len(c) > r) for r in range(depth)
-        )
-
-    def rows(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(
-            tuple(col[r] for col in self.columns if r < len(col))
-            for r in range(len(self.shape))
-        )
+        # column depths weakly decrease: from the right, each adds rows
+        shape: list[int] = []
+        width = len(self.columns)
+        for col in reversed(self.columns):
+            if len(col) > len(shape):
+                shape += [width] * (len(col) - len(shape))
+            width -= 1
+        return tuple(shape)
 
     def reading_word(self) -> tuple[int, ...]:
         word: list[int] = []
@@ -187,26 +180,44 @@ class Tableau:
         word = self.reading_word()
         return tuple(word.count(c) for c in range(1, self.n + 2))
 
-    def _apply(self, i: int, direction: str) -> Optional["Tableau"]:
-        word = self.reading_word()
-        new_word = word_apply(word, i, direction)
-        if new_word is None:
+    def rule_cells(self, i: int) -> tuple[Optional[int], Optional[int]]:
+        """`rule_cells` of the reading word: where e_i and f_i act."""
+        return rule_cells(self.reading_word(), i)
+
+    def moved(self, pos: Optional[int], letter: int) -> Optional["Tableau"]:
+        """The tableau with reading-word position `pos` set to `letter`, None
+        when `pos` is None.  Checks the range of that cell, then its column
+        neighbours, then its left and right row neighbours."""
+        if pos is None:
             return None
-        changed = next(p for p in range(len(word)) if word[p] != new_word[p])
-        # the reading word runs the columns from the rightmost one
         cols = self.columns
-        ci, ri = len(cols) - 1, changed
-        while ri >= len(cols[ci]):
-            ri -= len(cols[ci])
+        ci = len(cols)
+        for old in reversed(cols):  # the reading word starts at the right
             ci -= 1
-        col = cols[ci][:ri] + (new_word[changed],) + cols[ci][ri + 1:]
-        return Tableau(self.n, cols[:ci] + (col,) + cols[ci + 1:])
+            if pos < len(old):
+                break
+            pos -= len(old)
+        else:
+            raise IndexError("position beyond the reading word")
+        col = old[:pos] + (letter,) + old[pos + 1:]
+        if not 1 <= letter <= self.n + 1:
+            raise ValueError(f"entries must lie in 1..{self.n + 1}")
+        if (pos and old[pos - 1] >= letter) or (pos + 1 < len(old) and letter >= old[pos + 1]):
+            raise ValueError(f"column {col} not strictly increasing")
+        if (ci and cols[ci - 1][pos] > letter) or (
+            ci + 1 < len(cols) and pos < len(cols[ci + 1]) and letter > cols[ci + 1][pos]
+        ):
+            raise ValueError("rows must weakly increase left to right")
+        out = object.__new__(Tableau)
+        object.__setattr__(out, "n", self.n)
+        object.__setattr__(out, "columns", cols[:ci] + (col,) + cols[ci + 1:])
+        return out
 
     def e(self, i: int) -> Optional["Tableau"]:
-        return self._apply(i, "e")
+        return self.moved(self.rule_cells(i)[0], i)
 
     def f(self, i: int) -> Optional["Tableau"]:
-        return self._apply(i, "f")
+        return self.moved(self.rule_cells(i)[1], i + 1)
 
     def eps(self, i: int) -> int:
         return eps_phi(self, i)[0]
@@ -246,9 +257,6 @@ class TensorPair:
 
     def phi(self, i: int) -> int:
         return eps_phi(self, i)[1]
-
-    def content(self) -> tuple[int, ...]:
-        return tuple(a + b for a, b in zip(self.left.content(), self.right.content()))
 
 
 def ssyt_count(shape, max_entry: int) -> int:

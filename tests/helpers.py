@@ -1,6 +1,8 @@
 """Test-only helpers: the tableau crystals B(lambda) by two independent
-enumerations and as a model for the graph code, letter-word views of pair
-elements, and the inverse of `Weight.fundamental_coeffs`."""
+enumerations and as a model for the graph code, tableau rows and the
+highest-weight tableau, letter-word views of pair elements, the one-letter
+crystal operators, and weights in fundamental coordinates (`pairing`,
+`fundamental_coeffs` and its inverse)."""
 
 from typing import Iterator, Optional
 
@@ -9,9 +11,23 @@ from adjcrys.root_data import Family, RootDatum, Weight
 from adjcrys.tableaux import Tableau, TensorPair, Word, ssyt_count
 
 
+def rows(t: Tableau) -> tuple[tuple[int, ...], ...]:
+    """The rows of a tableau, top to bottom."""
+    return tuple(
+        tuple(col[r] for col in t.columns if r < len(col))
+        for r in range(len(t.shape))
+    )
+
+
+def highest_weight(n: int, shape) -> Tableau:
+    """The standard filling: every box of row r holds the letter r."""
+    shape = tuple(shape)
+    return Tableau.from_rows(n, [(r,) * shape[r - 1] for r in range(1, len(shape) + 1)])
+
+
 def enumerate_crystal(n: int, shape) -> frozenset[Tableau]:
     """All of B(lambda), generated from the highest-weight tableau by f_i."""
-    start = Tableau.highest_weight(n, tuple(s for s in shape if s > 0))
+    start = highest_weight(n, tuple(s for s in shape if s > 0))
     seen = {start}
     queue = [start]
     for t in queue:  # the list grows behind the loop: a FIFO queue
@@ -130,8 +146,36 @@ def to_word(b: AdjElemA) -> Word:
     return Word(b.n, flatten_letters(to_tensor(b)))
 
 
+def letter_f(c: int, i: int) -> Optional[int]:
+    """Lowering operator on a single letter: i -> i+1, undefined elsewhere."""
+    return i + 1 if c == i else None
+
+
+def letter_e(c: int, i: int) -> Optional[int]:
+    """Raising operator on a single letter: i+1 -> i, undefined elsewhere."""
+    return i if c == i + 1 else None
+
+
+def pairing(mu: Weight, i: int) -> int:
+    """Integer pairing <h_i, mu> with the i-th simple coroot."""
+    n = mu.datum.rank
+    if not 1 <= i <= n:
+        raise IndexError(f"coroot index {i} out of range 1..{n}")
+    fam = mu.datum.family
+    if fam is Family.A or i < n:
+        return mu.coeffs[i - 1] - mu.coeffs[i]
+    if fam is Family.C:
+        return mu.coeffs[n - 1]
+    return 2 * mu.coeffs[n - 1]
+
+
+def fundamental_coeffs(mu: Weight) -> tuple[int, ...]:
+    """Coefficients (c_1, ..., c_n) with mu = sum c_i * (i-th fundamental weight)."""
+    return tuple(pairing(mu, i) for i in mu.datum.index_set)
+
+
 def weight_from_fundamental(datum: RootDatum, coeffs) -> Weight:
-    """Inverse of `Weight.fundamental_coeffs`.
+    """Inverse of `fundamental_coeffs`.
 
     Raises ValueError when the given combination has no integral
     epsilon-coordinate vector (possible for A when the total is not a

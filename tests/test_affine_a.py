@@ -25,7 +25,7 @@ from adjcrys.affine_a import (
 )
 from adjcrys.crystal_graph import OperatorTable, all_passed, render_report
 from adjcrys.tableaux import TensorPair, eps_phi
-from helpers import to_tensor, to_word
+from helpers import fundamental_coeffs, highest_weight, rows, to_tensor, to_word
 
 
 def test_promotion_examples():
@@ -120,7 +120,7 @@ def test_alpha_examples():
     b = AdjElemA(RowElem((0, 1, 0)), ColElem((0, 0, 1)))
     k, t = alpha(b)
     assert k == 1
-    assert t.rows() == ((1, 2), (2,))
+    assert rows(t) == ((1, 2), (2,))
     assert t.reading_word() == (2, 1, 2)
     for l in (1, 2):
         for elem in elements(n, l):
@@ -135,7 +135,7 @@ def test_alpha_inverse_rejects_bad_shapes():
     with pytest.raises(ValueError):
         alpha_inverse(2, 1, Tableau.from_rows(2, [(1, 1, 1)]))
     with pytest.raises(ValueError):
-        alpha_inverse(2, 1, Tableau.highest_weight(2, (4, 2)))  # k=2 beyond level 1
+        alpha_inverse(2, 1, highest_weight(2, (4, 2)))  # k=2 beyond level 1
 
 
 def test_theta_map_examples():
@@ -172,8 +172,8 @@ def test_highest_elements():
             for k in range(l + 1):
                 b = highest(n, l, k)
                 assert b.k == k
-                assert b.weight().fundamental_coeffs() == tuple(
-                    k * c for c in b.weight().datum.theta().fundamental_coeffs()
+                assert fundamental_coeffs(b.weight()) == tuple(
+                    k * c for c in fundamental_coeffs(b.weight().datum.theta())
                 )
                 for i in range(1, n + 1):
                     assert b.e(i) is None

@@ -15,7 +15,7 @@ from adjcrys.root_data import (
     in_shell,
     on_boundary,
 )
-from helpers import all_ssyt, weight_from_fundamental
+from helpers import all_ssyt, fundamental_coeffs, pairing, weight_from_fundamental
 
 A2 = RootDatum(Family.A, 2)
 C2 = RootDatum(Family.C, 2)
@@ -87,7 +87,7 @@ def test_pairing_against_cartan_matrix():
         (B2, [[2, -1], [-2, 2]]),
     ):
         got = [
-            [datum.simple_root(j).pairing(i) for j in datum.index_set]
+            [pairing(datum.simple_root(j), i) for j in datum.index_set]
             for i in datum.index_set
         ]
         assert got == cartan
@@ -96,10 +96,10 @@ def test_pairing_against_cartan_matrix():
 def test_fundamental_coeffs_roundtrip():
     for datum in (A2, RootDatum(Family.A, 3), C2, B2, B3):
         for mu in all_weights(datum, 2):
-            assert weight_from_fundamental(datum, mu.fundamental_coeffs()) == mu
-    assert A2.theta().fundamental_coeffs() == (1, 1)
-    assert C2.theta().fundamental_coeffs() == (2, 0)
-    assert B3.theta().fundamental_coeffs() == (1, 0, 0)
+            assert weight_from_fundamental(datum, fundamental_coeffs(mu)) == mu
+    assert fundamental_coeffs(A2.theta()) == (1, 1)
+    assert fundamental_coeffs(C2.theta()) == (2, 0)
+    assert fundamental_coeffs(B3.theta()) == (1, 0, 0)
 
 
 def test_weight_from_fundamental_rejects_nonintegral():

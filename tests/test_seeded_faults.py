@@ -213,17 +213,15 @@ def _verify_a1_failures(capsys):
 
 def test_e_on_leftmost_unmatched_letter_is_a_failure(monkeypatch, capsys):
     """A non-semistandard result of e_i is reported, not raised."""
-    original = tableaux.word_apply
+    original = tableaux.rule_cells
 
-    def word_apply(word, i, direction):
+    def rule_cells(word, i):
         raisable, _ = tableaux.unmatched_positions(word, i)
-        if direction != "e" or not raisable:
-            return original(word, i, direction)
-        out = list(word)
-        out[raisable[0]] = i  # the rule raises the rightmost unmatched i+1
-        return tuple(out)
+        _, lower_pos = original(word, i)
+        # the rule raises the rightmost unmatched i+1
+        return (raisable[0] if raisable else None), lower_pos
 
-    monkeypatch.setattr(tableaux, "word_apply", word_apply)
+    monkeypatch.setattr(tableaux, "rule_cells", rule_cells)
     code, fails = _verify_a1_failures(capsys)
     assert code == 1
     detail = (f"e_2 of alpha({_a1_element((0, 0, 2), (0, 0, 2))}) is not a tableau:"
@@ -252,19 +250,34 @@ def test_column_factor_in_increasing_order_is_a_failure(monkeypatch, capsys):
 
 def test_f_on_rightmost_unmatched_letter_is_a_failure(monkeypatch):
     """A non-semistandard result of f_i fails the intertwining check."""
-    original = tableaux.word_apply
+    original = tableaux.rule_cells
 
-    def word_apply(word, i, direction):
+    def rule_cells(word, i):
         _, lowerable = tableaux.unmatched_positions(word, i)
-        if direction != "f" or not lowerable:
-            return original(word, i, direction)
-        out = list(word)
-        out[lowerable[-1]] = i + 1  # the rule lowers the leftmost unmatched i
-        return tuple(out)
+        raise_pos, _ = original(word, i)
+        # the rule lowers the leftmost unmatched i
+        return raise_pos, (lowerable[-1] if lowerable else None)
 
-    monkeypatch.setattr(tableaux, "word_apply", word_apply)
+    monkeypatch.setattr(tableaux, "rule_cells", rule_cells)
     fails = _failures("a1", 2, 2)
     detail = (f"f_2 of alpha({_a1_element((0, 0, 2), (0, 0, 2))}) is not a tableau:"
               " rows must weakly increase left to right")
     assert fails["alpha/intertwines-classical"] == (144, detail)
     assert "alpha/bijection" not in fails  # each check fails only for its own statement
+
+
+def test_f_on_first_letter_ignoring_cancellation_is_a_failure(monkeypatch):
+    """A result that breaks column strictness fails the intertwining check:
+    lowering the first i of the word, cancelled or not, can put i+1 right
+    under i+1."""
+    original = tableaux.rule_cells
+
+    def rule_cells(word, i):
+        raise_pos, _ = original(word, i)
+        # the rule lowers the leftmost i that no later i+1 cancels
+        return raise_pos, (word.index(i) if i in word else None)
+
+    monkeypatch.setattr(tableaux, "rule_cells", rule_cells)
+    detail = (f"f_1 of alpha({_a1_element((0, 0, 2), (0, 0, 2))}) is not a tableau:"
+              " column (2, 2) not strictly increasing")
+    assert _failures("a1", 2, 2) == {"alpha/intertwines-classical": (144, detail)}

@@ -14,13 +14,21 @@ from adjcrys.tableaux import (
     Word,
     column_missing,
     eps_phi,
-    letter_e,
-    letter_f,
+    rule_cells,
     ssyt_count,
     unmatched_positions,
     word_apply,
 )
-from helpers import ClassicalCrystal, all_ssyt, enumerate_crystal, flatten_letters
+from helpers import (
+    ClassicalCrystal,
+    all_ssyt,
+    enumerate_crystal,
+    flatten_letters,
+    highest_weight,
+    letter_e,
+    letter_f,
+    rows,
+)
 
 
 def partitions_up_to(boxes, depth):
@@ -54,7 +62,7 @@ def test_reading_word_examples():
     t = Tableau.from_rows(2, [(1, 2), (2,)])
     assert t.reading_word() == (2, 1, 2)
     assert t.shape == (2, 1)
-    assert t.rows() == ((1, 2), (2,))
+    assert rows(t) == ((1, 2), (2,))
 
 
 def test_tableau_validation():
@@ -94,6 +102,82 @@ def test_tableau_validation_messages(n, columns, message):
         Tableau(n, columns)
     assert str(err.value) == message
 
+# (n, tableau) over every shape of at most four boxes, for the one-cell check
+SMALL_TABLEAUX = [
+    (n, t)
+    for n in (2, 3)
+    for shape in partitions_up_to(4, n)
+    for t in sorted(enumerate_crystal(n, shape), key=lambda t: t.columns)
+]
+
+
+def _full_check(n, columns):
+    """The public constructor's verdict: the tableau, or the message it raised."""
+    try:
+        return Tableau(n, columns)
+    except ValueError as err:
+        return str(err)
+
+
+@given(st.sampled_from(SMALL_TABLEAUX), st.data())
+def test_operator_results_pass_the_full_check(nt, data):
+    """A result built by the one-cell check is the tableau the public
+    constructor builds from its columns."""
+    n, t = nt
+    i = data.draw(st.integers(1, n))
+    for result in (t.e(i), t.f(i)):
+        if result is not None:
+            assert result == Tableau(n, result.columns)
+
+
+@given(st.sampled_from(SMALL_TABLEAUX), st.data())
+def test_one_cell_check_agrees_with_the_full_check(nt, data):
+    """Any one cell set to i or i+1 (out of range for i = 0 or n+1): the
+    one-cell check accepts exactly when the constructor does, and with the
+    same message when both reject."""
+    n, t = nt
+    if not t.columns:
+        return
+    word = t.reading_word()
+    pos = data.draw(st.integers(0, len(word) - 1))
+    i = data.draw(st.integers(0, n + 1))
+    letter = data.draw(st.sampled_from((i, i + 1)))
+    changed = list(word)
+    changed[pos] = letter
+    cols, rest = [], changed
+    for col in reversed(t.columns):  # the reading word runs from the rightmost column
+        cols.insert(0, tuple(rest[:len(col)]))
+        rest = rest[len(col):]
+    try:
+        moved = t.moved(pos, letter)
+    except ValueError as err:
+        moved = str(err)
+    assert moved == _full_check(n, tuple(cols))
+
+
+def test_one_cell_check_examples():
+    t = Tableau.from_rows(2, [(1, 1), (2,)])  # reading word (1, 1, 2)
+    assert t.moved(None, 2) is None
+    assert rows(t.moved(0, 2)) == ((1, 2), (2,))
+    with pytest.raises(ValueError, match=r"column \(2, 2\) not strictly increasing"):
+        t.moved(1, 2)
+    with pytest.raises(ValueError, match="entries must lie in 1..3"):
+        t.moved(0, 4)
+    with pytest.raises(IndexError):
+        t.moved(3, 1)
+    row = Tableau.from_rows(2, [(2, 2)])  # reading word (2, 2)
+    for pos, letter in ((0, 1), (1, 3)):  # below its left, above its right neighbour
+        with pytest.raises(ValueError, match="rows must weakly increase left to right"):
+            row.moved(pos, letter)
+
+
+def test_rule_cells_chooses_one_cell_for_each_operator():
+    assert rule_cells((2, 1, 1), 1) == (0, 1)  # nothing cancels: the 2 comes first
+    assert rule_cells((1, 2), 1) == (None, None)  # a cancelling pair
+    assert rule_cells((2, 2, 1, 2), 1) == (1, None)  # the last 2 cancels the 1
+    assert rule_cells((3, 3), 1) == (None, None)
+
+
 def test_signature_rule_on_two_letter_tensors():
     assert word_apply((1, 1), 1, "f") == (2, 1)
     assert word_apply((2, 1), 1, "f") == (2, 2)
@@ -102,10 +186,10 @@ def test_signature_rule_on_two_letter_tensors():
 
 
 def test_lowering_highest_weight_tableau():
-    hw = Tableau.highest_weight(2, (2, 1))
-    assert hw.rows() == ((1, 1), (2,))
+    hw = highest_weight(2, (2, 1))
+    assert rows(hw) == ((1, 1), (2,))
     low = hw.f(1)
-    assert low.rows() == ((1, 2), (2,))
+    assert rows(low) == ((1, 2), (2,))
     # weight drops by alpha_1 in content coordinates
     assert [a - b for a, b in zip(low.content(), hw.content())] == [-1, 1, 0]
 
@@ -114,7 +198,7 @@ def test_eps_phi_examples():
     one = Word(2, (1,))
     assert eps_phi(one, 1) == (0, 1)
     assert eps_phi(Word(2, (3,)), 1) == (0, 0)
-    assert eps_phi(Tableau.highest_weight(2, (2, 1)), 1) == (0, 1)
+    assert eps_phi(highest_weight(2, (2, 1)), 1) == (0, 1)
 
 
 def test_enumerate_crystal_sizes():
@@ -129,6 +213,7 @@ def test_enumeration_matches_backtracking_and_count():
             generated = enumerate_crystal(n, shape)
             direct = set(all_ssyt(n, shape))
             assert generated == direct
+            assert {t.shape for t in direct} == {shape}
             assert len(generated) == ssyt_count(shape, n + 1)
 
 
@@ -169,7 +254,7 @@ def test_highest_weight_is_unique_source():
             sources = [
                 t for t in crystal if all(t.e(i) is None for i in range(1, n + 1))
             ]
-            assert sources == [Tableau.highest_weight(n, shape)]
+            assert sources == [highest_weight(n, shape)]
 
 
 def _op_table(element, i, direction):
@@ -232,8 +317,8 @@ def test_classical_model_adapter():
     assert [model.element_id(t) for t in model.elements()] == [
         "T2:w=1", "T2:w=2", "T2:w=3",
     ]
-    assert ClassicalCrystal(2, (2, 1)).component(Tableau.highest_weight(2, (2, 1))) == 1
-    assert ClassicalCrystal(2, (3, 1)).component(Tableau.highest_weight(2, (3, 1))) is None
+    assert ClassicalCrystal(2, (2, 1)).component(highest_weight(2, (2, 1))) == 1
+    assert ClassicalCrystal(2, (3, 1)).component(highest_weight(2, (3, 1))) is None
     assert ClassicalCrystal(3, ()).component(Tableau(3, ())) == 0
 
 
