@@ -114,6 +114,53 @@ def test_psi_map_n_bumps_x1(monkeypatch):
     assert "commute/psij-weight-preserving" in _failed("d2", 3, 3)
 
 
+def test_d2_without_the_one_level_map_misses_images(monkeypatch):
+    spec = affine_d2.SPEC._replace(steps=lambda n: [(j, 2) for j in range(1, n)])  # drops psi_n
+    monkeypatch.setattr(affine_d2, "SPEC", spec)
+    assert _failures("d2", 2, 2, "boundary") == {
+        "boundary/image-equality": (7, "image description fails in component k=1")}
+
+
+def test_coordinate_boundary_reads_only_the_first_pair(monkeypatch):
+    # the model asks min(x_j, xbar_j) == 0 for every j
+    spec = affine_c.SPEC._replace(coordinate_boundary=lambda x: min(x[0], x[-1]) == 0)
+    monkeypatch.setattr(affine_c, "SPEC", spec)
+    assert _failures("c1", 2, 2, "boundary") == {"boundary/coordinate-criterion": (
+        46, "coordinate boundary criterion fails at ElemC(coords=(0, 1, 1, 0), level=2)")}
+
+
+def test_c1_weight_adds_xbar_n(monkeypatch):
+    original = affine_c.KERNEL.weight
+
+    def weight(x):
+        n = len(x) // 2
+        out = list(original(x))
+        out[n - 1] += 2 * x[n]  # the model subtracts xbar_n
+        return tuple(out)
+
+    monkeypatch.setattr(affine_c.KERNEL, "weight", weight)
+    failures = _failures("c1", 2, 2, "multiplicity")
+    assert failures["multiplicity/boundary-weights-free"] == (
+        11, "weight (-1,1) has multiplicity 2 in component k=1")
+
+
+def test_row_f_n_vanishes_breaks_the_twist(monkeypatch):
+    original = affine_a.ROW_KERNEL.f
+    monkeypatch.setattr(
+        affine_a.ROW_KERNEL, "f",
+        lambda x, i, l=None: None if i == len(x) - 1 else original(x, i, l),
+    )
+    assert _failures("a1", 2, 2, "promotion") == {
+        "promotion/twist": (72, "twist fails at RowElem(x=(0, 1, 1)), f_2")}
+
+
+def test_promotion_reverses_the_slots(monkeypatch):
+    monkeypatch.setattr(affine_a.RowElem, "promote", lambda b: affine_a.RowElem(b.x[::-1]))
+    monkeypatch.setattr(affine_a.ColElem, "promote", lambda b: affine_a.ColElem(b.y[::-1]))
+    assert _failures("a1", 2, 2, "promotion")["promotion/order"] == (
+        12, "promotion order wrong at RowElem(x=(0, 0, 2))")
+
+
 def _a1_element(x, y):
     return repr(AdjElemA(affine_a.RowElem(x), ColElem(y)))
 
