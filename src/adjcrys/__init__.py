@@ -36,7 +36,6 @@ from .crystal_graph import (
 from .root_data import (
     Family,
     RootDatum,
-    ShellShift,
     ShellStep,
     Weight,
     classify_shift,

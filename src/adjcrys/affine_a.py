@@ -10,7 +10,10 @@ map `alpha` onto tableaux of shape (2k, k^(n-1)).
 
 The crystals themselves are `ROW_KERNEL`, `COL_KERNEL` and the pair
 `KERNEL`: pure functions on multiplicity vectors and on pairs (x, y) of
-them.  The element classes and the model adapters call into them.
+them.  The element classes and the model adapters call into them.  The
+checks run on the same values: `promote` is the promotion map of both
+factors, and `_alpha` computes `alpha` of a pair value, so a passing
+`promotion_checks` or `alpha_checks` builds no element object.
 """
 
 from __future__ import annotations
@@ -82,6 +85,16 @@ def _pair_phi(b, i: int, l=None) -> int:
     return COL_KERNEL.phi(y, i) + max(0, ROW_KERNEL.phi(x, i) - COL_KERNEL.eps(y, i))
 
 
+def promote(v: tuple[int, ...]) -> tuple[int, ...]:
+    """The promotion map on a row or column factor value: the cyclic shift
+    that moves slot j to slot j+1 and slot n to slot 0."""
+    return v[-1:] + v[:-1]
+
+
+def promote_inverse(v: tuple[int, ...]) -> tuple[int, ...]:
+    return v[1:] + v[:1]
+
+
 def _theta(j: int, b):
     """theta_j: add a letter j to the row and a column missing j to the column factor."""
     x, y = list(b[0]), list(b[1])
@@ -110,12 +123,6 @@ class RowElem:
     def level(self) -> int:
         return sum(self.x)
 
-    def promote(self) -> "RowElem":
-        return RowElem((self.x[-1],) + self.x[:-1])
-
-    def promote_inverse(self) -> "RowElem":
-        return RowElem(self.x[1:] + (self.x[0],))
-
     def f(self, i: int) -> Optional["RowElem"]:
         out = ROW_KERNEL.f(self.x, i)
         return None if out is None else RowElem(out)
@@ -132,10 +139,6 @@ class RowElem:
 
     def content(self) -> tuple[int, ...]:
         return self.x
-
-    def to_tableau(self) -> Tableau:
-        row = tuple(c for c in range(1, self.n + 2) for _ in range(self.x[c - 1]))
-        return Tableau.from_rows(self.n, [row] if row else [])
 
 
 @dataclass(frozen=True)
@@ -158,12 +161,6 @@ class ColElem:
     def level(self) -> int:
         return sum(self.y)
 
-    def promote(self) -> "ColElem":
-        return ColElem((self.y[-1],) + self.y[:-1])
-
-    def promote_inverse(self) -> "ColElem":
-        return ColElem(self.y[1:] + (self.y[0],))
-
     def f(self, i: int) -> Optional["ColElem"]:
         out = COL_KERNEL.f(self.y, i)
         return None if out is None else ColElem(out)
@@ -180,12 +177,6 @@ class ColElem:
 
     def content(self) -> tuple[int, ...]:
         return COL_KERNEL.weight(self.y)
-
-    def to_tableau(self) -> Tableau:
-        cols = []
-        for j in range(self.n + 1, 0, -1):
-            cols.extend([column_missing(self.n, j)] * self.y[j - 1])
-        return Tableau(self.n, tuple(cols))
 
 
 @dataclass(frozen=True)
@@ -254,16 +245,26 @@ def shape_component(n: int, k: int) -> tuple[int, ...]:
 
 
 def alpha(b: AdjElemA) -> tuple[int, Tableau]:
-    """Classical isomorphism onto tableaux: strip the common count of the
-    letter 1 and of the column missing 1, then concatenate reading words."""
-    strip = min(b.row.x[0], b.col.y[0])
-    k = b.level - strip
-    x = (b.row.x[0] - strip,) + b.row.x[1:]
-    y = (b.col.y[0] - strip,) + b.col.y[1:]
-    cols = list(ColElem(y).to_tableau().columns)
-    for c in range(1, b.n + 2):
+    """Classical isomorphism onto tableaux: the component and the tableau."""
+    return _alpha((b.row.x, b.col.y), b.level)
+
+
+def _alpha(b, l: int) -> tuple[int, Tableau]:
+    """`alpha` on the value (x, y) at level l: strip the common count of the
+    letter 1 and of the column missing 1, then concatenate the columns, the
+    depth-n ones by decreasing missing letter and then the letters.  Equal
+    columns are one shared object, which the tableau check passes over."""
+    x, y = b
+    n = len(x) - 1
+    strip = min(x[0], y[0])
+    x = (x[0] - strip,) + x[1:]
+    y = (y[0] - strip,) + y[1:]
+    cols = []
+    for j in range(n + 1, 0, -1):
+        cols.extend([column_missing(n, j)] * y[j - 1])
+    for c in range(1, n + 2):
         cols.extend([(c,)] * x[c - 1])
-    return k, Tableau(b.n, tuple(cols))
+    return l - strip, Tableau(n, tuple(cols))
 
 
 def _alpha_inverse(n: int, l: int, t: Tableau) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -439,45 +440,45 @@ SPEC = TheoremSpec(
 
 
 def promotion_checks(n: int, l: int) -> list[CheckResult]:
-    """The cyclic-shift identities on both factor crystals: the twist
-    sigma o op_j = op_{j+1} o sigma, the zero-node conjugation, and the
-    order of sigma."""
+    """The cyclic-shift identities on the values of both factor crystals:
+    the twist sigma o op_j = op_{j+1} o sigma, the zero-node conjugation, and
+    the order of sigma.  Messages print the factor's element object."""
     checks: list[CheckResult] = []
-    domains = list(row_elements(n, l)) + list(col_elements(n, l))
+    domains = [(kernel, v) for kernel in (ROW_KERNEL, COL_KERNEL) for v in kernel.values(n, l)]
 
     bad = ""
     cases = 0
-    for b in domains:
+    for kernel, v in domains:
         for i in range(n + 1):
             nxt = (i + 1) % (n + 1)
             for direction in ("f", "e"):
                 cases += 1
-                a = getattr(b, direction)(i)
-                lhs = None if a is None else a.promote()
-                rhs = getattr(b.promote(), direction)(nxt)
-                if lhs != rhs:
-                    bad = bad or f"twist fails at {b}, {direction}_{i}"
+                op = getattr(kernel, direction)
+                a = op(v, i)
+                lhs = None if a is None else promote(a)
+                if lhs != op(promote(v), nxt):
+                    bad = bad or f"twist fails at {kernel.element(v, l)}, {direction}_{i}"
     checks.append(CheckResult("twist", "promotion", not bad, cases, bad))
 
     bad = ""
     cases = 0
-    for b in domains:
+    for kernel, v in domains:
         for direction in ("f", "e"):
             cases += 1
-            direct = getattr(b, direction)(0)
-            via = getattr(b.promote(), direction)(1)
-            conj = None if via is None else via.promote_inverse()
-            if direct != conj:
-                bad = bad or f"zero-node conjugation fails at {b} ({direction})"
+            op = getattr(kernel, direction)
+            via = op(promote(v), 1)
+            conj = None if via is None else promote_inverse(via)
+            if op(v, 0) != conj:
+                bad = bad or f"zero-node conjugation fails at {kernel.element(v, l)} ({direction})"
     checks.append(CheckResult("zero-node-conjugation", "promotion", not bad, cases, bad))
 
     bad = ""
-    for b in domains:
-        cur = b
+    for kernel, v in domains:
+        cur = v
         for _ in range(n + 1):
-            cur = cur.promote()
-        if cur != b:
-            bad = bad or f"promotion order wrong at {b}"
+            cur = promote(cur)
+        if cur != v:
+            bad = bad or f"promotion order wrong at {kernel.element(v, l)}"
     checks.append(CheckResult("order", "promotion", not bad, len(domains), bad))
     return checks
 
@@ -489,10 +490,11 @@ def alpha_checks(n: int, l: int, table: Optional[OperatorTable] = None) -> list[
 
     The model side is read from the level-l table, built here when not
     given.  The tableau side runs on objects and shares no code with the
-    checker: `alpha` runs once per element, on the one `AdjElemA` built for
-    it, and one bracketing per label gives each image's `e_i` and `f_i`
-    cells; the round trip compares coordinates, images compare as
-    (k, columns).  Every image is a validated tableau and a wrong shape
+    checker: `_alpha` runs once per value and builds one tableau, and one
+    bracketing per label gives each image's `e_i` and `f_i` cells; the round
+    trip compares coordinates, images compare as (k, columns).  No element
+    object is built unless a message or a result missing from the table
+    needs one.  Every image is a validated tableau and a wrong shape
     fails the round trip, so the distinct images of component k are all of
     B((2k, k^(n-1))) when there are as many as the hook-content formula
     counts.  An image or result that fails its check fails at the element.
@@ -502,13 +504,12 @@ def alpha_checks(n: int, l: int, table: Optional[OperatorTable] = None) -> list[
     size, comp, element = len(table.elems), table.comp, table.element
     images: list[tuple[Optional[int], Optional[Tableau]]] = []  # alpha(b), or (None, None)
     rejected: dict[int, str] = {}  # why alpha(b) is not a tableau
-    for b in range(size):
-        elem = element(b)  # the one object built per element; messages build their own
+    for b, value in enumerate(table.elems):
         try:
-            images.append(alpha(elem))
+            images.append(_alpha(value, l))
         except ValueError as err:
             images.append((None, None))
-            rejected[b] = f"alpha({elem}) is not a tableau: {err}"
+            rejected[b] = f"alpha({element(b)}) is not a tableau: {err}"
 
     def bijection():
         owners: dict[int, dict[tuple, int]] = {}  # k, then columns of an image: its first owner
@@ -562,7 +563,8 @@ def alpha_checks(n: int, l: int, table: Optional[OperatorTable] = None) -> list[
                                 and images[a][1].columns == ta.columns)
                         bad = not same and f"alpha does not intertwine {d}_{i} at {element(b)}"
                     else:  # OUTSIDE: the model's result is missing from the table
-                        bad = not _maps_to(getattr(element(b), d)(i), ta) and (
+                        v = getattr(KERNEL, d)(table.elems[b], i, l)
+                        bad = not _maps_to(v, l, ta) and (
                             f"alpha does not intertwine {d}_{i} at {element(b)}")
                     if bad:
                         yield bad
@@ -585,8 +587,11 @@ def _round_trips(n: int, l: int, t: Tableau, b) -> bool:
         return False
 
 
-def _maps_to(a: AdjElemA, t: Optional[Tableau]) -> bool:
+def _maps_to(v, l: int, t: Optional[Tableau]) -> bool:
+    """Whether the value v is an element, of any level, whose `alpha` image
+    is the tableau t; an invalid value is not."""
     try:
+        a = KERNEL.element(v, l)
         return t is not None and alpha(a) == (a.k, t)
     except ValueError:
         return False

@@ -109,12 +109,6 @@ class ElemC:
     def k(self) -> int:
         return sum(self.coords) // 2
 
-    def x(self, j: int) -> int:
-        return self.coords[j - 1]
-
-    def xbar(self, j: int) -> int:
-        return self.coords[-j]
-
     def weight(self) -> Weight:
         return RootDatum(Family.C, self.n).weight(KERNEL.weight(self.coords))
 

@@ -136,12 +136,6 @@ class ElemD:
     def coords(self) -> tuple[int, ...]:
         return self.x + (self.x0,) + self.xbar
 
-    def xval(self, j: int) -> int:
-        return self.x[j - 1]
-
-    def xbarval(self, j: int) -> int:
-        return self.xbar[self.n - j]
-
     def weight(self) -> Weight:
         return RootDatum(Family.B, self.n).weight(KERNEL.weight(self.coords))
 

@@ -24,6 +24,7 @@ from .crystal_graph import (
     restrict_to_component,
     stream_graph,
 )
+from .root_data import RootDatum
 
 SIZE_LIMIT = 10**6
 FAMILIES = {"a1": affine_a, "c1": affine_c, "d2": affine_d2}
@@ -45,8 +46,10 @@ def _build_model(family: str, rank: int, level: int):
 
 
 def _check_bounds(args) -> Optional[int]:
-    if args.rank < 2:
-        return _fail_usage(f"rank must be >= 2, got {args.rank}")
+    try:  # the root datum decides which ranks exist: C needs 2, A and B take 1
+        RootDatum(FAMILIES[args.family].SPEC.model.datum_family, args.rank)
+    except ValueError as err:
+        return _fail_usage(str(err))
     if args.level < 0:
         return _fail_usage(f"level must be >= 0, got {args.level}")
     size = FAMILIES[args.family].expected_size(args.rank, args.level)
@@ -202,7 +205,8 @@ def cmd_apply(args) -> int:
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--family", required=True, choices=("a1", "c1", "d2"))
-    parser.add_argument("--rank", required=True, type=int, help="classical rank n (>= 2)")
+    parser.add_argument("--rank", required=True, type=int,
+                        help="classical rank n (>= 1; >= 2 for c1)")
     parser.add_argument("--level", required=True, type=int, help="level l (>= 0)")
     parser.add_argument("--out", help="write output to this path instead of stdout")
     parser.add_argument(

@@ -39,6 +39,9 @@ maps with the step by which each raises level and component, an optional
 coordinate boundary and an extras hook for family-specific embedding checks.
 It builds the tables of levels l-1 and, for maps raising two levels, l-2,
 turns each map into an index map, and computes only the category asked.
+The shell predicates of `root_data` read the table's weight tuples, and the
+f_0 landing adds theta to them as the tuple `model.root_step(0)`, so a
+passing run builds no `Weight` per element.
 """
 
 from __future__ import annotations
@@ -48,10 +51,10 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property, partial
 from itertools import islice, repeat
-from operator import sub
+from operator import add, sub
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
-from .root_data import Family, RootDatum, ShellStep, Weight, classify_shift, in_shell, on_boundary
+from .root_data import Family, RootDatum, classify_shift, in_shell, on_boundary
 
 
 # ---------------------------------------------------------------------------
@@ -595,8 +598,8 @@ class TheoremSpec(NamedTuple):
     The maps and predicates act on the model's values.  `include(b)` embeds
     a value of level l-1 into level l.  Each level-raising map is
     `raise_map(j, b)`; `steps(n)` lists (j, step) for the map that takes
-    level l-step to level l and raises the component by step.  The root
-    datum is `model.datum_family`.  `coordinate_boundary(b)` is the
+    level l-step to level l and raises the component by step.  The shell
+    predicates run on `model.datum_family`.  `coordinate_boundary(b)` is the
     coordinate form of the boundary shell, where the family has one.
     `extras(run)` returns embedding checks reported before the embedding.
     """
@@ -612,7 +615,6 @@ class TheoremSpec(NamedTuple):
 
 
 SECTIONS = ("embedding", "commute", "boundary", "multiplicity", "f0-landing")
-_SHELL_MOVE = {ShellStep.UP: 1, ShellStep.SAME: 0, ShellStep.DOWN: -1}
 
 
 class TheoremRun:
@@ -621,7 +623,7 @@ class TheoremRun:
 
     def __init__(self, spec: TheoremSpec, n: int, l: int, big: OperatorTable):
         self.spec, self.n, self.l, self.big = spec, n, l, big
-        self.datum = RootDatum(spec.model.datum_family, n)
+        self.family = spec.model.datum_family
         self.labels0 = tuple(range(1, n + 1))
         self._lower: dict[int, OperatorTable] = {}
 
@@ -654,10 +656,6 @@ class TheoremRun:
         """Indices of level l off the images of the level-raising maps."""
         images = {c for *_, imap in self.level_maps for c in imap}
         return [b for b in range(len(self.big.elems)) if b not in images]
-
-    @cached_property
-    def mus(self) -> list[Weight]:
-        return [Weight(self.datum, w) for w in self.big.weight]
 
     def embedding_checks(self) -> list[CheckResult]:
         checks = list(self.spec.extras(self)) if self.spec.extras else []
@@ -698,7 +696,7 @@ class TheoremRun:
         ]
 
     def boundary_checks(self) -> list[CheckResult]:
-        big, l, mus = self.big, self.l, self.mus
+        big, l, family = self.big, self.l, self.family
         images = [set() for _ in range(l + 1)]  # by source component + step
         for _, step, domain, imap in self.level_maps:
             for b, c in enumerate(imap):
@@ -707,7 +705,7 @@ class TheoremRun:
                     images[k].add(c)
         inner = [set() for _ in range(l + 1)]  # level-l weights inside (k-1)*theta
         for b, k in enumerate(big.comp):
-            if in_shell(mus[b], k - 1):
+            if in_shell(family, big.weight[b], k - 1):
                 inner[k].add(b)
         bad = next(
             (f"image description fails in component k={k}"
@@ -722,7 +720,7 @@ class TheoremRun:
             bad = next(
                 (f"coordinate boundary criterion fails at {big.element(b)}"
                  for b, value in enumerate(big.elems)
-                 if coordinate(value) != on_boundary(mus[b], big.comp[b])),
+                 if coordinate(value) != on_boundary(family, big.weight[b], big.comp[b])),
                 "",
             )
             checks.append(CheckResult(
@@ -739,7 +737,7 @@ class TheoremRun:
             bad = next(
                 (f"weight {_fmt_weight(w)} has multiplicity {count} in component k={k}"
                  for w, count in counts.items()
-                 if count != 1 and on_boundary(Weight(self.datum, w), k)),
+                 if count != 1 and on_boundary(self.family, w, k)),
                 "",
             )
             if bad:
@@ -763,29 +761,29 @@ class TheoremRun:
         shell), the landing component predicted by the shell classification,
         and uniqueness of the landing element by weight.
         """
-        big, l, mus = self.big, self.l, self.mus
+        big, l, family = self.big, self.l, self.family
         complement = self.complement
         off_images = set(complement)
         weight_counts = Counter(big.weight[b] for b in complement)
-        theta = self.datum.theta()
+        theta = big.model.root_step(0)
         f0 = big.f[0]
 
         kill_bad = comp_bad = uniq_bad = ""
         kill_cases = comp_cases = uniq_cases = 0
         for b in complement:
-            mu, k, z = mus[b], big.comp[b], f0[b]
+            mu, k, z = big.weight[b], big.comp[b], f0[b]
             kill_cases += 1
-            expect_dead = k == l and not in_shell(mu + theta, l)
+            expect_dead = k == l and not in_shell(family, tuple(map(add, mu, theta)), l)
             if (z == UNDEFINED) != expect_dead:
                 kill_bad = kill_bad or f"vanishing criterion wrong at {big.element(b)}"
                 continue
             if z == UNDEFINED:
                 continue
             comp_cases += 1
-            if not on_boundary(mu, k):
+            if not on_boundary(family, mu, k):
                 comp_bad = comp_bad or f"{big.element(b)} escapes the level-raising images but is not on its boundary shell"
                 continue
-            target = k + _SHELL_MOVE[classify_shift(mu, k).step]
+            target = k + classify_shift(family, mu, k).value
             landed = big.comp[z] if z >= 0 else None
             if landed != target:
                 comp_bad = comp_bad or f"f_0 lands in k={landed} at {big.element(b)}, classification says {target}"

@@ -6,7 +6,9 @@ than renormalized.  The shell predicates decide whether a weight occurs in
 the irreducible highest-weight module with highest weight k*theta, where
 theta is the distinguished root of the family (the highest root for A and C,
 the highest short root for B), and how the shell index moves under adding
-theta to a weight sitting on the outermost shell.
+theta to a weight sitting on the outermost shell.  They take the family and
+the weight's coordinate tuple, as the operator tables hold it, not a
+`Weight`, and trust the tuple to have the family's form.
 """
 
 from __future__ import annotations
@@ -102,37 +104,30 @@ class Weight:
     def __neg__(self) -> "Weight":
         return Weight(self.datum, tuple(-a for a in self.coeffs))
 
-    def positive_sum(self) -> int:
-        """Sum of the positive coordinates."""
-        return sum(c for c in self.coeffs if c > 0)
-
-    def abs_sum(self) -> int:
-        """Sum of |m_j| over all coordinates."""
-        return sum(abs(c) for c in self.coeffs)
-
     def __str__(self) -> str:
         return "(" + ",".join(str(c) for c in self.coeffs) + ")"
 
 
-def in_shell(mu: Weight, k: int) -> bool:
-    """Whether mu is a weight of the module with highest weight k*theta.
+def in_shell(family: Family, coords, k: int) -> bool:
+    """Whether the weight mu with coordinates `coords` lies in the module
+    with highest weight k*theta.
 
     Criteria: sum of positive coordinates <= k (A); |mu| even and <= 2k (C);
     |mu| <= k (B).  k < 0 gives False (empty module).
     """
     if k < 0:
         return False
-    fam = mu.datum.family
-    if fam is Family.A:
-        return mu.positive_sum() <= k
-    if fam is Family.C:
-        s = mu.abs_sum()
+    if family is Family.A:
+        return sum(c for c in coords if c > 0) <= k
+    s = sum(map(abs, coords))
+    if family is Family.C:
         return s % 2 == 0 and s <= 2 * k
-    return mu.abs_sum() <= k
+    return s <= k
 
 
-def on_boundary(mu: Weight, k: int) -> bool:
-    """Whether mu sits on the outermost shell: in k*theta but not (k-1)*theta.
+def on_boundary(family: Family, coords, k: int) -> bool:
+    """Whether the weight mu with coordinates `coords` sits on the outermost
+    shell: in k*theta but not (k-1)*theta.
 
     Computed from the closed criteria (positive sum = k for A, |mu| = 2k for
     C, |mu| = k for B); agreement with the two-call route through `in_shell`
@@ -140,52 +135,41 @@ def on_boundary(mu: Weight, k: int) -> bool:
     """
     if k < 0:
         return False
-    fam = mu.datum.family
-    if fam is Family.A:
-        return mu.positive_sum() == k
-    if fam is Family.C:
-        return mu.abs_sum() == 2 * k
-    return mu.abs_sum() == k
+    if family is Family.A:
+        return sum(c for c in coords if c > 0) == k
+    s = sum(map(abs, coords))
+    return s == (2 * k if family is Family.C else k)
 
 
 class ShellStep(Enum):
-    """Shell index move of mu + theta relative to a boundary weight mu."""
+    """Shell index move of mu + theta relative to a boundary weight mu; the
+    value is the move itself, +1, 0 or -1."""
 
-    UP = "up"
-    SAME = "same"
-    DOWN = "down"
-
-
-@dataclass(frozen=True)
-class ShellShift:
-    step: ShellStep
-    a_case: str | None = None  # sign-pattern tag "a".."d", family A only
+    UP = 1
+    SAME = 0
+    DOWN = -1
 
 
-def classify_shift(mu: Weight, k: int) -> ShellShift:
-    """Where mu + theta lands when mu is on the boundary shell of k*theta.
+def classify_shift(family: Family, coords, k: int) -> ShellStep:
+    """Where mu + theta lands when mu, with coordinates `coords`, is on the
+    boundary shell of k*theta.
 
     Family A splits on the signs of m_1 and m_{n+1}; C splits on m_1 against
     {>= 0, == -1, <= -2}; B never produces SAME.  Raises ValueError when mu
     is not on the boundary shell (the criteria assume it).
     """
-    if not on_boundary(mu, k):
-        raise ValueError(f"weight {mu} is not on the boundary shell for k={k}")
-    fam = mu.datum.family
-    if fam is Family.A:
-        first, last = mu.coeffs[0], mu.coeffs[-1]
+    if not on_boundary(family, coords, k):
+        raise ValueError(f"weight {tuple(coords)} is not on the boundary shell for k={k}")
+    first = coords[0]
+    if family is Family.A:
+        last = coords[-1]
         if first >= 0 and last <= 0:
-            return ShellShift(ShellStep.UP, "a")
-        if first >= 0:
-            return ShellShift(ShellStep.SAME, "b")
-        if last <= 0:
-            return ShellShift(ShellStep.SAME, "c")
-        return ShellShift(ShellStep.DOWN, "d")
-    first = mu.coeffs[0]
-    if fam is Family.C:
-        if first >= 0:
-            return ShellShift(ShellStep.UP)
-        if first == -1:
-            return ShellShift(ShellStep.SAME)
-        return ShellShift(ShellStep.DOWN)
-    return ShellShift(ShellStep.UP if first >= 0 else ShellStep.DOWN)
+            return ShellStep.UP
+        if first >= 0 or last <= 0:
+            return ShellStep.SAME
+        return ShellStep.DOWN
+    if first >= 0:
+        return ShellStep.UP
+    if family is Family.C and first == -1:
+        return ShellStep.SAME
+    return ShellStep.DOWN

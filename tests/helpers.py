@@ -1,14 +1,14 @@
 """Test-only helpers: the tableau crystals B(lambda) by two independent
 enumerations and as a model for the graph code, tableau rows and the
-highest-weight tableau, letter-word views of pair elements, the one-letter
-crystal operators, and weights in fundamental coordinates (`pairing`,
-`fundamental_coeffs` and its inverse)."""
+highest-weight tableau, tableau and letter-word views of pair elements, the
+one-letter crystal operators, and weights in fundamental coordinates
+(`pairing`, `fundamental_coeffs` and its inverse)."""
 
 from typing import Iterator, Optional
 
 from adjcrys.affine_a import AdjElemA
 from adjcrys.root_data import Family, RootDatum, Weight
-from adjcrys.tableaux import Tableau, TensorPair, Word, ssyt_count
+from adjcrys.tableaux import Tableau, TensorPair, Word, column_missing, ssyt_count
 
 
 def rows(t: Tableau) -> tuple[tuple[int, ...], ...]:
@@ -139,7 +139,12 @@ def flatten_letters(b) -> tuple[int, ...]:
 
 
 def to_tensor(b: AdjElemA) -> TensorPair:
-    return TensorPair(b.row.to_tableau(), b.col.to_tableau())
+    """The pair as a one-row tableau tensor an n-row tableau: x_j letters j,
+    then y_j columns missing j, by decreasing j."""
+    n, x, y = b.n, b.row.x, b.col.y
+    row = tuple(c for c in range(1, n + 2) for _ in range(x[c - 1]))
+    cols = [column_missing(n, j) for j in range(n + 1, 0, -1) for _ in range(y[j - 1])]
+    return TensorPair(Tableau.from_rows(n, [row] if row else []), Tableau(n, tuple(cols)))
 
 
 def to_word(b: AdjElemA) -> Word:

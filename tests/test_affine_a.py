@@ -16,6 +16,8 @@ from adjcrys.affine_a import (
     elements,
     expected_size,
     highest,
+    promote,
+    promote_inverse,
     promotion_checks,
     row_elements,
     shape_component,
@@ -29,11 +31,10 @@ from helpers import fundamental_coeffs, highest_weight, rows, to_tensor, to_word
 
 
 def test_promotion_examples():
-    assert RowElem((2, 0, 0)).promote().x == (0, 2, 0)
-    assert RowElem((1, 1, 1)).promote() == RowElem((1, 1, 1))
-    assert ColElem((0, 1, 1)).promote().y == (1, 0, 1)
-    b = RowElem((2, 1, 0))
-    assert b.promote().promote_inverse() == b
+    assert promote((2, 0, 0)) == (0, 2, 0)
+    assert promote((1, 1, 1)) == (1, 1, 1)
+    assert promote((0, 1, 1)) == (1, 0, 1)
+    assert promote_inverse(promote((2, 1, 0))) == (2, 1, 0)
 
 
 def test_factor_operator_examples():

@@ -27,7 +27,7 @@ def test_construction_rejects_invalid_tuples():
         ElemC((1, -1, 0, 0), 1)
     b = ElemC((0, 1, 0, 1), 1)
     assert b.k == 1
-    assert (b.x(2), b.xbar(2), b.xbar(1)) == (1, 0, 1)
+    assert (b.coords[1], b.coords[-2], b.coords[-1]) == (1, 0, 1)  # x_2, xbar_2, xbar_1
 
 
 def test_zero_node_operator_examples():
@@ -99,8 +99,9 @@ def test_boundary_coordinate_criterion():
     for n in (2, 3):
         for l in range(3):
             for b in elements(n, l):
-                coordinate = all(min(b.x(j), b.xbar(j)) == 0 for j in range(1, n + 1))
-                assert coordinate == on_boundary(b.weight(), b.k)
+                x = b.coords  # x_j at index j-1, xbar_j at index -j
+                coordinate = all(min(x[j - 1], x[-j]) == 0 for j in range(1, n + 1))
+                assert coordinate == on_boundary(Family.C, b.weight().coeffs, b.k)
 
 
 def test_level_inclusion_is_full_subgraph():
@@ -135,12 +136,12 @@ def test_phi_map_properties():
 def test_zero_node_landing_spot_checks():
     # a SAME landing: m_1 = -1 on the boundary keeps the component
     b = ElemC((0, 1, 0, 1), 2)  # weight (-1, 1), boundary of k=1
-    assert classify_shift(b.weight(), b.k).step is ShellStep.SAME
+    assert classify_shift(Family.C, b.weight().coeffs, b.k) is ShellStep.SAME
     z = b.f(0)
     assert z is not None and z.k == b.k
     # a DOWN landing: m_1 <= -2
     b = ElemC((0, 0, 0, 2), 2)  # weight (-2, 0)
-    assert classify_shift(b.weight(), b.k).step is ShellStep.DOWN
+    assert classify_shift(Family.C, b.weight().coeffs, b.k) is ShellStep.DOWN
     z = b.f(0)
     assert z is not None and z.k == b.k - 1
     # the top-component kill

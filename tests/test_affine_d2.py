@@ -28,7 +28,7 @@ def test_construction_rejects_invalid_tuples():
     b = ElemD((0, 1), 1, (1, 0), 3)
     assert b.k == 3
     assert b.coords == (0, 1, 1, 1, 0)
-    assert (b.xval(2), b.xbarval(2), b.xbarval(1)) == (1, 1, 0)
+    assert (b.coords[1], b.coords[-2], b.coords[-1]) == (1, 1, 0)  # x_2, xbar_2, xbar_1
 
 
 def test_zero_node_operator_examples():
@@ -123,10 +123,9 @@ def test_boundary_coordinate_criterion():
     for n in (2, 3):
         for l in range(3):
             for b in elements(n, l):
-                coordinate = b.x0 == 0 and all(
-                    min(b.xval(j), b.xbarval(j)) == 0 for j in range(1, n + 1)
-                )
-                assert coordinate == on_boundary(b.weight(), b.k)
+                x = b.coords  # x_j at index j-1, xbar_j at index -j
+                coordinate = b.x0 == 0 and all(min(x[j - 1], x[-j]) == 0 for j in range(1, n + 1))
+                assert coordinate == on_boundary(Family.B, b.weight().coeffs, b.k)
 
 
 def test_level_inclusion_is_full_subgraph():
@@ -149,14 +148,15 @@ def test_zero_node_landing_never_stays():
     for n in (2, 3):
         for l in (1, 2):
             for b in elements(n, l):
-                if not on_boundary(b.weight(), b.k):
+                mu = b.weight().coeffs
+                if not on_boundary(Family.B, mu, b.k):
                     continue
                 z = b.f(0)
                 if z is None:
                     continue
-                shift = classify_shift(b.weight(), b.k)
-                assert shift.step in (ShellStep.UP, ShellStep.DOWN)
-                assert z.k == b.k + (1 if shift.step is ShellStep.UP else -1)
+                step = classify_shift(Family.B, mu, b.k)
+                assert step in (ShellStep.UP, ShellStep.DOWN)
+                assert z.k == b.k + step.value
 
 
 def test_highest_elements():

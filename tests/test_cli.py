@@ -308,13 +308,15 @@ def test_graph_cli_calls_each_f_once_and_no_e(component, elemc_calls, capsys):
 
 @pytest.fixture
 def constructed(monkeypatch):
-    """Counts of element objects built, by class name, through __post_init__."""
-    from adjcrys.affine_a import AdjElemA
+    """Counts of element and weight objects built, by class name, through
+    __post_init__."""
+    from adjcrys.affine_a import AdjElemA, ColElem, RowElem
     from adjcrys.affine_c import ElemC
     from adjcrys.affine_d2 import ElemD
+    from adjcrys.root_data import Weight
 
     counts = Counter()
-    for cls in (AdjElemA, ElemC, ElemD):
+    for cls in (RowElem, ColElem, AdjElemA, ElemC, ElemD, Weight):
         def counted(self, name=cls.__name__, original=cls.__post_init__):
             counts[name] += 1
             original(self)
@@ -323,16 +325,20 @@ def constructed(monkeypatch):
 
 
 @pytest.mark.parametrize("family", ("a1", "c1", "d2"))
-def test_clean_verify_builds_elements_only_for_alpha(family, constructed):
-    """The tables run on coordinate tuples: a passing report builds no
-    ElemC or ElemD, and for a1 at most one AdjElemA per element, for alpha."""
-    from adjcrys.affine_a import expected_size
+def test_clean_verify_builds_no_element_objects(family, constructed):
+    """Every check of a passing report reads coordinate tuples: it builds
+    no element object, and its Weights (the root steps, not one per
+    element) do not grow with the level."""
     from adjcrys.cli import _verification_report
     from adjcrys.crystal_graph import all_passed
 
-    assert all_passed(_verification_report(family, 2, 2, "all"))
-    assert constructed["ElemC"] == constructed["ElemD"] == 0
-    assert constructed["AdjElemA"] <= (expected_size(2, 2) if family == "a1" else 0)
+    weights = []
+    for level in (2, 4):
+        constructed.clear()
+        assert all_passed(_verification_report(family, 2, level, "all"))
+        weights.append(constructed.pop("Weight", 0))
+        assert constructed == Counter()
+    assert weights[0] == weights[1] > 0
 
 
 def test_graph_a1_builds_no_elements(constructed, capsys):

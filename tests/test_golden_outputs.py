@@ -3,8 +3,10 @@
 tests/golden_outputs.json holds the exit code, byte length and sha256 of
 each invocation's stdout.  The `verify` and `graph --format json` entries
 were captured at `commit`; the `graph --format dot` and `--component`
-entries at `dot_and_component_commit`.  An intended change of output edits
-that file by hand, so the edit shows in review.
+entries at `dot_and_component_commit`.  The rank-1 `verify` entries of `a1`
+and `d2` were added, each an all-PASS report, when the CLI began to accept
+rank 1.  An intended change of output edits that file by hand, so the edit
+shows in review.
 """
 
 import hashlib
@@ -37,6 +39,9 @@ def _invocations():
     for family, categories in CATEGORIES.items():
         for category in categories:
             yield f"verify --family {family} --rank 3 --level 3 --check {category}"
+    for family in ("a1", "d2"):  # C needs rank 2
+        for l in range(4):
+            yield f"verify --family {family} --rank 1 --level {l} --check all"
 
 
 def test_golden_file_covers_every_invocation():

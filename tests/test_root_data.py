@@ -110,38 +110,48 @@ def test_weight_from_fundamental_rejects_nonintegral():
 
 
 def test_in_shell_examples():
-    assert in_shell(A2.theta(), 1)
-    assert not in_shell(C2.weight((1, 0)), 1)  # odd |mu| fails parity
-    assert not in_shell(B2.weight((1, 1)), 1)
-    assert in_shell(B2.weight((1, 1)), 2)
+    assert in_shell(Family.A, (1, 0, -1), 1)
+    assert not in_shell(Family.C, (1, 0), 1)  # odd |mu| fails parity
+    assert not in_shell(Family.B, (1, 1), 1)
+    assert in_shell(Family.B, (1, 1), 2)
     for datum in (A2, C2, B2):
-        assert in_shell(datum.zero(), 0)
+        assert in_shell(datum.family, datum.zero().coeffs, 0)
 
 
 def test_on_boundary_examples():
-    assert on_boundary(C2.weight((1, 1)), 1)
-    assert on_boundary(B3.zero(), 0)
-    assert not on_boundary(A2.theta(), 2)
+    assert on_boundary(Family.C, (1, 1), 1)
+    assert on_boundary(Family.B, (0, 0, 0), 0)
+    assert not on_boundary(Family.A, (1, 0, -1), 2)
 
 
 def test_classify_shift_examples():
-    up = classify_shift(A2.theta(), 1)
-    assert up.step is ShellStep.UP and up.a_case == "a"
-    assert classify_shift(C2.weight((-2, 0)), 1).step is ShellStep.DOWN
-    assert classify_shift(B2.weight((-1, 0)), 1).step is ShellStep.DOWN
-    assert classify_shift(C2.weight((-1, 1)), 1).step is ShellStep.SAME
+    assert classify_shift(Family.A, (1, 0, -1), 1) is ShellStep.UP
+    assert classify_shift(Family.A, (1, 0, 0, -1), 1) is ShellStep.UP
+    assert classify_shift(Family.A, (0, -1, 1), 1) is ShellStep.SAME
+    assert classify_shift(Family.A, (-1, 1, 0), 1) is ShellStep.SAME
+    assert classify_shift(Family.A, (-1, 0, 1), 1) is ShellStep.DOWN
+    assert classify_shift(Family.C, (-2, 0), 1) is ShellStep.DOWN
+    assert classify_shift(Family.B, (-1, 0), 1) is ShellStep.DOWN
+    assert classify_shift(Family.C, (-1, 1), 1) is ShellStep.SAME
+    assert [step.value for step in ShellStep] == [1, 0, -1]
     with pytest.raises(ValueError):
-        classify_shift(A2.theta(), 2)
+        classify_shift(Family.A, (1, 0, -1), 2)
 
 
 def test_shell_nesting_exhaustive():
     for datum in (A2, RootDatum(Family.A, 3), C2, B2, B3):
         for mu in all_weights(datum, 4):
             for smaller in range(5):
-                if in_shell(mu, smaller):
+                if in_shell(datum.family, mu.coeffs, smaller):
                     for k in range(smaller, 5):
-                        assert in_shell(mu, k)
+                        assert in_shell(datum.family, mu.coeffs, k)
                     break
+
+
+def _boundary_routes_agree(mu, k):
+    family, coords = mu.datum.family, mu.coeffs
+    return on_boundary(family, coords, k) == (
+        in_shell(family, coords, k) and not in_shell(family, coords, k - 1))
 
 
 def test_boundary_routes_agree_exhaustive():
@@ -152,33 +162,32 @@ def test_boundary_routes_agree_exhaustive():
             bound = 5 if datum.dim <= 4 else 3
             for mu in all_weights(datum, bound):
                 for k in range(6):
-                    assert on_boundary(mu, k) == (in_shell(mu, k) and not in_shell(mu, k - 1))
+                    assert _boundary_routes_agree(mu, k)
 
 
 def test_classify_shift_consistency():
     # the claimed shell of mu + theta matches the boundary predicate directly
-    targets = {ShellStep.UP: 1, ShellStep.SAME: 0, ShellStep.DOWN: -1}
     for datum in (A2, RootDatum(Family.A, 3), C2, RootDatum(Family.C, 3), B2, B3):
         theta = datum.theta()
         for mu in all_weights(datum, 3):
             for k in range(4):
-                if not on_boundary(mu, k):
+                if not on_boundary(datum.family, mu.coeffs, k):
                     continue
-                shift = classify_shift(mu, k)
+                step = classify_shift(datum.family, mu.coeffs, k)
                 if datum.family is Family.B:
-                    assert shift.step is not ShellStep.SAME
-                assert on_boundary(mu + theta, k + targets[shift.step])
+                    assert step is not ShellStep.SAME
+                assert on_boundary(datum.family, (mu + theta).coeffs, k + step.value)
 
 
 @given(weights(), st.integers(0, 6))
 def test_boundary_routes_agree_random(mu, k):
-    assert on_boundary(mu, k) == (in_shell(mu, k) and not in_shell(mu, k - 1))
+    assert _boundary_routes_agree(mu, k)
 
 
 @given(weights(), st.integers(0, 5))
 def test_shell_nesting_random(mu, k):
-    if in_shell(mu, k):
-        assert in_shell(mu, k + 1)
+    if in_shell(mu.datum.family, mu.coeffs, k):
+        assert in_shell(mu.datum.family, mu.coeffs, k + 1)
 
 
 def test_in_shell_matches_model_weights():
@@ -190,19 +199,19 @@ def test_in_shell_matches_model_weights():
                 datum.weight(c - k for c in t.content())
                 for t in all_ssyt(n, shape_component(n, k))
             }
-            box = {mu for mu in all_weights(datum, k) if in_shell(mu, k)}
+            box = {mu for mu in all_weights(datum, k) if in_shell(Family.A, mu.coeffs, k)}
             assert box == expected
     for n in (2, 3):
         datum = RootDatum(Family.C, n)
         for k in range(4):
             expected = {b.weight() for b in affine_c.shell(n, k, k)}
-            box = {mu for mu in all_weights(datum, 2 * k) if in_shell(mu, k)}
+            box = {mu for mu in all_weights(datum, 2 * k) if in_shell(Family.C, mu.coeffs, k)}
             assert box == expected
     for n in (2, 3):
         datum = RootDatum(Family.B, n)
         for k in range(4):
             expected = {b.weight() for b in affine_d2.shell(n, k, k)}
-            box = {mu for mu in all_weights(datum, k) if in_shell(mu, k)}
+            box = {mu for mu in all_weights(datum, k) if in_shell(Family.B, mu.coeffs, k)}
             assert box == expected
 
 
@@ -211,4 +220,4 @@ def test_in_shell_contains_pair_model_components():
     for n in (2, 3):
         for l in range(3):
             for b in a_elements(n, l):
-                assert in_shell(b.weight(), b.k)
+                assert in_shell(Family.A, b.weight().coeffs, b.k)

@@ -10,7 +10,7 @@ from adjcrys import affine_a, affine_c, affine_d2, crystal_graph, tableaux
 from adjcrys.affine_a import AdjElemA, ColElem
 from adjcrys.cli import _verification_report, main
 from adjcrys.crystal_graph import all_passed, axiom_checks
-from adjcrys.root_data import Family, ShellShift, ShellStep
+from adjcrys.root_data import Family, ShellStep
 
 
 def _failed(family, n, l):
@@ -87,11 +87,11 @@ def test_phi_map_wrong_xbar_index(monkeypatch):
 def test_classify_shift_up_for_minus_one(monkeypatch):
     original = crystal_graph.classify_shift
 
-    def classify_shift(mu, k):
-        shift = original(mu, k)
-        if mu.datum.family is Family.C and mu.coeffs[0] == -1:
-            return ShellShift(ShellStep.UP)
-        return shift
+    def classify_shift(family, mu, k):
+        step = original(family, mu, k)
+        if family is Family.C and mu[0] == -1:
+            return ShellStep.UP
+        return step
 
     monkeypatch.setattr(crystal_graph, "classify_shift", classify_shift)
     assert "f0-landing/landing-component" in _failed("c1", 2, 2)
@@ -155,8 +155,7 @@ def test_row_f_n_vanishes_breaks_the_twist(monkeypatch):
 
 
 def test_promotion_reverses_the_slots(monkeypatch):
-    monkeypatch.setattr(affine_a.RowElem, "promote", lambda b: affine_a.RowElem(b.x[::-1]))
-    monkeypatch.setattr(affine_a.ColElem, "promote", lambda b: affine_a.ColElem(b.y[::-1]))
+    monkeypatch.setattr(affine_a, "promote", lambda v: v[::-1])
     assert _failures("a1", 2, 2, "promotion")["promotion/order"] == (
         12, "promotion order wrong at RowElem(x=(0, 0, 2))")
 
@@ -203,10 +202,9 @@ def test_alpha_inverse_moves_a_column(monkeypatch):
 def test_alpha_collision_is_not_injective(monkeypatch):
     """Two elements of component 2 sharing one image: the injectivity
     statement names the element and the earlier owner of the image."""
-    original = affine_a.alpha
-    src = AdjElemA(affine_a.RowElem((0, 2, 0)), ColElem((0, 1, 1)))
-    dst = AdjElemA(affine_a.RowElem((0, 1, 1)), ColElem((0, 1, 1)))
-    monkeypatch.setattr(affine_a, "alpha", lambda b: original(dst if b == src else b))
+    original = affine_a._alpha
+    src, dst = ((0, 2, 0), (0, 1, 1)), ((0, 1, 1), (0, 1, 1))
+    monkeypatch.setattr(affine_a, "_alpha", lambda b, l: original(dst if b == src else b, l))
     failures = _failures("a1", 2, 2, "alpha")
     assert failures == {
         "alpha/bijection": (39, f"alpha not injective: {_a1_element((0, 2, 0), (0, 1, 1))}"
@@ -278,13 +276,18 @@ def test_e_on_leftmost_unmatched_letter_is_a_failure(monkeypatch, capsys):
 
 def test_column_factor_in_increasing_order_is_a_failure(monkeypatch, capsys):
     """A non-semistandard image of alpha is reported, not raised."""
-    def to_tableau(self):
+    def alpha(b, l):
+        x, y = b
+        n = len(x) - 1
+        strip = min(x[0], y[0])
         cols = []
-        for j in range(1, self.n + 2):  # the model runs j downwards
-            cols.extend([tableaux.column_missing(self.n, j)] * self.y[j - 1])
-        return tableaux.Tableau(self.n, tuple(cols))
+        for j in range(1, n + 2):  # the model runs j downwards
+            cols.extend([tableaux.column_missing(n, j)] * (y[j - 1] - strip * (j == 1)))
+        for c in range(1, n + 2):
+            cols.extend([(c,)] * (x[c - 1] - strip * (c == 1)))
+        return l - strip, tableaux.Tableau(n, tuple(cols))
 
-    monkeypatch.setattr(ColElem, "to_tableau", to_tableau)
+    monkeypatch.setattr(affine_a, "_alpha", alpha)
     code, fails = _verify_a1_failures(capsys)
     assert code == 1
     detail = (f"alpha({_a1_element((0, 0, 2), (0, 1, 1))}) is not a tableau:"
@@ -293,6 +296,39 @@ def test_column_factor_in_increasing_order_is_a_failure(monkeypatch, capsys):
     assert fails["alpha/weight-preserving"] == ("(36 cases)", detail)
     assert set(fails) == {"alpha/bijection", "alpha/weight-preserving",
                           "alpha/intertwines-classical"}
+
+
+def test_pair_f_1_with_a_negative_multiplicity_is_a_failure(monkeypatch, capsys):
+    """An invalid value from the pair kernel fails the intertwining check."""
+    original = affine_a.KERNEL.f
+
+    def f(b, i, l=None):
+        x, y = b
+        if i != 1 or affine_a.ROW_KERNEL.phi(x, 1) > affine_a.COL_KERNEL.eps(y, 1):
+            return original(b, i, l)
+        return x, (y[0] + 1, y[1] - 1) + y[2:]  # the model needs a column missing 2
+
+    monkeypatch.setattr(affine_a.KERNEL, "f", f)
+    code, fails = _verify_a1_failures(capsys)
+    assert code == 1
+    assert fails["alpha/intertwines-classical"] == (
+        "(144 cases)", f"alpha does not intertwine f_1 at {_a1_element((0, 0, 2), (0, 0, 2))}")
+
+
+def test_row_f_0_with_a_negative_multiplicity_is_a_failure(monkeypatch, capsys):
+    """An invalid value from the row kernel fails the promotion checks."""
+    original = affine_a.ROW_KERNEL.f
+
+    def f(x, i, l=None):
+        if i != 0:
+            return original(x, i, l)
+        return (x[0] + 1,) + x[1:-1] + (x[-1] - 1,)  # the model needs a letter n+1
+
+    monkeypatch.setattr(affine_a.ROW_KERNEL, "f", f)
+    code, fails = _verify_a1_failures(capsys)
+    assert code == 1
+    assert fails["promotion/zero-node-conjugation"] == (
+        "(24 cases)", "zero-node conjugation fails at RowElem(x=(0, 2, 0)) (f)")
 
 
 def test_f_on_rightmost_unmatched_letter_is_a_failure(monkeypatch):
