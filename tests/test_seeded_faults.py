@@ -73,6 +73,51 @@ def test_fault_found_after_a_clean_run(monkeypatch):
     assert "axioms/ef-inverse" in _failed("c1", 2, 2)
 
 
+def test_f0_strict_comparison_is_not_inverted(monkeypatch):
+    _patch_strict_f0(monkeypatch)
+    assert _failures("c1", 2, 2, "axioms")["axioms/ef-inverse"] == (
+        276, "e_0 not inverted at C2:x=2,0;xb=0,0")
+
+
+def test_f0_ignoring_the_level_bound_leaves_the_crystal(monkeypatch):
+    original = affine_c.KERNEL.f
+
+    def f(x, i, l):
+        if i == 0 and x[0] >= x[-1]:
+            return (x[0] + 2,) + x[1:]  # the model refuses a coordinate sum above 2l
+        return original(x, i, l)
+
+    monkeypatch.setattr(affine_c.KERNEL, "f", f)
+    assert _failures("c1", 2, 2, "axioms")["axioms/ef-inverse"] == (
+        276, "f_0 leaves the crystal at C2:x=0,0;xb=4,0")
+
+
+def test_closed_size_off_by_one(monkeypatch):
+    original = affine_c.KERNEL.size
+    monkeypatch.setattr(affine_c.KERNEL, "size", lambda n, l: original(n, l) + 1)
+    assert _failures("c1", 2, 2, "axioms") == {
+        "axioms/element-count": (1, "enumerated 46, closed form gives 47")}
+
+
+def test_no_zero_arrows_disconnects_the_graph(monkeypatch):
+    for op in ("f", "e"):
+        original = getattr(affine_c.KERNEL, op)
+        monkeypatch.setattr(
+            affine_c.KERNEL, op,
+            lambda x, i, l, original=original: None if i == 0 else original(x, i, l),
+        )
+    assert _failures("c1", 2, 2, "axioms")["axioms/connected"] == (
+        46, "crystal graph is disconnected")
+
+
+def test_row_eps_1_off_by_one(monkeypatch):
+    original = affine_a.ROW_KERNEL.eps
+    monkeypatch.setattr(
+        affine_a.ROW_KERNEL, "eps", lambda x, i, l=None: original(x, i, l) + (i == 1))
+    assert _failures("a1", 2, 2, "axioms")["axioms/row-stats-closed-vs-iteration"] == (
+        18, "closed statistics wrong at A2:x=0,0,2, i=1")
+
+
 def test_phi_map_wrong_xbar_index(monkeypatch):
     def phi_map(j, x):
         out = list(x)
@@ -129,7 +174,7 @@ def test_coordinate_boundary_reads_only_the_first_pair(monkeypatch):
         46, "coordinate boundary criterion fails at ElemC(coords=(0, 1, 1, 0), level=2)")}
 
 
-def test_c1_weight_adds_xbar_n(monkeypatch):
+def _patch_weight_adds_xbar_n(monkeypatch):
     original = affine_c.KERNEL.weight
 
     def weight(x):
@@ -139,9 +184,19 @@ def test_c1_weight_adds_xbar_n(monkeypatch):
         return tuple(out)
 
     monkeypatch.setattr(affine_c.KERNEL, "weight", weight)
+
+
+def test_c1_weight_adds_xbar_n(monkeypatch):
+    _patch_weight_adds_xbar_n(monkeypatch)
     failures = _failures("c1", 2, 2, "multiplicity")
     assert failures["multiplicity/boundary-weights-free"] == (
         11, "weight (-1,1) has multiplicity 2 in component k=1")
+
+
+def test_c1_weight_adds_xbar_n_breaks_the_weight_step(monkeypatch):
+    _patch_weight_adds_xbar_n(monkeypatch)
+    assert _failures("c1", 2, 2, "axioms") == {
+        "axioms/weight-step": (160, "e_1 weight step wrong at C2:x=0,0;xb=0,2")}
 
 
 def test_row_f_n_vanishes_breaks_the_twist(monkeypatch):
