@@ -442,45 +442,34 @@ SPEC = TheoremSpec(
 def promotion_checks(n: int, l: int) -> list[CheckResult]:
     """The cyclic-shift identities on the values of both factor crystals:
     the twist sigma o op_j = op_{j+1} o sigma, the zero-node conjugation, and
-    the order of sigma.  Messages print the factor's element object."""
-    checks: list[CheckResult] = []
-    domains = [(kernel, v) for kernel in (ROW_KERNEL, COL_KERNEL) for v in kernel.values(n, l)]
-
-    bad = ""
-    cases = 0
-    for kernel, v in domains:
-        for i in range(n + 1):
-            nxt = (i + 1) % (n + 1)
-            for direction in ("f", "e"):
-                cases += 1
-                op = getattr(kernel, direction)
-                a = op(v, i)
-                lhs = None if a is None else promote(a)
-                if lhs != op(promote(v), nxt):
-                    bad = bad or f"twist fails at {kernel.element(v, l)}, {direction}_{i}"
-    checks.append(CheckResult("twist", "promotion", not bad, cases, bad))
-
-    bad = ""
-    cases = 0
-    for kernel, v in domains:
-        for direction in ("f", "e"):
-            cases += 1
-            op = getattr(kernel, direction)
-            via = op(promote(v), 1)
-            conj = None if via is None else promote_inverse(via)
-            if op(v, 0) != conj:
-                bad = bad or f"zero-node conjugation fails at {kernel.element(v, l)} ({direction})"
-    checks.append(CheckResult("zero-node-conjugation", "promotion", not bad, cases, bad))
-
-    bad = ""
-    for kernel, v in domains:
-        cur = v
-        for _ in range(n + 1):
-            cur = promote(cur)
-        if cur != v:
-            bad = bad or f"promotion order wrong at {kernel.element(v, l)}"
-    checks.append(CheckResult("order", "promotion", not bad, len(domains), bad))
-    return checks
+    the order of sigma.  One pass over the values keeps the first failure of
+    each.  Messages print the factor's element object."""
+    twist = conjugation = order = ""
+    size = 0
+    for kernel in (ROW_KERNEL, COL_KERNEL):
+        ops = (("f", kernel.f), ("e", kernel.e))
+        for v in kernel.values(n, l):
+            size += 1
+            pv = promote(v)
+            for i in range(n + 1):
+                for direction, op in ops:
+                    a, via = op(v, i), op(pv, (i + 1) % (n + 1))
+                    if (None if a is None else promote(a)) != via:
+                        twist = twist or f"twist fails at {kernel.element(v, l)}, {direction}_{i}"
+                    # at i = 0 the same two results give the zero-node conjugation
+                    if i == 0 and a != (None if via is None else promote_inverse(via)):
+                        conjugation = conjugation or (
+                            f"zero-node conjugation fails at {kernel.element(v, l)} ({direction})")
+            cur = pv
+            for _ in range(n):
+                cur = promote(cur)
+            if cur != v:
+                order = order or f"promotion order wrong at {kernel.element(v, l)}"
+    return [
+        CheckResult("twist", "promotion", not twist, size * 2 * (n + 1), twist),
+        CheckResult("zero-node-conjugation", "promotion", not conjugation, size * 2, conjugation),
+        CheckResult("order", "promotion", not order, size, order),
+    ]
 
 
 def alpha_checks(n: int, l: int, table: Optional[OperatorTable] = None) -> list[CheckResult]:
@@ -511,73 +500,60 @@ def alpha_checks(n: int, l: int, table: Optional[OperatorTable] = None) -> list[
             images.append((None, None))
             rejected[b] = f"alpha({element(b)}) is not a tableau: {err}"
 
-    def bijection():
-        owners: dict[int, dict[tuple, int]] = {}  # k, then columns of an image: its first owner
-        for b in range(size):
-            if b in rejected:
-                yield rejected[b]
-                continue
-            k, t = images[b]
+    bijection = weight = intertwining = ""
+    owners: dict[int, dict[tuple, int]] = {}  # k, then columns of an image: its first owner
+    rows = [(i, table.row("f", i), table.row("e", i)) for i in range(1, n + 1)]
+    for b, value in enumerate(table.elems):
+        if b in rejected:
+            bijection = bijection or rejected[b]
+            weight = weight or rejected[b]
+            intertwining = intertwining or rejected[b]
+            continue
+        k, t = images[b]
+        prev = owners.setdefault(k, {}).setdefault(t.columns, b)
+        if not bijection:
             if k != comp[b]:
-                yield f"alpha component mismatch at {element(b)}"
-            prev = owners.setdefault(k, {}).setdefault(t.columns, b)
-            if prev != b:
-                yield f"alpha not injective: {element(b)} and {element(prev)}"
-            if t.shape != shape_component(n, k) or not _round_trips(n, l, t, table.elems[b]):
-                yield f"alpha round trip fails at {element(b)}"
-        for k in range(l + 1):
-            if len(owners.get(k, ())) != ssyt_count(shape_component(n, k), n + 1):
-                yield f"alpha image differs from the component crystal at k={k}"
-
-    def weight_changes():
-        for b in range(size):
-            if b in rejected:
-                yield rejected[b]
-                continue
-            k, t = images[b]
-            if tuple(c - k for c in t.content()) != table.weight[b]:
-                yield f"alpha changes the weight at {element(b)}"
-
-    def intertwining_failures():
-        rows = [(i, table.row("f", i), table.row("e", i)) for i in range(1, n + 1)]
-        for b in range(size):
-            if b in rejected:
-                yield rejected[b]
-                continue
-            k, t = images[b]
-            for i, f_row, e_row in rows:
-                raise_pos, lower_pos = t.rule_cells(i)
-                for d, pos, letter, row in (("f", lower_pos, i + 1, f_row),
-                                            ("e", raise_pos, i, e_row)):
-                    try:
-                        ta = t.moved(pos, letter)
-                    except ValueError as err:
-                        yield f"{d}_{i} of alpha({element(b)}) is not a tableau: {err}"
-                        continue
-                    a = row[b]
-                    if a == UNDEFINED:
-                        bad = ta is not None and (
-                            f"alpha breaks vanishing of {d}_{i} at {element(b)}")
-                    elif a >= 0:
-                        same = (ta is not None and comp[a] == k == images[a][0]
-                                and images[a][1].columns == ta.columns)
-                        bad = not same and f"alpha does not intertwine {d}_{i} at {element(b)}"
-                    else:  # OUTSIDE: the model's result is missing from the table
-                        v = getattr(KERNEL, d)(table.elems[b], i, l)
-                        bad = not _maps_to(v, l, ta) and (
-                            f"alpha does not intertwine {d}_{i} at {element(b)}")
-                    if bad:
-                        yield bad
-
-    checks = []
-    for name, cases, failures in (
-        ("bijection", size + l + 1, bijection()),
-        ("weight-preserving", size, weight_changes()),
-        ("intertwines-classical", size * 2 * n, intertwining_failures()),
-    ):
-        bad = next(failures, "")
-        checks.append(CheckResult(name, "alpha", not bad, cases, bad))
-    return checks
+                bijection = f"alpha component mismatch at {element(b)}"
+            elif prev != b:
+                bijection = f"alpha not injective: {element(b)} and {element(prev)}"
+            elif t.shape != shape_component(n, k) or not _round_trips(n, l, t, value):
+                bijection = f"alpha round trip fails at {element(b)}"
+        if not weight and tuple(c - k for c in t.content()) != table.weight[b]:
+            weight = f"alpha changes the weight at {element(b)}"
+        if intertwining:
+            continue
+        for i, f_row, e_row in rows:
+            raise_pos, lower_pos = t.rule_cells(i)
+            for d, pos, letter, row in (("f", lower_pos, i + 1, f_row),
+                                        ("e", raise_pos, i, e_row)):
+                try:
+                    ta = t.moved(pos, letter)
+                except ValueError as err:
+                    intertwining = intertwining or (
+                        f"{d}_{i} of alpha({element(b)}) is not a tableau: {err}")
+                    continue
+                a = row[b]
+                if a == UNDEFINED:
+                    bad = ta is not None and "alpha breaks vanishing of {}_{} at {}"
+                elif a >= 0:
+                    same = (ta is not None and comp[a] == k == images[a][0]
+                            and images[a][1].columns == ta.columns)
+                    bad = not same and "alpha does not intertwine {}_{} at {}"
+                else:  # OUTSIDE: the model's result is missing from the table
+                    v = getattr(KERNEL, d)(value, i, l)
+                    bad = not _maps_to(v, l, ta) and "alpha does not intertwine {}_{} at {}"
+                if bad:
+                    intertwining = intertwining or bad.format(d, i, element(b))
+    bijection = bijection or next(
+        (f"alpha image differs from the component crystal at k={k}" for k in range(l + 1)
+         if len(owners.get(k, ())) != ssyt_count(shape_component(n, k), n + 1)),
+        "",
+    )
+    return [
+        CheckResult("bijection", "alpha", not bijection, size + l + 1, bijection),
+        CheckResult("weight-preserving", "alpha", not weight, size, weight),
+        CheckResult("intertwines-classical", "alpha", not intertwining, size * 2 * n, intertwining),
+    ]
 
 
 def _round_trips(n: int, l: int, t: Tableau, b) -> bool:

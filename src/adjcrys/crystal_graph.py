@@ -4,12 +4,11 @@ A model is any object with `family`, `rank`, `level`, `index_set` and
 `elements()`, which lists its values: hashable, and for the level-l models
 plain coordinate tuples.  On a value b it gives `f(b, i)`/`e(b, i)` (a value,
 or None when undefined), `element_id`, `weight_coords`, `component`,
-`sort_key` and `element(b)`, the user-facing object that failure messages
-print; with `closed_stats` set, also closed `eps(b, i)`/`phi(b, i)`.
-`root_step(i)` is the expected weight change of f_i.  Each family writes its
-crystal once, as a `Kernel` of pure functions on coordinate tuples;
-`LevelModel` turns a kernel into a model, and the element classes call the
-same kernel.
+`sort_key`, the closed statistics `eps(b, i)`/`phi(b, i)` and `element(b)`,
+the user-facing object that failure messages print.  `root_step(i)` is the
+expected weight change of f_i.  Each family writes its crystal once, as a
+`Kernel` of pure functions on coordinate tuples; `LevelModel` turns a kernel
+into a model, and the element classes call the same kernel.
 
 The graph and the checks run on tables, not on the operators.  An
 `OperatorTable` enumerates a model's values once and calls `model.f` and
@@ -294,7 +293,6 @@ class LevelModel:
     crystal, or with `component=k` its classical component k over labels
     1..n.  Subclasses set `family`, `datum_family` and `kernel`."""
 
-    closed_stats = True
     family: str
     datum_family: Family
     kernel: Kernel
@@ -525,53 +523,44 @@ def _connected(table: OperatorTable) -> bool:
 
 def axiom_checks(model, table: Optional[OperatorTable] = None) -> list[CheckResult]:
     """Inverse pairing, closed statistics, weight steps, count, connectivity,
-    on the model's table: `table` if the caller shares one, else built here."""
+    on the model's table: `table` if the caller shares one, else built here.
+
+    One walk over (element, label, direction) keeps the first failure of the
+    first three checks; the statistics by iteration are the chain lengths of
+    the `e` and `f` rows.
+    """
     if table is None:
         table = OperatorTable(model)
-    elems, labels, weight = table.elems, table.labels, table.weight
-    checks: list[CheckResult] = []
-
-    bad = ""
-    pairs = [
-        (f"{d}_{i}", table.row(d, i), table.row("e" if d == "f" else "f", i))
-        for i in labels for d in ("f", "e")
+    elems, weight = table.elems, table.weight
+    slots = []  # per label: i, eps and phi by iteration, then (op, forward, backward, step)
+    for i in table.labels:
+        f, e, step = table.f[i], table.e[i], tuple(model.root_step(i))
+        slots.append((i, _chain_lengths(e), _chain_lengths(f), (
+            (f"f_{i}", f, e, step), (f"e_{i}", e, f, tuple(-x for x in step)),
+        )))
+    inverse = stats = steps = ""
+    arrows = 0
+    for b, value in enumerate(elems):
+        wb = weight[b]
+        for i, eps, phi, ops in slots:
+            for op, fwd, back, step in ops:
+                c = fwd[b]
+                if c == OUTSIDE:
+                    inverse = inverse or f"{op} leaves the crystal at {model.element_id(value)}"
+                elif c >= 0:
+                    arrows += 1
+                    if back[c] != b:
+                        inverse = inverse or f"{op} not inverted at {model.element_id(value)}"
+                    if tuple(map(sub, weight[c], wb)) != step:
+                        steps = steps or f"{op} weight step wrong at {model.element_id(value)}"
+            if (model.eps(value, i), model.phi(value, i)) != (eps[b], phi[b]):
+                stats = stats or f"closed statistics wrong at {model.element_id(value)}, i={i}"
+    size = len(elems) * len(slots)
+    checks = [
+        CheckResult("ef-inverse", "axioms", not inverse, 2 * size, inverse),
+        CheckResult("stats-closed-vs-iteration", "axioms", not stats, size, stats),
+        CheckResult("weight-step", "axioms", not steps, arrows, steps),
     ]
-    for b in range(len(elems)):
-        for op, fwd, back in pairs:
-            c = fwd[b]
-            if c == OUTSIDE:
-                bad = bad or f"{op} leaves the crystal at {model.element_id(elems[b])}"
-            elif c >= 0 and back[c] != b:
-                bad = bad or f"{op} not inverted at {model.element_id(elems[b])}"
-    checks.append(CheckResult("ef-inverse", "axioms", not bad, len(elems) * len(pairs), bad))
-
-    if getattr(model, "closed_stats", False):
-        bad = ""
-        eps = {i: _chain_lengths(table.e[i]) for i in labels}
-        phi = {i: _chain_lengths(table.f[i]) for i in labels}
-        for b, value in enumerate(elems):
-            for i in labels:
-                if (model.eps(value, i), model.phi(value, i)) != (eps[i][b], phi[i][b]):
-                    bad = bad or f"closed statistics wrong at {model.element_id(value)}, i={i}"
-        checks.append(CheckResult(
-            "stats-closed-vs-iteration", "axioms", not bad, len(elems) * len(labels), bad,
-        ))
-
-    bad = ""
-    cases = 0
-    steps = [
-        (f"{d}_{i}", table.row(d, i), tuple(sign * x for x in model.root_step(i)))
-        for i in labels for d, sign in (("f", 1), ("e", -1))
-    ]
-    for b, wb in enumerate(weight):
-        for op, row, step in steps:
-            c = row[b]
-            if c >= 0:
-                cases += 1
-                if tuple(map(sub, weight[c], wb)) != step:
-                    bad = bad or f"{op} weight step wrong at {model.element_id(elems[b])}"
-    checks.append(CheckResult("weight-step", "axioms", not bad, cases, bad))
-
     expected = model.expected_size()
     if expected is not None:
         ok = len(elems) == expected

@@ -73,12 +73,12 @@ def all_ssyt(n: int, shape) -> Iterator[Tableau]:
 class ClassicalCrystal:
     """Model adapter for B(lambda) on tableaux, classical labels 1..n.
 
-    Weight coordinates are contents; statistics come from iteration, so
-    there is no closed-statistics cross-check here.
+    Weight coordinates are contents.  `eps`/`phi` are the tableau's own,
+    which iterate `Tableau.e`/`f` on objects, so `axiom_checks` compares them
+    with the chain lengths of the table's rows: two independent routes.
     """
 
     family = "A"
-    closed_stats = False
 
     def __init__(self, n: int, shape):
         self.rank = n
@@ -96,6 +96,12 @@ class ClassicalCrystal:
 
     def e(self, t: Tableau, i: int) -> Optional[Tableau]:
         return t.e(i)
+
+    def eps(self, t: Tableau, i: int) -> int:
+        return t.eps(i)
+
+    def phi(self, t: Tableau, i: int) -> int:
+        return t.phi(i)
 
     def element(self, t: Tableau) -> Tableau:
         return t
