@@ -1,17 +1,20 @@
 """Command-line front end: graph export, theorem verification, operator words.
 
 Exit codes: 0 all checks pass / output written, 1 a verification check
-failed or the model is faulty, 2 usage error.  A reader that closes stdout
-early (`| head`) ends the output quietly, with the exit code of the run.
+failed or the model is faulty, 2 usage error or output that cannot be
+written (`--out` or stdout).  A reader that closes stdout early (`| head`)
+ends the output quietly, with the exit code of the run.
 Identical invocations produce byte-identical output.
 """
 
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from dataclasses import replace
+from itertools import accumulate
 from typing import Iterable, Optional
 
 from . import affine_a, affine_c, affine_d2
@@ -52,12 +55,25 @@ def _check_bounds(args) -> Optional[int]:
         return _fail_usage(str(err))
     if args.level < 0:
         return _fail_usage(f"level must be >= 0, got {args.level}")
-    size = FAMILIES[args.family].expected_size(args.rank, args.level)
-    if size > SIZE_LIMIT and not args.force:
+    if not args.force and _too_large(args.family, args.rank, args.level):
         return _fail_usage(
-            f"crystal has {size} elements (> {SIZE_LIMIT}); pass --force to proceed"
+            f"crystal has more than {SIZE_LIMIT} elements; pass --force to proceed"
         )
     return None
+
+
+def _too_large(family: str, n: int, l: int) -> bool:
+    """Whether the crystal has more than SIZE_LIMIT elements.  The count is
+    summed from its smallest parts up and the sum stops once past the limit,
+    so no number much larger than the limit is formed."""
+    if family == "a1":
+        # comb(l + n, n) ** 2; comb(j + n - 1, j) factor values have j letters below n+1
+        parts = (math.comb(j + n - 1, j) for j in range(l + 1))
+        limit = math.isqrt(SIZE_LIMIT)
+    else:  # the shells k = 0..l
+        parts = (FAMILIES[family].shell_size(n, k) for k in range(l + 1))
+        limit = SIZE_LIMIT
+    return any(total > limit for total in accumulate(parts))
 
 
 def _write_output(chunks: Iterable[str], out: Optional[str]) -> int:
@@ -66,12 +82,15 @@ def _write_output(chunks: Iterable[str], out: Optional[str]) -> int:
         try:
             sys.stdout.writelines(chunks)
             sys.stdout.flush()
-        except BrokenPipeError:  # the reader stopped early, as `| head` does
+        except OSError as err:
             # send what is still buffered to /dev/null, so the flush at exit
             # does not raise again
             devnull = os.open(os.devnull, os.O_WRONLY)
             os.dup2(devnull, sys.stdout.fileno())
             os.close(devnull)
+            # a broken pipe is a reader that stopped early, as `| head` does
+            if not isinstance(err, BrokenPipeError):
+                return _fail_usage(f"cannot write stdout: {err.strerror or err}")
         return 0
     try:
         with open(out, "wb") as handle:
@@ -159,13 +178,10 @@ def _parse_start(args):
         if row.level != l or col.level != l:
             raise ValueError(f"coordinates do not describe a level-{l} element")
         return affine_a.AdjElemA(row, col)
-    if args.family == "c1":
-        if len(coords) != 2 * n:
-            raise ValueError(f"expected {2 * n} coordinates, got {len(coords)}")
-        return affine_c.ElemC(coords, l)
-    if len(coords) != 2 * n + 1:
-        raise ValueError(f"expected {2 * n + 1} coordinates, got {len(coords)}")
-    return affine_d2.ElemD(coords[:n], coords[n], coords[n + 1:], l)
+    size = 2 * n if args.family == "c1" else 2 * n + 1
+    if len(coords) != size:
+        raise ValueError(f"expected {size} coordinates, got {len(coords)}")
+    return FAMILIES[args.family].KERNEL.element(coords, l)
 
 
 def _format_element(b) -> str:

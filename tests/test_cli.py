@@ -9,7 +9,8 @@ from pathlib import Path
 
 import pytest
 
-from adjcrys.cli import main
+from adjcrys import cli
+from adjcrys.cli import FAMILIES, SIZE_LIMIT, _too_large, main
 
 GOLDEN = json.loads((Path(__file__).parent / "golden_outputs.json").read_text())["outputs"]
 
@@ -109,6 +110,36 @@ def test_invalid_rank_and_level(capsys):
 def test_size_guard_requires_force(capsys):
     # rank 3, level 40 gives far more than 10^6 elements
     assert main(["graph", "--family", "a1", "--rank", "3", "--level", "40"]) == 2
+
+
+@pytest.mark.parametrize("family", ["a1", "c1", "d2"])
+def test_size_guard_refuses_huge_instances_quickly(family):
+    """The guard decides without forming the exact count, which here has
+    tens of thousands of digits: one stderr line and exit 2, no traceback."""
+    proc = subprocess.run(
+        [sys.executable, "-m", "adjcrys", "verify", "--family", family,
+         "--rank", "100000", "--level", "100000"],
+        capture_output=True, text=True, timeout=30,
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == f"error: crystal has more than {SIZE_LIMIT} elements; pass --force to proceed\n"
+
+
+def test_size_guard_agrees_with_the_closed_forms():
+    for family, module in FAMILIES.items():
+        for n in range(2 if family == "c1" else 1, 10):
+            for l in range(60):
+                assert _too_large(family, n, l) == (module.expected_size(n, l) > SIZE_LIMIT), (
+                    family, n, l)
+
+
+def test_force_skips_the_size_guard(capsys, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("size computed under --force")
+
+    monkeypatch.setattr(cli, "_too_large", refuse)
+    assert main(["verify", "--family", "c1", "--rank", "2", "--level", "1", "--force"]) == 0
 
 
 def test_apply_zero_node_step(capsys):
@@ -214,6 +245,20 @@ def test_graph_into_a_closed_pipe_ends_quietly():
         proc.stdout.close()
         assert proc.stderr.read() == b""
     assert proc.returncode == 0
+
+
+@pytest.mark.skipif(not Path("/dev/full").exists(), reason="needs a full device")
+@pytest.mark.parametrize("command", ["verify", "graph"])
+def test_full_stdout_is_an_output_error(command):
+    """A failed write to stdout exits 2 with one stderr line, as --out does."""
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run(
+            [sys.executable, "-m", "adjcrys", command, "--family", "c1", "--rank", "2",
+             "--level", "1"],
+            stdout=full, stderr=subprocess.PIPE, text=True,
+        )
+    assert proc.returncode == 2
+    assert proc.stderr == "error: cannot write stdout: No space left on device\n"
 
 
 def test_unwritable_out_is_usage_error(tmp_path, capsys):

@@ -71,6 +71,20 @@ def test_counts_match_closed_forms_and_connectivity():
         assert all_passed(report), render_report(report)
 
 
+def test_tableau_statistics_are_checked_against_the_table(monkeypatch):
+    """The tableau's own eps/phi iterate on objects; the table's chain
+    lengths are the other route, so a wrong phi_2 fails the comparison."""
+    model = ClassicalCrystal(2, (2, 1))
+    report = axiom_checks(model)
+    assert [(c.name, c.cases) for c in report] == [
+        ("ef-inverse", 32), ("stats-closed-vs-iteration", 16), ("weight-step", 16),
+        ("element-count", 1), ("connected", 8),
+    ]
+    monkeypatch.setattr(model, "phi", lambda t, i: t.phi(i) + (i == 2))
+    failed = [(c.name, c.details) for c in axiom_checks(model) if not c.passed]
+    assert failed == [("stats-closed-vs-iteration", "closed statistics wrong at T2:w=1,1,2, i=2")]
+
+
 def test_graph_calls_each_f_once_and_no_e(elemc_calls):
     model = CrystalC(2, 2)
     build_graph(model)
