@@ -419,3 +419,45 @@ def test_f_on_first_letter_ignoring_cancellation_is_a_failure(monkeypatch):
     detail = (f"f_1 of alpha({_a1_element((0, 0, 2), (0, 0, 2))}) is not a tableau:"
               " column (2, 2) not strictly increasing")
     assert _failures("a1", 2, 2) == {"alpha/intertwines-classical": (144, detail)}
+
+
+# A kernel wrong in two labels at two elements: f_2 at A, which comes first
+# in the enumeration, and f_1 at the later B.  Each axiom reports the first
+# failure in (element, label, direction) order, so it names A and f_2; a
+# walk label by label would name B and f_1 first.
+_A, _B = (0, 1, 0, 1), (1, 0, 0, 1)
+_A_ID = "C2:x=0,1;xb=0,1"
+
+
+def _patch_at_a_and_b(monkeypatch, op, wrong):
+    """Replace the kernel's `op` by wrong(x, i, l, original) at (A, 2) and (B, 1)."""
+    original = getattr(affine_c.KERNEL, op)
+
+    def patched(x, i, l):
+        if (x, i) in ((_A, 2), (_B, 1)):
+            return wrong(x, i, l, original)
+        return original(x, i, l)
+
+    monkeypatch.setattr(affine_c.KERNEL, op, patched)
+
+
+def test_ef_inverse_reports_the_first_element(monkeypatch):
+    # e_i vanishes at f_i(A) and f_i(B), so f_2 at A and f_1 at B are not inverted
+    targets = {(affine_c.KERNEL.f(x, i, 2), i) for x, i in ((_A, 2), (_B, 1))}
+    original = affine_c.KERNEL.e
+    monkeypatch.setattr(
+        affine_c.KERNEL, "e", lambda x, i, l: None if (x, i) in targets else original(x, i, l))
+    assert _failures("c1", 2, 2, "axioms")["axioms/ef-inverse"] == (
+        276, f"f_2 not inverted at {_A_ID}")
+
+
+def test_weight_step_reports_the_first_element(monkeypatch):
+    _patch_at_a_and_b(monkeypatch, "f", lambda x, i, l, original: x)  # a loop: no weight change
+    assert _failures("c1", 2, 2, "axioms")["axioms/weight-step"] == (
+        160, f"f_2 weight step wrong at {_A_ID}")
+
+
+def test_closed_statistics_report_the_first_element(monkeypatch):
+    _patch_at_a_and_b(monkeypatch, "eps", lambda x, i, l, original: original(x, i, l) + 1)
+    assert _failures("c1", 2, 2, "axioms") == {"axioms/stats-closed-vs-iteration": (
+        138, f"closed statistics wrong at {_A_ID}, i=2")}
