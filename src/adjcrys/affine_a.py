@@ -414,7 +414,7 @@ def _theta1_checks(run) -> list[CheckResult]:
                 continue
             cases += 1
             z = above[c] if c >= 0 else OUTSIDE
-            if z < 0 or getattr(big.model, stat)(big.elems[c], 0) != 1 or big.comp[z] != run.l:
+            if z < 0 or getattr(KERNEL, stat)(big.elems[c], 0, run.l) != 1 or big.comp[z] != run.l:
                 bad = bad or f"{op} boundary step wrong above {small.element(b)}"
     checks.append(CheckResult("theta1-boundary-step", "embedding", not bad, cases, bad))
     return checks

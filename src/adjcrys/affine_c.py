@@ -24,11 +24,13 @@ from .root_data import Family, RootDatum, Weight
 
 
 def _moved(x: tuple[int, ...], l: int, i: int, di: int, j: int = 0, dj: int = 0):
-    """x with x[i] += di and x[j] += dj; None when that leaves the crystal."""
+    """x with x[i] += di and x[j] += dj; None when that leaves the crystal,
+    which only a changed coordinate or, for a move up, the level bound shows."""
     out = list(x)
     out[i] += di
     out[j] += dj
-    return tuple(out) if min(out) >= 0 and sum(out) <= 2 * l else None
+    bad = out[i] < 0 or out[j] < 0 or (di + dj > 0 and sum(out) > 2 * l)
+    return None if bad else tuple(out)
 
 
 def _f(x: tuple[int, ...], i: int, l: int) -> Optional[tuple[int, ...]]:

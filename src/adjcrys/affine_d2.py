@@ -25,12 +25,13 @@ from .root_data import Family, RootDatum, Weight
 
 
 def _moved(b: tuple[int, ...], l: int, i: int, di: int, j: int = 0, dj: int = 0):
-    """b with b[i] += di and b[j] += dj; None when that leaves the crystal."""
+    """b with b[i] += di and b[j] += dj; None when that leaves the crystal,
+    which only a changed coordinate or, for a move up, the level bound shows."""
     out = list(b)
     out[i] += di
     out[j] += dj
-    ok = min(out) >= 0 and out[len(out) // 2] <= 1 and sum(out) <= l
-    return tuple(out) if ok else None
+    bad = out[i] < 0 or out[j] < 0 or out[len(out) // 2] > 1 or (di + dj > 0 and sum(out) > l)
+    return None if bad else tuple(out)
 
 
 def _f(b: tuple[int, ...], i: int, l: int) -> Optional[tuple[int, ...]]:

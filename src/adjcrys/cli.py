@@ -55,7 +55,8 @@ def _check_bounds(args) -> Optional[int]:
         return _fail_usage(str(err))
     if args.level < 0:
         return _fail_usage(f"level must be >= 0, got {args.level}")
-    if not args.force and _too_large(args.family, args.rank, args.level):
+    enumerates = args.command != "apply"  # apply builds one element and walks one word
+    if enumerates and not args.force and _too_large(args.family, args.rank, args.level):
         return _fail_usage(
             f"crystal has more than {SIZE_LIMIT} elements; pass --force to proceed"
         )
@@ -227,7 +228,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--out", help="write output to this path instead of stdout")
     parser.add_argument(
         "--force", action="store_true",
-        help=f"allow crystals larger than {SIZE_LIMIT} elements",
+        help=f"graph or verify crystals larger than {SIZE_LIMIT} elements",
     )
 
 

@@ -1,27 +1,28 @@
 """Finite crystal graphs: operator tables, exhaustive checks, DOT/JSON export.
 
-A model is any object with `family`, `rank`, `level`, `index_set` and
-`elements()`, which lists its values: hashable, and for the level-l models
-plain coordinate tuples.  On a value b it gives `f(b, i)`/`e(b, i)` (a value,
-or None when undefined), `element_id`, `weight_coords`, `component`,
-`sort_key`, the closed statistics `eps(b, i)`/`phi(b, i)` and `element(b)`,
-the user-facing object that failure messages print.  `root_step(i)` is the
-expected weight change of f_i.  Each family writes its crystal once, as a
-`Kernel` of pure functions on coordinate tuples; `LevelModel` turns a kernel
-into a model, and the element classes call the same kernel.
+A model has the shape of `LevelModel`: `family`, `rank`, `level`,
+`index_set`, `elements()` (its values: hashable, and for the level-l models
+plain coordinate tuples), `kernel`, a `Kernel` of pure functions on the
+values that take the level as an argument, and `element_id`, `component`,
+`sort_key`, `element(b)` (the user-facing object that failure messages
+print), `root_step(i)` (the expected weight change of f_i) and
+`expected_size()`.  Each family writes its crystal once, as a kernel, and
+the element classes call the same kernel.
 
 The graph and the checks run on tables, not on the operators.  An
-`OperatorTable` enumerates a model's values once and calls `model.f` and
-`model.e` at most once per value and label; rows `f[i]`/`e[i]` hold the
-index of the result, found through a dict from value to index, UNDEFINED
-where the operator vanishes and OUTSIDE where it returns a value missing
-from the enumeration (an ef-inverse failure).  The `f` rows are recorded
-when the table is built and the `e` rows, from the model's own `e`, on their
-first read, so graph export, which reads only `f`, calls no e_i.  The table
-also holds each index's weight coordinates and component.  Elements are
-built only where a message or an oracle needs one.  `axiom_checks` and
-`run_theorems` take the level-l table as an argument, so one `verify` builds
-it once.
+`OperatorTable` enumerates a model's values once and calls the kernel's `f`
+and `e` at most once per value and label; rows `f[i]`/`e[i]` hold the index
+of the result, found through one dict from value to index that also maps
+None to UNDEFINED, where the operator vanishes, and OUTSIDE where it
+returns a value missing from the enumeration (an ef-inverse failure).  Each
+row is recorded by `map` calls alone.  The `f` rows are recorded when the
+table is built and the `e` rows on their first read, so graph export, which
+reads only `f`, calls no e_i.  The table also holds each index's weight
+coordinates and component.  Elements are built only where a message or an
+oracle needs one.  `axiom_checks` and `run_theorems` take the level-l table
+as an argument, so one `verify` builds it once.  The axioms run one bulk
+pass per (label, direction) slot and one list comparison per label and
+statistic; each check reports the least of the slots' first failures.
 
 `stream_graph` formats the DOT or JSON export straight from the table rows
 and yields it in batches of a few thousand records, so it holds the table and
@@ -49,8 +50,8 @@ import json
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property, partial
-from itertools import islice, repeat
-from operator import add, sub
+from itertools import compress, count, islice, repeat
+from operator import add, ne
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .root_data import Family, RootDatum, classify_shift, in_shell, on_boundary
@@ -269,11 +270,11 @@ class Kernel:
     tuples; `n` is the rank, `l` the level, `i` a label.
 
     `values(n, l)` lists the values; `f`/`e(b, i, l)` give a value or None
-    and `eps`/`phi(b, i, l)` the closed statistics; `weight(b)` is the weight
-    coordinates, `component(b, l)` the component or None; `element(b, l)` is
-    the user-facing object and `element_id(b, n)` its id; `size(n, l)` is
-    the closed-form count.  Assigning a field replaces it for every model
-    and element of the kernel.
+    and `eps`/`phi(b, i, l)` the closed statistics; `weight(b)` is the tuple
+    of weight coordinates, `component(b, l)` the component or None;
+    `element(b, l)` is the user-facing object and `element_id(b, n)` its id;
+    `size(n, l)` the closed-form count.  Tables read the fields when built,
+    so assigning one replaces it for every model, table and element.
     """
 
     values: Callable
@@ -310,21 +311,6 @@ class LevelModel:
             return values
         return [b for b in values if self.component(b) == self.restriction]
 
-    def f(self, b, i: int):
-        return self.kernel.f(b, i, self.level)
-
-    def e(self, b, i: int):
-        return self.kernel.e(b, i, self.level)
-
-    def eps(self, b, i: int) -> int:
-        return self.kernel.eps(b, i, self.level)
-
-    def phi(self, b, i: int) -> int:
-        return self.kernel.phi(b, i, self.level)
-
-    def weight_coords(self, b) -> tuple[int, ...]:
-        return self.kernel.weight(b)
-
     def component(self, b) -> Optional[int]:
         return self.kernel.component(b, self.level)
 
@@ -360,29 +346,30 @@ OUTSIDE = -2  # the operator returned a value missing from the enumeration
 
 
 class OperatorTable:
-    """A model's values enumerated once, its operators recorded as rows of
-    indices through a dict from value to index."""
+    """A model's values enumerated once, and its kernel's operators recorded
+    by `map` calls alone as rows of indices, through one dict from value to
+    index that also maps None, a vanishing operator, to UNDEFINED."""
 
     def __init__(self, model):
         self.model = model
-        self.elems = list(model.elements())
-        self.index = {b: pos for pos, b in enumerate(self.elems)}
+        kernel, level = model.kernel, model.level
+        self.elems = elems = list(model.elements())
+        self.index = dict(zip(elems, range(len(elems))))
+        self.index[None] = UNDEFINED
         self.labels = tuple(model.index_set)
-        self.f = {i: self._record(model.f, i) for i in self.labels}
-        self.weight = [tuple(model.weight_coords(b)) for b in self.elems]
-        self.comp = [model.component(b) for b in self.elems]
+        self.f = {i: self._record(kernel.f, i) for i in self.labels}
+        self.weight = list(map(kernel.weight, elems))
+        self.comp = list(map(kernel.component, elems, repeat(level)))
 
     def _record(self, op, i: int) -> tuple[int, ...]:
-        get = self.index.get
-        return tuple(
-            UNDEFINED if c is None else get(c, OUTSIDE) for c in map(op, self.elems, repeat(i))
-        )
+        results = map(op, self.elems, repeat(i), repeat(self.model.level))
+        return tuple(map(self.index.get, results, repeat(OUTSIDE)))
 
     @cached_property
     def e(self) -> dict[int, tuple[int, ...]]:
         """The e rows, recorded on first read: a table read only for `f`
         calls no e_i."""
-        return {i: self._record(self.model.e, i) for i in self.labels}
+        return {i: self._record(self.model.kernel.e, i) for i in self.labels}
 
     def row(self, direction: str, i: int) -> tuple[int, ...]:
         return self.f[i] if direction == "f" else self.e[i]
@@ -393,9 +380,8 @@ class OperatorTable:
 
 
 def compile_map(domain: OperatorTable, target: OperatorTable, vmap) -> list[int]:
-    """`vmap` as an index map: the target index of vmap(b) for each domain value b."""
-    get = target.index.get
-    return [get(vmap(b), OUTSIDE) for b in domain.elems]
+    """`vmap` as an index map: the target index of vmap(b), or a negative code, per value b."""
+    return list(map(target.index.get, map(vmap, domain.elems), repeat(OUTSIDE)))
 
 
 # ---------------------------------------------------------------------------
@@ -446,17 +432,13 @@ def check_embedding(domain: OperatorTable, target: OperatorTable, imap, labels, 
     the corresponding arrow; an absent arrow must be absent on the image or
     escape the image set.
     """
+    fail = partial(CheckResult, name, category, False)
     image: dict[int, int] = {}
     for b, c in enumerate(imap):
         if c < 0:
-            return CheckResult(
-                name, category, False, 0, f"{domain.element(b)} maps outside the target"
-            )
+            return fail(0, f"{domain.element(b)} maps outside the target")
         if c in image:
-            return CheckResult(
-                name, category, False, 0,
-                f"map not injective: {domain.element(b)} and {domain.element(image[c])}",
-            )
+            return fail(0, f"map not injective: {domain.element(b)} and {domain.element(image[c])}")
         image[c] = b
     rows = [(d, i, domain.row(d, i), target.row(d, i)) for i in labels for d in ("f", "e")]
     cases = 0
@@ -466,15 +448,11 @@ def check_embedding(domain: OperatorTable, target: OperatorTable, imap, labels, 
             inner, outer = inner_row[b], outer_row[c]
             if inner != UNDEFINED:
                 if inner < 0 or outer != imap[inner]:
-                    return CheckResult(
-                        name, category, False, cases,
-                        f"arrow {direction}_{i} at {domain.element(b)} not preserved",
-                    )
+                    return fail(
+                        cases, f"arrow {direction}_{i} at {domain.element(b)} not preserved")
             elif outer in image:
-                return CheckResult(
-                    name, category, False, cases,
-                    f"extra arrow {direction}_{i} inside the image at {domain.element(b)}",
-                )
+                return fail(
+                    cases, f"extra arrow {direction}_{i} inside the image at {domain.element(b)}")
     return CheckResult(name, category, True, cases)
 
 
@@ -487,14 +465,16 @@ def _chain_lengths(step: Sequence[int]) -> list[int]:
     unknown, on_path, cycle = -2, -3, -4
     out = [unknown] * len(step)
     for start in range(len(step)):
+        if out[start] != unknown:
+            continue
         path, cur = [], start
         while cur >= 0 and out[cur] == unknown:
             out[cur] = on_path
             path.append(cur)
             cur = step[cur]
-        run = {UNDEFINED: -1, OUTSIDE: 0}[cur] if cur < 0 else out[cur]
+        run = -2 - cur if cur < 0 else out[cur]  # after the path; UNDEFINED -1, OUTSIDE 0
         for node in reversed(path):
-            run = cycle if run in (on_path, cycle) else run + 1
+            run = cycle if run < -1 else run + 1  # below -1: on this path or a cycle
             out[node] = run
     return out
 
@@ -521,46 +501,58 @@ def _connected(table: OperatorTable) -> bool:
     return len(queue) == size
 
 
+def _first_difference(a: list, b: list) -> Optional[int]:
+    """The first position where the equal-length lists differ, or None."""
+    return None if a == b else list(map(ne, a, b)).index(True)
+
+
 def axiom_checks(model, table: Optional[OperatorTable] = None) -> list[CheckResult]:
     """Inverse pairing, closed statistics, weight steps, count, connectivity,
     on the model's table: `table` if the caller shares one, else built here.
 
-    One walk over (element, label, direction) keeps the first failure of the
-    first three checks; the statistics by iteration are the chain lengths of
-    the `e` and `f` rows.
+    Each (label, direction) slot is one bulk pass over its rows; the weight
+    step maps interned weight ids to the id of that weight plus the step.
+    Each label compares the kernel's closed `eps`/`phi`, as whole lists,
+    with the chain lengths of its rows.  A check reports the least of the
+    slots' first failures in (element, label, direction) order.
     """
     if table is None:
         table = OperatorTable(model)
-    elems, weight = table.elems, table.weight
-    slots = []  # per label: i, eps and phi by iteration, then (op, forward, backward, step)
-    for i in table.labels:
-        f, e, step = table.f[i], table.e[i], tuple(model.root_step(i))
-        slots.append((i, _chain_lengths(e), _chain_lengths(f), (
-            (f"f_{i}", f, e, step), (f"e_{i}", e, f, tuple(-x for x in step)),
-        )))
-    inverse = stats = steps = ""
+    kernel, level, elems = model.kernel, model.level, table.elems
+    ids = dict(zip(dict.fromkeys(table.weight), count()))
+    weight_ids = list(map(ids.__getitem__, table.weight))
+    failures = {"ef-inverse": [], "stats-closed-vs-iteration": [], "weight-step": []}
+    inverse, stats, steps = failures.values()  # (index, label position, direction, message)
     arrows = 0
-    for b, value in enumerate(elems):
-        wb = weight[b]
-        for i, eps, phi, ops in slots:
-            for op, fwd, back, step in ops:
-                c = fwd[b]
-                if c == OUTSIDE:
-                    inverse = inverse or f"{op} leaves the crystal at {model.element_id(value)}"
-                elif c >= 0:
-                    arrows += 1
-                    if back[c] != b:
-                        inverse = inverse or f"{op} not inverted at {model.element_id(value)}"
-                    if tuple(map(sub, weight[c], wb)) != step:
-                        steps = steps or f"{op} weight step wrong at {model.element_id(value)}"
-            if (model.eps(value, i), model.phi(value, i)) != (eps[b], phi[b]):
-                stats = stats or f"closed statistics wrong at {model.element_id(value)}, i={i}"
-    size = len(elems) * len(slots)
-    checks = [
-        CheckResult("ef-inverse", "axioms", not inverse, 2 * size, inverse),
-        CheckResult("stats-closed-vs-iteration", "axioms", not stats, size, stats),
-        CheckResult("weight-step", "axioms", not steps, arrows, steps),
-    ]
+    for pos, i in enumerate(table.labels):
+        f, e, step = table.f[i], table.e[i], tuple(model.root_step(i))
+        up = {a: ids.get(tuple(map(add, w, step))) for w, a in ids.items()}
+        down = dict(zip(up.values(), up))  # its inverse, and None to some id, never asked
+        for d, op, fwd, back, shifted in ((0, f"f_{i}", f, e, up), (1, f"e_{i}", e, f, down)):
+            defined = list(map(UNDEFINED.__lt__, fwd))
+            sources = list(compress(range(len(fwd)), defined))
+            targets = list(compress(fwd, defined))
+            arrows += len(targets)
+            bad = _first_difference(sources, list(map(back.__getitem__, targets)))
+            if bad is not None:
+                inverse.append((sources[bad], pos, d, f"{op} not inverted at {{}}"))
+            if OUTSIDE in fwd:
+                inverse.append((fwd.index(OUTSIDE), pos, d, f"{op} leaves the crystal at {{}}"))
+            bad = _first_difference(list(map(shifted.get, compress(weight_ids, defined))),
+                                    list(map(weight_ids.__getitem__, targets)))
+            if bad is not None:
+                steps.append((sources[bad], pos, d, f"{op} weight step wrong at {{}}"))
+        for closed, row in ((kernel.eps, e), (kernel.phi, f)):
+            bad = _first_difference(list(map(closed, elems, repeat(i), repeat(level))),
+                                    _chain_lengths(row))
+            if bad is not None:
+                stats.append((bad, pos, 0, f"closed statistics wrong at {{}}, i={i}"))
+    size = len(elems) * len(table.labels)
+    checks = []
+    for (name, found), cases in zip(failures.items(), (2 * size, size, arrows)):
+        b, *_, message = min(found, default=(0, ""))
+        detail = message.format(model.element_id(elems[b])) if found else ""
+        checks.append(CheckResult(name, "axioms", not found, cases, detail))
     expected = model.expected_size()
     if expected is not None:
         ok = len(elems) == expected

@@ -1,12 +1,15 @@
 """Test-only helpers: the tableau crystals B(lambda) by two independent
 enumerations and as a model for the graph code, tableau rows and the
 highest-weight tableau, tableau and letter-word views of pair elements, the
-one-letter crystal operators, and weights in fundamental coordinates
-(`pairing`, `fundamental_coeffs` and its inverse)."""
+one-letter crystal operators, weights in fundamental coordinates
+(`pairing`, `fundamental_coeffs` and its inverse), and straightforward
+reference versions of the chain-length and connectivity walks of the
+axiom checks."""
 
-from typing import Iterator, Optional
+from typing import Iterator, Optional, Sequence
 
 from adjcrys.affine_a import AdjElemA
+from adjcrys.crystal_graph import OUTSIDE, UNDEFINED, Kernel, LevelModel
 from adjcrys.root_data import Family, RootDatum, Weight
 from adjcrys.tableaux import Tableau, TensorPair, Word, column_missing, ssyt_count
 
@@ -70,8 +73,10 @@ def all_ssyt(n: int, shape) -> Iterator[Tableau]:
     yield from fill(0)
 
 
-class ClassicalCrystal:
-    """Model adapter for B(lambda) on tableaux, classical labels 1..n.
+class ClassicalCrystal(LevelModel):
+    """B(lambda) on tableaux as a model of the level-l models' shape: its
+    kernel calls the tableau's own operators, `level` is None and the labels
+    are the classical 1..n.
 
     Weight coordinates are contents.  `eps`/`phi` are the tableau's own,
     which iterate `Tableau.e`/`f` on objects, so `axiom_checks` compares them
@@ -79,60 +84,29 @@ class ClassicalCrystal:
     """
 
     family = "A"
+    datum_family = Family.A
 
     def __init__(self, n: int, shape):
-        self.rank = n
-        self.shape = tuple(s for s in shape if s > 0)
-        self.level = None
-        self.index_set = tuple(range(1, n + 1))
-
-    def elements(self):
-        return sorted(
-            enumerate_crystal(self.rank, self.shape), key=lambda t: t.reading_word()
+        super().__init__(n, None)
+        self.index_set = self.index_set[1:]
+        self.shape = shape = tuple(s for s in shape if s > 0)
+        k = shape[0] // 2 if shape else 0
+        component = k if shape in ((), (2 * k,) + (k,) * (n - 1)) else None
+        self.kernel = Kernel(
+            values=lambda n, l: sorted(enumerate_crystal(n, shape), key=Tableau.reading_word),
+            f=lambda t, i, l: t.f(i),
+            e=lambda t, i, l: t.e(i),
+            eps=lambda t, i, l: t.eps(i),
+            phi=lambda t, i, l: t.phi(i),
+            weight=Tableau.content,
+            component=lambda t, l: component,
+            element=lambda t, l: t,
+            element_id=lambda t, n: f"T{n}:w=" + ",".join(map(str, t.reading_word())),
+            size=lambda n, l: ssyt_count(shape, n + 1),
         )
-
-    def f(self, t: Tableau, i: int) -> Optional[Tableau]:
-        return t.f(i)
-
-    def e(self, t: Tableau, i: int) -> Optional[Tableau]:
-        return t.e(i)
-
-    def eps(self, t: Tableau, i: int) -> int:
-        return t.eps(i)
-
-    def phi(self, t: Tableau, i: int) -> int:
-        return t.phi(i)
-
-    def element(self, t: Tableau) -> Tableau:
-        return t
-
-    def element_id(self, t: Tableau) -> str:
-        return f"T{self.rank}:w=" + ",".join(str(c) for c in t.reading_word())
-
-    def weight_coords(self, t: Tableau) -> tuple[int, ...]:
-        return t.content()
-
-    def component(self, t: Tableau) -> Optional[int]:
-        shape = self.shape
-        if not shape:
-            return 0
-        k, rem = divmod(shape[0], 2)
-        if rem == 0 and shape == (2 * k,) + (k,) * (self.rank - 1):
-            return k
-        return None
 
     def sort_key(self, t: Tableau):
         return t.reading_word()
-
-    def root_step(self, i: int) -> tuple[int, ...]:
-        # content change of f_i: one letter i becomes i+1
-        step = [0] * (self.rank + 1)
-        step[i - 1] = -1
-        step[i] = 1
-        return tuple(step)
-
-    def expected_size(self) -> int:
-        return ssyt_count(self.shape, self.rank + 1)
 
 
 def flatten_letters(b) -> tuple[int, ...]:
@@ -214,3 +188,45 @@ def weight_from_fundamental(datum: RootDatum, coeffs) -> Weight:
     return datum.weight(
         sum(coeffs[i - 1] for i in range(j, n)) + half for j in range(1, n + 1)
     )
+
+
+def reference_chain_lengths(step: Sequence[int]) -> list[int]:
+    """How often `step` applies from each index before it vanishes: OUTSIDE
+    counts one step, and an index that walks into a cycle gets -4.  Each
+    start walks its chain, and the runs are filled in back to front."""
+    unknown, on_path, cycle = -2, -3, -4
+    out = [unknown] * len(step)
+    for start in range(len(step)):
+        path, cur = [], start
+        while cur >= 0 and out[cur] == unknown:
+            out[cur] = on_path
+            path.append(cur)
+            cur = step[cur]
+        run = {UNDEFINED: -1, OUTSIDE: 0}[cur] if cur < 0 else out[cur]
+        for node in reversed(path):
+            run = cycle if run in (on_path, cycle) else run + 1
+            out[node] = run
+    return out
+
+
+def reference_connected(table) -> bool:
+    """Connectivity of the f-arrows of `table`, taken undirected, by
+    breadth-first search over adjacency lists."""
+    size = len(table.elems)
+    if size <= 1:
+        return True
+    adjacent: list[list[int]] = [[] for _ in range(size)]
+    for row in table.f.values():
+        for b, c in enumerate(row):
+            if c >= 0:
+                adjacent[b].append(c)
+                adjacent[c].append(b)
+    seen = [False] * size
+    seen[0] = True
+    queue = [0]
+    for b in queue:
+        for c in adjacent[b]:
+            if not seen[c]:
+                seen[c] = True
+                queue.append(c)
+    return len(queue) == size

@@ -142,6 +142,26 @@ def test_force_skips_the_size_guard(capsys, monkeypatch):
     assert main(["verify", "--family", "c1", "--rank", "2", "--level", "1", "--force"]) == 0
 
 
+def test_apply_runs_beyond_the_size_guard(capsys, monkeypatch):
+    """apply builds one element and walks one word, so no size guard runs."""
+    def refuse(*args):
+        raise AssertionError("size computed for apply")
+
+    monkeypatch.setattr(cli, "_too_large", refuse)
+    code, out = run_cli(
+        capsys, "apply", "--family", "c1", "--rank", "2", "--level", "1000",
+        "--start", "highest-of", "--word", "f1",
+    )
+    assert code == 0
+    assert out == "(2000,0,0,0)\n(1999,1,0,0)\n"
+    assert main(["apply", "--family", "c1", "--rank", "1", "--level", "1000",
+                 "--start", "highest-of"]) == 2
+    assert main(["apply", "--family", "c1", "--rank", "2", "--level", "-1",
+                 "--start", "highest-of"]) == 2
+    assert main(["apply", "--family", "c1", "--rank", "2", "--level", "1000",
+                 "--start", "highest-of", "--k", "1001"]) == 2
+
+
 def test_apply_zero_node_step(capsys):
     code, out = run_cli(
         capsys, "apply", "--family", "c1", "--rank", "2", "--level", "1",

@@ -2,14 +2,18 @@
 
 import json
 from collections import Counter
+from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, strategies as st
 
 from adjcrys import affine_a, affine_c, crystal_graph
 from adjcrys.affine_a import CrystalA
 from adjcrys.affine_c import CrystalC
 from adjcrys.affine_d2 import CrystalD2
 from adjcrys.crystal_graph import (
+    OUTSIDE,
+    UNDEFINED,
     CrystalGraph,
     Edge,
     Vertex,
@@ -25,7 +29,7 @@ from adjcrys.crystal_graph import (
     restrict_to_component,
     stream_graph,
 )
-from helpers import ClassicalCrystal
+from helpers import ClassicalCrystal, reference_chain_lengths, reference_connected
 
 
 def graph_from_json(data) -> CrystalGraph:
@@ -80,7 +84,7 @@ def test_tableau_statistics_are_checked_against_the_table(monkeypatch):
         ("ef-inverse", 32), ("stats-closed-vs-iteration", 16), ("weight-step", 16),
         ("element-count", 1), ("connected", 8),
     ]
-    monkeypatch.setattr(model, "phi", lambda t, i: t.phi(i) + (i == 2))
+    monkeypatch.setattr(model.kernel, "phi", lambda t, i, l: t.phi(i) + (i == 2))
     failed = [(c.name, c.details) for c in axiom_checks(model) if not c.passed]
     assert failed == [("stats-closed-vs-iteration", "closed statistics wrong at T2:w=1,1,2, i=2")]
 
@@ -101,7 +105,8 @@ def test_graph_rejects_an_arrow_leaving_the_enumeration():
     model = Dropped(2, 2)
     dropped = CrystalC(2, 2).elements()[-1]
     i, b = next(
-        (i, b) for i in model.index_set for b in model.elements() if model.f(b, i) == dropped
+        (i, b) for i in model.index_set for b in model.elements()
+        if model.kernel.f(b, i, model.level) == dropped
     )
     with pytest.raises(ValueError) as err:
         build_graph(model)
@@ -256,3 +261,39 @@ def test_check_commutation_side_conditions():
         name="classical-unconditional", category="commute",
     )
     assert not loose.passed
+
+
+@st.composite
+def rows(draw, count=1):
+    """`count` random rows on one index set: entries UNDEFINED, OUTSIDE or
+    any index, so cycles, trees feeding into cycles and several arrows into
+    one index all occur, next to rows shaped like crystal strings."""
+    size = draw(st.integers(0, 24))
+    entry = st.sampled_from((UNDEFINED, OUTSIDE) + tuple(range(size)))
+    out = []
+    for _ in range(count):
+        if size and draw(st.booleans()):  # strings: a permutation cut into chains
+            order = draw(st.permutations(range(size)))
+            ends = draw(st.lists(st.sampled_from((UNDEFINED, OUTSIDE)), min_size=size,
+                                 max_size=size))
+            cuts = draw(st.lists(st.booleans(), min_size=size, max_size=size))
+            row = [UNDEFINED] * size
+            for k, b in enumerate(order):
+                last = k + 1 == size or cuts[k]
+                row[b] = ends[k] if last else order[k + 1]
+        else:
+            row = draw(st.lists(entry, min_size=size, max_size=size))
+        out.append(tuple(row))
+    return out
+
+
+@given(rows())
+def test_chain_lengths_match_the_reference(drawn):
+    (step,) = drawn
+    assert crystal_graph._chain_lengths(step) == reference_chain_lengths(step)
+
+
+@given(st.integers(1, 3).flatmap(lambda k: rows(k)))
+def test_connected_matches_the_reference(drawn):
+    table = SimpleNamespace(elems=range(len(drawn[0])), f=dict(enumerate(drawn)))
+    assert crystal_graph._connected(table) == reference_connected(table)

@@ -129,6 +129,28 @@ def test_phi_map_wrong_xbar_index(monkeypatch):
     assert "commute/phij-weight-preserving" in _failed("c1", 2, 2)
 
 
+def test_inclusion_without_an_image_is_not_an_embedding(monkeypatch):
+    """A level value the inclusion gives no image (None) maps outside the
+    target, though the table's index dict holds None for vanishing operators."""
+    original = affine_c.SPEC.include
+    spec = affine_c.SPEC._replace(include=lambda x: None if x == (0, 0, 1, 1) else original(x))
+    monkeypatch.setattr(affine_c, "SPEC", spec)
+    assert _failures("c1", 2, 2, "embedding") == {"embedding/level-inclusion-full-subgraph": (
+        0, "ElemC(coords=(0, 0, 1, 1), level=1) maps outside the target")}
+
+
+def test_level_map_without_an_image_breaks_the_component_shift(monkeypatch):
+    original = affine_c.SPEC.raise_map
+
+    def phi_map(j, x):
+        return None if (j, x) == (2, (0, 1, 1, 0)) else original(j, x)
+
+    monkeypatch.setattr(affine_c, "SPEC", affine_c.SPEC._replace(raise_map=phi_map))
+    failures = _failures("c1", 2, 2, "commute")
+    assert failures["commute/phij-component-shift"] == (
+        22, "level map 2 does not raise the component by 1 at ElemC(coords=(0, 1, 1, 0), level=1)")
+
+
 def test_classify_shift_up_for_minus_one(monkeypatch):
     original = crystal_graph.classify_shift
 
