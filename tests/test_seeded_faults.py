@@ -188,6 +188,64 @@ def test_d2_without_the_one_level_map_misses_images(monkeypatch):
         "boundary/image-equality": (7, "image description fails in component k=1")}
 
 
+def test_theta_3_bumps_the_wrong_column(monkeypatch):
+    original = affine_a.SPEC.raise_map
+
+    def theta(j, b):
+        if j != 3:
+            return original(j, b)
+        x, y = b
+        return x[:2] + (x[2] + 1,), (y[0] + 1,) + y[1:]  # the model adds a column missing 3
+
+    monkeypatch.setattr(affine_a, "SPEC", affine_a.SPEC._replace(raise_map=theta))
+    failures = _failures("a1", 2, 2)
+    expected = {
+        "commute/thetaj-component-shift": (
+            18, f"level map 3 does not raise the component by 1 at {_a1_element((1, 0, 0), (0, 0, 1))}"),
+        "commute/thetaj-weight-preserving": (
+            18, f"level map 3 changes the weight at {_a1_element((0, 0, 1), (0, 0, 1))}"),
+        "commute/thetaj-classical-commute-nonzero": (
+            24, f"e_1 does not commute with the map at {_a1_element((0, 1, 0), (0, 0, 1))}"),
+        "commute/thetaj-affine-commute": (
+            19, f"f_0 vanishes on {_a1_element((0, 0, 1), (0, 0, 1))} but not on its image"),
+        "multiplicity/weight-injective-off-images": (
+            19, "weight (0,0,0) repeats 2 times off the images"),
+        "f0-landing/landing-unique-by-weight": (
+            9, f"f_0 image of {_a1_element((1, 1, 0), (2, 0, 0))} is not unique of its weight"),
+    }
+    assert {name: failures.get(name) for name in expected} == expected
+
+
+def test_psi_n_clears_x0_without_the_bump(monkeypatch):
+    original = affine_d2.SPEC.raise_map
+
+    def psi(j, b):
+        n = len(b) // 2
+        if j != n or b[n] == 0:
+            return original(j, b)
+        return b[:n] + (0,) + b[n + 1:]  # the model also bumps x_n and xbar_n
+
+    monkeypatch.setattr(affine_d2, "SPEC", affine_d2.SPEC._replace(raise_map=psi))
+    failures = _failures("d2", 2, 2, "commute")
+    assert failures == {
+        "commute/psij-component-shift": (
+            7, "level map 2 does not raise the component by 1 at"
+               " ElemD(x=(0, 0), x0=1, xbar=(0, 0), level=1)"),
+        "commute/psij-classical-commute-nonzero": (
+            3, "e_2 does not commute with the map at ElemD(x=(0, 0), x0=0, xbar=(1, 0), level=1)"),
+        "commute/psij-affine-commute": (
+            13, "f_0 vanishes on ElemD(x=(0, 0), x0=1, xbar=(0, 0), level=1) but not on its image"),
+    }
+
+
+def test_theta_1_as_theta_2_breaks_the_boundary_step(monkeypatch):
+    spec = affine_a.SPEC._replace(include=lambda b: affine_a._theta(2, b))  # the model adds 1s
+    monkeypatch.setattr(affine_a, "SPEC", spec)
+    failures = _failures("a1", 2, 2, "embedding")
+    assert failures["embedding/theta1-boundary-step"] == (
+        10, f"f_0 boundary step wrong above {_a1_element((0, 0, 1), (0, 0, 1))}")
+
+
 def test_coordinate_boundary_reads_only_the_first_pair(monkeypatch):
     # the model asks min(x_j, xbar_j) == 0 for every j
     spec = affine_c.SPEC._replace(coordinate_boundary=lambda x: min(x[0], x[-1]) == 0)
