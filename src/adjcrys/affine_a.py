@@ -415,7 +415,7 @@ def _theta1_checks(run) -> list[CheckResult]:
             cases += 1
             z = above[c] if c >= 0 else OUTSIDE
             if z < 0 or getattr(KERNEL, stat)(big.elems[c], 0, run.l) != 1 or big.comp[z] != run.l:
-                bad = bad or f"{op} boundary step wrong above {small.element(b)}"
+                bad = bad or f"{op} boundary step wrong above {small.element_id(b)}"
     checks.append(CheckResult("theta1-boundary-step", "embedding", not bad, cases, bad))
     return checks
 
@@ -443,7 +443,7 @@ def promotion_checks(n: int, l: int) -> list[CheckResult]:
     """The cyclic-shift identities on the values of both factor crystals:
     the twist sigma o op_j = op_{j+1} o sigma, the zero-node conjugation, and
     the order of sigma.  One pass over the values keeps the first failure of
-    each.  Messages print the factor's element object."""
+    each.  Messages name the factor value by its id."""
     twist = conjugation = order = ""
     size = 0
     for kernel in (ROW_KERNEL, COL_KERNEL):
@@ -455,16 +455,16 @@ def promotion_checks(n: int, l: int) -> list[CheckResult]:
                 for direction, op in ops:
                     a, via = op(v, i), op(pv, (i + 1) % (n + 1))
                     if (None if a is None else promote(a)) != via:
-                        twist = twist or f"twist fails at {kernel.element(v, l)}, {direction}_{i}"
+                        twist = twist or f"twist fails at {kernel.element_id(v, n)}, {direction}_{i}"
                     # at i = 0 the same two results give the zero-node conjugation
                     if i == 0 and a != (None if via is None else promote_inverse(via)):
                         conjugation = conjugation or (
-                            f"zero-node conjugation fails at {kernel.element(v, l)} ({direction})")
+                            f"zero-node conjugation fails at {kernel.element_id(v, n)} ({direction})")
             cur = pv
             for _ in range(n):
                 cur = promote(cur)
             if cur != v:
-                order = order or f"promotion order wrong at {kernel.element(v, l)}"
+                order = order or f"promotion order wrong at {kernel.element_id(v, n)}"
     return [
         CheckResult("twist", "promotion", not twist, size * 2 * (n + 1), twist),
         CheckResult("zero-node-conjugation", "promotion", not conjugation, size * 2, conjugation),
@@ -490,7 +490,7 @@ def alpha_checks(n: int, l: int, table: Optional[OperatorTable] = None) -> list[
     """
     if table is None:
         table = OperatorTable(CrystalA(n, l))
-    size, comp, element = len(table.elems), table.comp, table.element
+    size, comp, element = len(table.elems), table.comp, table.element_id
     images: list[tuple[Optional[int], Optional[Tableau]]] = []  # alpha(b), or (None, None)
     rejected: dict[int, str] = {}  # why alpha(b) is not a tableau
     for b, value in enumerate(table.elems):

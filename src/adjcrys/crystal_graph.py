@@ -374,9 +374,9 @@ class OperatorTable:
     def row(self, direction: str, i: int) -> tuple[int, ...]:
         return self.f[i] if direction == "f" else self.e[i]
 
-    def element(self, b: int):
-        """The user-facing object of index b, for messages and oracles."""
-        return self.model.element(self.elems[b])
+    def element_id(self, b: int) -> str:
+        """The id of index b, which names it in every message."""
+        return self.model.element_id(self.elems[b])
 
 
 def compile_map(domain: OperatorTable, target: OperatorTable, vmap) -> list[int]:
@@ -392,7 +392,7 @@ def check_map(domain: OperatorTable, imap, ok, message: str, *,
               name: str, category: str) -> CheckResult:
     """ok(b, imap[b]) at every domain index; `message` names the first failure."""
     bad = next(
-        (message.format(domain.element(b)) for b, c in enumerate(imap) if c < 0 or not ok(b, c)),
+        (message.format(domain.element_id(b)) for b, c in enumerate(imap) if c < 0 or not ok(b, c)),
         "",
     )
     return CheckResult(name, category, not bad, len(imap), bad)
@@ -419,7 +419,7 @@ def check_commutation(domain: OperatorTable, target: OperatorTable, imap, ops, *
             else:
                 bad = (a < 0 or imap[a] < 0 or other != imap[a]) and "does not commute with the map at {}"
             if bad:
-                detail = f"{direction}_{i} " + bad.format(domain.element(b))
+                detail = f"{direction}_{i} " + bad.format(domain.element_id(b))
                 return CheckResult(name, category, False, cases, detail)
     return CheckResult(name, category, True, cases)
 
@@ -436,9 +436,9 @@ def check_embedding(domain: OperatorTable, target: OperatorTable, imap, labels, 
     image: dict[int, int] = {}
     for b, c in enumerate(imap):
         if c < 0:
-            return fail(0, f"{domain.element(b)} maps outside the target")
+            return fail(0, f"{domain.element_id(b)} maps outside the target")
         if c in image:
-            return fail(0, f"map not injective: {domain.element(b)} and {domain.element(image[c])}")
+            return fail(0, f"map not injective: {domain.element_id(b)} and {domain.element_id(image[c])}")
         image[c] = b
     rows = [(d, i, domain.row(d, i), target.row(d, i)) for i in labels for d in ("f", "e")]
     cases = 0
@@ -449,10 +449,10 @@ def check_embedding(domain: OperatorTable, target: OperatorTable, imap, labels, 
             if inner != UNDEFINED:
                 if inner < 0 or outer != imap[inner]:
                     return fail(
-                        cases, f"arrow {direction}_{i} at {domain.element(b)} not preserved")
+                        cases, f"arrow {direction}_{i} at {domain.element_id(b)} not preserved")
             elif outer in image:
                 return fail(
-                    cases, f"extra arrow {direction}_{i} inside the image at {domain.element(b)}")
+                    cases, f"extra arrow {direction}_{i} inside the image at {domain.element_id(b)}")
     return CheckResult(name, category, True, cases)
 
 
@@ -699,7 +699,7 @@ class TheoremRun:
         coordinate = self.spec.coordinate_boundary
         if coordinate is not None:
             bad = next(
-                (f"coordinate boundary criterion fails at {big.element(b)}"
+                (f"coordinate boundary criterion fails at {big.element_id(b)}"
                  for b, value in enumerate(big.elems)
                  if coordinate(value) != on_boundary(family, big.weight[b], big.comp[b])),
                 "",
@@ -756,24 +756,24 @@ class TheoremRun:
             kill_cases += 1
             expect_dead = k == l and not in_shell(family, tuple(map(add, mu, theta)), l)
             if (z == UNDEFINED) != expect_dead:
-                kill_bad = kill_bad or f"vanishing criterion wrong at {big.element(b)}"
+                kill_bad = kill_bad or f"vanishing criterion wrong at {big.element_id(b)}"
                 continue
             if z == UNDEFINED:
                 continue
             comp_cases += 1
             if not on_boundary(family, mu, k):
-                comp_bad = comp_bad or f"{big.element(b)} escapes the level-raising images but is not on its boundary shell"
+                comp_bad = comp_bad or f"{big.element_id(b)} escapes the level-raising images but is not on its boundary shell"
                 continue
             target = k + classify_shift(family, mu, k).value
             landed = big.comp[z] if z >= 0 else None
             if landed != target:
-                comp_bad = comp_bad or f"f_0 lands in k={landed} at {big.element(b)}, classification says {target}"
+                comp_bad = comp_bad or f"f_0 lands in k={landed} at {big.element_id(b)}, classification says {target}"
                 continue
             uniq_cases += 1
             if z not in off_images:
-                uniq_bad = uniq_bad or f"f_0 image of {big.element(b)} lies in the level-raising images"
+                uniq_bad = uniq_bad or f"f_0 image of {big.element_id(b)} lies in the level-raising images"
             elif weight_counts[big.weight[z]] != 1:
-                uniq_bad = uniq_bad or f"f_0 image of {big.element(b)} is not unique of its weight"
+                uniq_bad = uniq_bad or f"f_0 image of {big.element_id(b)} is not unique of its weight"
         return [
             CheckResult("vanishing-criterion", "f0-landing", not kill_bad, kill_cases, kill_bad),
             CheckResult("landing-component", "f0-landing", not comp_bad, comp_cases, comp_bad),

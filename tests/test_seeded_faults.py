@@ -7,7 +7,6 @@ report is not asserted.
 """
 
 from adjcrys import affine_a, affine_c, affine_d2, crystal_graph, tableaux
-from adjcrys.affine_a import AdjElemA, ColElem
 from adjcrys.cli import _verification_report, main
 from adjcrys.crystal_graph import all_passed, axiom_checks
 from adjcrys.root_data import Family, ShellStep
@@ -136,7 +135,7 @@ def test_inclusion_without_an_image_is_not_an_embedding(monkeypatch):
     spec = affine_c.SPEC._replace(include=lambda x: None if x == (0, 0, 1, 1) else original(x))
     monkeypatch.setattr(affine_c, "SPEC", spec)
     assert _failures("c1", 2, 2, "embedding") == {"embedding/level-inclusion-full-subgraph": (
-        0, "ElemC(coords=(0, 0, 1, 1), level=1) maps outside the target")}
+        0, "C2:x=0,0;xb=1,1 maps outside the target")}
 
 
 def test_level_map_without_an_image_breaks_the_component_shift(monkeypatch):
@@ -148,7 +147,7 @@ def test_level_map_without_an_image_breaks_the_component_shift(monkeypatch):
     monkeypatch.setattr(affine_c, "SPEC", affine_c.SPEC._replace(raise_map=phi_map))
     failures = _failures("c1", 2, 2, "commute")
     assert failures["commute/phij-component-shift"] == (
-        22, "level map 2 does not raise the component by 1 at ElemC(coords=(0, 1, 1, 0), level=1)")
+        22, "level map 2 does not raise the component by 1 at C2:x=0,1;xb=1,0")
 
 
 def test_classify_shift_up_for_minus_one(monkeypatch):
@@ -201,17 +200,17 @@ def test_theta_3_bumps_the_wrong_column(monkeypatch):
     failures = _failures("a1", 2, 2)
     expected = {
         "commute/thetaj-component-shift": (
-            18, f"level map 3 does not raise the component by 1 at {_a1_element((1, 0, 0), (0, 0, 1))}"),
+            18, "level map 3 does not raise the component by 1 at A2:x=1,0,0;y=0,0,1"),
         "commute/thetaj-weight-preserving": (
-            18, f"level map 3 changes the weight at {_a1_element((0, 0, 1), (0, 0, 1))}"),
+            18, "level map 3 changes the weight at A2:x=0,0,1;y=0,0,1"),
         "commute/thetaj-classical-commute-nonzero": (
-            24, f"e_1 does not commute with the map at {_a1_element((0, 1, 0), (0, 0, 1))}"),
+            24, "e_1 does not commute with the map at A2:x=0,1,0;y=0,0,1"),
         "commute/thetaj-affine-commute": (
-            19, f"f_0 vanishes on {_a1_element((0, 0, 1), (0, 0, 1))} but not on its image"),
+            19, "f_0 vanishes on A2:x=0,0,1;y=0,0,1 but not on its image"),
         "multiplicity/weight-injective-off-images": (
             19, "weight (0,0,0) repeats 2 times off the images"),
         "f0-landing/landing-unique-by-weight": (
-            9, f"f_0 image of {_a1_element((1, 1, 0), (2, 0, 0))} is not unique of its weight"),
+            9, "f_0 image of A2:x=1,1,0;y=2,0,0 is not unique of its weight"),
     }
     assert {name: failures.get(name) for name in expected} == expected
 
@@ -230,11 +229,11 @@ def test_psi_n_clears_x0_without_the_bump(monkeypatch):
     assert failures == {
         "commute/psij-component-shift": (
             7, "level map 2 does not raise the component by 1 at"
-               " ElemD(x=(0, 0), x0=1, xbar=(0, 0), level=1)"),
+               " D2:x=0,0;x0=1;xb=0,0"),
         "commute/psij-classical-commute-nonzero": (
-            3, "e_2 does not commute with the map at ElemD(x=(0, 0), x0=0, xbar=(1, 0), level=1)"),
+            3, "e_2 does not commute with the map at D2:x=0,0;x0=0;xb=1,0"),
         "commute/psij-affine-commute": (
-            13, "f_0 vanishes on ElemD(x=(0, 0), x0=1, xbar=(0, 0), level=1) but not on its image"),
+            13, "f_0 vanishes on D2:x=0,0;x0=1;xb=0,0 but not on its image"),
     }
 
 
@@ -243,7 +242,7 @@ def test_theta_1_as_theta_2_breaks_the_boundary_step(monkeypatch):
     monkeypatch.setattr(affine_a, "SPEC", spec)
     failures = _failures("a1", 2, 2, "embedding")
     assert failures["embedding/theta1-boundary-step"] == (
-        10, f"f_0 boundary step wrong above {_a1_element((0, 0, 1), (0, 0, 1))}")
+        10, "f_0 boundary step wrong above A2:x=0,0,1;y=0,0,1")
 
 
 def test_coordinate_boundary_reads_only_the_first_pair(monkeypatch):
@@ -251,7 +250,7 @@ def test_coordinate_boundary_reads_only_the_first_pair(monkeypatch):
     spec = affine_c.SPEC._replace(coordinate_boundary=lambda x: min(x[0], x[-1]) == 0)
     monkeypatch.setattr(affine_c, "SPEC", spec)
     assert _failures("c1", 2, 2, "boundary") == {"boundary/coordinate-criterion": (
-        46, "coordinate boundary criterion fails at ElemC(coords=(0, 1, 1, 0), level=2)")}
+        46, "coordinate boundary criterion fails at C2:x=0,1;xb=1,0")}
 
 
 def _patch_weight_adds_xbar_n(monkeypatch):
@@ -286,17 +285,13 @@ def test_row_f_n_vanishes_breaks_the_twist(monkeypatch):
         lambda x, i, l=None: None if i == len(x) - 1 else original(x, i, l),
     )
     assert _failures("a1", 2, 2, "promotion") == {
-        "promotion/twist": (72, "twist fails at RowElem(x=(0, 1, 1)), f_2")}
+        "promotion/twist": (72, "twist fails at A2:x=0,1,1, f_2")}
 
 
 def test_promotion_reverses_the_slots(monkeypatch):
     monkeypatch.setattr(affine_a, "promote", lambda v: v[::-1])
     assert _failures("a1", 2, 2, "promotion")["promotion/order"] == (
-        12, "promotion order wrong at RowElem(x=(0, 0, 2))")
-
-
-def _a1_element(x, y):
-    return repr(AdjElemA(affine_a.RowElem(x), ColElem(y)))
+        12, "promotion order wrong at A2:x=0,0,2")
 
 
 def _patch_content_counts_one_twice(monkeypatch):
@@ -314,7 +309,7 @@ def test_content_counts_letter_one_twice(monkeypatch):
     failures = _failures("a1", 2, 2)
     assert set(failures) == {"alpha/weight-preserving"}
     assert failures["alpha/weight-preserving"] == (
-        36, f"alpha changes the weight at {_a1_element((0, 0, 2), (0, 0, 2))}")
+        36, "alpha changes the weight at A2:x=0,0,2;y=0,0,2")
 
 
 def test_alpha_inverse_moves_a_column(monkeypatch):
@@ -329,7 +324,7 @@ def test_alpha_inverse_moves_a_column(monkeypatch):
         return x, tuple(y)
 
     monkeypatch.setattr(affine_a, "_alpha_inverse", alpha_inverse)
-    expected = (39, f"alpha round trip fails at {_a1_element((0, 0, 2), (1, 0, 1))}")
+    expected = (39, "alpha round trip fails at A2:x=0,0,2;y=1,0,1")
     assert _failures("a1", 2, 2, "alpha") == {"alpha/bijection": expected}
     assert _failures("a1", 2, 2)["alpha/bijection"] == expected
 
@@ -342,12 +337,12 @@ def test_alpha_collision_is_not_injective(monkeypatch):
     monkeypatch.setattr(affine_a, "_alpha", lambda b, l: original(dst if b == src else b, l))
     failures = _failures("a1", 2, 2, "alpha")
     assert failures == {
-        "alpha/bijection": (39, f"alpha not injective: {_a1_element((0, 2, 0), (0, 1, 1))}"
-                                f" and {_a1_element((0, 1, 1), (0, 1, 1))}"),
+        "alpha/bijection": (39, "alpha not injective: A2:x=0,2,0;y=0,1,1"
+                                " and A2:x=0,1,1;y=0,1,1"),
         "alpha/weight-preserving": (
-            36, f"alpha changes the weight at {_a1_element((0, 2, 0), (0, 1, 1))}"),
+            36, "alpha changes the weight at A2:x=0,2,0;y=0,1,1"),
         "alpha/intertwines-classical": (
-            144, f"alpha does not intertwine e_2 at {_a1_element((0, 1, 1), (0, 1, 1))}"),
+            144, "alpha does not intertwine e_2 at A2:x=0,1,1;y=0,1,1"),
     }
 
 
@@ -365,7 +360,7 @@ def test_adj_e_strict_tie_rule(monkeypatch):
     monkeypatch.setattr(affine_a.KERNEL, "e", e)
     failures = _failures("a1", 2, 2)
     assert failures["alpha/intertwines-classical"] == (
-        144, f"alpha breaks vanishing of e_2 at {_a1_element((0, 0, 2), (0, 0, 2))}")
+        144, "alpha breaks vanishing of e_2 at A2:x=0,0,2;y=0,0,2")
     assert "alpha/bijection" not in failures
     assert "alpha/weight-preserving" not in failures
 
@@ -404,7 +399,7 @@ def test_e_on_leftmost_unmatched_letter_is_a_failure(monkeypatch, capsys):
     monkeypatch.setattr(tableaux, "rule_cells", rule_cells)
     code, fails = _verify_a1_failures(capsys)
     assert code == 1
-    detail = (f"e_2 of alpha({_a1_element((0, 0, 2), (0, 0, 2))}) is not a tableau:"
+    detail = ("e_2 of alpha(A2:x=0,0,2;y=0,0,2) is not a tableau:"
               " rows must weakly increase left to right")
     assert fails == {"alpha/intertwines-classical": ("(144 cases)", detail)}
 
@@ -425,7 +420,7 @@ def test_column_factor_in_increasing_order_is_a_failure(monkeypatch, capsys):
     monkeypatch.setattr(affine_a, "_alpha", alpha)
     code, fails = _verify_a1_failures(capsys)
     assert code == 1
-    detail = (f"alpha({_a1_element((0, 0, 2), (0, 1, 1))}) is not a tableau:"
+    detail = ("alpha(A2:x=0,0,2;y=0,1,1) is not a tableau:"
               " rows must weakly increase left to right")
     assert fails["alpha/bijection"] == ("(39 cases)", detail)
     assert fails["alpha/weight-preserving"] == ("(36 cases)", detail)
@@ -447,7 +442,7 @@ def test_pair_f_1_with_a_negative_multiplicity_is_a_failure(monkeypatch, capsys)
     code, fails = _verify_a1_failures(capsys)
     assert code == 1
     assert fails["alpha/intertwines-classical"] == (
-        "(144 cases)", f"alpha does not intertwine f_1 at {_a1_element((0, 0, 2), (0, 0, 2))}")
+        "(144 cases)", "alpha does not intertwine f_1 at A2:x=0,0,2;y=0,0,2")
 
 
 def test_row_f_0_with_a_negative_multiplicity_is_a_failure(monkeypatch, capsys):
@@ -463,7 +458,7 @@ def test_row_f_0_with_a_negative_multiplicity_is_a_failure(monkeypatch, capsys):
     code, fails = _verify_a1_failures(capsys)
     assert code == 1
     assert fails["promotion/zero-node-conjugation"] == (
-        "(24 cases)", "zero-node conjugation fails at RowElem(x=(0, 2, 0)) (f)")
+        "(24 cases)", "zero-node conjugation fails at A2:x=0,2,0 (f)")
 
 
 def test_f_on_rightmost_unmatched_letter_is_a_failure(monkeypatch):
@@ -478,7 +473,7 @@ def test_f_on_rightmost_unmatched_letter_is_a_failure(monkeypatch):
 
     monkeypatch.setattr(tableaux, "rule_cells", rule_cells)
     fails = _failures("a1", 2, 2)
-    detail = (f"f_2 of alpha({_a1_element((0, 0, 2), (0, 0, 2))}) is not a tableau:"
+    detail = ("f_2 of alpha(A2:x=0,0,2;y=0,0,2) is not a tableau:"
               " rows must weakly increase left to right")
     assert fails["alpha/intertwines-classical"] == (144, detail)
     assert "alpha/bijection" not in fails  # each check fails only for its own statement
@@ -496,7 +491,7 @@ def test_f_on_first_letter_ignoring_cancellation_is_a_failure(monkeypatch):
         return raise_pos, (word.index(i) if i in word else None)
 
     monkeypatch.setattr(tableaux, "rule_cells", rule_cells)
-    detail = (f"f_1 of alpha({_a1_element((0, 0, 2), (0, 0, 2))}) is not a tableau:"
+    detail = ("f_1 of alpha(A2:x=0,0,2;y=0,0,2) is not a tableau:"
               " column (2, 2) not strictly increasing")
     assert _failures("a1", 2, 2) == {"alpha/intertwines-classical": (144, detail)}
 
