@@ -13,15 +13,12 @@ from .affine_a import (
     ColElem,
     CrystalA,
     RowElem,
-    alpha,
-    alpha_inverse,
     alpha_checks,
     promotion_checks,
-    theta_map,
     verify_theorems as verify_theorems_a,
 )
-from .affine_c import CrystalC, ElemC, phi_map, verify_theorems as verify_theorems_c
-from .affine_d2 import CrystalD2, ElemD, psi_map, verify_theorems as verify_theorems_d2
+from .affine_c import CrystalC, ElemC, verify_theorems as verify_theorems_c
+from .affine_d2 import CrystalD2, ElemD, verify_theorems as verify_theorems_d2
 from .crystal_graph import (
     CheckResult,
     CrystalGraph,

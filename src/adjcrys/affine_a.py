@@ -6,14 +6,14 @@ depth-n columns missing j in the column tableau.  The affine operators on a
 factor are cyclic shifts of the classical ones via the promotion map; the
 pair carries the two-factor tensor rule.  The classical decomposition into
 components indexed by k = l - min(x_1, y_1) is realized explicitly by the
-map `alpha` onto tableaux of shape (2k, k^(n-1)).
+map alpha (`_alpha`) onto tableaux of shape (2k, k^(n-1)).
 
 The crystals themselves are `ROW_KERNEL`, `COL_KERNEL` and the pair
 `KERNEL`: pure functions on multiplicity vectors and on pairs (x, y) of
 them.  The element classes and the model adapters call into them.  The
 checks run on the same values: `promote` is the promotion map of both
-factors, and `_alpha` computes `alpha` of a pair value, so a passing
-`promotion_checks` or `alpha_checks` builds no element object.
+factors and `_alpha` takes a pair value, so `promotion_checks` and
+`alpha_checks` build no element object.
 """
 
 from __future__ import annotations
@@ -110,10 +110,8 @@ class RowElem:
     x: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if len(self.x) < 2:
-            raise ValueError("need at least two letters")
-        if any(c < 0 for c in self.x):
-            raise ValueError("multiplicities must be nonnegative")
+        if not ROW_KERNEL.contains(self.x, self.level):
+            raise ValueError(f"coordinates do not describe a level-{self.level} element")
 
     @property
     def n(self) -> int:
@@ -148,10 +146,8 @@ class ColElem:
     y: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if len(self.y) < 2:
-            raise ValueError("need at least two column kinds")
-        if any(c < 0 for c in self.y):
-            raise ValueError("multiplicities must be nonnegative")
+        if not COL_KERNEL.contains(self.y, self.level):
+            raise ValueError(f"coordinates do not describe a level-{self.level} element")
 
     @property
     def n(self) -> int:
@@ -187,10 +183,8 @@ class AdjElemA:
     col: ColElem
 
     def __post_init__(self) -> None:
-        if self.row.n != self.col.n:
-            raise ValueError("rank mismatch between factors")
-        if self.row.level != self.col.level:
-            raise ValueError("level mismatch between factors")
+        if not KERNEL.contains((self.row.x, self.col.y), self.level):
+            raise ValueError(f"coordinates do not describe a level-{self.level} element")
 
     @property
     def n(self) -> int:
@@ -227,16 +221,8 @@ class AdjElemA:
         return RootDatum(Family.A, self.n).weight(KERNEL.weight((self.row.x, self.col.y)))
 
 
-def _pair_element(b, l=None) -> AdjElemA:
+def _pair_element(b) -> AdjElemA:
     return AdjElemA(RowElem(b[0]), ColElem(b[1]))
-
-
-def theta_map(j: int, b: AdjElemA) -> AdjElemA:
-    """Raise the level by one: add a letter j to the row, a column missing j
-    to the column factor.  Injective and weight preserving."""
-    if not 1 <= j <= b.n + 1:
-        raise ValueError(f"map index {j} out of range 1..{b.n + 1}")
-    return _pair_element(_theta(j, (b.row.x, b.col.y)))
 
 
 def shape_component(n: int, k: int) -> tuple[int, ...]:
@@ -244,13 +230,9 @@ def shape_component(n: int, k: int) -> tuple[int, ...]:
     return () if k == 0 else (2 * k,) + (k,) * (n - 1)
 
 
-def alpha(b: AdjElemA) -> tuple[int, Tableau]:
-    """Classical isomorphism onto tableaux: the component and the tableau."""
-    return _alpha((b.row.x, b.col.y), b.level)
-
-
 def _alpha(b, l: int) -> tuple[int, Tableau]:
-    """`alpha` on the value (x, y) at level l: strip the common count of the
+    """alpha, the classical isomorphism onto tableaux, on the value (x, y) at
+    level l: the component and the tableau.  Strip the common count of the
     letter 1 and of the column missing 1, then concatenate the columns, the
     depth-n ones by decreasing missing letter and then the letters.  Equal
     columns are one shared object, which the tableau check passes over."""
@@ -268,7 +250,8 @@ def _alpha(b, l: int) -> tuple[int, Tableau]:
 
 
 def _alpha_inverse(n: int, l: int, t: Tableau) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """The value (x, y) of `alpha_inverse`."""
+    """The inverse of `_alpha` at level l: the value (x, y) of a tableau of
+    component shape."""
     shape = t.shape
     k = shape[0] // 2 if shape else 0
     if shape != shape_component(n, k):
@@ -287,11 +270,6 @@ def _alpha_inverse(n: int, l: int, t: Tableau) -> tuple[tuple[int, ...], tuple[i
     return tuple(x), tuple(y)
 
 
-def alpha_inverse(n: int, l: int, t: Tableau) -> AdjElemA:
-    """Inverse of `alpha` at level l for a tableau of component shape."""
-    return _pair_element(_alpha_inverse(n, l, t))
-
-
 def row_elements(n: int, l: int) -> list[RowElem]:
     return [RowElem(x) for x in compositions(l, n + 1)]
 
@@ -304,17 +282,11 @@ def elements(n: int, l: int) -> list[AdjElemA]:
     return [_pair_element(b) for b in KERNEL.values(n, l)]
 
 
-def shell(n: int, l: int, k: int) -> list[AdjElemA]:
-    return [b for b in elements(n, l) if b.k == k]
-
-
-def highest(n: int, l: int, k: int) -> AdjElemA:
-    """The classically highest element of component k at level l."""
+def highest(n: int, l: int, k: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The classically highest value of component k at level l."""
     if not 0 <= k <= l:
         raise ValueError(f"component {k} out of range 0..{l}")
-    x = (l,) + (0,) * n
-    y = (l - k,) + (0,) * (n - 1) + (k,)
-    return AdjElemA(RowElem(x), ColElem(y))
+    return (l,) + (0,) * n, (l - k,) + (0,) * (n - 1) + (k,)
 
 
 def factor_size(n: int, l: int) -> int:
@@ -329,13 +301,17 @@ def _factor_values(n: int, l: int) -> list[tuple[int, ...]]:
     return list(compositions(l, n + 1))
 
 
+def _factor_contains(v: tuple[int, ...], l: int) -> bool:
+    return len(v) >= 2 and min(v) >= 0 and sum(v) == l
+
+
 ROW_KERNEL = Kernel(
     values=_factor_values,
     f=lambda x, i, l=None: _shift(x, i - 1, i),
     e=lambda x, i, l=None: _shift(x, i, i - 1),
     eps=lambda x, i, l=None: x[i],
     phi=lambda x, i, l=None: x[i - 1],
-    weight=tuple, component=lambda x, l: None, element=lambda x, l: RowElem(x),
+    weight=tuple, component=lambda x, l: None, contains=_factor_contains,
     element_id=lambda x, n: f"A{n}:x=" + ",".join(map(str, x)), size=factor_size,
 )
 COL_KERNEL = Kernel(
@@ -345,14 +321,14 @@ COL_KERNEL = Kernel(
     eps=lambda y, i, l=None: y[i - 1],
     phi=lambda y, i, l=None: y[i],
     weight=lambda y: tuple(sum(y) - c for c in y),
-    component=lambda y, l: None, element=lambda y, l: ColElem(y),
+    component=lambda y, l: None, contains=_factor_contains,
     element_id=lambda y, n: f"A{n}:y=" + ",".join(map(str, y)), size=factor_size,
 )
 KERNEL = Kernel(
     values=lambda n, l: list(product(_factor_values(n, l), repeat=2)),
     f=_pair_f, e=_pair_e, eps=_pair_eps, phi=_pair_phi,
     weight=lambda b: tuple(map(sub, *b)), component=lambda b, l: l - min(b[0][0], b[1][0]),
-    element=_pair_element,
+    contains=lambda b, l: len(b[0]) == len(b[1]) and all(_factor_contains(v, l) for v in b),
     element_id=lambda b, n: f"A{n}:x={','.join(map(str, b[0]))};y={','.join(map(str, b[1]))}",
     size=expected_size,
 )
@@ -473,7 +449,7 @@ def promotion_checks(n: int, l: int) -> list[CheckResult]:
 
 
 def alpha_checks(n: int, l: int, table: Optional[OperatorTable] = None) -> list[CheckResult]:
-    """`alpha` as a classical isomorphism: bijectivity onto the tableau
+    """alpha as a classical isomorphism: bijectivity onto the tableau
     components, weight preservation, and intertwining all classical
     operators.
 
@@ -482,15 +458,14 @@ def alpha_checks(n: int, l: int, table: Optional[OperatorTable] = None) -> list[
     checker: `_alpha` runs once per value and builds one tableau, and one
     bracketing per label gives each image's `e_i` and `f_i` cells; the round
     trip compares coordinates, images compare as (k, columns).  No element
-    object is built unless a message or a result missing from the table
-    needs one.  Every image is a validated tableau and a wrong shape
+    object is built.  Every image is a validated tableau and a wrong shape
     fails the round trip, so the distinct images of component k are all of
     B((2k, k^(n-1))) when there are as many as the hook-content formula
     counts.  An image or result that fails its check fails at the element.
     """
     if table is None:
         table = OperatorTable(CrystalA(n, l))
-    size, comp, element = len(table.elems), table.comp, table.element_id
+    size, comp, name = len(table.elems), table.comp, table.element_id
     images: list[tuple[Optional[int], Optional[Tableau]]] = []  # alpha(b), or (None, None)
     rejected: dict[int, str] = {}  # why alpha(b) is not a tableau
     for b, value in enumerate(table.elems):
@@ -498,7 +473,7 @@ def alpha_checks(n: int, l: int, table: Optional[OperatorTable] = None) -> list[
             images.append(_alpha(value, l))
         except ValueError as err:
             images.append((None, None))
-            rejected[b] = f"alpha({element(b)}) is not a tableau: {err}"
+            rejected[b] = f"alpha({name(b)}) is not a tableau: {err}"
 
     bijection = weight = intertwining = ""
     owners: dict[int, dict[tuple, int]] = {}  # k, then columns of an image: its first owner
@@ -513,13 +488,13 @@ def alpha_checks(n: int, l: int, table: Optional[OperatorTable] = None) -> list[
         prev = owners.setdefault(k, {}).setdefault(t.columns, b)
         if not bijection:
             if k != comp[b]:
-                bijection = f"alpha component mismatch at {element(b)}"
+                bijection = f"alpha component mismatch at {name(b)}"
             elif prev != b:
-                bijection = f"alpha not injective: {element(b)} and {element(prev)}"
+                bijection = f"alpha not injective: {name(b)} and {name(prev)}"
             elif t.shape != shape_component(n, k) or not _round_trips(n, l, t, value):
-                bijection = f"alpha round trip fails at {element(b)}"
+                bijection = f"alpha round trip fails at {name(b)}"
         if not weight and tuple(c - k for c in t.content()) != table.weight[b]:
-            weight = f"alpha changes the weight at {element(b)}"
+            weight = f"alpha changes the weight at {name(b)}"
         if intertwining:
             continue
         for i, f_row, e_row in rows:
@@ -530,7 +505,7 @@ def alpha_checks(n: int, l: int, table: Optional[OperatorTable] = None) -> list[
                     ta = t.moved(pos, letter)
                 except ValueError as err:
                     intertwining = intertwining or (
-                        f"{d}_{i} of alpha({element(b)}) is not a tableau: {err}")
+                        f"{d}_{i} of alpha({name(b)}) is not a tableau: {err}")
                     continue
                 a = row[b]
                 if a == UNDEFINED:
@@ -541,9 +516,9 @@ def alpha_checks(n: int, l: int, table: Optional[OperatorTable] = None) -> list[
                     bad = not same and "alpha does not intertwine {}_{} at {}"
                 else:  # OUTSIDE: the model's result is missing from the table
                     v = getattr(KERNEL, d)(value, i, l)
-                    bad = not _maps_to(v, l, ta) and "alpha does not intertwine {}_{} at {}"
+                    bad = not _maps_to(v, ta) and "alpha does not intertwine {}_{} at {}"
                 if bad:
-                    intertwining = intertwining or bad.format(d, i, element(b))
+                    intertwining = intertwining or bad.format(d, i, name(b))
     bijection = bijection or next(
         (f"alpha image differs from the component crystal at k={k}" for k in range(l + 1)
          if len(owners.get(k, ())) != ssyt_count(shape_component(n, k), n + 1)),
@@ -563,11 +538,11 @@ def _round_trips(n: int, l: int, t: Tableau, b) -> bool:
         return False
 
 
-def _maps_to(v, l: int, t: Optional[Tableau]) -> bool:
-    """Whether the value v is an element, of any level, whose `alpha` image
+def _maps_to(v, t: Optional[Tableau]) -> bool:
+    """Whether the value v is an element, of any level, whose alpha image
     is the tableau t; an invalid value is not."""
+    level = sum(v[0])
     try:
-        a = KERNEL.element(v, l)
-        return t is not None and alpha(a) == (a.k, t)
+        return t is not None and KERNEL.contains(v, level) and _alpha(v, level)[1] == t
     except ValueError:
         return False

@@ -93,15 +93,8 @@ class ElemC:
     level: int
 
     def __post_init__(self) -> None:
-        if len(self.coords) % 2 != 0 or len(self.coords) < 4:
-            raise ValueError("coordinate tuple must have even length >= 4")
-        if any(c < 0 for c in self.coords):
-            raise ValueError("coordinates must be nonnegative")
-        total = sum(self.coords)
-        if total % 2 != 0:
-            raise ValueError("coordinate sum must be even")
-        if total > 2 * self.level:
-            raise ValueError(f"coordinate sum {total} exceeds 2*level={2 * self.level}")
+        if not KERNEL.contains(self.coords, self.level):
+            raise ValueError(f"coordinates do not describe a level-{self.level} element")
 
     @property
     def n(self) -> int:
@@ -129,25 +122,15 @@ class ElemC:
         return KERNEL.phi(self.coords, i, self.level)
 
 
-def phi_map(j: int, b: ElemC) -> ElemC:
-    """Raise the level and the component by one: bump x_j and xbar_j."""
-    if not 1 <= j <= b.n:
-        raise ValueError(f"map index {j} out of range 1..{b.n}")
-    return ElemC(_raise(j, b.coords), b.level + 1)
-
-
-def shell(n: int, l: int, k: int) -> list[ElemC]:
-    return [ElemC(c, l) for c in compositions(2 * k, 2 * n)]
-
-
 def elements(n: int, l: int) -> list[ElemC]:
     return [ElemC(c, l) for c in KERNEL.values(n, l)]
 
 
-def highest(n: int, l: int, k: int) -> ElemC:
+def highest(n: int, l: int, k: int) -> tuple[int, ...]:
+    """The classically highest value of component k at level l."""
     if not 0 <= k <= l:
         raise ValueError(f"component {k} out of range 0..{l}")
-    return ElemC((2 * k,) + (0,) * (2 * n - 1), l)
+    return (2 * k,) + (0,) * (2 * n - 1)
 
 
 def shell_size(n: int, k: int) -> int:
@@ -163,7 +146,9 @@ KERNEL = Kernel(
     f=_f, e=_e, eps=_eps, phi=_phi,
     weight=lambda x: tuple(map(sub, x[:len(x) // 2], reversed(x[len(x) // 2:]))),
     component=lambda x, l: sum(x) // 2,
-    element=ElemC,
+    contains=lambda x, l: (
+        len(x) >= 4 and len(x) % 2 == 0 and min(x) >= 0 and sum(x) % 2 == 0 and sum(x) <= 2 * l
+    ),
     element_id=lambda x, n: f"C{n}:x={','.join(map(str, x[:n]))};xb={','.join(map(str, x[n:]))}",
     size=expected_size,
 )

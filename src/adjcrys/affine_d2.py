@@ -116,14 +116,8 @@ class ElemD:
     level: int
 
     def __post_init__(self) -> None:
-        if len(self.x) != len(self.xbar) or len(self.x) < 1:
-            raise ValueError("x and xbar must have equal positive length")
-        if self.x0 not in (0, 1):
-            raise ValueError(f"x0 must be 0 or 1, got {self.x0}")
-        if any(c < 0 for c in self.x + self.xbar):
-            raise ValueError("coordinates must be nonnegative")
-        if self.k > self.level:
-            raise ValueError(f"coordinate sum {self.k} exceeds level {self.level}")
+        if len(self.x) != len(self.xbar) or not KERNEL.contains(self.coords, self.level):
+            raise ValueError(f"coordinates do not describe a level-{self.level} element")
 
     @property
     def n(self) -> int:
@@ -155,26 +149,15 @@ class ElemD:
         return KERNEL.phi(self.coords, i, self.level)
 
 
-def psi_map(j: int, b: ElemD) -> ElemD:
-    """Level-raising maps: bump x_j and xbar_j across two levels for j < n;
-    the j = n map raises one level, toggling the x_0 slot."""
-    if not 1 <= j <= b.n:
-        raise ValueError(f"map index {j} out of range 1..{b.n}")
-    return _element(_raise(j, b.coords), b.level + (1 if j == b.n else 2))
-
-
-def shell(n: int, l: int, k: int) -> list[ElemD]:
-    return [_element(b, l) for b in _shell(n, k)]
-
-
 def elements(n: int, l: int) -> list[ElemD]:
     return [_element(b, l) for b in KERNEL.values(n, l)]
 
 
-def highest(n: int, l: int, k: int) -> ElemD:
+def highest(n: int, l: int, k: int) -> tuple[int, ...]:
+    """The classically highest value of component k at level l."""
     if not 0 <= k <= l:
         raise ValueError(f"component {k} out of range 0..{l}")
-    return ElemD((k,) + (0,) * (n - 1), 0, (0,) * n, l)
+    return (k,) + (0,) * (2 * n)
 
 
 def shell_size(n: int, k: int) -> int:
@@ -190,7 +173,9 @@ KERNEL = Kernel(
     f=_f, e=_e, eps=_eps, phi=_phi,
     weight=lambda b: tuple(map(sub, b[:len(b) // 2], reversed(b[len(b) // 2 + 1:]))),
     component=lambda b, l: sum(b),
-    element=_element,
+    contains=lambda b, l: (
+        len(b) >= 3 and len(b) % 2 == 1 and min(b) >= 0 and b[len(b) // 2] <= 1 and sum(b) <= l
+    ),
     element_id=lambda b, n: (
         f"D{n}:x={','.join(map(str, b[:n]))};x0={b[n]};xb={','.join(map(str, b[n + 1:]))}"
     ),

@@ -55,7 +55,7 @@ def _check_bounds(args) -> Optional[int]:
         return _fail_usage(str(err))
     if args.level < 0:
         return _fail_usage(f"level must be >= 0, got {args.level}")
-    enumerates = args.command != "apply"  # apply builds one element and walks one word
+    enumerates = args.command != "apply"  # apply walks one word from one value
     if enumerates and not args.force and _too_large(args.family, args.rank, args.level):
         return _fail_usage(
             f"crystal has more than {SIZE_LIMIT} elements; pass --force to proceed"
@@ -162,31 +162,32 @@ def cmd_verify(args) -> int:
 
 
 def _parse_start(args):
-    n, l = args.rank, args.level
+    """The value `--start` names: highest-of, coordinates in model order, or
+    an element id, whose `=` fields are the coordinates in the same order."""
+    n, l, module = args.rank, args.level, FAMILIES[args.family]
     text = args.start.strip()
     if text == "highest-of":
-        return FAMILIES[args.family].highest(n, l, args.k if args.k is not None else l)
-    text = text.strip("()")
+        return module.highest(n, l, args.k if args.k is not None else l)
+    fields = [field.split(";")[0] for field in text.split("=")[1:]] or [text.strip("()")]
     try:
-        coords = tuple(int(part) for part in text.split(","))
+        coords = tuple(int(part) for field in fields for part in field.split(","))
     except ValueError:
         raise ValueError(f"cannot parse coordinates from {args.start!r}")
-    if args.family == "a1":
-        if len(coords) != 2 * (n + 1):
-            raise ValueError(f"expected {2 * (n + 1)} coordinates, got {len(coords)}")
-        row = affine_a.RowElem(coords[: n + 1])
-        col = affine_a.ColElem(coords[n + 1:])
-        if row.level != l or col.level != l:
-            raise ValueError(f"coordinates do not describe a level-{l} element")
-        return affine_a.AdjElemA(row, col)
-    size = 2 * n if args.family == "c1" else 2 * n + 1
+    size = {"a1": 2 * n + 2, "c1": 2 * n, "d2": 2 * n + 1}[args.family]
     if len(coords) != size:
         raise ValueError(f"expected {size} coordinates, got {len(coords)}")
-    return FAMILIES[args.family].KERNEL.element(coords, l)
+    value = (coords[:n + 1], coords[n + 1:]) if args.family == "a1" else coords
+    if not module.KERNEL.contains(value, l):
+        raise ValueError(f"coordinates do not describe a level-{l} element")
+    if "=" in text and module.KERNEL.element_id(value, n) != text:
+        raise ValueError(f"{args.start!r} is not the id of a {args.family} rank-{n} element")
+    return value
 
 
-def _format_element(b) -> str:
-    return "(" + ",".join(str(c) for c in b.coords) + ")"
+def _format_value(b) -> str:
+    """The `(coords)` line of a value; a pair (x, y) prints x then y."""
+    coords = b[0] + b[1] if isinstance(b[0], tuple) else b
+    return "(" + ",".join(map(str, coords)) + ")"
 
 
 def _parse_word(text: str) -> list[tuple[str, int]]:
@@ -207,16 +208,16 @@ def cmd_apply(args) -> int:
         ops = _parse_word(args.word)
     except ValueError as err:
         return _fail_usage(str(err))
-    n = args.rank
-    lines = [_format_element(current)]
+    n, kernel = args.rank, FAMILIES[args.family].KERNEL
+    lines = [_format_value(current)]
     for direction, i in ops:
         if not 0 <= i <= n:
             return _fail_usage(f"operator index {i} out of range 0..{n}")
-        current = current.f(i) if direction == "f" else current.e(i)
+        current = getattr(kernel, direction)(current, i, args.level)
         if current is None:
             lines.append("0")
             break
-        lines.append(_format_element(current))
+        lines.append(_format_value(current))
     return _write_output(["\n".join(lines) + "\n"], args.out)
 
 
@@ -255,7 +256,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(apply_)
     apply_.add_argument(
         "--start", required=True,
-        help="comma-separated coordinates in model order, or the token highest-of",
+        help="comma-separated coordinates in model order, an element id as failure"
+             " messages print it, or the token highest-of",
     )
     apply_.add_argument("--word", default="", help='operator word, e.g. "f0 f1 e2"')
     apply_.add_argument("--k", type=int, default=None,

@@ -2,14 +2,18 @@
 
 from __future__ import annotations
 
+from itertools import combinations_with_replacement
+from operator import sub
 from typing import Iterator
 
 
 def compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
     """Yield all tuples of `parts` nonnegative integers summing to `total`.
 
-    Tuples come out in lexicographic order, so any enumeration built on top
-    of this is deterministic.
+    Stars and bars: the cuts 0 <= c_1 <= ... <= c_{parts-1} <= total split
+    the total into the parts c_1, c_2 - c_1, ..., total - c_{parts-1}.  The
+    cuts come in lexicographic order, and so do the tuples, so any
+    enumeration built on top of this is deterministic.
     """
     if total < 0 or parts < 0:
         return
@@ -17,9 +21,6 @@ def compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
         if total == 0:
             yield ()
         return
-    if parts == 1:
-        yield (total,)
-        return
-    for head in range(total + 1):
-        for rest in compositions(total - head, parts - 1):
-            yield (head,) + rest
+    top = (total,)
+    for cuts in combinations_with_replacement(range(total + 1), parts - 1):
+        yield tuple(map(sub, cuts + top, (0,) + cuts))

@@ -3,11 +3,11 @@
 A model has the shape of `LevelModel`: `family`, `rank`, `level`,
 `index_set`, `elements()` (its values: hashable, and for the level-l models
 plain coordinate tuples), `kernel`, a `Kernel` of pure functions on the
-values that take the level as an argument, and `element_id`, `component`,
-`sort_key`, `element(b)` (the user-facing object that failure messages
-print), `root_step(i)` (the expected weight change of f_i) and
-`expected_size()`.  Each family writes its crystal once, as a kernel, and
-the element classes call the same kernel.
+values that take the level as an argument, and `element_id` (the name every
+message and export gives a value), `component`, `sort_key`, `root_step(i)`
+(the expected weight change of f_i) and `expected_size()`.  Each family
+writes its crystal once, as a kernel, and the element classes call the same
+kernel.
 
 The graph and the checks run on tables, not on the operators.  An
 `OperatorTable` enumerates a model's values once and calls the kernel's `f`
@@ -18,8 +18,8 @@ returns a value missing from the enumeration (an ef-inverse failure).  Each
 row is recorded by `map` calls alone.  The `f` rows are recorded when the
 table is built and the `e` rows on their first read, so graph export, which
 reads only `f`, calls no e_i.  The table also holds each index's weight
-coordinates and component.  Elements are built only where a message or an
-oracle needs one.  `axiom_checks` and `run_theorems` take the level-l table
+coordinates and component.  The checks build no element object: a failure
+names its elements by id.  `axiom_checks` and `run_theorems` take the level-l table
 as an argument, so one `verify` builds it once.  The axioms run one bulk
 pass per (label, direction) slot and one list comparison per label and
 statistic; each check reports the least of the slots' first failures.
@@ -272,9 +272,11 @@ class Kernel:
     `values(n, l)` lists the values; `f`/`e(b, i, l)` give a value or None
     and `eps`/`phi(b, i, l)` the closed statistics; `weight(b)` is the tuple
     of weight coordinates, `component(b, l)` the component or None;
-    `element(b, l)` is the user-facing object and `element_id(b, n)` its id;
-    `size(n, l)` the closed-form count.  Tables read the fields when built,
-    so assigning one replaces it for every model, table and element.
+    `contains(b, l)` whether a coordinate tuple of the values' shape is an
+    element at level l; `element_id(b, n)` is the id that names b in
+    messages; `size(n, l)` the closed-form count.  Tables read the fields
+    when built, so assigning one replaces it for every model, table and
+    element.
     """
 
     values: Callable
@@ -284,7 +286,7 @@ class Kernel:
     phi: Callable
     weight: Callable
     component: Callable
-    element: Callable
+    contains: Callable
     element_id: Callable
     size: Callable
 
@@ -313,9 +315,6 @@ class LevelModel:
 
     def component(self, b) -> Optional[int]:
         return self.kernel.component(b, self.level)
-
-    def element(self, b):
-        return self.kernel.element(b, self.level)
 
     def element_id(self, b) -> str:
         return self.kernel.element_id(b, self.rank)

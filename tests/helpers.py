@@ -100,7 +100,7 @@ class ClassicalCrystal(LevelModel):
             phi=lambda t, i, l: t.phi(i),
             weight=Tableau.content,
             component=lambda t, l: component,
-            element=lambda t, l: t,
+            contains=lambda t, l: t.shape == shape,
             element_id=lambda t, n: f"T{n}:w=" + ",".join(map(str, t.reading_word())),
             size=lambda n, l: ssyt_count(shape, n + 1),
         )

@@ -3,15 +3,17 @@
 import pytest
 
 from adjcrys.affine_a import (
+    KERNEL,
     AdjElemA,
     ColCrystal,
     ColElem,
     CrystalA,
     RowCrystal,
     RowElem,
-    alpha,
+    _alpha,
+    _alpha_inverse,
+    _theta,
     alpha_checks,
-    alpha_inverse,
     col_elements,
     elements,
     expected_size,
@@ -21,11 +23,10 @@ from adjcrys.affine_a import (
     promotion_checks,
     row_elements,
     shape_component,
-    shell,
-    theta_map,
     verify_theorems,
 )
 from adjcrys.crystal_graph import OperatorTable, all_passed, render_report
+from adjcrys.root_data import Family, RootDatum
 from adjcrys.tableaux import TensorPair, eps_phi
 from helpers import fundamental_coeffs, highest_weight, rows, to_tensor, to_word
 
@@ -115,56 +116,53 @@ def test_pair_classical_ops_match_tensor_of_tableaux():
 
 def test_alpha_examples():
     n = 2
-    trivial = AdjElemA(RowElem((2, 0, 0)), ColElem((2, 0, 0)))
-    k, t = alpha(trivial)
+    k, t = _alpha(((2, 0, 0), (2, 0, 0)), 2)  # the trivial element at level 2
     assert (k, t.columns) == (0, ())
-    b = AdjElemA(RowElem((0, 1, 0)), ColElem((0, 0, 1)))
-    k, t = alpha(b)
+    k, t = _alpha(((0, 1, 0), (0, 0, 1)), 1)
     assert k == 1
     assert rows(t) == ((1, 2), (2,))
     assert t.reading_word() == (2, 1, 2)
     for l in (1, 2):
-        for elem in elements(n, l):
-            k, t = alpha(elem)
-            assert tuple(c - k for c in t.content()) == elem.weight().coeffs
-            assert alpha_inverse(n, l, t) == elem
+        for b in KERNEL.values(n, l):
+            k, t = _alpha(b, l)
+            assert tuple(c - k for c in t.content()) == KERNEL.weight(b)
+            assert _alpha_inverse(n, l, t) == b
 
 
 def test_alpha_inverse_rejects_bad_shapes():
     from adjcrys.tableaux import Tableau
 
     with pytest.raises(ValueError):
-        alpha_inverse(2, 1, Tableau.from_rows(2, [(1, 1, 1)]))
+        _alpha_inverse(2, 1, Tableau.from_rows(2, [(1, 1, 1)]))
     with pytest.raises(ValueError):
-        alpha_inverse(2, 1, highest_weight(2, (4, 2)))  # k=2 beyond level 1
+        _alpha_inverse(2, 1, highest_weight(2, (4, 2)))  # k=2 beyond level 1
 
 
-def test_theta_map_examples():
-    empty = AdjElemA(RowElem((0, 0, 0)), ColElem((0, 0, 0)))
-    assert theta_map(1, empty).coords == (1, 0, 0, 1, 0, 0)
-    t2 = theta_map(2, empty)
-    assert t2.coords == (0, 1, 0, 0, 1, 0)
-    assert t2.k == 1
+def test_theta_examples():
+    empty = ((0, 0, 0), (0, 0, 0))
+    assert _theta(1, empty) == ((1, 0, 0), (1, 0, 0))
+    t2 = _theta(2, empty)
+    assert t2 == ((0, 1, 0), (0, 1, 0))
+    assert KERNEL.component(t2, 1) == 1
     for l in (1, 2):
-        for b in elements(2, l - 1):
-            assert theta_map(1, b).k == b.k
-            assert theta_map(1, b).weight() == b.weight()
+        for b in KERNEL.values(2, l - 1):
+            k, weight = KERNEL.component(b, l - 1), KERNEL.weight(b)
+            assert KERNEL.component(_theta(1, b), l) == k
+            assert KERNEL.weight(_theta(1, b)) == weight
             for j in (2, 3):
-                assert theta_map(j, b).k == b.k + 1
-                assert theta_map(j, b).weight() == b.weight()
-    with pytest.raises(ValueError):
-        theta_map(4, empty)
+                assert KERNEL.component(_theta(j, b), l) == k + 1
+                assert KERNEL.weight(_theta(j, b)) == weight
 
 
 def test_theta1_phi0_edge_case():
     # f_0 vanishes on the top component; one level up it has exactly one step left
     n, l = 2, 2
-    for b in elements(n, l - 1):
-        if b.f(0) is None:
-            above = theta_map(1, b)
-            assert above.phi(0) == 1
-            z = above.f(0)
-            assert z is not None and z.k == l and z.f(0) is None
+    for b in KERNEL.values(n, l - 1):
+        if KERNEL.f(b, 0, l - 1) is None:
+            above = _theta(1, b)
+            assert KERNEL.phi(above, 0, l) == 1
+            z = KERNEL.f(above, 0, l)
+            assert z is not None and KERNEL.component(z, l) == l and KERNEL.f(z, 0, l) is None
 
 
 def test_highest_elements():
@@ -172,12 +170,13 @@ def test_highest_elements():
         for l in range(3):
             for k in range(l + 1):
                 b = highest(n, l, k)
-                assert b.k == k
-                assert fundamental_coeffs(b.weight()) == tuple(
-                    k * c for c in fundamental_coeffs(b.weight().datum.theta())
+                assert KERNEL.component(b, l) == k
+                weight = RootDatum(Family.A, n).weight(KERNEL.weight(b))
+                assert fundamental_coeffs(weight) == tuple(
+                    k * c for c in fundamental_coeffs(weight.datum.theta())
                 )
                 for i in range(1, n + 1):
-                    assert b.e(i) is None
+                    assert KERNEL.e(b, i, l) is None
     with pytest.raises(ValueError):
         highest(2, 1, 2)
 
@@ -185,9 +184,10 @@ def test_highest_elements():
 def test_component_sizes_sum_to_total():
     for n in (2, 3):
         for l in range(4):
-            sizes = [len(shell(n, l, k)) for k in range(l + 1)]
+            comps = [KERNEL.component(b, l) for b in KERNEL.values(n, l)]
+            sizes = [comps.count(k) for k in range(l + 1)]
             assert sum(sizes) == expected_size(n, l) == len(elements(n, l))
-    assert len(shell(2, 1, 1)) == 8
+    assert [KERNEL.component(b, 1) for b in KERNEL.values(2, 1)].count(1) == 8
     assert shape_component(2, 1) == (2, 1)
     assert shape_component(3, 2) == (4, 2, 2)
 

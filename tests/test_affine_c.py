@@ -3,13 +3,13 @@
 import pytest
 
 from adjcrys.affine_c import (
+    KERNEL,
     CrystalC,
     ElemC,
+    _raise,
     elements,
     expected_size,
     highest,
-    phi_map,
-    shell,
     shell_size,
     verify_theorems,
 )
@@ -91,8 +91,9 @@ def test_counts():
     for n in (2, 3):
         for l in range(4):
             assert len(elements(n, l)) == expected_size(n, l)
+            comps = [KERNEL.component(b, l) for b in KERNEL.values(n, l)]
             for k in range(l + 1):
-                assert len(shell(n, l, k)) == shell_size(n, k)
+                assert comps.count(k) == shell_size(n, k)
 
 
 def test_boundary_coordinate_criterion():
@@ -119,18 +120,16 @@ def test_level_inclusion_is_full_subgraph():
                     assert outer is None or outer not in small
 
 
-def test_phi_map_properties():
+def test_raise_properties():
     for n in (2, 3):
         for l in (1, 2):
-            for b in elements(n, l - 1):
+            for b in KERNEL.values(n, l - 1):
                 for j in range(1, n + 1):
-                    image = phi_map(j, b)
-                    assert image.level == l
-                    assert image.k == b.k + 1
-                    assert image.weight() == b.weight()
-    assert phi_map(1, ElemC((0, 0, 0, 0), 0)).coords == (1, 0, 0, 1)
-    with pytest.raises(ValueError):
-        phi_map(3, ElemC((0, 0, 0, 0), 0))
+                    image = _raise(j, b)
+                    assert KERNEL.contains(image, l)
+                    assert KERNEL.component(image, l) == KERNEL.component(b, l - 1) + 1
+                    assert KERNEL.weight(image) == KERNEL.weight(b)
+    assert _raise(1, (0, 0, 0, 0)) == (1, 0, 0, 1)
 
 
 def test_zero_node_landing_spot_checks():
@@ -154,10 +153,10 @@ def test_highest_elements():
         for l in range(3):
             for k in range(l + 1):
                 b = highest(n, l, k)
-                assert b.k == k
-                assert b.weight().coeffs == (2 * k,) + (0,) * (n - 1)
+                assert KERNEL.component(b, l) == k
+                assert KERNEL.weight(b) == (2 * k,) + (0,) * (n - 1)
                 for i in range(1, n + 1):
-                    assert b.e(i) is None
+                    assert KERNEL.e(b, i, l) is None
     with pytest.raises(ValueError):
         highest(2, 1, 2)
 

@@ -3,13 +3,13 @@
 import pytest
 
 from adjcrys.affine_d2 import (
+    KERNEL,
     CrystalD2,
     ElemD,
+    _raise,
     elements,
     expected_size,
     highest,
-    psi_map,
-    shell,
     shell_size,
     verify_theorems,
 )
@@ -86,37 +86,33 @@ def test_weight_steps_and_invisible_slot():
 
 
 def test_counts():
-    assert len(shell(2, 1, 1)) == 5
+    assert [KERNEL.component(b, 1) for b in KERNEL.values(2, 1)].count(1) == 5
     assert shell_size(2, 1) == 5
     for n in (2, 3):
         for l in range(4):
             assert len(elements(n, l)) == expected_size(n, l)
+            comps = [KERNEL.component(b, l) for b in KERNEL.values(n, l)]
             for k in range(l + 1):
-                assert len(shell(n, l, k)) == shell_size(n, k)
+                assert comps.count(k) == shell_size(n, k)
 
 
-def test_psi_map_examples():
-    assert psi_map(1, ElemD((0, 0), 0, (0, 0), 0)).coords == (1, 0, 0, 0, 1)
-    with_zero = psi_map(2, ElemD((0, 1), 0, (0, 0), 1))
-    assert with_zero.coords == (0, 1, 1, 0, 0) and with_zero.level == 2
-    with_one = psi_map(2, ElemD((0, 0), 1, (0, 0), 1))
-    assert with_one.coords == (0, 1, 0, 1, 0) and with_one.level == 2
-    with pytest.raises(ValueError):
-        psi_map(3, ElemD((0, 0), 0, (0, 0), 0))
+def test_raise_examples():
+    assert _raise(1, (0, 0, 0, 0, 0)) == (1, 0, 0, 0, 1)
+    with_zero = _raise(2, (0, 1, 0, 0, 0))
+    assert with_zero == (0, 1, 1, 0, 0) and KERNEL.contains(with_zero, 2)
+    with_one = _raise(2, (0, 0, 1, 0, 0))
+    assert with_one == (0, 1, 0, 1, 0) and KERNEL.contains(with_one, 2)
 
 
-def test_psi_map_component_and_weight():
+def test_raise_component_and_weight():
     for n in (2, 3):
         for l in (2, 3):
-            for j in range(1, n):
-                for b in elements(n, l - 2):
-                    image = psi_map(j, b)
-                    assert image.level == l and image.k == b.k + 2
-                    assert image.weight() == b.weight()
-            for b in elements(n, l - 1):
-                image = psi_map(n, b)
-                assert image.level == l and image.k == b.k + 1
-                assert image.weight() == b.weight()
+            for j, step in [(j, 2) for j in range(1, n)] + [(n, 1)]:
+                for b in KERNEL.values(n, l - step):
+                    image = _raise(j, b)
+                    assert KERNEL.contains(image, l)
+                    assert KERNEL.component(image, l) == KERNEL.component(b, l - step) + step
+                    assert KERNEL.weight(image) == KERNEL.weight(b)
 
 
 def test_boundary_coordinate_criterion():
@@ -164,9 +160,9 @@ def test_highest_elements():
         for l in range(3):
             for k in range(l + 1):
                 b = highest(n, l, k)
-                assert b.k == k and b.x0 == 0
+                assert KERNEL.component(b, l) == k and b[n] == 0
                 for i in range(1, n + 1):
-                    assert b.e(i) is None
+                    assert KERNEL.e(b, i, l) is None
 
 
 def test_verify_theorems_passes():

@@ -143,7 +143,7 @@ def test_force_skips_the_size_guard(capsys, monkeypatch):
 
 
 def test_apply_runs_beyond_the_size_guard(capsys, monkeypatch):
-    """apply builds one element and walks one word, so no size guard runs."""
+    """apply walks one word from one value, so no size guard runs."""
     def refuse(*args):
         raise AssertionError("size computed for apply")
 
@@ -207,6 +207,55 @@ def test_apply_parse_failures(capsys):
                  "--start", "0,0,0,0", "--word", "g1"]) == 2
     assert main(["apply", "--family", "c1", "--rank", "2", "--level", "1",
                  "--start", "0,0,0,0", "--word", "f9"]) == 2
+
+
+@pytest.mark.parametrize("family", ["a1", "c1", "d2"])
+def test_apply_start_takes_every_element_id(capsys, family):
+    """Any id a failure message prints replays through apply."""
+    kernel = FAMILIES[family].KERNEL
+    common = ["apply", "--family", family, "--rank", "2", "--level", "2", "--word", ""]
+    for b in kernel.values(2, 2):
+        coords = b[0] + b[1] if family == "a1" else b
+        assert main(common + ["--start", ",".join(map(str, coords))]) == 0
+        by_coords = capsys.readouterr().out
+        assert main(common + ["--start", kernel.element_id(b, 2)]) == 0
+        assert capsys.readouterr().out == by_coords
+
+
+@pytest.mark.parametrize("family, start", [
+    ("c1", "A1:x=0,2;y=0,2"),  # an a1 id of rank 1 with the coordinate count of c1 rank 2
+    ("c1", "C3:x=0,0;xb=0,0"),
+    ("c1", "C2:x=0,0;y=0,0"),
+    ("d2", "B2:x=0,0;x0=0;xb=0,0"),
+    ("d2", "D2:x=0,0;xb=0;x0=0,0"),
+    ("a1", "A2:y=2,0,0;x=2,0,0"),
+])
+def test_apply_rejects_the_id_of_another_family_or_rank(capsys, family, start):
+    code = main(["apply", "--family", family, "--rank", "2", "--level", "2", "--start", start])
+    assert code == 2
+    assert capsys.readouterr().err == f"error: {start!r} is not the id of a {family} rank-2 element\n"
+
+
+def test_apply_rejects_an_id_of_another_coordinate_count(capsys):
+    assert main(["apply", "--family", "c1", "--rank", "2", "--level", "2",
+                 "--start", "C3:x=0,0,0;xb=0,0,0"]) == 2
+    assert capsys.readouterr().err == "error: expected 4 coordinates, got 6\n"
+
+
+@pytest.mark.parametrize("family, start", [
+    ("a1", "1,0,0,2,0,0"),  # the row factor at level 1
+    ("a1", "2,0,-1,1,1,0"),
+    ("c1", "0,0,0,1"),  # odd sum
+    ("c1", "2,2,2,0"),  # sum beyond 2l
+    ("c1", "-2,0,0,2"),
+    ("d2", "0,0,2,0,0"),  # x_0 beyond {0, 1}
+    ("d2", "1,1,1,0,0"),  # sum beyond l
+    ("d2", "D2:x=0,0;x0=2;xb=0,0"),
+])
+def test_apply_rejects_a_start_that_is_not_an_element(capsys, family, start):
+    code = main(["apply", "--family", family, "--rank", "2", "--level", "2", f"--start={start}"])
+    assert code == 2
+    assert capsys.readouterr().err == "error: coordinates do not describe a level-2 element\n"
 
 
 def test_verify_exit_one_on_check_failure(capsys, monkeypatch):

@@ -204,13 +204,15 @@ def test_in_shell_matches_model_weights():
     for n in (2, 3):
         datum = RootDatum(Family.C, n)
         for k in range(4):
-            expected = {b.weight() for b in affine_c.shell(n, k, k)}
+            expected = {datum.weight(affine_c.KERNEL.weight(b)) for b in affine_c.KERNEL.values(n, k)
+                        if affine_c.KERNEL.component(b, k) == k}
             box = {mu for mu in all_weights(datum, 2 * k) if in_shell(Family.C, mu.coeffs, k)}
             assert box == expected
     for n in (2, 3):
         datum = RootDatum(Family.B, n)
         for k in range(4):
-            expected = {b.weight() for b in affine_d2.shell(n, k, k)}
+            expected = {datum.weight(affine_d2.KERNEL.weight(b)) for b in affine_d2.KERNEL.values(n, k)
+                        if affine_d2.KERNEL.component(b, k) == k}
             box = {mu for mu in all_weights(datum, k) if in_shell(Family.B, mu.coeffs, k)}
             assert box == expected
 
