@@ -19,10 +19,11 @@ row is recorded by `map` calls alone.  The `f` rows are recorded when the
 table is built and the `e` rows on their first read, so graph export, which
 reads only `f`, calls no e_i.  The table also holds each index's weight
 coordinates and component.  The checks build no element object: a failure
-names its elements by id.  `axiom_checks` and `run_theorems` take the level-l table
-as an argument, so one `verify` builds it once.  The axioms run one bulk
-pass per (label, direction) slot and one list comparison per label and
-statistic; each check reports the least of the slots' first failures.
+names its elements by id.  `axiom_checks` and `run_theorems` take the
+level-l table as an argument, so one `verify` builds it once.  The axioms
+run one bulk pass per (label, direction) slot and one list comparison per
+label and statistic; each check reports the least of the slots' first
+failures.
 
 `stream_graph` formats the DOT or JSON export straight from the table rows
 and yields it in batches of a few thousand records, so it holds the table and
