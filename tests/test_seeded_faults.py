@@ -6,6 +6,8 @@ into the models, the family specs or the check helpers; the rest of the
 report is not asserted.
 """
 
+import pytest
+
 from adjcrys import affine_a, affine_c, affine_d2, crystal_graph, tableaux
 from adjcrys.cli import _verification_report, main
 from adjcrys.crystal_graph import all_passed, axiom_checks
@@ -536,3 +538,89 @@ def test_closed_statistics_report_the_first_element(monkeypatch):
     _patch_at_a_and_b(monkeypatch, "eps", lambda x, i, l, original: original(x, i, l) + 1)
     assert _failures("c1", 2, 2, "axioms") == {"axioms/stats-closed-vs-iteration": (
         138, f"closed statistics wrong at {_A_ID}, i=2")}
+
+
+def test_theta1_on_a_rotated_column_factor(monkeypatch):
+    # the model adds the letter 1 and the column missing 1 to (x, y) itself
+    original = affine_a.SPEC.include
+    spec = affine_a.SPEC._replace(include=lambda b: original((b[0], b[1][1:] + b[1][:1])))
+    monkeypatch.setattr(affine_a, "SPEC", spec)
+    assert _failures("a1", 2, 2, "embedding") == {
+        "embedding/theta1-component": (
+            9, "component changed by the level map at A2:x=1,0,0;y=0,1,0"),
+        "embedding/theta1-classical-commute": (
+            1, "f_1 vanishes on A2:x=0,0,1;y=0,0,1 but not on its image"),
+        "embedding/theta1-affine-commute-nonzero": (
+            2, "f_0 does not commute with the map at A2:x=0,0,1;y=1,0,0"),
+        "embedding/theta1-boundary-step": (
+            10, "f_0 boundary step wrong above A2:x=0,0,1;y=0,0,1"),
+        "embedding/theta1-full-subgraph": (
+            1, "extra arrow f_0 inside the image at A2:x=0,0,1;y=0,0,1"),
+    }
+
+
+def test_phi_2_also_moves_a_unit_from_x1_to_x2(monkeypatch):
+    original = affine_c.SPEC.raise_map
+
+    def phi_map(j, x):
+        out = original(j, x)
+        if j != 2 or out[0] == 0:
+            return out
+        return (out[0] - 1, out[1] + 1) + out[2:]  # the model bumps x_2 and xbar_2 only
+
+    monkeypatch.setattr(affine_c, "SPEC", affine_c.SPEC._replace(raise_map=phi_map))
+    failures = _failures("c1", 2, 2, "commute")
+    assert failures["commute/phij-classical-commute-nonzero"] == (
+        28, "e_1 does not commute with the map at C2:x=0,1;xb=0,1")
+    assert failures["commute/phij-affine-commute"] == (
+        23, "f_0 does not commute with the map at C2:x=0,0;xb=0,0")
+
+
+def test_d2_inclusion_reversing_tuples_without_x0(monkeypatch):
+    # the model includes every tuple as it is
+    spec = affine_d2.SPEC._replace(include=lambda b: b[::-1] if b[len(b) // 2] == 0 else b)
+    monkeypatch.setattr(affine_d2, "SPEC", spec)
+    assert _failures("d2", 2, 2, "embedding") == {"embedding/level-inclusion-full-subgraph": (
+        1, "arrow f_0 at D2:x=0,0;x0=0;xb=0,0 not preserved")}
+
+
+FACTORS = (("row", affine_a.ROW_KERNEL), ("col", affine_a.COL_KERNEL))
+
+
+@pytest.mark.parametrize("prefix, kernel", FACTORS)
+def test_factor_weight_reversed_breaks_the_weight_step(prefix, kernel, monkeypatch):
+    original = kernel.weight
+    monkeypatch.setattr(kernel, "weight", lambda v: original(v)[::-1])
+    detail = {"row": "f_0 weight step wrong at A2:x=0,0,2",
+              "col": "e_0 weight step wrong at A2:y=0,0,2"}[prefix]
+    assert _failures("a1", 2, 2, "axioms") == {f"axioms/{prefix}-weight-step": (18, detail)}
+
+
+@pytest.mark.parametrize("prefix, kernel", FACTORS)
+def test_factor_size_off_by_one(prefix, kernel, monkeypatch):
+    original = kernel.size
+    monkeypatch.setattr(kernel, "size", lambda n, l: original(n, l) + 1)
+    assert _failures("a1", 2, 2, "axioms") == {
+        f"axioms/{prefix}-element-count": (1, "enumerated 6, closed form gives 7")}
+
+
+@pytest.mark.parametrize("prefix, kernel", FACTORS)
+def test_factor_e_1_as_f_1_is_not_inverted(prefix, kernel, monkeypatch):
+    e, f = kernel.e, kernel.f
+    monkeypatch.setattr(kernel, "e", lambda v, i, l=None: (f if i == 1 else e)(v, i, l))
+    factor_id = {"row": "A2:x=1,0,1", "col": "A2:y=0,1,1"}[prefix]
+    assert _failures("a1", 2, 2, "axioms")[f"axioms/{prefix}-ef-inverse"] == (
+        36, f"f_1 not inverted at {factor_id}")
+
+
+@pytest.mark.parametrize("prefix, kernel", FACTORS)
+def test_factor_without_labels_0_and_1_is_disconnected(prefix, kernel, monkeypatch):
+    # labels 0..n shift the n+1 slots in one cycle: dropping two labels cuts it
+    for op in ("e", "f"):
+        original = getattr(kernel, op)
+        monkeypatch.setattr(
+            kernel, op,
+            lambda v, i, l=None, original=original: None if i in (0, 1) else original(v, i, l),
+        )
+    assert _failures("a1", 2, 2, "axioms")[f"axioms/{prefix}-connected"] == (
+        6, "crystal graph is disconnected")
