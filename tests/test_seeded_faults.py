@@ -624,3 +624,11 @@ def test_factor_without_labels_0_and_1_is_disconnected(prefix, kernel, monkeypat
         )
     assert _failures("a1", 2, 2, "axioms")[f"axioms/{prefix}-connected"] == (
         6, "crystal graph is disconnected")
+
+
+def test_col_eps_1_off_by_one(monkeypatch):
+    original = affine_a.COL_KERNEL.eps
+    monkeypatch.setattr(
+        affine_a.COL_KERNEL, "eps", lambda y, i, l=None: original(y, i, l) + (i == 1))
+    assert _failures("a1", 2, 2, "axioms")["axioms/col-stats-closed-vs-iteration"] == (
+        18, "closed statistics wrong at A2:y=0,0,2, i=1")
