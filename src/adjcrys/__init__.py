@@ -34,7 +34,6 @@ from .root_data import (
     Family,
     RootDatum,
     ShellStep,
-    Weight,
     classify_shift,
     in_shell,
     on_boundary,

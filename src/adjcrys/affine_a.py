@@ -10,10 +10,12 @@ map alpha (`_alpha`) onto tableaux of shape (2k, k^(n-1)).
 
 The crystals themselves are `ROW_KERNEL`, `COL_KERNEL` and the pair
 `KERNEL`: pure functions on multiplicity vectors and on pairs (x, y) of
-them.  The element classes and the model adapters call into them.  The
-checks run on the same values: `promote` is the promotion map of both
-factors and `_alpha` takes a pair value, so `promotion_checks` and
-`alpha_checks` build no element object.
+them; the model adapters call into them.  The element classes `RowElem`,
+`ColElem` and `AdjElemA` wrap the kernels' `e`/`f` for the benchmark's
+tracer (`perfbench/traced.py`); no command builds one.  The checks run on
+the values: `promote` is the promotion map of both factors and `_alpha`
+takes a pair value, so `promotion_checks` and `alpha_checks` build no
+element object.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ from .crystal_graph import (
     check_map,
     run_theorems,
 )
-from .root_data import Family, RootDatum, Weight
+from .root_data import Family
 from .tableaux import Tableau, column_missing, ssyt_count
 
 
@@ -110,16 +112,9 @@ class RowElem:
     x: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if not ROW_KERNEL.contains(self.x, self.level):
-            raise ValueError(f"coordinates do not describe a level-{self.level} element")
-
-    @property
-    def n(self) -> int:
-        return len(self.x) - 1
-
-    @property
-    def level(self) -> int:
-        return sum(self.x)
+        level = sum(self.x)
+        if not ROW_KERNEL.contains(self.x, level):
+            raise ValueError(f"coordinates do not describe a level-{level} element")
 
     def f(self, i: int) -> Optional["RowElem"]:
         out = ROW_KERNEL.f(self.x, i)
@@ -129,15 +124,6 @@ class RowElem:
         out = ROW_KERNEL.e(self.x, i)
         return None if out is None else RowElem(out)
 
-    def eps(self, i: int) -> int:
-        return ROW_KERNEL.eps(self.x, i)
-
-    def phi(self, i: int) -> int:
-        return ROW_KERNEL.phi(self.x, i)
-
-    def content(self) -> tuple[int, ...]:
-        return self.x
-
 
 @dataclass(frozen=True)
 class ColElem:
@@ -146,16 +132,9 @@ class ColElem:
     y: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if not COL_KERNEL.contains(self.y, self.level):
-            raise ValueError(f"coordinates do not describe a level-{self.level} element")
-
-    @property
-    def n(self) -> int:
-        return len(self.y) - 1
-
-    @property
-    def level(self) -> int:
-        return sum(self.y)
+        level = sum(self.y)
+        if not COL_KERNEL.contains(self.y, level):
+            raise ValueError(f"coordinates do not describe a level-{level} element")
 
     def f(self, i: int) -> Optional["ColElem"]:
         out = COL_KERNEL.f(self.y, i)
@@ -164,15 +143,6 @@ class ColElem:
     def e(self, i: int) -> Optional["ColElem"]:
         out = COL_KERNEL.e(self.y, i)
         return None if out is None else ColElem(out)
-
-    def eps(self, i: int) -> int:
-        return COL_KERNEL.eps(self.y, i)
-
-    def phi(self, i: int) -> int:
-        return COL_KERNEL.phi(self.y, i)
-
-    def content(self) -> tuple[int, ...]:
-        return COL_KERNEL.weight(self.y)
 
 
 @dataclass(frozen=True)
@@ -183,42 +153,17 @@ class AdjElemA:
     col: ColElem
 
     def __post_init__(self) -> None:
-        if not KERNEL.contains((self.row.x, self.col.y), self.level):
-            raise ValueError(f"coordinates do not describe a level-{self.level} element")
-
-    @property
-    def n(self) -> int:
-        return self.row.n
-
-    @property
-    def level(self) -> int:
-        return self.row.level
-
-    @property
-    def k(self) -> int:
-        """Index of the classical component the element belongs to."""
-        return self.level - min(self.row.x[0], self.col.y[0])
-
-    @property
-    def coords(self) -> tuple[int, ...]:
-        return self.row.x + self.col.y
+        level = sum(self.row.x)
+        if not KERNEL.contains((self.row.x, self.col.y), level):
+            raise ValueError(f"coordinates do not describe a level-{level} element")
 
     def f(self, i: int) -> Optional["AdjElemA"]:
-        b = KERNEL.f((self.row.x, self.col.y), i, self.level)
+        b = KERNEL.f((self.row.x, self.col.y), i, sum(self.row.x))
         return None if b is None else _pair_element(b)
 
     def e(self, i: int) -> Optional["AdjElemA"]:
-        b = KERNEL.e((self.row.x, self.col.y), i, self.level)
+        b = KERNEL.e((self.row.x, self.col.y), i, sum(self.row.x))
         return None if b is None else _pair_element(b)
-
-    def eps(self, i: int) -> int:
-        return KERNEL.eps((self.row.x, self.col.y), i, self.level)
-
-    def phi(self, i: int) -> int:
-        return KERNEL.phi((self.row.x, self.col.y), i, self.level)
-
-    def weight(self) -> Weight:
-        return RootDatum(Family.A, self.n).weight(KERNEL.weight((self.row.x, self.col.y)))
 
 
 def _pair_element(b) -> AdjElemA:

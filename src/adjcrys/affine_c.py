@@ -8,7 +8,9 @@ depend on l - k, so equal tuples at different levels are distinct values.
 
 The crystal itself is `KERNEL`, pure functions on the coordinate tuples that
 take the level as an argument, with x_j at index j-1 and xbar_j at index -j;
-`ElemC` and the model adapter `CrystalC` call into it.
+the model adapter `CrystalC` calls into it.  `ElemC` wraps the kernel's
+`e`/`f` for the benchmark's tracer (`perfbench/traced.py`); no command
+builds one.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from typing import Optional
 
 from .counting import compositions
 from .crystal_graph import CheckResult, Kernel, LevelModel, OperatorTable, TheoremSpec, run_theorems
-from .root_data import Family, RootDatum, Weight
+from .root_data import Family
 
 
 def _moved(x: tuple[int, ...], l: int, i: int, di: int, j: int = 0, dj: int = 0):
@@ -96,17 +98,6 @@ class ElemC:
         if not KERNEL.contains(self.coords, self.level):
             raise ValueError(f"coordinates do not describe a level-{self.level} element")
 
-    @property
-    def n(self) -> int:
-        return len(self.coords) // 2
-
-    @property
-    def k(self) -> int:
-        return sum(self.coords) // 2
-
-    def weight(self) -> Weight:
-        return RootDatum(Family.C, self.n).weight(KERNEL.weight(self.coords))
-
     def e(self, i: int) -> Optional["ElemC"]:
         c = KERNEL.e(self.coords, i, self.level)
         return None if c is None else ElemC(c, self.level)
@@ -114,12 +105,6 @@ class ElemC:
     def f(self, i: int) -> Optional["ElemC"]:
         c = KERNEL.f(self.coords, i, self.level)
         return None if c is None else ElemC(c, self.level)
-
-    def eps(self, i: int) -> int:
-        return KERNEL.eps(self.coords, i, self.level)
-
-    def phi(self, i: int) -> int:
-        return KERNEL.phi(self.coords, i, self.level)
 
 
 def elements(n: int, l: int) -> list[ElemC]:

@@ -2,14 +2,15 @@
 
 Elements are tuples (x_1, ..., x_n, x_0, xbar_n, ..., xbar_1) of nonnegative
 integers with x_0 restricted to {0, 1}; the component index is the full
-coordinate sum k <= l.  The x_0 slot is kept as a separate field so the
-two-valued invariant is structural, and it is invisible to the weight.  The
-level is part of the element, as in the C-type model.
+coordinate sum k <= l.  The x_0 slot is invisible to the weight.  The level
+is part of the element, as in the C-type model.
 
 The crystal itself is `KERNEL`, pure functions on the flat tuples
-`coords` = x + (x_0,) + xbar that take the level as an argument, with x_j at
-index j-1, x_0 at index n and xbar_j at index -j; `ElemD` and the model
-adapter `CrystalD2` call into it.
+x + (x_0,) + xbar that take the level as an argument, with x_j at index j-1,
+x_0 at index n and xbar_j at index -j; the model adapter `CrystalD2` calls
+into it.  `ElemD`, which keeps x_0 as a separate field, wraps the kernel's
+`e`/`f` for the benchmark's tracer (`perfbench/traced.py`); no command
+builds one.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from typing import Optional
 
 from .counting import compositions
 from .crystal_graph import CheckResult, Kernel, LevelModel, OperatorTable, TheoremSpec, run_theorems
-from .root_data import Family, RootDatum, Weight
+from .root_data import Family
 
 
 def _moved(b: tuple[int, ...], l: int, i: int, di: int, j: int = 0, dj: int = 0):
@@ -120,19 +121,8 @@ class ElemD:
             raise ValueError(f"coordinates do not describe a level-{self.level} element")
 
     @property
-    def n(self) -> int:
-        return len(self.x)
-
-    @property
-    def k(self) -> int:
-        return sum(self.x) + self.x0 + sum(self.xbar)
-
-    @property
     def coords(self) -> tuple[int, ...]:
         return self.x + (self.x0,) + self.xbar
-
-    def weight(self) -> Weight:
-        return RootDatum(Family.B, self.n).weight(KERNEL.weight(self.coords))
 
     def e(self, i: int) -> Optional["ElemD"]:
         c = KERNEL.e(self.coords, i, self.level)
@@ -141,12 +131,6 @@ class ElemD:
     def f(self, i: int) -> Optional["ElemD"]:
         c = KERNEL.f(self.coords, i, self.level)
         return None if c is None else _element(c, self.level)
-
-    def eps(self, i: int) -> int:
-        return KERNEL.eps(self.coords, i, self.level)
-
-    def phi(self, i: int) -> int:
-        return KERNEL.phi(self.coords, i, self.level)
 
 
 def elements(n: int, l: int) -> list[ElemD]:

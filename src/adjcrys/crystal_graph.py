@@ -42,7 +42,7 @@ It builds the tables of levels l-1 and, for maps raising two levels, l-2,
 turns each map into an index map, and computes only the category asked.
 The shell predicates of `root_data` read the table's weight tuples, and the
 f_0 landing adds theta to them as the tuple `model.root_step(0)`, so a
-passing run builds no `Weight` per element.
+passing run calls `RootDatum.weight` for the root steps, not per element.
 """
 
 from __future__ import annotations
@@ -52,7 +52,7 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property, partial
 from itertools import compress, count, islice, repeat
-from operator import add, ne
+from operator import add, ne, neg
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .root_data import Family, RootDatum, classify_shift, in_shell, on_boundary
@@ -324,8 +324,7 @@ class LevelModel:
         return b
 
     def root_step(self, i: int) -> tuple[int, ...]:
-        w = self._datum.theta() if i == 0 else -self._datum.simple_root(i)
-        return w.coeffs
+        return self._datum.theta() if i == 0 else tuple(map(neg, self._datum.simple_root(i)))
 
     def expected_size(self) -> Optional[int]:
         if self.restriction is not None:

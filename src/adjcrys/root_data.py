@@ -1,14 +1,14 @@
 """Root data of types A_n, C_n and B_n in epsilon-coordinates.
 
-Weights are integer vectors (m_1, ..., m_dim).  For family A the vector has
-n+1 entries normalized to sum to zero; violating input is rejected rather
-than renormalized.  The shell predicates decide whether a weight occurs in
-the irreducible highest-weight module with highest weight k*theta, where
-theta is the distinguished root of the family (the highest root for A and C,
-the highest short root for B), and how the shell index moves under adding
-theta to a weight sitting on the outermost shell.  They take the family and
-the weight's coordinate tuple, as the operator tables hold it, not a
-`Weight`, and trust the tuple to have the family's form.
+Weights are plain tuples of integers (m_1, ..., m_dim).  For family A the
+tuple has n+1 entries normalized to sum to zero; `RootDatum.weight` rejects
+violating input rather than renormalizing it.  The shell predicates decide
+whether a weight occurs in the irreducible highest-weight module with highest
+weight k*theta, where theta is the distinguished root of the family (the
+highest root for A and C, the highest short root for B), and how the shell
+index moves under adding theta to a weight sitting on the outermost shell.
+They take the family and the weight's coordinate tuple, as the operator
+tables hold it, and trust the tuple to have the family's form.
 """
 
 from __future__ import annotations
@@ -47,13 +47,17 @@ class RootDatum:
         """Classical node indices 1..n."""
         return range(1, self.rank + 1)
 
-    def weight(self, coeffs) -> "Weight":
-        return Weight(self, tuple(int(c) for c in coeffs))
+    def weight(self, coeffs) -> tuple[int, ...]:
+        """The coordinate tuple of a weight, checked to have `dim` entries
+        and, for family A, to sum to zero."""
+        coeffs = tuple(int(c) for c in coeffs)
+        if len(coeffs) != self.dim:
+            raise ValueError(f"expected {self.dim} coordinates, got {len(coeffs)}")
+        if self.family is Family.A and sum(coeffs) != 0:
+            raise ValueError("family A weight coordinates must sum to zero")
+        return coeffs
 
-    def zero(self) -> "Weight":
-        return self.weight((0,) * self.dim)
-
-    def theta(self) -> "Weight":
+    def theta(self) -> tuple[int, ...]:
         """The distinguished root: eps_1 - eps_{n+1} (A), 2*eps_1 (C), eps_1 (B)."""
         coeffs = [0] * self.dim
         coeffs[0] = 2 if self.family is Family.C else 1
@@ -61,7 +65,7 @@ class RootDatum:
             coeffs[-1] = -1
         return self.weight(coeffs)
 
-    def simple_root(self, i: int) -> "Weight":
+    def simple_root(self, i: int) -> tuple[int, ...]:
         """alpha_i = eps_i - eps_{i+1}, except alpha_n = 2*eps_n (C) or eps_n (B)."""
         if not 1 <= i <= self.rank:
             raise IndexError(f"simple root index {i} out of range 1..{self.rank}")
@@ -74,38 +78,6 @@ class RootDatum:
         else:
             coeffs[i - 1] = 1
         return self.weight(coeffs)
-
-
-@dataclass(frozen=True)
-class Weight:
-    datum: RootDatum
-    coeffs: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.coeffs) != self.datum.dim:
-            raise ValueError(
-                f"expected {self.datum.dim} coordinates, got {len(self.coeffs)}"
-            )
-        if self.datum.family is Family.A and sum(self.coeffs) != 0:
-            raise ValueError("family A weight coordinates must sum to zero")
-
-    def _require_same_datum(self, other: "Weight") -> None:
-        if self.datum != other.datum:
-            raise ValueError("weights over different root data")
-
-    def __add__(self, other: "Weight") -> "Weight":
-        self._require_same_datum(other)
-        return Weight(self.datum, tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
-
-    def __sub__(self, other: "Weight") -> "Weight":
-        self._require_same_datum(other)
-        return Weight(self.datum, tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
-
-    def __neg__(self) -> "Weight":
-        return Weight(self.datum, tuple(-a for a in self.coeffs))
-
-    def __str__(self) -> str:
-        return "(" + ",".join(str(c) for c in self.coeffs) + ")"
 
 
 def in_shell(family: Family, coords, k: int) -> bool:

@@ -64,8 +64,10 @@ def word_apply(word, i: int, direction: str) -> Optional[tuple[int, ...]]:
 def eps_phi(b, i: int) -> tuple[int, int]:
     """(eps_i, phi_i) computed by iterating the operators to absence.
 
-    Definitionally correct for any element exposing e/f; serves as the
-    oracle the closed coordinate formulas are tested against.
+    Definitionally correct for any object exposing e/f; it is the `eps` and
+    `phi` of `Word`, `Tableau` and `TensorPair`.  The models' kernels are
+    plain functions on values, so their closed statistics are checked
+    against the chain lengths of the operator rows instead.
     """
     eps = 0
     cur = b.e(i)

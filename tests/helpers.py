@@ -1,16 +1,15 @@
 """Test-only helpers: the tableau crystals B(lambda) by two independent
 enumerations and as a model for the graph code, tableau rows and the
-highest-weight tableau, tableau and letter-word views of pair elements, the
-one-letter crystal operators, weights in fundamental coordinates
-(`pairing`, `fundamental_coeffs` and its inverse), and straightforward
-reference versions of the chain-length and connectivity walks of the
-axiom checks."""
+highest-weight tableau, tableau and letter-word views of pair values, the
+one-letter crystal operators, the statistics of a kernel by iterating its
+operators, weights in fundamental coordinates (`pairing`,
+`fundamental_coeffs` and its inverse), and straightforward reference
+versions of the chain-length and connectivity walks of the axiom checks."""
 
 from typing import Iterator, Optional, Sequence
 
-from adjcrys.affine_a import AdjElemA
 from adjcrys.crystal_graph import OUTSIDE, UNDEFINED, Kernel, LevelModel
-from adjcrys.root_data import Family, RootDatum, Weight
+from adjcrys.root_data import Family, RootDatum
 from adjcrys.tableaux import Tableau, TensorPair, Word, column_missing, ssyt_count
 
 
@@ -118,17 +117,18 @@ def flatten_letters(b) -> tuple[int, ...]:
     return b.reading_word()
 
 
-def to_tensor(b: AdjElemA) -> TensorPair:
-    """The pair as a one-row tableau tensor an n-row tableau: x_j letters j,
-    then y_j columns missing j, by decreasing j."""
-    n, x, y = b.n, b.row.x, b.col.y
+def to_tensor(b) -> TensorPair:
+    """The pair value (x, y) as a one-row tableau tensor an n-row tableau:
+    x_j letters j, then y_j columns missing j, by decreasing j."""
+    x, y = b
+    n = len(x) - 1
     row = tuple(c for c in range(1, n + 2) for _ in range(x[c - 1]))
     cols = [column_missing(n, j) for j in range(n + 1, 0, -1) for _ in range(y[j - 1])]
     return TensorPair(Tableau.from_rows(n, [row] if row else []), Tableau(n, tuple(cols)))
 
 
-def to_word(b: AdjElemA) -> Word:
-    return Word(b.n, flatten_letters(to_tensor(b)))
+def to_word(b) -> Word:
+    return Word(len(b[0]) - 1, flatten_letters(to_tensor(b)))
 
 
 def letter_f(c: int, i: int) -> Optional[int]:
@@ -141,25 +141,37 @@ def letter_e(c: int, i: int) -> Optional[int]:
     return i if c == i + 1 else None
 
 
-def pairing(mu: Weight, i: int) -> int:
-    """Integer pairing <h_i, mu> with the i-th simple coroot."""
-    n = mu.datum.rank
+def iterated_stats(kernel: Kernel, b, i: int, l=None) -> tuple[int, int]:
+    """(eps_i, phi_i) of the value b: how often the kernel's e_i, and then
+    its f_i, applies before it vanishes."""
+    stats = []
+    for op in (kernel.e, kernel.f):
+        steps, cur = 0, op(b, i, l)
+        while cur is not None:
+            steps, cur = steps + 1, op(cur, i, l)
+        stats.append(steps)
+    return tuple(stats)
+
+
+def pairing(datum: RootDatum, mu, i: int) -> int:
+    """Integer pairing <h_i, mu> of the weight coordinates mu with the i-th
+    simple coroot."""
+    n = datum.rank
     if not 1 <= i <= n:
         raise IndexError(f"coroot index {i} out of range 1..{n}")
-    fam = mu.datum.family
-    if fam is Family.A or i < n:
-        return mu.coeffs[i - 1] - mu.coeffs[i]
-    if fam is Family.C:
-        return mu.coeffs[n - 1]
-    return 2 * mu.coeffs[n - 1]
+    if datum.family is Family.A or i < n:
+        return mu[i - 1] - mu[i]
+    if datum.family is Family.C:
+        return mu[n - 1]
+    return 2 * mu[n - 1]
 
 
-def fundamental_coeffs(mu: Weight) -> tuple[int, ...]:
+def fundamental_coeffs(datum: RootDatum, mu) -> tuple[int, ...]:
     """Coefficients (c_1, ..., c_n) with mu = sum c_i * (i-th fundamental weight)."""
-    return tuple(pairing(mu, i) for i in mu.datum.index_set)
+    return tuple(pairing(datum, mu, i) for i in datum.index_set)
 
 
-def weight_from_fundamental(datum: RootDatum, coeffs) -> Weight:
+def weight_from_fundamental(datum: RootDatum, coeffs) -> tuple[int, ...]:
     """Inverse of `fundamental_coeffs`.
 
     Raises ValueError when the given combination has no integral

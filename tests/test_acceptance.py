@@ -11,21 +11,20 @@ from itertools import product
 from adjcrys import affine_a, affine_c, affine_d2
 from adjcrys.cli import main
 from adjcrys.crystal_graph import all_passed, render_report
-from adjcrys.tableaux import eps_phi
+from helpers import iterated_stats
 
 RANKS = (2, 3)
 LEVELS = (0, 1, 2, 3)
+KERNELS = (affine_a.KERNEL, affine_c.KERNEL, affine_d2.KERNEL)
+FACTOR_KERNELS = (affine_a.ROW_KERNEL, affine_a.COL_KERNEL)
 
 
-def _elements():
+def _values(kernels):
+    """(kernel, n, l, value) for every value of each kernel within the bounds."""
     for n, l in product(RANKS, LEVELS):
-        for module in (affine_a, affine_c, affine_d2):
-            yield from module.elements(n, l)
-
-
-def _factor_elements():
-    for n, l in product(RANKS, LEVELS):
-        yield from affine_a.row_elements(n, l) + affine_a.col_elements(n, l)
+        for kernel in kernels:
+            for b in kernel.values(n, l):
+                yield kernel, n, l, b
 
 
 def _section_reports():
@@ -46,13 +45,13 @@ def _assert_categories(categories):
 def test_criterion_01_crystal_axioms():
     start = time.time()
     violations = 0
-    for b in _elements():
-        for i in range(b.n + 1):
-            low = b.f(i)
-            if low is not None and low.e(i) != b:
+    for kernel, n, l, b in _values(KERNELS):
+        for i in range(n + 1):
+            low = kernel.f(b, i, l)
+            if low is not None and kernel.e(low, i, l) != b:
                 violations += 1
-            high = b.e(i)
-            if high is not None and high.f(i) != b:
+            high = kernel.e(b, i, l)
+            if high is not None and kernel.f(high, i, l) != b:
                 violations += 1
     elapsed = time.time() - start
     assert violations == 0
@@ -62,9 +61,9 @@ def test_criterion_01_crystal_axioms():
 
 def test_criterion_02_closed_statistics():
     violations = 0
-    for b in list(_elements()) + list(_factor_elements()):
-        for i in range(b.n + 1):
-            if (b.eps(i), b.phi(i)) != eps_phi(b, i):
+    for kernel, n, l, b in _values(KERNELS + FACTOR_KERNELS):
+        for i in range(n + 1):
+            if (kernel.eps(b, i, l), kernel.phi(b, i, l)) != iterated_stats(kernel, b, i, l):
                 violations += 1
     assert violations == 0
     print("criterion 02 (closed statistics): PASS")
@@ -119,7 +118,7 @@ def test_criterion_09_cardinalities():
         if sum(t) % 2 == 0 and sum(t) <= 2
     ]
     assert len(c_level_one) == 11
-    assert len(affine_c.elements(2, 1)) == 11
+    assert len(affine_c.KERNEL.values(2, 1)) == 11
 
     c_shell_one = [t for t in product(range(3), repeat=4) if sum(t) == 2]
     assert len(c_shell_one) == 10

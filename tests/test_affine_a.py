@@ -3,7 +3,9 @@
 import pytest
 
 from adjcrys.affine_a import (
+    COL_KERNEL,
     KERNEL,
+    ROW_KERNEL,
     AdjElemA,
     ColCrystal,
     ColElem,
@@ -14,21 +16,19 @@ from adjcrys.affine_a import (
     _alpha_inverse,
     _theta,
     alpha_checks,
-    col_elements,
     elements,
     expected_size,
     highest,
     promote,
     promote_inverse,
     promotion_checks,
-    row_elements,
     shape_component,
     verify_theorems,
 )
 from adjcrys.crystal_graph import OperatorTable, all_passed, render_report
 from adjcrys.root_data import Family, RootDatum
-from adjcrys.tableaux import TensorPair, eps_phi
-from helpers import fundamental_coeffs, highest_weight, rows, to_tensor, to_word
+from adjcrys.tableaux import TensorPair
+from helpers import fundamental_coeffs, highest_weight, iterated_stats, rows, to_tensor, to_word
 
 
 def test_promotion_examples():
@@ -46,50 +46,76 @@ def test_factor_operator_examples():
     assert ColElem((1, 0, 0)).e(0) is None
 
 
+def test_element_construction():
+    with pytest.raises(ValueError):
+        RowElem((1, -1, 0))
+    with pytest.raises(ValueError):
+        ColElem((2,))
+    with pytest.raises(ValueError):
+        AdjElemA(RowElem((1, 0, 0)), ColElem((1, 1, 0)))  # the levels differ
+    with pytest.raises(ValueError):
+        AdjElemA(RowElem((1, 0)), ColElem((1, 0, 0)))  # the ranks differ
+
+
 def test_factor_stats_match_iteration():
     for n in (2, 3):
         for l in range(4):
-            for b in row_elements(n, l) + col_elements(n, l):
-                for i in range(n + 1):
-                    assert (b.eps(i), b.phi(i)) == eps_phi(b, i)
+            for kernel in (ROW_KERNEL, COL_KERNEL):
+                for v in kernel.values(n, l):
+                    for i in range(n + 1):
+                        closed = kernel.eps(v, i), kernel.phi(v, i)
+                        assert closed == iterated_stats(kernel, v, i)
 
 
 def test_pair_operator_examples():
-    b = AdjElemA(RowElem((1, 0, 0)), ColElem((1, 0, 0)))  # the k=0 element
-    assert b.k == 0
+    value = ((1, 0, 0), (1, 0, 0))  # the k=0 element
+    assert KERNEL.component(value, 1) == 0
+    b = AdjElemA(RowElem(value[0]), ColElem(value[1]))
     assert b.f(0) == AdjElemA(RowElem((1, 0, 0)), ColElem((0, 0, 1)))
     # all classical operators vanish on the trivial component
     for i in (1, 2):
         assert b.f(i) is None
         assert b.e(i) is None
     # ... and the letter-word realization agrees
-    word = to_word(b)
+    word = to_word(value)
     assert word.letters == (1, 2, 3)
     assert word.f(1) is None
+
+
+def test_pair_elements_call_the_kernel():
+    for n in (2, 3):
+        for l in range(3):
+            for b, value in zip(elements(n, l), KERNEL.values(n, l)):
+                assert (b.row.x, b.col.y) == value
+                for i in range(n + 1):
+                    for direction in ("e", "f"):
+                        got = getattr(b, direction)(i)
+                        want = getattr(KERNEL, direction)(value, i, l)
+                        assert (got if got is None else (got.row.x, got.col.y)) == want
 
 
 def test_pair_inverse_pairing():
     for n in (2, 3):
         for l in range(3):
-            for b in elements(n, l):
+            for b in KERNEL.values(n, l):
                 for i in range(n + 1):
-                    low = b.f(i)
+                    low = KERNEL.f(b, i, l)
                     if low is not None:
-                        assert low.e(i) == b
-                    high = b.e(i)
+                        assert KERNEL.e(low, i, l) == b
+                    high = KERNEL.e(b, i, l)
                     if high is not None:
-                        assert high.f(i) == b
+                        assert KERNEL.f(high, i, l) == b
 
 
 def test_pair_classical_ops_match_letter_words():
     # the count-vector tensor rule against the flat bracketing-rule oracle
     for n in (2, 3):
         for l in range(3):
-            for b in elements(n, l):
+            for b in KERNEL.values(n, l):
                 word = to_word(b)
                 for i in range(1, n + 1):
                     for direction in ("e", "f"):
-                        got = getattr(b, direction)(i)
+                        got = getattr(KERNEL, direction)(b, i, l)
                         expected = getattr(word, direction)(i)
                         if got is None:
                             assert expected is None
@@ -101,11 +127,11 @@ def test_pair_classical_ops_match_letter_words():
 def test_pair_classical_ops_match_tensor_of_tableaux():
     for n in (2, 3):
         for l in range(3):
-            for b in elements(n, l):
+            for b in KERNEL.values(n, l):
                 pair = to_tensor(b)
                 for i in range(1, n + 1):
                     for direction in ("e", "f"):
-                        got = getattr(b, direction)(i)
+                        got = getattr(KERNEL, direction)(b, i, l)
                         expected = getattr(pair, direction)(i)
                         if got is None:
                             assert expected is None
@@ -171,9 +197,10 @@ def test_highest_elements():
             for k in range(l + 1):
                 b = highest(n, l, k)
                 assert KERNEL.component(b, l) == k
-                weight = RootDatum(Family.A, n).weight(KERNEL.weight(b))
-                assert fundamental_coeffs(weight) == tuple(
-                    k * c for c in fundamental_coeffs(weight.datum.theta())
+                datum = RootDatum(Family.A, n)
+                weight = datum.weight(KERNEL.weight(b))
+                assert fundamental_coeffs(datum, weight) == tuple(
+                    k * c for c in fundamental_coeffs(datum, datum.theta())
                 )
                 for i in range(1, n + 1):
                     assert KERNEL.e(b, i, l) is None
@@ -186,7 +213,7 @@ def test_component_sizes_sum_to_total():
         for l in range(4):
             comps = [KERNEL.component(b, l) for b in KERNEL.values(n, l)]
             sizes = [comps.count(k) for k in range(l + 1)]
-            assert sum(sizes) == expected_size(n, l) == len(elements(n, l))
+            assert sum(sizes) == expected_size(n, l) == len(KERNEL.values(n, l))
     assert [KERNEL.component(b, 1) for b in KERNEL.values(2, 1)].count(1) == 8
     assert shape_component(2, 1) == (2, 1)
     assert shape_component(3, 2) == (4, 2, 2)

@@ -1,5 +1,7 @@
 """The C-type coordinate model."""
 
+from operator import neg, sub
+
 import pytest
 
 from adjcrys.affine_c import (
@@ -7,7 +9,6 @@ from adjcrys.affine_c import (
     CrystalC,
     ElemC,
     _raise,
-    elements,
     expected_size,
     highest,
     shell_size,
@@ -15,7 +16,7 @@ from adjcrys.affine_c import (
 )
 from adjcrys.crystal_graph import all_passed, render_report
 from adjcrys.root_data import Family, RootDatum, ShellStep, classify_shift, on_boundary
-from adjcrys.tableaux import eps_phi
+from helpers import iterated_stats
 
 
 def test_construction_rejects_invalid_tuples():
@@ -25,9 +26,9 @@ def test_construction_rejects_invalid_tuples():
         ElemC((2, 2, 0, 0), 1)  # sum beyond 2l
     with pytest.raises(ValueError):
         ElemC((1, -1, 0, 0), 1)
-    b = ElemC((0, 1, 0, 1), 1)
-    assert b.k == 1
-    assert (b.coords[1], b.coords[-2], b.coords[-1]) == (1, 0, 1)  # x_2, xbar_2, xbar_1
+    x = ElemC((0, 1, 0, 1), 1).coords
+    assert KERNEL.component(x, 1) == 1
+    assert (x[1], x[-2], x[-1]) == (1, 0, 1)  # x_2, xbar_2, xbar_1
 
 
 def test_zero_node_operator_examples():
@@ -47,50 +48,51 @@ def test_classical_operator_examples():
 
 def test_level_is_part_of_the_element():
     assert ElemC((0, 0, 0, 0), 1) != ElemC((0, 0, 0, 0), 2)
-    assert ElemC((0, 0, 0, 0), 1).phi(0) == 1
-    assert ElemC((0, 0, 0, 0), 2).phi(0) == 2
+    assert KERNEL.phi((0, 0, 0, 0), 0, 1) == 1
+    assert KERNEL.phi((0, 0, 0, 0), 0, 2) == 2
 
 
 def test_stats_match_iteration():
     for n in (2, 3):
         for l in range(4):
-            for b in elements(n, l):
+            for b in KERNEL.values(n, l):
                 for i in range(n + 1):
-                    assert (b.eps(i), b.phi(i)) == eps_phi(b, i)
+                    closed = KERNEL.eps(b, i, l), KERNEL.phi(b, i, l)
+                    assert closed == iterated_stats(KERNEL, b, i, l)
 
 
 def test_inverse_pairing():
     for n in (2, 3):
         for l in range(4):
-            for b in elements(n, l):
+            for b in KERNEL.values(n, l):
                 for i in range(n + 1):
-                    low = b.f(i)
+                    low = KERNEL.f(b, i, l)
                     if low is not None:
-                        assert low.e(i) == b
-                    high = b.e(i)
+                        assert KERNEL.e(low, i, l) == b
+                    high = KERNEL.e(b, i, l)
                     if high is not None:
-                        assert high.f(i) == b
+                        assert KERNEL.f(high, i, l) == b
 
 
 def test_weight_steps():
     for n in (2, 3):
         datum = RootDatum(Family.C, n)
         for l in range(3):
-            for b in elements(n, l):
+            for b in KERNEL.values(n, l):
                 for i in range(n + 1):
-                    low = b.f(i)
+                    low = KERNEL.f(b, i, l)
                     if low is None:
                         continue
-                    step = datum.theta() if i == 0 else -datum.simple_root(i)
-                    assert low.weight() - b.weight() == step
+                    step = datum.theta() if i == 0 else tuple(map(neg, datum.simple_root(i)))
+                    assert tuple(map(sub, KERNEL.weight(low), KERNEL.weight(b))) == step
 
 
 def test_counts():
-    assert len(elements(2, 1)) == 11
+    assert len(KERNEL.values(2, 1)) == 11
     assert shell_size(2, 1) == 10
     for n in (2, 3):
         for l in range(4):
-            assert len(elements(n, l)) == expected_size(n, l)
+            assert len(KERNEL.values(n, l)) == expected_size(n, l)
             comps = [KERNEL.component(b, l) for b in KERNEL.values(n, l)]
             for k in range(l + 1):
                 assert comps.count(k) == shell_size(n, k)
@@ -99,23 +101,21 @@ def test_counts():
 def test_boundary_coordinate_criterion():
     for n in (2, 3):
         for l in range(3):
-            for b in elements(n, l):
-                x = b.coords  # x_j at index j-1, xbar_j at index -j
+            for x in KERNEL.values(n, l):  # x_j at index j-1, xbar_j at index -j
                 coordinate = all(min(x[j - 1], x[-j]) == 0 for j in range(1, n + 1))
-                assert coordinate == on_boundary(Family.C, b.weight().coeffs, b.k)
+                assert coordinate == on_boundary(Family.C, KERNEL.weight(x), KERNEL.component(x, l))
 
 
 def test_level_inclusion_is_full_subgraph():
     n, l = 2, 3
-    small = set(ElemC(b.coords, l) for b in elements(n, l - 1))
-    for b in elements(n, l - 1):
-        wide = ElemC(b.coords, l)
+    small = set(KERNEL.values(n, l - 1))
+    for b in small:
         for i in range(n + 1):
             for direction in ("e", "f"):
-                inner = getattr(b, direction)(i)
-                outer = getattr(wide, direction)(i)
+                inner = getattr(KERNEL, direction)(b, i, l - 1)
+                outer = getattr(KERNEL, direction)(b, i, l)
                 if inner is not None:
-                    assert outer == ElemC(inner.coords, l)
+                    assert outer == inner
                 else:
                     assert outer is None or outer not in small
 
@@ -134,18 +134,19 @@ def test_raise_properties():
 
 def test_zero_node_landing_spot_checks():
     # a SAME landing: m_1 = -1 on the boundary keeps the component
-    b = ElemC((0, 1, 0, 1), 2)  # weight (-1, 1), boundary of k=1
-    assert classify_shift(Family.C, b.weight().coeffs, b.k) is ShellStep.SAME
-    z = b.f(0)
-    assert z is not None and z.k == b.k
+    b, l = (0, 1, 0, 1), 2  # weight (-1, 1), boundary of k=1
+    k = KERNEL.component(b, l)
+    assert classify_shift(Family.C, KERNEL.weight(b), k) is ShellStep.SAME
+    z = KERNEL.f(b, 0, l)
+    assert z is not None and KERNEL.component(z, l) == k
     # a DOWN landing: m_1 <= -2
-    b = ElemC((0, 0, 0, 2), 2)  # weight (-2, 0)
-    assert classify_shift(Family.C, b.weight().coeffs, b.k) is ShellStep.DOWN
-    z = b.f(0)
-    assert z is not None and z.k == b.k - 1
+    b = (0, 0, 0, 2)  # weight (-2, 0)
+    k = KERNEL.component(b, l)
+    assert classify_shift(Family.C, KERNEL.weight(b), k) is ShellStep.DOWN
+    z = KERNEL.f(b, 0, l)
+    assert z is not None and KERNEL.component(z, l) == k - 1
     # the top-component kill
-    b = ElemC((2, 0, 0, 0), 1)
-    assert b.f(0) is None
+    assert KERNEL.f((2, 0, 0, 0), 0, 1) is None
 
 
 def test_highest_elements():

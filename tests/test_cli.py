@@ -422,27 +422,33 @@ def test_graph_cli_calls_each_f_once_and_no_e(component, elemc_calls, capsys):
 
 @pytest.fixture
 def constructed(monkeypatch):
-    """Counts of element and weight objects built, by class name, through
-    __post_init__."""
+    """Counts of element objects built, by class name, through __post_init__,
+    and of weights checked through `RootDatum.weight`, under "weight"."""
     from adjcrys.affine_a import AdjElemA, ColElem, RowElem
     from adjcrys.affine_c import ElemC
     from adjcrys.affine_d2 import ElemD
-    from adjcrys.root_data import Weight
+    from adjcrys.root_data import RootDatum
 
     counts = Counter()
-    for cls in (RowElem, ColElem, AdjElemA, ElemC, ElemD, Weight):
+    for cls in (RowElem, ColElem, AdjElemA, ElemC, ElemD):
         def counted(self, name=cls.__name__, original=cls.__post_init__):
             counts[name] += 1
             original(self)
         monkeypatch.setattr(cls, "__post_init__", counted)
+
+    def weight(self, coeffs, original=RootDatum.weight):
+        counts["weight"] += 1
+        return original(self, coeffs)
+
+    monkeypatch.setattr(RootDatum, "weight", weight)
     return counts
 
 
 @pytest.mark.parametrize("family", ("a1", "c1", "d2"))
 def test_clean_verify_builds_no_element_objects(family, constructed):
     """Every check of a passing report reads coordinate tuples: it builds
-    no element object, and its Weights (the root steps, not one per
-    element) do not grow with the level."""
+    no element object, and its weights checked through `RootDatum.weight`
+    (the root steps, not one per element) do not grow with the level."""
     from adjcrys.cli import _verification_report
     from adjcrys.crystal_graph import all_passed
 
@@ -450,7 +456,7 @@ def test_clean_verify_builds_no_element_objects(family, constructed):
     for level in (2, 4):
         constructed.clear()
         assert all_passed(_verification_report(family, 2, level, "all"))
-        weights.append(constructed.pop("Weight", 0))
+        weights.append(constructed.pop("weight", 0))
         assert constructed == Counter()
     assert weights[0] == weights[1] > 0
 

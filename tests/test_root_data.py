@@ -1,12 +1,13 @@
 """Root datum arithmetic and the weight-shell criteria."""
 
 from itertools import product
+from operator import add
 
 import pytest
 from hypothesis import given, strategies as st
 
-from adjcrys import affine_c, affine_d2
-from adjcrys.affine_a import elements as a_elements, shape_component
+from adjcrys import affine_a, affine_c, affine_d2
+from adjcrys.affine_a import shape_component
 from adjcrys.root_data import (
     Family,
     RootDatum,
@@ -33,42 +34,40 @@ def all_weights(datum, bound):
 
 @st.composite
 def weights(draw, max_rank=4, bound=6):
+    """A root datum and the coordinates of one of its weights."""
     family = draw(st.sampled_from(list(Family)))
     rank = draw(st.integers(2 if family is Family.C else 1, max_rank))
     datum = RootDatum(family, rank)
     coeffs = draw(st.lists(st.integers(-bound, bound), min_size=datum.dim, max_size=datum.dim))
     if family is Family.A:
         coeffs[-1] = -sum(coeffs[:-1])
-    return datum.weight(coeffs)
+    return datum, datum.weight(coeffs)
 
 
 def test_theta():
-    assert A2.theta().coeffs == (1, 0, -1)
-    assert C2.theta().coeffs == (2, 0)
-    assert B3.theta().coeffs == (1, 0, 0)
+    assert A2.theta() == (1, 0, -1)
+    assert C2.theta() == (2, 0)
+    assert B3.theta() == (1, 0, 0)
 
 
 def test_simple_roots():
-    assert A2.simple_root(1).coeffs == (1, -1, 0)
-    assert A2.simple_root(2).coeffs == (0, 1, -1)
-    assert C2.simple_root(2).coeffs == (0, 2)
-    assert B2.simple_root(2).coeffs == (0, 1)
+    assert A2.simple_root(1) == (1, -1, 0)
+    assert A2.simple_root(2) == (0, 1, -1)
+    assert C2.simple_root(2) == (0, 2)
+    assert B2.simple_root(2) == (0, 1)
     with pytest.raises(IndexError):
         A2.simple_root(3)
 
 
 def test_theta_is_sum_of_simple_roots():
     # A and B: theta = alpha_1 + ... + alpha_n; C: 2(alpha_1 + ... + alpha_{n-1}) + alpha_n
-    for datum in (A2, RootDatum(Family.A, 3), B2, B3):
-        total = datum.zero()
-        for i in datum.index_set:
-            total = total + datum.simple_root(i)
-        assert total == datum.theta()
-    for datum in (C2, RootDatum(Family.C, 3)):
-        total = datum.zero()
-        for i in range(1, datum.rank):
-            total = total + datum.simple_root(i) + datum.simple_root(i)
-        total = total + datum.simple_root(datum.rank)
+    for datum in (A2, RootDatum(Family.A, 3), B2, B3, C2, RootDatum(Family.C, 3)):
+        roots = [datum.simple_root(i) for i in datum.index_set]
+        if datum.family is Family.C:
+            roots += roots[:-1]
+        total = (0,) * datum.dim
+        for root in roots:
+            total = tuple(map(add, total, root))
         assert total == datum.theta()
 
 
@@ -79,6 +78,14 @@ def test_a_family_normalization_enforced():
         RootDatum(Family.C, 1)
 
 
+def test_weight_checks_the_dimension():
+    assert C2.weight([2, -1]) == (2, -1)
+    with pytest.raises(ValueError):
+        C2.weight((1, 0, 0))
+    with pytest.raises(ValueError):
+        A2.weight((1, -1))
+
+
 def test_pairing_against_cartan_matrix():
     # <h_i, alpha_j> recovers the Cartan matrices of A_n, C_n, B_n
     for datum, cartan in (
@@ -87,7 +94,7 @@ def test_pairing_against_cartan_matrix():
         (B2, [[2, -1], [-2, 2]]),
     ):
         got = [
-            [pairing(datum.simple_root(j), i) for j in datum.index_set]
+            [pairing(datum, datum.simple_root(j), i) for j in datum.index_set]
             for i in datum.index_set
         ]
         assert got == cartan
@@ -96,10 +103,10 @@ def test_pairing_against_cartan_matrix():
 def test_fundamental_coeffs_roundtrip():
     for datum in (A2, RootDatum(Family.A, 3), C2, B2, B3):
         for mu in all_weights(datum, 2):
-            assert weight_from_fundamental(datum, fundamental_coeffs(mu)) == mu
-    assert fundamental_coeffs(A2.theta()) == (1, 1)
-    assert fundamental_coeffs(C2.theta()) == (2, 0)
-    assert fundamental_coeffs(B3.theta()) == (1, 0, 0)
+            assert weight_from_fundamental(datum, fundamental_coeffs(datum, mu)) == mu
+    assert fundamental_coeffs(A2, A2.theta()) == (1, 1)
+    assert fundamental_coeffs(C2, C2.theta()) == (2, 0)
+    assert fundamental_coeffs(B3, B3.theta()) == (1, 0, 0)
 
 
 def test_weight_from_fundamental_rejects_nonintegral():
@@ -115,7 +122,7 @@ def test_in_shell_examples():
     assert not in_shell(Family.B, (1, 1), 1)
     assert in_shell(Family.B, (1, 1), 2)
     for datum in (A2, C2, B2):
-        assert in_shell(datum.family, datum.zero().coeffs, 0)
+        assert in_shell(datum.family, (0,) * datum.dim, 0)
 
 
 def test_on_boundary_examples():
@@ -142,14 +149,13 @@ def test_shell_nesting_exhaustive():
     for datum in (A2, RootDatum(Family.A, 3), C2, B2, B3):
         for mu in all_weights(datum, 4):
             for smaller in range(5):
-                if in_shell(datum.family, mu.coeffs, smaller):
+                if in_shell(datum.family, mu, smaller):
                     for k in range(smaller, 5):
-                        assert in_shell(datum.family, mu.coeffs, k)
+                        assert in_shell(datum.family, mu, k)
                     break
 
 
-def _boundary_routes_agree(mu, k):
-    family, coords = mu.datum.family, mu.coeffs
+def _boundary_routes_agree(family, coords, k):
     return on_boundary(family, coords, k) == (
         in_shell(family, coords, k) and not in_shell(family, coords, k - 1))
 
@@ -162,7 +168,7 @@ def test_boundary_routes_agree_exhaustive():
             bound = 5 if datum.dim <= 4 else 3
             for mu in all_weights(datum, bound):
                 for k in range(6):
-                    assert _boundary_routes_agree(mu, k)
+                    assert _boundary_routes_agree(family, mu, k)
 
 
 def test_classify_shift_consistency():
@@ -171,23 +177,25 @@ def test_classify_shift_consistency():
         theta = datum.theta()
         for mu in all_weights(datum, 3):
             for k in range(4):
-                if not on_boundary(datum.family, mu.coeffs, k):
+                if not on_boundary(datum.family, mu, k):
                     continue
-                step = classify_shift(datum.family, mu.coeffs, k)
+                step = classify_shift(datum.family, mu, k)
                 if datum.family is Family.B:
                     assert step is not ShellStep.SAME
-                assert on_boundary(datum.family, (mu + theta).coeffs, k + step.value)
+                assert on_boundary(datum.family, tuple(map(add, mu, theta)), k + step.value)
 
 
 @given(weights(), st.integers(0, 6))
-def test_boundary_routes_agree_random(mu, k):
-    assert _boundary_routes_agree(mu, k)
+def test_boundary_routes_agree_random(weight, k):
+    datum, mu = weight
+    assert _boundary_routes_agree(datum.family, mu, k)
 
 
 @given(weights(), st.integers(0, 5))
-def test_shell_nesting_random(mu, k):
-    if in_shell(mu.datum.family, mu.coeffs, k):
-        assert in_shell(mu.datum.family, mu.coeffs, k + 1)
+def test_shell_nesting_random(weight, k):
+    datum, mu = weight
+    if in_shell(datum.family, mu, k):
+        assert in_shell(datum.family, mu, k + 1)
 
 
 def test_in_shell_matches_model_weights():
@@ -199,27 +207,29 @@ def test_in_shell_matches_model_weights():
                 datum.weight(c - k for c in t.content())
                 for t in all_ssyt(n, shape_component(n, k))
             }
-            box = {mu for mu in all_weights(datum, k) if in_shell(Family.A, mu.coeffs, k)}
+            box = {mu for mu in all_weights(datum, k) if in_shell(Family.A, mu, k)}
             assert box == expected
     for n in (2, 3):
         datum = RootDatum(Family.C, n)
         for k in range(4):
             expected = {datum.weight(affine_c.KERNEL.weight(b)) for b in affine_c.KERNEL.values(n, k)
                         if affine_c.KERNEL.component(b, k) == k}
-            box = {mu for mu in all_weights(datum, 2 * k) if in_shell(Family.C, mu.coeffs, k)}
+            box = {mu for mu in all_weights(datum, 2 * k) if in_shell(Family.C, mu, k)}
             assert box == expected
     for n in (2, 3):
         datum = RootDatum(Family.B, n)
         for k in range(4):
             expected = {datum.weight(affine_d2.KERNEL.weight(b)) for b in affine_d2.KERNEL.values(n, k)
                         if affine_d2.KERNEL.component(b, k) == k}
-            box = {mu for mu in all_weights(datum, k) if in_shell(Family.B, mu.coeffs, k)}
+            box = {mu for mu in all_weights(datum, k) if in_shell(Family.B, mu, k)}
             assert box == expected
 
 
 def test_in_shell_contains_pair_model_components():
     # every weight occurring in component k of the pair model lies in its shell
+    kernel = affine_a.KERNEL
     for n in (2, 3):
+        datum = RootDatum(Family.A, n)
         for l in range(3):
-            for b in a_elements(n, l):
-                assert in_shell(Family.A, b.weight().coeffs, b.k)
+            for b in kernel.values(n, l):
+                assert in_shell(Family.A, datum.weight(kernel.weight(b)), kernel.component(b, l))
