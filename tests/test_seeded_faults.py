@@ -632,3 +632,70 @@ def test_col_eps_1_off_by_one(monkeypatch):
         affine_a.COL_KERNEL, "eps", lambda y, i, l=None: original(y, i, l) + (i == 1))
     assert _failures("a1", 2, 2, "axioms")["axioms/col-stats-closed-vs-iteration"] == (
         18, "closed statistics wrong at A2:y=0,0,2, i=1")
+
+
+def test_a1_closed_size_off_by_one(monkeypatch):
+    original = affine_a.KERNEL.size
+    monkeypatch.setattr(affine_a.KERNEL, "size", lambda n, l: original(n, l) + 1)
+    assert _failures("a1", 2, 2, "axioms") == {
+        "axioms/element-count": (1, "enumerated 36, closed form gives 37")}
+
+
+def test_a1_boundary_shell_that_also_takes_the_shell_below(monkeypatch):
+    original = crystal_graph.on_boundary
+    monkeypatch.setattr(  # the model takes shell k only
+        crystal_graph, "on_boundary",
+        lambda family, mu, k: original(family, mu, k) or original(family, mu, k - 1),
+    )
+    assert _failures("a1", 2, 2, "multiplicity") == {"multiplicity/boundary-weights-free": (
+        9, "weight (0,0,0) has multiplicity 2 in component k=1")}
+
+
+def test_d2_closed_size_off_by_one(monkeypatch):
+    original = affine_d2.KERNEL.size
+    monkeypatch.setattr(affine_d2.KERNEL, "size", lambda n, l: original(n, l) + 1)
+    assert _failures("d2", 2, 2, "axioms") == {
+        "axioms/element-count": (1, "enumerated 20, closed form gives 21")}
+
+
+def test_d2_weight_reversed_breaks_the_weight_step(monkeypatch):
+    original = affine_d2.KERNEL.weight
+    monkeypatch.setattr(affine_d2.KERNEL, "weight", lambda b: original(b)[::-1])
+    assert _failures("d2", 2, 2, "axioms") == {
+        "axioms/weight-step": (60, "f_0 weight step wrong at D2:x=0,0;x0=0;xb=0,0")}
+
+
+def test_d2_e_1_as_f_1_is_not_inverted(monkeypatch):
+    e, f = affine_d2.KERNEL.e, affine_d2.KERNEL.f
+    monkeypatch.setattr(affine_d2.KERNEL, "e", lambda b, i, l: (f if i == 1 else e)(b, i, l))
+    assert _failures("d2", 2, 2, "axioms")["axioms/ef-inverse"] == (
+        120, "f_1 not inverted at D2:x=0,0;x0=0;xb=1,0")
+
+
+def test_d2_without_labels_0_and_n_is_disconnected(monkeypatch):
+    # labels 1..n-1 keep x_0 and the component; only 0 and n change them
+    for op in ("e", "f"):
+        original = getattr(affine_d2.KERNEL, op)
+        monkeypatch.setattr(
+            affine_d2.KERNEL, op,
+            lambda b, i, l, original=original:
+                None if i in (0, len(b) // 2) else original(b, i, l),
+        )
+    assert _failures("d2", 2, 2, "axioms")["axioms/connected"] == (
+        20, "crystal graph is disconnected")
+
+
+def test_d2_coordinate_boundary_ignores_x0(monkeypatch):
+    # the model also asks x_0 == 0
+    spec = affine_d2.SPEC._replace(coordinate_boundary=lambda b: all(
+        min(b[j], b[-1 - j]) == 0 for j in range(len(b) // 2)))
+    monkeypatch.setattr(affine_d2, "SPEC", spec)
+    assert _failures("d2", 2, 2, "boundary") == {"boundary/coordinate-criterion": (
+        20, "coordinate boundary criterion fails at D2:x=0,0;x0=1;xb=0,0")}
+
+
+def test_d2_component_without_x0(monkeypatch):
+    # the model's component is the sum of every coordinate, x_0 included
+    monkeypatch.setattr(affine_d2.KERNEL, "component", lambda b, l: sum(b) - b[len(b) // 2])
+    assert _failures("d2", 2, 2, "multiplicity") == {"multiplicity/boundary-weights-free": (
+        2, "weight (0,0) has multiplicity 2 in component k=0")}
