@@ -27,7 +27,6 @@ from .crystal_graph import (
     build_graph,
     export,
     render_report,
-    restrict_to_component,
     stream_graph,
 )
 from .root_data import (

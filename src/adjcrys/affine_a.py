@@ -318,14 +318,10 @@ def _theta1_checks(run) -> list[CheckResult]:
             "component changed by the level map at {}",
             name="theta1-component", category="embedding",
         ),
-        check_commutation(
-            small, big, theta1, [(d, i, False) for d in ("f", "e") for i in run.labels0],
-            name="theta1-classical-commute", category="embedding",
-        ),
-        check_commutation(
-            small, big, theta1, [("f", 0, True), ("e", 0, True)],
-            name="theta1-affine-commute-nonzero", category="embedding",
-        ),
+        check_commutation(small, big, theta1, run.labels0, False,
+                          name="theta1-classical-commute", category="embedding"),
+        check_commutation(small, big, theta1, (0,), True,
+                          name="theta1-affine-commute-nonzero", category="embedding"),
     ]
     bad, cases = "", 0
     steps = (("f_0", "phi", small.f[0], big.f[0]), ("e_0", "eps", small.e[0], big.e[0]))

@@ -24,7 +24,6 @@ from .crystal_graph import (
     axiom_checks,
     OperatorTable,
     render_report,
-    restrict_to_component,
     stream_graph,
 )
 from .root_data import RootDatum
@@ -105,13 +104,9 @@ def cmd_graph(args) -> int:
     bad = _check_bounds(args)
     if bad is not None:
         return bad
-    model = _build_model(args.family, args.rank, args.level)
-    if args.component is not None:
-        if not 0 <= args.component <= args.level:
-            return _fail_usage(
-                f"component {args.component} out of range 0..{args.level}"
-            )
-        model = restrict_to_component(model, args.component)
+    if args.component is not None and not 0 <= args.component <= args.level:
+        return _fail_usage(f"component {args.component} out of range 0..{args.level}")
+    model = FAMILIES[args.family].SPEC.model(args.rank, args.level, args.component)
     try:
         chunks = stream_graph(model, args.format)
     except ValueError as err:  # an f_i leaves the enumeration: a model fault

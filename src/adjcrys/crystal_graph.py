@@ -39,7 +39,8 @@ the model class, the level embedding `B_{l-1} -> B_l`, the level-raising
 maps with the step by which each raises level and component, an optional
 coordinate boundary and an extras hook for family-specific embedding checks.
 It builds the tables of levels l-1 and, for maps raising two levels, l-2,
-turns each map into an index map, and computes only the category asked.
+turns each map into an index map and counts the weights off the maps'
+images, all once per run, then reports the category asked.
 The shell predicates of `root_data` read the table's weight tuples, and the
 f_0 landing adds theta to them as the tuple `model.root_step(0)`, so a
 passing run calls `RootDatum.weight` for the root steps, not per element.
@@ -75,11 +76,13 @@ def all_passed(report: Iterable[CheckResult]) -> bool:
     return all(c.passed for c in report)
 
 
-def merge_checks(name: str, category: str, parts: Sequence[CheckResult]) -> CheckResult:
-    """Collapse per-map results for one statement into a single line."""
+def merge_checks(parts: Sequence[CheckResult]) -> CheckResult:
+    """Collapse per-map results for one statement, which share its name and
+    category, into a single line."""
     failed = [p for p in parts if not p.passed]
     details = failed[0].details if failed else ""
-    return CheckResult(name, category, not failed, sum(p.cases for p in parts), details)
+    first = parts[0]
+    return CheckResult(first.name, first.category, not failed, sum(p.cases for p in parts), details)
 
 
 def render_report(report: Sequence[CheckResult]) -> str:
@@ -332,11 +335,6 @@ class LevelModel:
         return self.kernel.size(self.rank, self.level)
 
 
-def restrict_to_component(model: LevelModel, k: int) -> LevelModel:
-    """Component k of the model, over the classical labels 1..n."""
-    return type(model)(model.rank, model.level, k)
-
-
 # ---------------------------------------------------------------------------
 # operator tables
 
@@ -397,18 +395,18 @@ def check_map(domain: OperatorTable, imap, ok, message: str, *,
     return CheckResult(name, category, not bad, len(imap), bad)
 
 
-def check_commutation(domain: OperatorTable, target: OperatorTable, imap, ops, *,
-                      name: str, category: str) -> CheckResult:
-    """Verify imap(op(b)) == op(imap(b)) over the domain.
+def check_commutation(domain: OperatorTable, target: OperatorTable, imap, labels,
+                      only_when_defined: bool, *, name: str, category: str) -> CheckResult:
+    """Verify imap(op(b)) == op(imap(b)) over the domain, for op f_i at each
+    of `labels` and then e_i at each.
 
-    `ops` is a sequence of (direction, label, only_when_defined).  With
-    only_when_defined the statement is checked just where op(b) is defined;
-    otherwise vanishing must agree on both sides as well.
+    With only_when_defined the statement is checked just where op(b) is
+    defined; otherwise vanishing must agree on both sides as well.
     """
-    rows = [(d, i, only, domain.row(d, i), target.row(d, i)) for d, i, only in ops]
+    rows = [(f"{d}_{i}", domain.row(d, i), target.row(d, i)) for d in ("f", "e") for i in labels]
     cases = 0
     for b, c in enumerate(imap):
-        for direction, i, only_when_defined, inner, outer in rows:
+        for op, inner, outer in rows:
             a, other = inner[b], outer[c] if c >= 0 else OUTSIDE
             if a == UNDEFINED and only_when_defined:
                 continue
@@ -418,8 +416,8 @@ def check_commutation(domain: OperatorTable, target: OperatorTable, imap, ops, *
             else:
                 bad = (a < 0 or imap[a] < 0 or other != imap[a]) and "does not commute with the map at {}"
             if bad:
-                detail = f"{direction}_{i} " + bad.format(domain.element_id(b))
-                return CheckResult(name, category, False, cases, detail)
+                return CheckResult(name, category, False, cases,
+                                   f"{op} " + bad.format(domain.element_id(b)))
     return CheckResult(name, category, True, cases)
 
 
@@ -598,44 +596,28 @@ SECTIONS = ("embedding", "commute", "boundary", "multiplicity", "f0-landing")
 
 
 class TheoremRun:
-    """One family's theorems at (n, l) on the level-l table `big`; the
-    lower tables and the maps are built on first use, once per run."""
+    """One family's theorems at (n, l) on the level-l table `big`.  The run
+    builds every lower table, the embedding, the level maps and the
+    complement of their images once, when it is made."""
 
     def __init__(self, spec: TheoremSpec, n: int, l: int, big: OperatorTable):
         self.spec, self.n, self.l, self.big = spec, n, l, big
         self.family = spec.model.datum_family
         self.labels0 = tuple(range(1, n + 1))
-        self._lower: dict[int, OperatorTable] = {}
-
-    def table(self, step: int) -> OperatorTable:
-        """The table of level l - step; a negative level gives the empty table."""
-        if step not in self._lower:
-            self._lower[step] = OperatorTable(self.spec.model(self.n, self.l - step))
-        return self._lower[step]
-
-    @cached_property
-    def small(self) -> OperatorTable:
-        return self.table(1)
-
-    @cached_property
-    def embedding(self) -> list[int]:
-        return compile_map(self.small, self.big, self.spec.include)
-
-    @cached_property
-    def level_maps(self) -> list[tuple[int, int, OperatorTable, list[int]]]:
-        """(j, step, domain table, index map) for each level-raising map."""
-        out = []
-        for j, step in self.spec.steps(self.n):
-            domain = self.table(step)
-            imap = compile_map(domain, self.big, partial(self.spec.raise_map, j))
-            out.append((j, step, domain, imap))
-        return out
-
-    @cached_property
-    def complement(self) -> list[int]:
-        """Indices of level l off the images of the level-raising maps."""
-        images = {c for *_, imap in self.level_maps for c in imap}
-        return [b for b in range(len(self.big.elems)) if b not in images]
+        steps = spec.steps(n)
+        # the table of level l - step for each distinct step; a negative level is empty
+        lower = {step: OperatorTable(spec.model(n, l - step))
+                 for step in dict.fromkeys([1] + [step for _, step in steps])}
+        self.small = lower[1]
+        self.embedding = compile_map(self.small, big, spec.include)
+        # (j, step, domain table, index map) for each level-raising map
+        self.level_maps = [
+            (j, step, lower[step], compile_map(lower[step], big, partial(spec.raise_map, j)))
+            for j, step in steps
+        ]
+        self.images = {c for *_, imap in self.level_maps for c in imap}
+        self.complement = [b for b in range(len(big.elems)) if b not in self.images]
+        self.complement_weights = Counter(big.weight[b] for b in self.complement)
 
     def embedding_checks(self) -> list[CheckResult]:
         checks = list(self.spec.extras(self)) if self.spec.extras else []
@@ -646,34 +628,24 @@ class TheoremRun:
         return checks
 
     def commute_checks(self) -> list[CheckResult]:
-        big = self.big
-        shift, weight, classical, affine = [], [], [], []
-        for j, step, domain, imap in self.level_maps:
-            name = f"j={j}"
-            shift.append(check_map(
+        big, prefix = self.big, self.spec.prefix
+        parts = [(  # one result per level map and statement, merged by statement below
+            check_map(
                 domain, imap, lambda b, c: big.comp[c] == domain.comp[b] + step,
                 f"level map {j} does not raise the component by {step} at {{}}",
-                name=name, category="commute",
-            ))
-            weight.append(check_map(
+                name=f"{prefix}-component-shift", category="commute",
+            ),
+            check_map(
                 domain, imap, lambda b, c: big.weight[c] == domain.weight[b],
-                f"level map {j} changes the weight at {{}}", name=name, category="commute",
-            ))
-            classical.append(check_commutation(
-                domain, big, imap, [(d, i, True) for d in ("f", "e") for i in self.labels0],
-                name=name, category="commute",
-            ))
-            affine.append(check_commutation(
-                domain, big, imap, [("f", 0, False), ("e", 0, False)],
-                name=name, category="commute",
-            ))
-        prefix = self.spec.prefix
-        return [
-            merge_checks(f"{prefix}-component-shift", "commute", shift),
-            merge_checks(f"{prefix}-weight-preserving", "commute", weight),
-            merge_checks(f"{prefix}-classical-commute-nonzero", "commute", classical),
-            merge_checks(f"{prefix}-affine-commute", "commute", affine),
-        ]
+                f"level map {j} changes the weight at {{}}",
+                name=f"{prefix}-weight-preserving", category="commute",
+            ),
+            check_commutation(domain, big, imap, self.labels0, True,
+                              name=f"{prefix}-classical-commute-nonzero", category="commute"),
+            check_commutation(domain, big, imap, (0,), False,
+                              name=f"{prefix}-affine-commute", category="commute"),
+        ) for j, step, domain, imap in self.level_maps]
+        return [merge_checks(column) for column in zip(*parts)]
 
     def boundary_checks(self) -> list[CheckResult]:
         big, l, family = self.big, self.l, self.family
@@ -723,10 +695,9 @@ class TheoremRun:
             if bad:
                 break
         checks = [CheckResult("boundary-weights-free", "multiplicity", not bad, cases, bad)]
-        counts = Counter(big.weight[b] for b in self.complement)
         bad = next(
             (f"weight {_fmt_weight(w)} repeats {count} times off the images"
-             for w, count in counts.items() if count != 1),
+             for w, count in self.complement_weights.items() if count != 1),
             "",
         )
         checks.append(CheckResult(
@@ -742,15 +713,13 @@ class TheoremRun:
         and uniqueness of the landing element by weight.
         """
         big, l, family = self.big, self.l, self.family
-        complement = self.complement
-        off_images = set(complement)
-        weight_counts = Counter(big.weight[b] for b in complement)
+        images, weight_counts = self.images, self.complement_weights
         theta = big.model.root_step(0)
         f0 = big.f[0]
 
         kill_bad = comp_bad = uniq_bad = ""
         kill_cases = comp_cases = uniq_cases = 0
-        for b in complement:
+        for b in self.complement:
             mu, k, z = big.weight[b], big.comp[b], f0[b]
             kill_cases += 1
             expect_dead = k == l and not in_shell(family, tuple(map(add, mu, theta)), l)
@@ -769,7 +738,7 @@ class TheoremRun:
                 comp_bad = comp_bad or f"f_0 lands in k={landed} at {big.element_id(b)}, classification says {target}"
                 continue
             uniq_cases += 1
-            if z not in off_images:
+            if z in images:
                 uniq_bad = uniq_bad or f"f_0 image of {big.element_id(b)} lies in the level-raising images"
             elif weight_counts[big.weight[z]] != 1:
                 uniq_bad = uniq_bad or f"f_0 image of {big.element_id(b)} is not unique of its weight"

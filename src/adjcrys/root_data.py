@@ -42,11 +42,6 @@ class RootDatum:
         """Number of epsilon-coordinates carried by a weight."""
         return self.rank + 1 if self.family is Family.A else self.rank
 
-    @property
-    def index_set(self) -> range:
-        """Classical node indices 1..n."""
-        return range(1, self.rank + 1)
-
     def weight(self, coeffs) -> tuple[int, ...]:
         """The coordinate tuple of a weight, checked to have `dim` entries
         and, for family A, to sum to zero."""

@@ -168,7 +168,7 @@ def pairing(datum: RootDatum, mu, i: int) -> int:
 
 def fundamental_coeffs(datum: RootDatum, mu) -> tuple[int, ...]:
     """Coefficients (c_1, ..., c_n) with mu = sum c_i * (i-th fundamental weight)."""
-    return tuple(pairing(datum, mu, i) for i in datum.index_set)
+    return tuple(pairing(datum, mu, i) for i in range(1, datum.rank + 1))
 
 
 def weight_from_fundamental(datum: RootDatum, coeffs) -> tuple[int, ...]:

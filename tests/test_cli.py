@@ -1,5 +1,6 @@
 """Command-line behavior: output shapes, exit codes, determinism."""
 
+import functools
 import hashlib
 import json
 import subprocess
@@ -85,6 +86,27 @@ def test_verify_single_check(capsys):
     assert code == 0
     assert "f0-landing/vanishing-criterion" in out
     assert "axioms/" not in out
+
+
+@functools.lru_cache(maxsize=None)
+def _full_report(family, n, l):
+    return tuple(cli._verification_report(family, n, l, "all"))
+
+
+@pytest.mark.parametrize("family, n, check", [
+    (family, n, check)
+    for family, ranks in (("a1", (1, 2)), ("c1", (2,)), ("d2", (1, 2)))
+    for n in ranks
+    for check in cli.CHECK_NAMES[1:]
+    if family == "a1" or check not in cli.A1_ONLY_CHECKS
+])
+@pytest.mark.parametrize("l", range(4))
+def test_single_check_is_a_filter_of_all(family, n, check, l):
+    """`--check <category>` reports exactly the `all` report's entries of
+    that category, at rank 1 and at levels whose lower tables are empty."""
+    expected = [c for c in _full_report(family, n, l) if c.category == check]
+    assert expected
+    assert cli._verification_report(family, n, l, check) == expected
 
 
 def test_verify_unknown_check_is_usage_error(capsys):

@@ -26,7 +26,6 @@ from adjcrys.crystal_graph import (
     compile_map,
     export,
     render_report,
-    restrict_to_component,
     stream_graph,
 )
 from helpers import ClassicalCrystal, reference_chain_lengths, reference_connected
@@ -114,7 +113,7 @@ def test_graph_rejects_an_arrow_leaving_the_enumeration():
 
 
 def test_component_restriction():
-    model = restrict_to_component(CrystalD2(2, 1), 1)
+    model = CrystalD2(2, 1, 1)
     graph = build_graph(model)
     assert len(graph.vertices) == 5
     assert all(v.k == 1 for v in graph.vertices)
@@ -180,7 +179,7 @@ def test_streamed_bytes_match_export(family, n, l):
     """stream_graph gives export(build_graph(m), fmt) for the whole model and
     each component, in both formats: 168 cases over the parameters."""
     model = MODELS[family](n, l)
-    for m in [model] + [restrict_to_component(model, k) for k in range(l + 1)]:
+    for m in [model] + [MODELS[family](n, l, k) for k in range(l + 1)]:
         for fmt in ("json", "dot"):
             assert "".join(stream_graph(m, fmt)).encode() == export(build_graph(m), fmt)
 
@@ -247,19 +246,12 @@ def test_check_embedding_flags_noninjective_map():
 def test_check_commutation_side_conditions():
     small, big = OperatorTable(CrystalC(2, 1)), OperatorTable(CrystalC(2, 2))
     phi1 = compile_map(small, big, lambda x: affine_c.SPEC.raise_map(1, x))
-    strict = check_commutation(
-        small, big, phi1,
-        [("f", 0, False), ("e", 0, False)],
-        name="affine", category="commute",
-    )
+    strict = check_commutation(small, big, phi1, (0,), False, name="affine", category="commute")
     assert strict.passed
     # the classical operators only commute where defined; the unconditional
     # variant must fail (phi_1 creates room for f_1 where there was none)
     loose = check_commutation(
-        small, big, phi1,
-        [("f", 1, False), ("e", 1, False)],
-        name="classical-unconditional", category="commute",
-    )
+        small, big, phi1, (1,), False, name="classical-unconditional", category="commute")
     assert not loose.passed
 
 

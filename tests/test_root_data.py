@@ -62,7 +62,7 @@ def test_simple_roots():
 def test_theta_is_sum_of_simple_roots():
     # A and B: theta = alpha_1 + ... + alpha_n; C: 2(alpha_1 + ... + alpha_{n-1}) + alpha_n
     for datum in (A2, RootDatum(Family.A, 3), B2, B3, C2, RootDatum(Family.C, 3)):
-        roots = [datum.simple_root(i) for i in datum.index_set]
+        roots = [datum.simple_root(i) for i in range(1, datum.rank + 1)]
         if datum.family is Family.C:
             roots += roots[:-1]
         total = (0,) * datum.dim
@@ -94,8 +94,8 @@ def test_pairing_against_cartan_matrix():
         (B2, [[2, -1], [-2, 2]]),
     ):
         got = [
-            [pairing(datum, datum.simple_root(j), i) for j in datum.index_set]
-            for i in datum.index_set
+            [pairing(datum, datum.simple_root(j), i) for j in range(1, datum.rank + 1)]
+            for i in range(1, datum.rank + 1)
         ]
         assert got == cartan
 
