@@ -601,7 +601,7 @@ class TheoremRun:
     complement of their images once, when it is made."""
 
     def __init__(self, spec: TheoremSpec, n: int, l: int, big: OperatorTable):
-        self.spec, self.n, self.l, self.big = spec, n, l, big
+        self.spec, self.l, self.big = spec, l, big
         self.family = spec.model.datum_family
         self.labels0 = tuple(range(1, n + 1))
         steps = spec.steps(n)
