@@ -498,6 +498,28 @@ def test_f_on_first_letter_ignoring_cancellation_is_a_failure(monkeypatch):
     assert _failures("a1", 2, 2) == {"alpha/intertwines-classical": (144, detail)}
 
 
+def test_pair_f_2_to_a_sibling_of_its_result_is_a_failure(monkeypatch):
+    """A model result in the right component with the right weight, but not
+    the element alpha maps the tableau result to, fails the intertwining
+    check: alpha images compare cell by cell, not by component and weight."""
+    original = affine_a.KERNEL.f
+    src, wrong = ((0, 0, 2), (0, 0, 2)), ((0, 1, 1), (0, 2, 0))  # the model gives (0,0,2),(0,1,1)
+
+    def f(b, i, l=None):
+        return wrong if (b, i) == (src, 2) else original(b, i, l)
+
+    monkeypatch.setattr(affine_a.KERNEL, "f", f)
+    assert _failures("a1", 2, 2) == {
+        "axioms/ef-inverse": (216, "f_2 not inverted at A2:x=0,0,2;y=0,0,2"),
+        "axioms/stats-closed-vs-iteration": (
+            108, "closed statistics wrong at A2:x=0,0,2;y=0,0,2, i=2"),
+        "commute/thetaj-classical-commute-nonzero": (
+            17, "f_2 does not commute with the map at A2:x=0,0,1;y=0,0,1"),
+        "alpha/intertwines-classical": (
+            144, "alpha does not intertwine f_2 at A2:x=0,0,2;y=0,0,2"),
+    }
+
+
 # A kernel wrong in two labels at two elements: f_2 at A, which comes first
 # in the enumeration, and f_1 at the later B.  Each axiom reports the first
 # failure in (element, label, direction) order, so it names A and f_2; a
