@@ -26,6 +26,7 @@ from itertools import product
 from operator import sub
 from typing import Optional
 
+from . import tableaux
 from .counting import compositions
 from .crystal_graph import (
     OUTSIDE,
@@ -188,7 +189,8 @@ def _alpha(b, l: int) -> tuple[int, Tableau]:
     y = (y[0] - strip,) + y[1:]
     cols = []
     for j in range(n + 1, 0, -1):
-        cols.extend([column_missing(n, j)] * y[j - 1])
+        if y[j - 1]:
+            cols.extend([column_missing(n, j)] * y[j - 1])
     for c in range(1, n + 2):
         cols.extend([(c,)] * x[c - 1])
     return l - strip, Tableau(n, tuple(cols))
@@ -205,9 +207,9 @@ def _alpha_inverse(n: int, l: int, t: Tableau) -> tuple[tuple[int, ...], tuple[i
         raise ValueError(f"component {k} does not exist at level {l}")
     x = [0] * (n + 1)
     y = [0] * (n + 1)
-    for col in t.columns[:k]:
-        missing = next(c for c in range(1, n + 2) if c not in col)
-        y[missing - 1] += 1
+    letters = (n + 1) * (n + 2) // 2  # the sum of 1..n+1
+    for col in t.columns[:k]:  # each of depth n: the shape says so
+        y[letters - sum(col) - 1] += 1
     for col in t.columns[k:]:
         x[col[0] - 1] += 1
     x[0] += l - k
@@ -396,25 +398,30 @@ def alpha_checks(n: int, l: int, table: Optional[OperatorTable] = None) -> list[
 
     The model side is read from the level-l table, built here when not
     given.  The tableau side runs on objects and shares no code with the
-    checker: `_alpha` runs once per value and builds one tableau, and one
-    bracketing per label gives each image's `e_i` and `f_i` cells; the round
-    trip compares coordinates, images compare as (k, columns).  No element
-    object is built.  Every image is a validated tableau and a wrong shape
-    fails the round trip, so the distinct images of component k are all of
+    checker: `_alpha` runs once per value and builds one tableau, whose
+    reading word one bracketing pass splits into every label's `e_i` and
+    `f_i` cells; the round trip compares coordinates, images compare as
+    (k, columns).  A result that is the image of its model value (same k,
+    column lengths and reading word) is that validated tableau and passes
+    unbuilt; any other is built and checked at its cell.  No element object
+    is built.  Every image is a validated tableau and a wrong shape fails
+    the round trip, so the distinct images of component k are all of
     B((2k, k^(n-1))) when there are as many as the hook-content formula
     counts.  An image or result that fails its check fails at the element.
     """
     if table is None:
         table = OperatorTable(CrystalA(n, l))
     size, comp, name = len(table.elems), table.comp, table.element_id
-    images: list[tuple[Optional[int], Optional[Tableau]]] = []  # alpha(b), or (None, None)
+    images: list[tuple] = []  # alpha(b): (k, tableau, (column lengths, reading word)), or Nones
     rejected: dict[int, str] = {}  # why alpha(b) is not a tableau
     for b, value in enumerate(table.elems):
         try:
-            images.append(_alpha(value, l))
+            k, t = _alpha(value, l)
         except ValueError as err:
-            images.append((None, None))
+            images.append((None, None, None))
             rejected[b] = f"alpha({name(b)}) is not a tableau: {err}"
+            continue
+        images.append((k, t, (tuple(map(len, t.columns)), t.reading_word())))
 
     bijection = weight = intertwining = ""
     owners: dict[int, dict[tuple, int]] = {}  # k, then columns of an image: its first owner
@@ -425,30 +432,34 @@ def alpha_checks(n: int, l: int, table: Optional[OperatorTable] = None) -> list[
             weight = weight or rejected[b]
             intertwining = intertwining or rejected[b]
             continue
-        k, t = images[b]
+        k, t, (lengths, word) = images[b]
         prev = owners.setdefault(k, {}).setdefault(t.columns, b)
+        # the shape (2k, k^(n-1)) has the column lengths (n,) * k + (1,) * k
         if not bijection:
             if k != comp[b]:
                 bijection = f"alpha component mismatch at {name(b)}"
             elif prev != b:
                 bijection = f"alpha not injective: {name(b)} and {name(prev)}"
-            elif t.shape != shape_component(n, k) or not _round_trips(n, l, t, value):
+            elif lengths != (n,) * k + (1,) * k or not _round_trips(n, l, t, value):
                 bijection = f"alpha round trip fails at {name(b)}"
         if not weight and tuple(c - k for c in t.content()) != table.weight[b]:
             weight = f"alpha changes the weight at {name(b)}"
         if intertwining:
             continue
-        for i, f_row, e_row in rows:
-            raise_pos, lower_pos = t.rule_cells(i)
+        cells = tableaux.bracket_cells(word, n)
+        for (i, f_row, e_row), (raise_pos, lower_pos) in zip(rows, cells, strict=True):
             for d, pos, letter, row in (("f", lower_pos, i + 1, f_row),
                                         ("e", raise_pos, i, e_row)):
+                a = row[b]
+                if (a >= 0 and pos is not None and pos >= 0 and comp[a] == k == images[a][0]
+                        and images[a][2] == (lengths, word[:pos] + (letter,) + word[pos + 1:])):
+                    continue  # the result is alpha(a)
                 try:
                     ta = t.moved(pos, letter)
                 except ValueError as err:
                     intertwining = intertwining or (
                         f"{d}_{i} of alpha({name(b)}) is not a tableau: {err}")
                     continue
-                a = row[b]
                 if a == UNDEFINED:
                     bad = ta is not None and "alpha breaks vanishing of {}_{} at {}"
                 elif a >= 0:

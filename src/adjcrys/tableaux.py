@@ -5,8 +5,10 @@ Entries range over 1..n+1.  Every element carries a column reading word
 lowering operators act through the bracketing rule on that word: drop all
 letters other than i and i+1, cancel adjacent i,(i+1) pairs until the word
 is (i+1)^r i^s, then raise the rightmost surviving i+1 or lower the leftmost
-surviving i; `rule_cells` alone makes that choice.  An undefined operator is
-the value None, never a sentinel.
+surviving i.  `bracket_cells` alone makes that choice, for every label in
+one left-to-right pass: a letter c is the i of label c and the i+1 of label
+c-1, so each letter adds one sign to each of two labels.  An undefined
+operator is the value None, never a sentinel.
 
 Validation: the public `Tableau(...)` constructor checks the whole tableau.
 An operator changes one cell, the only one that can break semistandardness,
@@ -22,37 +24,38 @@ from operator import gt, lt
 from typing import Optional
 
 
-def unmatched_positions(word, i: int) -> tuple[list[int], list[int]]:
-    """Bracketing rule: positions of the letters surviving cancellation.
-
-    Returns (raisable, lowerable): the indices of the unmatched i+1's and
-    the unmatched i's, each increasing, so the reduced word is (i+1)^r i^s.
-    """
-    lowerable: list[int] = []
-    raisable: list[int] = []
+def bracket_cells(word, n: int) -> list[tuple[Optional[int], Optional[int]]]:
+    """The bracketing rule of every label 1..n in one pass over a word with
+    letters in 1..n+1: entry i-1 holds the positions that e_i raises and f_i
+    lowers, the rightmost unmatched i+1 and the leftmost unmatched i, None
+    where there is none."""
+    unmatched = [0] * (n + 2)  # by label i: the i's that no i+1 has cancelled yet
+    lower_at: list[Optional[int]] = [None] * (n + 2)  # the leftmost of them
+    raise_at: list[Optional[int]] = [None] * (n + 2)  # the last i+1 left uncancelled
     for pos, c in enumerate(word):
-        if c == i:
-            lowerable.append(pos)
-        elif c == i + 1:
-            if lowerable:
-                lowerable.pop()
-            else:
-                raisable.append(pos)
-    return raisable, lowerable
+        if unmatched[c - 1]:  # c is the i+1 of label c-1 ...
+            unmatched[c - 1] -= 1
+        else:
+            raise_at[c - 1] = pos
+        if not unmatched[c]:  # ... and the i of label c
+            lower_at[c] = pos
+        unmatched[c] += 1
+    return [(raise_at[i], lower_at[i] if unmatched[i] else None) for i in range(1, n + 1)]
 
 
-def rule_cells(word, i: int) -> tuple[Optional[int], Optional[int]]:
-    """The positions of `word` that e_i raises and f_i lowers: the rightmost
-    unmatched i+1 and the leftmost unmatched i, None where there is none."""
-    raisable, lowerable = unmatched_positions(word, i)
-    return (raisable[-1] if raisable else None), (lowerable[0] if lowerable else None)
+def label_cells(word, n: int, i: int) -> tuple[Optional[int], Optional[int]]:
+    """The `bracket_cells` entry of the label i."""
+    if not 1 <= i <= n:
+        raise ValueError(f"label {i} out of range 1..{n}")
+    return bracket_cells(word, n)[i - 1]
 
 
-def word_apply(word, i: int, direction: str) -> Optional[tuple[int, ...]]:
-    """Apply e_i or f_i to a letter word; None when the operator vanishes."""
+def word_apply(word, n: int, i: int, direction: str) -> Optional[tuple[int, ...]]:
+    """Apply e_i or f_i to a word with letters in 1..n+1; None when the
+    operator vanishes."""
     if direction not in ("e", "f"):
         raise ValueError(f"direction must be 'e' or 'f', got {direction!r}")
-    raise_pos, lower_pos = rule_cells(word, i)
+    raise_pos, lower_pos = label_cells(word, n, i)
     pos, new = (lower_pos, i + 1) if direction == "f" else (raise_pos, i)
     if pos is None:
         return None
@@ -94,11 +97,11 @@ class Word:
             raise ValueError(f"letters must lie in 1..{self.n + 1}")
 
     def e(self, i: int) -> Optional["Word"]:
-        w = word_apply(self.letters, i, "e")
+        w = word_apply(self.letters, self.n, i, "e")
         return None if w is None else Word(self.n, w)
 
     def f(self, i: int) -> Optional["Word"]:
-        w = word_apply(self.letters, i, "f")
+        w = word_apply(self.letters, self.n, i, "f")
         return None if w is None else Word(self.n, w)
 
     def eps(self, i: int) -> int:
@@ -182,25 +185,23 @@ class Tableau:
         word = self.reading_word()
         return tuple(word.count(c) for c in range(1, self.n + 2))
 
-    def rule_cells(self, i: int) -> tuple[Optional[int], Optional[int]]:
-        """`rule_cells` of the reading word: where e_i and f_i act."""
-        return rule_cells(self.reading_word(), i)
-
     def moved(self, pos: Optional[int], letter: int) -> Optional["Tableau"]:
         """The tableau with reading-word position `pos` set to `letter`, None
-        when `pos` is None.  Checks the range of that cell, then its column
-        neighbours, then its left and right row neighbours."""
+        when `pos` is None.  Checks that the cell is in the word, then its
+        range, then its column neighbours, then its left and right row
+        neighbours."""
         if pos is None:
             return None
         cols = self.columns
-        ci = len(cols)
+        ci, cell = len(cols), pos
         for old in reversed(cols):  # the reading word starts at the right
             ci -= 1
-            if pos < len(old):
+            if 0 <= cell < len(old):
                 break
-            pos -= len(old)
+            cell -= len(old)
         else:
-            raise IndexError("position beyond the reading word")
+            raise ValueError(f"position {pos} outside the reading word")
+        pos = cell
         col = old[:pos] + (letter,) + old[pos + 1:]
         if not 1 <= letter <= self.n + 1:
             raise ValueError(f"entries must lie in 1..{self.n + 1}")
@@ -216,10 +217,10 @@ class Tableau:
         return out
 
     def e(self, i: int) -> Optional["Tableau"]:
-        return self.moved(self.rule_cells(i)[0], i)
+        return self.moved(label_cells(self.reading_word(), self.n, i)[0], i)
 
     def f(self, i: int) -> Optional["Tableau"]:
-        return self.moved(self.rule_cells(i)[1], i + 1)
+        return self.moved(label_cells(self.reading_word(), self.n, i)[1], i + 1)
 
     def eps(self, i: int) -> int:
         return eps_phi(self, i)[0]

@@ -1,10 +1,11 @@
 """Test-only helpers: the tableau crystals B(lambda) by two independent
 enumerations and as a model for the graph code, tableau rows and the
 highest-weight tableau, tableau and letter-word views of pair values, the
-one-letter crystal operators, the statistics of a kernel by iterating its
-operators, weights in fundamental coordinates (`pairing`,
-`fundamental_coeffs` and its inverse), and straightforward reference
-versions of the chain-length and connectivity walks of the axiom checks."""
+one-letter crystal operators, the bracketing rule of one label at a time,
+the statistics of a kernel by iterating its operators, weights in
+fundamental coordinates (`pairing`, `fundamental_coeffs` and its inverse),
+and straightforward reference versions of the chain-length and
+connectivity walks of the axiom checks."""
 
 from typing import Iterator, Optional, Sequence
 
@@ -139,6 +140,26 @@ def letter_f(c: int, i: int) -> Optional[int]:
 def letter_e(c: int, i: int) -> Optional[int]:
     """Raising operator on a single letter: i+1 -> i, undefined elsewhere."""
     return i if c == i + 1 else None
+
+
+def unmatched_positions(word, i: int) -> tuple[list[int], list[int]]:
+    """Bracketing rule of the label i alone: positions of the letters
+    surviving cancellation.
+
+    Returns (raisable, lowerable): the indices of the unmatched i+1's and
+    the unmatched i's, each increasing, so the reduced word is (i+1)^r i^s.
+    """
+    lowerable: list[int] = []
+    raisable: list[int] = []
+    for pos, c in enumerate(word):
+        if c == i:
+            lowerable.append(pos)
+        elif c == i + 1:
+            if lowerable:
+                lowerable.pop()
+            else:
+                raisable.append(pos)
+    return raisable, lowerable
 
 
 def iterated_stats(kernel: Kernel, b, i: int, l=None) -> tuple[int, int]:

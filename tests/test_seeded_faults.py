@@ -12,6 +12,7 @@ from adjcrys import affine_a, affine_c, affine_d2, crystal_graph, tableaux
 from adjcrys.cli import _verification_report, main
 from adjcrys.crystal_graph import all_passed, axiom_checks
 from adjcrys.root_data import Family, ShellStep
+from helpers import unmatched_positions
 
 
 def _failed(family, n, l):
@@ -388,17 +389,25 @@ def _verify_a1_failures(capsys):
     return code, fails
 
 
+def _patch_bracket_cells(monkeypatch, choose_raise=None, choose_lower=None):
+    """Replace the e_i cell or the f_i cell of every label i by choose(word, i)."""
+    original = tableaux.bracket_cells
+
+    def bracket_cells(word, n):
+        return [(choose_raise(word, i) if choose_raise else raise_pos,
+                 choose_lower(word, i) if choose_lower else lower_pos)
+                for i, (raise_pos, lower_pos) in enumerate(original(word, n), 1)]
+
+    monkeypatch.setattr(tableaux, "bracket_cells", bracket_cells)
+
+
 def test_e_on_leftmost_unmatched_letter_is_a_failure(monkeypatch, capsys):
     """A non-semistandard result of e_i is reported, not raised."""
-    original = tableaux.rule_cells
+    def leftmost_raisable(word, i):  # the rule raises the rightmost unmatched i+1
+        raisable, _ = unmatched_positions(word, i)
+        return raisable[0] if raisable else None
 
-    def rule_cells(word, i):
-        raisable, _ = tableaux.unmatched_positions(word, i)
-        _, lower_pos = original(word, i)
-        # the rule raises the rightmost unmatched i+1
-        return (raisable[0] if raisable else None), lower_pos
-
-    monkeypatch.setattr(tableaux, "rule_cells", rule_cells)
+    _patch_bracket_cells(monkeypatch, choose_raise=leftmost_raisable)
     code, fails = _verify_a1_failures(capsys)
     assert code == 1
     detail = ("e_2 of alpha(A2:x=0,0,2;y=0,0,2) is not a tableau:"
@@ -465,15 +474,11 @@ def test_row_f_0_with_a_negative_multiplicity_is_a_failure(monkeypatch, capsys):
 
 def test_f_on_rightmost_unmatched_letter_is_a_failure(monkeypatch):
     """A non-semistandard result of f_i fails the intertwining check."""
-    original = tableaux.rule_cells
+    def rightmost_lowerable(word, i):  # the rule lowers the leftmost unmatched i
+        _, lowerable = unmatched_positions(word, i)
+        return lowerable[-1] if lowerable else None
 
-    def rule_cells(word, i):
-        _, lowerable = tableaux.unmatched_positions(word, i)
-        raise_pos, _ = original(word, i)
-        # the rule lowers the leftmost unmatched i
-        return raise_pos, (lowerable[-1] if lowerable else None)
-
-    monkeypatch.setattr(tableaux, "rule_cells", rule_cells)
+    _patch_bracket_cells(monkeypatch, choose_lower=rightmost_lowerable)
     fails = _failures("a1", 2, 2)
     detail = ("f_2 of alpha(A2:x=0,0,2;y=0,0,2) is not a tableau:"
               " rows must weakly increase left to right")
@@ -485,14 +490,9 @@ def test_f_on_first_letter_ignoring_cancellation_is_a_failure(monkeypatch):
     """A result that breaks column strictness fails the intertwining check:
     lowering the first i of the word, cancelled or not, can put i+1 right
     under i+1."""
-    original = tableaux.rule_cells
-
-    def rule_cells(word, i):
-        raise_pos, _ = original(word, i)
-        # the rule lowers the leftmost i that no later i+1 cancels
-        return raise_pos, (word.index(i) if i in word else None)
-
-    monkeypatch.setattr(tableaux, "rule_cells", rule_cells)
+    # the rule lowers the leftmost i that no later i+1 cancels
+    _patch_bracket_cells(
+        monkeypatch, choose_lower=lambda word, i: word.index(i) if i in word else None)
     detail = ("f_1 of alpha(A2:x=0,0,2;y=0,0,2) is not a tableau:"
               " column (2, 2) not strictly increasing")
     assert _failures("a1", 2, 2) == {"alpha/intertwines-classical": (144, detail)}
@@ -518,6 +518,15 @@ def test_pair_f_2_to_a_sibling_of_its_result_is_a_failure(monkeypatch):
         "alpha/intertwines-classical": (
             144, "alpha does not intertwine f_2 at A2:x=0,0,2;y=0,0,2"),
     }
+
+
+def test_f_beyond_the_reading_word_is_a_failure(monkeypatch, capsys):
+    """A cell outside the reading word is reported, not raised."""
+    _patch_bracket_cells(monkeypatch, choose_lower=lambda word, i: len(word))
+    code, fails = _verify_a1_failures(capsys)
+    assert code == 1
+    detail = "f_1 of alpha(A2:x=0,0,2;y=0,0,2) is not a tableau: position 6 outside the reading word"
+    assert fails == {"alpha/intertwines-classical": ("(144 cases)", detail)}
 
 
 # A kernel wrong in two labels at two elements: f_2 at A, which comes first

@@ -12,11 +12,11 @@ from adjcrys.tableaux import (
     Tableau,
     TensorPair,
     Word,
+    bracket_cells,
     column_missing,
     eps_phi,
-    rule_cells,
+    label_cells,
     ssyt_count,
-    unmatched_positions,
     word_apply,
 )
 from helpers import (
@@ -28,6 +28,7 @@ from helpers import (
     letter_e,
     letter_f,
     rows,
+    unmatched_positions,
 )
 
 
@@ -163,26 +164,33 @@ def test_one_cell_check_examples():
         t.moved(1, 2)
     with pytest.raises(ValueError, match="entries must lie in 1..3"):
         t.moved(0, 4)
-    with pytest.raises(IndexError):
-        t.moved(3, 1)
+    for pos in (3, -1, -3):  # beyond the word, and negative
+        with pytest.raises(ValueError, match=f"position {pos} outside the reading word"):
+            t.moved(pos, 1)
     row = Tableau.from_rows(2, [(2, 2)])  # reading word (2, 2)
     for pos, letter in ((0, 1), (1, 3)):  # below its left, above its right neighbour
         with pytest.raises(ValueError, match="rows must weakly increase left to right"):
             row.moved(pos, letter)
 
 
-def test_rule_cells_chooses_one_cell_for_each_operator():
-    assert rule_cells((2, 1, 1), 1) == (0, 1)  # nothing cancels: the 2 comes first
-    assert rule_cells((1, 2), 1) == (None, None)  # a cancelling pair
-    assert rule_cells((2, 2, 1, 2), 1) == (1, None)  # the last 2 cancels the 1
-    assert rule_cells((3, 3), 1) == (None, None)
+def test_bracket_cells_chooses_one_cell_for_each_operator():
+    assert label_cells((2, 1, 1), 2, 1) == (0, 1)  # nothing cancels: the 2 comes first
+    assert label_cells((1, 2), 2, 1) == (None, None)  # a cancelling pair
+    assert label_cells((2, 2, 1, 2), 2, 1) == (1, None)  # the last 2 cancels the 1
+    assert label_cells((3, 3), 2, 1) == (None, None)
+    # each letter is the i of its own label and the i+1 of the label below
+    assert bracket_cells((2, 3, 1, 2), 2) == [(0, None), (None, 3)]
+    assert bracket_cells((), 3) == [(None, None)] * 3
+    for i in (0, 3):
+        with pytest.raises(ValueError, match=f"label {i} out of range 1..2"):
+            label_cells((1, 2), 2, i)
 
 
 def test_signature_rule_on_two_letter_tensors():
-    assert word_apply((1, 1), 1, "f") == (2, 1)
-    assert word_apply((2, 1), 1, "f") == (2, 2)
-    assert word_apply((1, 2), 1, "f") is None  # cancelling pair
-    assert word_apply((2, 2), 1, "e") == (2, 1)
+    assert word_apply((1, 1), 2, 1, "f") == (2, 1)
+    assert word_apply((2, 1), 2, 1, "f") == (2, 2)
+    assert word_apply((1, 2), 2, 1, "f") is None  # cancelling pair
+    assert word_apply((2, 2), 2, 1, "e") == (2, 1)
 
 
 def test_lowering_highest_weight_tableau():
@@ -301,6 +309,27 @@ def test_word_axioms_random(data):
         high = w.e(i)
         if high is not None:
             assert high.f(i) == w
+
+
+def _per_label(word, n):
+    """`bracket_cells` computed one label at a time."""
+    out = []
+    for i in range(1, n + 1):
+        raisable, lowerable = unmatched_positions(word, i)
+        out.append(((raisable[-1] if raisable else None), (lowerable[0] if lowerable else None)))
+    return out
+
+
+@given(words)
+def test_one_pass_bracketing_equals_per_label_bracketing(data):
+    n, letters = data
+    assert bracket_cells(tuple(letters), n) == _per_label(tuple(letters), n)
+
+
+def test_one_pass_bracketing_on_every_small_reading_word():
+    for n, t in SMALL_TABLEAUX:
+        word = t.reading_word()
+        assert bracket_cells(word, n) == _per_label(word, n)
 
 
 @given(words)
