@@ -398,12 +398,13 @@ def alpha_checks(n: int, l: int, table: Optional[OperatorTable] = None) -> list[
 
     The model side is read from the level-l table, built here when not
     given.  The tableau side runs on objects and shares no code with the
-    checker: `_alpha` runs once per value and builds one tableau, whose
-    reading word one bracketing pass splits into every label's `e_i` and
-    `f_i` cells; the round trip compares coordinates, images compare as
-    (k, columns).  A result that is the image of its model value (same k,
-    column lengths and reading word) is that validated tableau and passes
-    unbuilt; any other is built and checked at its cell.  No element object
+    checker: `_alpha` runs once per value and builds one tableau, of which
+    (k, column lengths, reading word) is kept; the round trip compares
+    coordinates, images compare as (k, columns).  One bracketing pass over
+    the word gives every label's `e_i` and `f_i` cells.  A result that is
+    the image of its model value (same k, column lengths and reading word)
+    is that validated tableau and passes unbuilt; for any other, alpha(b)
+    is built again and the result checked at its cell.  No element object
     is built.  Every image is a validated tableau and a wrong shape fails
     the round trip, so the distinct images of component k are all of
     B((2k, k^(n-1))) when there are as many as the hook-content formula
@@ -412,60 +413,58 @@ def alpha_checks(n: int, l: int, table: Optional[OperatorTable] = None) -> list[
     if table is None:
         table = OperatorTable(CrystalA(n, l))
     size, comp, name = len(table.elems), table.comp, table.element_id
-    images: list[tuple] = []  # alpha(b): (k, tableau, (column lengths, reading word)), or Nones
+    images: list[tuple] = []  # alpha(b) as (k, (column lengths, reading word)), or Nones
     rejected: dict[int, str] = {}  # why alpha(b) is not a tableau
+    bijection = weight = intertwining = ""
+    owners: dict[int, dict[tuple, int]] = {}  # k, then an image: its first owner
     for b, value in enumerate(table.elems):
         try:
             k, t = _alpha(value, l)
         except ValueError as err:
-            images.append((None, None, None))
+            images.append((None, None))
             rejected[b] = f"alpha({name(b)}) is not a tableau: {err}"
-            continue
-        images.append((k, t, (tuple(map(len, t.columns)), t.reading_word())))
-
-    bijection = weight = intertwining = ""
-    owners: dict[int, dict[tuple, int]] = {}  # k, then columns of an image: its first owner
-    rows = [(i, table.row("f", i), table.row("e", i)) for i in range(1, n + 1)]
-    for b, value in enumerate(table.elems):
-        if b in rejected:
             bijection = bijection or rejected[b]
             weight = weight or rejected[b]
-            intertwining = intertwining or rejected[b]
             continue
-        k, t, (lengths, word) = images[b]
-        prev = owners.setdefault(k, {}).setdefault(t.columns, b)
-        # the shape (2k, k^(n-1)) has the column lengths (n,) * k + (1,) * k
+        image = (tuple(map(len, t.columns)), t.reading_word())
+        images.append((k, image))
+        prev = owners.setdefault(k, {}).setdefault(image, b)
         if not bijection:
             if k != comp[b]:
                 bijection = f"alpha component mismatch at {name(b)}"
             elif prev != b:
                 bijection = f"alpha not injective: {name(b)} and {name(prev)}"
-            elif lengths != (n,) * k + (1,) * k or not _round_trips(n, l, t, value):
+            elif t.shape != shape_component(n, k) or not _round_trips(n, l, t, value):
                 bijection = f"alpha round trip fails at {name(b)}"
         if not weight and tuple(c - k for c in t.content()) != table.weight[b]:
             weight = f"alpha changes the weight at {name(b)}"
-        if intertwining:
-            continue
+
+    rows = [(i, table.row("f", i), table.row("e", i)) for i in range(1, n + 1)]
+    for b, value in enumerate(table.elems):
+        if b in rejected or intertwining:  # the first failure is found
+            intertwining = intertwining or rejected[b]
+            break
+        k, (lengths, word) = images[b]
         cells = tableaux.bracket_cells(word, n)
         for (i, f_row, e_row), (raise_pos, lower_pos) in zip(rows, cells, strict=True):
             for d, pos, letter, row in (("f", lower_pos, i + 1, f_row),
                                         ("e", raise_pos, i, e_row)):
                 a = row[b]
-                if (a >= 0 and pos is not None and pos >= 0 and comp[a] == k == images[a][0]
-                        and images[a][2] == (lengths, word[:pos] + (letter,) + word[pos + 1:])):
-                    continue  # the result is alpha(a)
-                try:
-                    ta = t.moved(pos, letter)
-                except ValueError as err:
-                    intertwining = intertwining or (
-                        f"{d}_{i} of alpha({name(b)}) is not a tableau: {err}")
-                    continue
+                ta = None
+                if pos is not None:
+                    if (a >= 0 and pos >= 0 and comp[a] == k == images[a][0]
+                            and images[a][1] == (lengths, word[:pos] + (letter,) + word[pos + 1:])):
+                        continue  # the result is alpha(a), a validated tableau
+                    try:
+                        ta = _alpha(value, l)[1].moved(pos, letter)  # alpha(b) again
+                    except ValueError as err:
+                        intertwining = intertwining or (
+                            f"{d}_{i} of alpha({name(b)}) is not a tableau: {err}")
+                        continue
                 if a == UNDEFINED:
                     bad = ta is not None and "alpha breaks vanishing of {}_{} at {}"
-                elif a >= 0:
-                    same = (ta is not None and comp[a] == k == images[a][0]
-                            and images[a][1].columns == ta.columns)
-                    bad = not same and "alpha does not intertwine {}_{} at {}"
+                elif a >= 0:  # the result is None or not alpha(a)
+                    bad = "alpha does not intertwine {}_{} at {}"
                 else:  # OUTSIDE: the model's result is missing from the table
                     v = getattr(KERNEL, d)(value, i, l)
                     bad = not _maps_to(v, ta) and "alpha does not intertwine {}_{} at {}"

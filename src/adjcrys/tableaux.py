@@ -193,15 +193,14 @@ class Tableau:
         if pos is None:
             return None
         cols = self.columns
-        ci, cell = len(cols), pos
+        ci, word_pos = len(cols), pos
         for old in reversed(cols):  # the reading word starts at the right
             ci -= 1
-            if 0 <= cell < len(old):
+            if 0 <= pos < len(old):
                 break
-            cell -= len(old)
+            pos -= len(old)
         else:
-            raise ValueError(f"position {pos} outside the reading word")
-        pos = cell
+            raise ValueError(f"position {word_pos} outside the reading word")
         col = old[:pos] + (letter,) + old[pos + 1:]
         if not 1 <= letter <= self.n + 1:
             raise ValueError(f"entries must lie in 1..{self.n + 1}")
