@@ -399,34 +399,36 @@ def alpha_checks(n: int, l: int, table: Optional[OperatorTable] = None) -> list[
     The model side is read from the level-l table, built here when not
     given.  The tableau side runs on objects and shares no code with the
     checker: `_alpha` runs once per value and builds one tableau, of which
-    (k, column lengths, reading word) is kept; the round trip compares
-    coordinates, images compare as (k, columns).  One bracketing pass over
-    the word gives every label's `e_i` and `f_i` cells.  A result that is
-    the image of its model value (same k, column lengths and reading word)
-    is that validated tableau and passes unbuilt; for any other, alpha(b)
-    is built again and the result checked at its cell.  No element object
-    is built.  Every image is a validated tableau and a wrong shape fails
-    the round trip, so the distinct images of component k are all of
+    (k, column lengths, reading word) is kept.  Images compare as that
+    triple, the column lengths give the shape and the round trip compares
+    coordinates.  One bracketing pass over the word gives every label's
+    `e_i` and `f_i` cells.  A result that is the image
+    of its model value (same k, column lengths and reading word) is that
+    validated tableau and passes unbuilt; for any other, alpha(b) is built
+    again and the result built from it through the constructor.  No element
+    object is built.  Every image is a validated tableau and a wrong shape
+    fails the round trip, so the distinct images of component k are all of
     B((2k, k^(n-1))) when there are as many as the hook-content formula
     counts.  An image or result that fails its check fails at the element.
     """
     if table is None:
         table = OperatorTable(CrystalA(n, l))
     size, comp, name = len(table.elems), table.comp, table.element_id
-    images: list[tuple] = []  # alpha(b) as (k, (column lengths, reading word)), or Nones
-    rejected: dict[int, str] = {}  # why alpha(b) is not a tableau
+    # alpha(b) as (k, (column lengths, reading word)), or (None, why it is not a tableau)
+    images: list[tuple] = []
     bijection = weight = intertwining = ""
     owners: dict[int, dict[tuple, int]] = {}  # k, then an image: its first owner
     for b, value in enumerate(table.elems):
         try:
             k, t = _alpha(value, l)
         except ValueError as err:
-            images.append((None, None))
-            rejected[b] = f"alpha({name(b)}) is not a tableau: {err}"
-            bijection = bijection or rejected[b]
-            weight = weight or rejected[b]
+            why = f"alpha({name(b)}) is not a tableau: {err}"
+            images.append((None, why))
+            bijection = bijection or why
+            weight = weight or why
             continue
-        image = (tuple(map(len, t.columns)), t.reading_word())
+        lengths = tuple(map(len, t.columns))
+        image = (lengths, t.reading_word())
         images.append((k, image))
         prev = owners.setdefault(k, {}).setdefault(image, b)
         if not bijection:
@@ -434,17 +436,18 @@ def alpha_checks(n: int, l: int, table: Optional[OperatorTable] = None) -> list[
                 bijection = f"alpha component mismatch at {name(b)}"
             elif prev != b:
                 bijection = f"alpha not injective: {name(b)} and {name(prev)}"
-            elif t.shape != shape_component(n, k) or not _round_trips(n, l, t, value):
+            elif lengths != (n,) * k + (1,) * k or not _round_trips(n, l, t, value):
                 bijection = f"alpha round trip fails at {name(b)}"
         if not weight and tuple(c - k for c in t.content()) != table.weight[b]:
             weight = f"alpha changes the weight at {name(b)}"
 
     rows = [(i, table.row("f", i), table.row("e", i)) for i in range(1, n + 1)]
     for b, value in enumerate(table.elems):
-        if b in rejected or intertwining:  # the first failure is found
-            intertwining = intertwining or rejected[b]
+        k, image = images[b]
+        if k is None or intertwining:  # the first failure is found
+            intertwining = intertwining or image
             break
-        k, (lengths, word) = images[b]
+        lengths, word = image
         cells = tableaux.bracket_cells(word, n)
         for (i, f_row, e_row), (raise_pos, lower_pos) in zip(rows, cells, strict=True):
             for d, pos, letter, row in (("f", lower_pos, i + 1, f_row),

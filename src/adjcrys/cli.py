@@ -43,10 +43,6 @@ def _fail_usage(message: str) -> int:
     return 2
 
 
-def _build_model(family: str, rank: int, level: int):
-    return FAMILIES[family].SPEC.model(rank, level)
-
-
 def _check_bounds(args) -> Optional[int]:
     try:  # the root datum decides which ranks exist: C needs 2, A and B take 1
         RootDatum(FAMILIES[args.family].SPEC.model.datum_family, args.rank)
@@ -119,7 +115,7 @@ def _verification_report(family: str, rank: int, level: int, selector: str):
     report = []
     table = None  # the level-l table, shared by every check that reads it
     if selector in ("all", "axioms") + SECTIONS:
-        model = _build_model(family, rank, level)
+        model = FAMILIES[family].SPEC.model(rank, level)
         table = OperatorTable(model)
         if selector in ("all", "axioms"):
             report.extend(axiom_checks(model, table))

@@ -10,10 +10,8 @@ one left-to-right pass: a letter c is the i of label c and the i+1 of label
 c-1, so each letter adds one sign to each of two labels.  An undefined
 operator is the value None, never a sentinel.
 
-Validation: the public `Tableau(...)` constructor checks the whole tableau.
-An operator changes one cell, the only one that can break semistandardness,
-so `Tableau.moved` checks that cell alone, with the full check's messages in
-its order, and skips the full check.
+Validation: the public `Tableau(...)` constructor is the only check, and
+every tableau goes through it, an operator's result included.
 """
 
 from __future__ import annotations
@@ -158,6 +156,8 @@ class Tableau:
     @classmethod
     def from_rows(cls, n: int, rows) -> "Tableau":
         rows = [tuple(row) for row in rows]
+        if any(len(a) < len(b) for a, b in zip(rows, rows[1:])):
+            raise ValueError("row lengths must weakly decrease top to bottom")
         ncols = len(rows[0]) if rows else 0
         cols = []
         for c in range(ncols):
@@ -187,9 +187,8 @@ class Tableau:
 
     def moved(self, pos: Optional[int], letter: int) -> Optional["Tableau"]:
         """The tableau with reading-word position `pos` set to `letter`, None
-        when `pos` is None.  Checks that the cell is in the word, then its
-        range, then its column neighbours, then its left and right row
-        neighbours."""
+        when `pos` is None.  A position outside the word raises; the result
+        is checked by the constructor like any other tableau."""
         if pos is None:
             return None
         cols = self.columns
@@ -202,18 +201,7 @@ class Tableau:
         else:
             raise ValueError(f"position {word_pos} outside the reading word")
         col = old[:pos] + (letter,) + old[pos + 1:]
-        if not 1 <= letter <= self.n + 1:
-            raise ValueError(f"entries must lie in 1..{self.n + 1}")
-        if (pos and old[pos - 1] >= letter) or (pos + 1 < len(old) and letter >= old[pos + 1]):
-            raise ValueError(f"column {col} not strictly increasing")
-        if (ci and cols[ci - 1][pos] > letter) or (
-            ci + 1 < len(cols) and pos < len(cols[ci + 1]) and letter > cols[ci + 1][pos]
-        ):
-            raise ValueError("rows must weakly increase left to right")
-        out = object.__new__(Tableau)
-        object.__setattr__(out, "n", self.n)
-        object.__setattr__(out, "columns", cols[:ci] + (col,) + cols[ci + 1:])
-        return out
+        return Tableau(self.n, cols[:ci] + (col,) + cols[ci + 1:])
 
     def e(self, i: int) -> Optional["Tableau"]:
         return self.moved(label_cells(self.reading_word(), self.n, i)[0], i)

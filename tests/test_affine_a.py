@@ -1,5 +1,7 @@
 """The pair model: factor crystals, promotion, the tensor rule, alpha."""
 
+from collections import Counter
+
 import pytest
 
 from adjcrys.affine_a import (
@@ -27,7 +29,7 @@ from adjcrys.affine_a import (
 )
 from adjcrys.crystal_graph import OperatorTable, all_passed, render_report
 from adjcrys.root_data import Family, RootDatum
-from adjcrys.tableaux import TensorPair
+from adjcrys.tableaux import Tableau, TensorPair
 from helpers import fundamental_coeffs, highest_weight, iterated_stats, rows, to_tensor, to_word
 
 
@@ -156,8 +158,6 @@ def test_alpha_examples():
 
 
 def test_alpha_inverse_rejects_bad_shapes():
-    from adjcrys.tableaux import Tableau
-
     with pytest.raises(ValueError):
         _alpha_inverse(2, 1, Tableau.from_rows(2, [(1, 1, 1)]))
     with pytest.raises(ValueError):
@@ -240,6 +240,35 @@ def test_alpha_checks_on_a_given_table(n, l):
     report = alpha_checks(n, l, OperatorTable(CrystalA(n, l)))
     assert report == alpha_checks(n, l)
     assert all_passed(report), render_report(report)
+
+
+@pytest.mark.parametrize("n, l", [(2, 2), (3, 3)])
+def test_passing_alpha_checks_build_one_tableau_per_element(n, l, monkeypatch):
+    """A passing run builds each image once, reads its shape once (in the
+    round trip), and compares every operator result as a word: no result
+    tableau is built."""
+    table = OperatorTable(CrystalA(n, l))
+    calls = Counter()
+
+    def post_init(self, original=Tableau.__post_init__):
+        calls["built"] += 1
+        original(self)
+
+    def moved(self, pos, letter, original=Tableau.moved):
+        calls["moved"] += 1
+        return original(self, pos, letter)
+
+    def shape(self, original=Tableau.shape.fget):
+        calls["shape"] += 1
+        return original(self)
+
+    monkeypatch.setattr(Tableau, "__post_init__", post_init)
+    monkeypatch.setattr(Tableau, "moved", moved)
+    monkeypatch.setattr(Tableau, "shape", property(shape))
+    report = alpha_checks(n, l, table)
+    assert all_passed(report), render_report(report)
+    size = len(table.elems)
+    assert calls == Counter(built=size, shape=size)
 
 
 def test_verify_theorems_passes():

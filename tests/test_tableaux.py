@@ -66,6 +66,16 @@ def test_reading_word_examples():
     assert rows(t) == ((1, 2), (2,))
 
 
+def test_from_rows_rejects_rows_that_grow_downwards():
+    """Rows whose lengths do not weakly decrease would lose a cell (the 3
+    beyond the first row's width) or glue cells of different rows into
+    one column."""
+    for bad in ([(1,), (2, 3)], [(1, 1), (), (3,)]):
+        with pytest.raises(ValueError, match="row lengths must weakly decrease top to bottom"):
+            Tableau.from_rows(2, bad)
+    assert Tableau.from_rows(2, [(1, 1), (2,), ()]).columns == ((1, 2), (1,))
+
+
 def test_tableau_validation():
     with pytest.raises(ValueError):
         Tableau(2, ((1, 1),))  # column not strict
@@ -103,7 +113,7 @@ def test_tableau_validation_messages(n, columns, message):
         Tableau(n, columns)
     assert str(err.value) == message
 
-# (n, tableau) over every shape of at most four boxes, for the one-cell check
+# (n, tableau) over every shape of at most four boxes, for `Tableau.moved`
 SMALL_TABLEAUX = [
     (n, t)
     for n in (2, 3)
@@ -122,8 +132,8 @@ def _full_check(n, columns):
 
 @given(st.sampled_from(SMALL_TABLEAUX), st.data())
 def test_operator_results_pass_the_full_check(nt, data):
-    """A result built by the one-cell check is the tableau the public
-    constructor builds from its columns."""
+    """An operator's result is the tableau the public constructor builds
+    from its columns."""
     n, t = nt
     i = data.draw(st.integers(1, n))
     for result in (t.e(i), t.f(i)):
@@ -133,8 +143,8 @@ def test_operator_results_pass_the_full_check(nt, data):
 
 @given(st.sampled_from(SMALL_TABLEAUX), st.data())
 def test_one_cell_check_agrees_with_the_full_check(nt, data):
-    """Any one cell set to i or i+1 (out of range for i = 0 or n+1): the
-    one-cell check accepts exactly when the constructor does, and with the
+    """Any one cell set to i or i+1 (out of range for i = 0 or n+1):
+    `Tableau.moved` accepts exactly when the constructor does, and with the
     same message when both reject."""
     n, t = nt
     if not t.columns:
