@@ -9,16 +9,13 @@ boundary descriptions, and the zero-node landing rule).
 """
 
 from .affine_a import (
-    AdjElemA,
-    ColElem,
     CrystalA,
-    RowElem,
     alpha_checks,
     promotion_checks,
     verify_theorems as verify_theorems_a,
 )
-from .affine_c import CrystalC, ElemC, verify_theorems as verify_theorems_c
-from .affine_d2 import CrystalD2, ElemD, verify_theorems as verify_theorems_d2
+from .affine_c import CrystalC, verify_theorems as verify_theorems_c
+from .affine_d2 import CrystalD2, verify_theorems as verify_theorems_d2
 from .crystal_graph import (
     CheckResult,
     CrystalGraph,

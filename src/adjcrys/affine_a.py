@@ -180,8 +180,7 @@ def _alpha(b, l: int) -> tuple[int, Tableau]:
     """alpha, the classical isomorphism onto tableaux, on the value (x, y) at
     level l: the component and the tableau.  Strip the common count of the
     letter 1 and of the column missing 1, then concatenate the columns, the
-    depth-n ones by decreasing missing letter and then the letters.  Equal
-    columns are one shared object, which the tableau check passes over."""
+    depth-n ones by decreasing missing letter and then the letters."""
     x, y = b
     n = len(x) - 1
     strip = min(x[0], y[0])

@@ -31,11 +31,8 @@ from .root_data import RootDatum
 SIZE_LIMIT = 10**6
 FAMILIES = {"a1": affine_a, "c1": affine_c, "d2": affine_d2}
 
-CHECK_NAMES = (
-    "all", "axioms", "embedding", "commute", "boundary",
-    "multiplicity", "f0-landing", "promotion", "alpha",
-)
 A1_ONLY_CHECKS = ("promotion", "alpha")
+CHECK_NAMES = ("all", "axioms") + SECTIONS + A1_ONLY_CHECKS
 
 
 def _fail_usage(message: str) -> int:
@@ -181,12 +178,16 @@ def _format_value(b) -> str:
     return "(" + ",".join(map(str, coords)) + ")"
 
 
-def _parse_word(text: str) -> list[tuple[str, int]]:
+def _parse_word(text: str, n: int) -> list[tuple[str, int]]:
+    """The operators of a word such as "f0 f1 e2", each index in 0..n."""
     ops = []
     for token in text.split():
         if len(token) < 2 or token[0] not in ("e", "f") or not token[1:].isdigit():
             raise ValueError(f"cannot parse operator token {token!r}")
-        ops.append((token[0], int(token[1:])))
+        i = int(token[1:])
+        if i > n:
+            raise ValueError(f"operator index {i} out of range 0..{n}")
+        ops.append((token[0], i))
     return ops
 
 
@@ -196,14 +197,12 @@ def cmd_apply(args) -> int:
         return bad
     try:
         current = _parse_start(args)
-        ops = _parse_word(args.word)
+        ops = _parse_word(args.word, args.rank)
     except ValueError as err:
         return _fail_usage(str(err))
-    n, kernel = args.rank, FAMILIES[args.family].KERNEL
+    kernel = FAMILIES[args.family].KERNEL
     lines = [_format_value(current)]
     for direction, i in ops:
-        if not 0 <= i <= n:
-            return _fail_usage(f"operator index {i} out of range 0..{n}")
         current = getattr(kernel, direction)(current, i, args.level)
         if current is None:
             lines.append("0")
@@ -213,7 +212,7 @@ def cmd_apply(args) -> int:
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--family", required=True, choices=("a1", "c1", "d2"))
+    parser.add_argument("--family", required=True, choices=tuple(FAMILIES))
     parser.add_argument("--rank", required=True, type=int,
                         help="classical rank n (>= 1; >= 2 for c1)")
     parser.add_argument("--level", required=True, type=int, help="level l (>= 0)")

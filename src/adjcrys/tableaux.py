@@ -65,10 +65,11 @@ def word_apply(word, n: int, i: int, direction: str) -> Optional[tuple[int, ...]
 def eps_phi(b, i: int) -> tuple[int, int]:
     """(eps_i, phi_i) computed by iterating the operators to absence.
 
-    Definitionally correct for any object exposing e/f; it is the `eps` and
-    `phi` of `Word`, `Tableau` and `TensorPair`.  The models' kernels are
-    plain functions on values, so their closed statistics are checked
-    against the chain lengths of the operator rows instead.
+    Definitionally correct for any object exposing e/f; `Iterated` turns
+    it into the `eps` and `phi` that `Word`, `Tableau` and `TensorPair`
+    share.  The models' kernels are plain functions on values, so their
+    closed statistics are checked against the chain lengths of the operator
+    rows instead.
     """
     eps = 0
     cur = b.e(i)
@@ -83,8 +84,19 @@ def eps_phi(b, i: int) -> tuple[int, int]:
     return eps, phi
 
 
+class Iterated:
+    """`eps` and `phi` by `eps_phi`.  Each subclass keeps e and f in its own
+    body, where `perfbench/traced.py` patches them."""
+
+    def eps(self, i: int) -> int:
+        return eps_phi(self, i)[0]
+
+    def phi(self, i: int) -> int:
+        return eps_phi(self, i)[1]
+
+
 @dataclass(frozen=True)
-class Word:
+class Word(Iterated):
     """A tensor power of the letter crystal, kept as a flat word."""
 
     n: int
@@ -102,12 +114,6 @@ class Word:
         w = word_apply(self.letters, self.n, i, "f")
         return None if w is None else Word(self.n, w)
 
-    def eps(self, i: int) -> int:
-        return eps_phi(self, i)[0]
-
-    def phi(self, i: int) -> int:
-        return eps_phi(self, i)[1]
-
 
 def column_missing(n: int, j: int) -> tuple[int, ...]:
     """The depth-n column with entries 1..n+1 except j."""
@@ -117,7 +123,7 @@ def column_missing(n: int, j: int) -> tuple[int, ...]:
 
 
 @dataclass(frozen=True)
-class Tableau:
+class Tableau(Iterated):
     """Semistandard Young tableau, stored as strictly increasing columns.
 
     Column-major storage keeps the reading word and the depth-n columns
@@ -134,7 +140,7 @@ class Tableau:
         cols = self.columns
         prev = None
         for col in cols:
-            if col is prev:  # the same column object again: checked already
+            if col == prev:  # a repeat of the previous column: checked already
                 continue
             prev = col
             if not col:
@@ -146,7 +152,7 @@ class Tableau:
             if not all(map(lt, col, col[1:])):
                 raise ValueError(f"column {col} not strictly increasing")
         for a, b in zip(cols, cols[1:]):
-            if a is b:
+            if a == b:  # equal columns pass both rules
                 continue
             if len(a) < len(b):
                 raise ValueError("column depths must weakly decrease left to right")
@@ -209,15 +215,9 @@ class Tableau:
     def f(self, i: int) -> Optional["Tableau"]:
         return self.moved(label_cells(self.reading_word(), self.n, i)[1], i + 1)
 
-    def eps(self, i: int) -> int:
-        return eps_phi(self, i)[0]
-
-    def phi(self, i: int) -> int:
-        return eps_phi(self, i)[1]
-
 
 @dataclass(frozen=True)
-class TensorPair:
+class TensorPair(Iterated):
     """Two-factor tensor product under the standard rule.
 
     f acts on the left factor iff phi(left) > eps(right); e acts on the left
@@ -241,12 +241,6 @@ class TensorPair:
             return None if new is None else TensorPair(new, self.right)
         new = self.right.e(i)
         return None if new is None else TensorPair(self.left, new)
-
-    def eps(self, i: int) -> int:
-        return eps_phi(self, i)[0]
-
-    def phi(self, i: int) -> int:
-        return eps_phi(self, i)[1]
 
 
 def ssyt_count(shape, max_entry: int) -> int:

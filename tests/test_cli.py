@@ -231,6 +231,17 @@ def test_apply_parse_failures(capsys):
                  "--start", "0,0,0,0", "--word", "f9"]) == 2
 
 
+
+@pytest.mark.parametrize("start", ["0,0,0,0", "2,0,0,0"])
+def test_apply_rejects_an_out_of_range_index_from_every_start(capsys, start):
+    """The word is checked before the walk, so an operator that vanishes
+    earlier (f0 on 2,0,0,0) does not hide a bad index after it."""
+    assert main(["apply", "--family", "c1", "--rank", "2", "--level", "1",
+                 "--start", start, "--word", "f0 f9"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: operator index 9 out of range 0..2\n"
+
 @pytest.mark.parametrize("family", ["a1", "c1", "d2"])
 def test_apply_start_takes_every_element_id(capsys, family):
     """Any id a failure message prints replays through apply."""

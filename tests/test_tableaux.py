@@ -113,6 +113,23 @@ def test_tableau_validation_messages(n, columns, message):
         Tableau(n, columns)
     assert str(err.value) == message
 
+@pytest.mark.parametrize("n, columns", [
+    (2, ((1, 2), (1, 2), (1,), (1,))),
+    (2, ((2, 1), (2, 1))),
+    (2, ((1, 4), (1, 4), (1,))),
+    (2, ((1,), (1,), (1, 2))),
+    (2, ((2,), (2,), (1,))),
+])
+def test_validation_does_not_depend_on_shared_columns(n, columns):
+    """Equal columns give one verdict and one message, whether they are one
+    object or separate copies."""
+    canonical: dict = {}
+    shared = tuple(canonical.setdefault(col, col) for col in columns)
+    copies = tuple(tuple(list(col)) for col in columns)
+    assert shared[0] is shared[1] and copies[0] is not copies[1]
+    assert _full_check(n, copies) == _full_check(n, shared)
+
+
 # (n, tableau) over every shape of at most four boxes, for `Tableau.moved`
 SMALL_TABLEAUX = [
     (n, t)
