@@ -10,7 +10,8 @@ map alpha (`_alpha`) onto tableaux of shape (2k, k^(n-1)).
 
 The crystals themselves are `ROW_KERNEL`, `COL_KERNEL` and the pair
 `KERNEL`: pure functions on multiplicity vectors and on pairs (x, y) of
-them; the model adapters call into them.  The element classes `RowElem`,
+them; the model adapters call into them.  Their ids share one cached
+coordinate text per factor value (`_coords`).  The element classes `RowElem`,
 `ColElem` and `AdjElemA` wrap the kernels' `e`/`f` for the benchmark's
 tracer (`perfbench/traced.py`); no command builds one.  The checks run on
 the values: `promote` is the promotion map of both factors and `_alpha`
@@ -22,6 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cache
 from itertools import product
 from operator import sub
 from typing import Optional
@@ -251,6 +253,9 @@ def _factor_contains(v: tuple[int, ...], l: int) -> bool:
     return len(v) >= 2 and min(v) >= 0 and sum(v) == l
 
 
+_coords = cache(lambda v: ",".join(map(str, v)))  # one text per factor value, for every id
+
+
 ROW_KERNEL = Kernel(
     values=_factor_values,
     f=lambda x, i, l=None: _shift(x, i - 1, i),
@@ -258,7 +263,7 @@ ROW_KERNEL = Kernel(
     eps=lambda x, i, l=None: x[i],
     phi=lambda x, i, l=None: x[i - 1],
     weight=tuple, component=lambda x, l: None, contains=_factor_contains,
-    element_id=lambda x, n: f"A{n}:x=" + ",".join(map(str, x)), size=factor_size,
+    element_id=lambda x, n: f"A{n}:x={_coords(x)}", size=factor_size,
 )
 COL_KERNEL = Kernel(
     values=_factor_values,
@@ -268,14 +273,14 @@ COL_KERNEL = Kernel(
     phi=lambda y, i, l=None: y[i],
     weight=lambda y: tuple(sum(y) - c for c in y),
     component=lambda y, l: None, contains=_factor_contains,
-    element_id=lambda y, n: f"A{n}:y=" + ",".join(map(str, y)), size=factor_size,
+    element_id=lambda y, n: f"A{n}:y={_coords(y)}", size=factor_size,
 )
 KERNEL = Kernel(
     values=lambda n, l: list(product(_factor_values(n, l), repeat=2)),
     f=_pair_f, e=_pair_e, eps=_pair_eps, phi=_pair_phi,
     weight=lambda b: tuple(map(sub, *b)), component=lambda b, l: l - min(b[0][0], b[1][0]),
     contains=lambda b, l: len(b[0]) == len(b[1]) and all(_factor_contains(v, l) for v in b),
-    element_id=lambda b, n: f"A{n}:x={','.join(map(str, b[0]))};y={','.join(map(str, b[1]))}",
+    element_id=lambda b, n: f"A{n}:x={_coords(b[0])};y={_coords(b[1])}",
     size=expected_size,
 )
 

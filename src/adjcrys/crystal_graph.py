@@ -30,9 +30,12 @@ and yields it in batches of a few thousand records, so it holds the table and
 one token per element but no `Vertex`, `Edge` or whole document.  Nodes come
 in `sort_key` order; edges by source id, then by label.  Each f_i is a
 function and the ids are distinct, so that is the (src, label, dst) order
-without sorting the edges.  Every `f` row is checked for OUTSIDE before the
-first chunk.  `build_graph` and `export` give the same bytes as values, and
-`export` runs the same record formatter.
+without sorting the edges.  An edge line is its source's prefix, the
+destination's token and its label's suffix, and each call formats each
+distinct k, weight and label once, so the text work grows with the distinct
+values, not with the records.  Every `f` row is checked for OUTSIDE before
+the first chunk.  `build_graph` and `export` give the same bytes as values,
+and `export` runs the same record formatter.
 
 `run_theorems` checks one family's structure theorems from a `TheoremSpec`:
 the model class, the level embedding `B_{l-1} -> B_l`, the level-raising
@@ -51,8 +54,9 @@ from __future__ import annotations
 import json
 from collections import Counter
 from dataclasses import dataclass
-from functools import cached_property, partial
-from itertools import compress, count, islice, repeat
+from functools import cache, cached_property, partial
+from itertools import chain, compress, count, repeat
+from json.encoder import encode_basestring_ascii
 from operator import add, ne, neg
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
@@ -134,15 +138,19 @@ def build_graph(model) -> CrystalGraph:
     vertices = tuple(
         Vertex(ids[b], table.comp[b], table.weight[b]) for b in _node_order(model, table)
     )
-    edges = tuple(Edge(*e) for e in _edges(table, _id_order(ids), ids))
+    rows = sorted(table.f.items())
+    edges = tuple(
+        Edge(ids[b], ids[c], i) for b in _id_order(ids) for i, row in rows if (c := row[b]) >= 0
+    )
     return CrystalGraph(model.family, model.rank, model.level, vertices, edges)
 
 
 def export(graph: CrystalGraph, fmt: str) -> bytes:
     """Serialize a graph to 'dot' or 'json'; deterministic byte output."""
-    name, chunks = _format(fmt)
-    nodes = ((name(v.id), v.k, v.weight) for v in graph.vertices)
-    edges = ((name(e.src), name(e.dst), e.label) for e in graph.edges)
+    name, node, prefix, suffix, chunks = _layout(fmt)
+    nodes = ([node(name(v.id), v.k, v.weight) for v in batch] for batch in _batches(graph.vertices))
+    edges = ([prefix(name(e.src)) + name(e.dst) + suffix(e.label) for e in batch]
+             for batch in _batches(graph.edges))
     return "".join(chunks(graph.family, graph.rank, graph.level, nodes, edges)).encode("utf-8")
 
 
@@ -153,14 +161,20 @@ def stream_graph(model, fmt: str) -> Iterator[str]:
     Builds no `Vertex`, `Edge` or whole document.  Raises ValueError when an
     f_i result is missing from the enumeration, before the first chunk.
     """
-    name, chunks = _format(fmt)
+    name, node, prefix, suffix, chunks = _layout(fmt)
     table, ids = _graph_table(model)
     by_id = _id_order(ids)
     names = ids  # each id gives way to its token, so the two lists never coexist
     for b, s in enumerate(names):
         names[b] = name(s)
-    nodes = ((names[b], table.comp[b], table.weight[b]) for b in _node_order(model, table))
-    return chunks(model.family, model.rank, model.level, nodes, _edges(table, by_id, names))
+    comp, weight = table.comp, table.weight
+    nodes = ([node(names[b], comp[b], weight[b]) for b in batch]
+             for batch in _batches(_node_order(model, table)))
+    ends = [(suffix(i), row) for i, row in sorted(table.f.items())]
+    edges = ([pre + names[c] + end
+              for b in batch for pre in (prefix(names[b]),) for end, row in ends if (c := row[b]) >= 0]
+             for batch in _batches(by_id, len(ends)))
+    return chunks(model.family, model.rank, model.level, nodes, edges)
 
 
 def _graph_table(model) -> tuple[OperatorTable, list[str]]:
@@ -183,66 +197,50 @@ def _id_order(ids: list[str]) -> list[int]:
     return sorted(range(len(ids)), key=ids.__getitem__)
 
 
-def _edges(table: OperatorTable, by_id: list[int], names: list) -> Iterator[tuple]:
-    """(src, dst, i) for every f_i arrow, sources in `by_id` order, each
-    source's arrows by ascending i.  Each f_i is a function and the ids are
-    distinct, so this is the (src, i, dst) order of the ids without a sort."""
-    rows = sorted(table.f.items())
-    for b in by_id:
-        src = names[b]
-        for i, row in rows:
-            c = row[b]
-            if c >= 0:
-                yield src, names[c], i
-
-
 # The record formatter of each export format, shared by `export` and
-# `stream_graph`: `name` turns an element id into the token the format
-# writes, `chunks(family, rank, level, nodes, edges)` yields the text, with
-# nodes (name, k, weight) and edges (src name, dst name, label).
+# `stream_graph`: `_layout(fmt)` gives (name, node, prefix, suffix, chunks),
+# with caches that live for one call.  `name(id)` is the token the format
+# writes; a node line is `node(name, k, weight)`, an edge line `prefix(src
+# name) + dst name + suffix(label)`; `chunks` yields the text from batches.
 
 _BATCH = 4096
 
 
-def _batches(records: Iterable[tuple], line: Callable[..., str]) -> Iterator[list[str]]:
-    records = iter(records)
-    while batch := [line(*r) for r in islice(records, _BATCH)]:
-        yield batch
+def _batches(records: Sequence, per: int = 1) -> Iterator[Sequence]:
+    """Slices of about `_BATCH` records, `per` records to an item."""
+    step = max(1, _BATCH // max(1, per))
+    return (records[start:start + step] for start in range(0, len(records), step))
 
 
 def _fmt_weight(weight: tuple[int, ...]) -> str:
-    return "(" + ",".join(str(c) for c in weight) + ")"
-
-
-def _dot_node(name: str, k: Optional[int], weight: tuple[int, ...]) -> str:
-    return f'  "{name}" [label="{name}\\nwt={_fmt_weight(weight)} k={"-" if k is None else k}"];\n'
-
-
-def _dot_edge(src: str, dst: str, label: int) -> str:
-    return f'  "{src}" -> "{dst}" [label="{label}"];\n'
+    return "(" + ",".join(map(str, weight)) + ")"
 
 
 def _dot_chunks(family, rank, level, nodes, edges) -> Iterator[str]:
     yield "digraph crystal {\n"
-    for records, line in ((nodes, _dot_node), (edges, _dot_edge)):
-        for batch in _batches(records, line):
-            yield "".join(batch)
+    yield from map("".join, chain(nodes, edges))
     yield "}\n"
 
 
-def _json_node(name: str, k: Optional[int], weight: tuple[int, ...]) -> str:
-    coords = "[\n        " + ",\n        ".join(map(str, weight)) + "\n      ]" if weight else "[]"
-    return f'    {{\n      "id": {name},\n      "k": {json.dumps(k)},\n      "weight": {coords}\n    }}'
+def _dot() -> tuple:
+    ks, weights = cache(lambda k: "-" if k is None else str(k)), cache(_fmt_weight)
+    return (
+        str,
+        lambda name, k, weight: f'  "{name}" [label="{name}\\nwt={weights(weight)} k={ks(k)}"];\n',
+        lambda src: f'  "{src}" -> "',
+        cache(lambda label: f'" [label="{label}"];\n'),
+        _dot_chunks,
+    )
 
 
-def _json_edge(src: str, dst: str, label: int) -> str:
-    return f'    {{\n      "src": {src},\n      "dst": {dst},\n      "i": {label}\n    }}'
+def _json_coords(weight: tuple[int, ...]) -> str:
+    return "[\n        " + ",\n        ".join(map(str, weight)) + "\n      ]" if weight else "[]"
 
 
-def _json_records(records, line) -> Iterator[str]:
+def _json_records(batches) -> Iterator[str]:
     """A list of records as `json.dumps(..., indent=2)` lays out a top-level value."""
     sep = "\n"
-    for batch in _batches(records, line):
+    for batch in filter(None, batches):
         yield sep + ",\n".join(batch)
         sep = ",\n"
     yield "]" if sep == "\n" else "\n  ]"
@@ -253,19 +251,31 @@ def _json_chunks(family, rank, level, nodes, edges) -> Iterator[str]:
         f'{{\n  "family": {json.dumps(family)},\n  "rank": {json.dumps(rank)},\n'
         f'  "level": {json.dumps(level)},\n  "nodes": ['
     )
-    yield from _json_records(nodes, _json_node)
+    yield from _json_records(nodes)
     yield ',\n  "edges": ['
-    yield from _json_records(edges, _json_edge)
+    yield from _json_records(edges)
     yield "\n}\n"
 
 
-_FORMATS = {"dot": (str, _dot_chunks), "json": (json.dumps, _json_chunks)}
+def _json() -> tuple:
+    ks, weights = cache(json.dumps), cache(_json_coords)
+    return (
+        encode_basestring_ascii,  # the escape of json.dumps(str): the same bytes
+        lambda name, k, weight:
+            f'    {{\n      "id": {name},\n      "k": {ks(k)},\n      "weight": {weights(weight)}\n    }}',
+        lambda src: f'    {{\n      "src": {src},\n      "dst": ',
+        cache(lambda label: f',\n      "i": {label}\n    }}'),
+        _json_chunks,
+    )
 
 
-def _format(fmt: str):
+_FORMATS = {"dot": _dot, "json": _json}
+
+
+def _layout(fmt: str) -> tuple:
     if fmt not in _FORMATS:
         raise ValueError(f"unknown export format {fmt!r}")
-    return _FORMATS[fmt]
+    return _FORMATS[fmt]()
 
 
 @dataclass

@@ -5,7 +5,8 @@ one-letter crystal operators, the bracketing rule of one label at a time,
 the statistics of a kernel by iterating its operators, weights in
 fundamental coordinates (`pairing`, `fundamental_coeffs` and its inverse),
 and straightforward reference versions of the chain-length and
-connectivity walks of the axiom checks."""
+connectivity walks of the axiom checks, of the DOT export and of the `a1`
+element ids."""
 
 from typing import Iterator, Optional, Sequence
 
@@ -263,3 +264,30 @@ def reference_connected(table) -> bool:
                 seen[c] = True
                 queue.append(c)
     return len(queue) == size
+
+
+def reference_dot(graph) -> bytes:
+    """The DOT export of `graph` written one f-string per record."""
+    def weight(w):
+        return "(" + ",".join(str(c) for c in w) + ")"
+
+    lines = ["digraph crystal {\n"]
+    lines += [
+        f'  "{v.id}" [label="{v.id}\\nwt={weight(v.weight)} k={"-" if v.k is None else v.k}"];\n'
+        for v in graph.vertices
+    ]
+    lines += [f'  "{e.src}" -> "{e.dst}" [label="{e.label}"];\n' for e in graph.edges]
+    lines.append("}\n")
+    return "".join(lines).encode("utf-8")
+
+
+def reference_factor_id(letter: str, v, n: int) -> str:
+    """The id of an `a1` factor value, made with no cache: `letter` is "x"
+    for the row factor and "y" for the column factor."""
+    return f"A{n}:{letter}=" + ",".join(str(c) for c in v)
+
+
+def reference_pair_id(b, n: int) -> str:
+    """The id of an `a1` pair value (x, y), made with no cache."""
+    x, y = b
+    return reference_factor_id("x", x, n) + ";y=" + ",".join(str(c) for c in y)

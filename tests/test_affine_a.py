@@ -1,6 +1,7 @@
 """The pair model: factor crystals, promotion, the tensor rule, alpha."""
 
 from collections import Counter
+from itertools import product
 
 import pytest
 
@@ -30,7 +31,16 @@ from adjcrys.affine_a import (
 from adjcrys.crystal_graph import OperatorTable, all_passed, render_report
 from adjcrys.root_data import Family, RootDatum
 from adjcrys.tableaux import Tableau, TensorPair
-from helpers import fundamental_coeffs, highest_weight, iterated_stats, rows, to_tensor, to_word
+from helpers import (
+    fundamental_coeffs,
+    highest_weight,
+    iterated_stats,
+    reference_factor_id,
+    reference_pair_id,
+    rows,
+    to_tensor,
+    to_word,
+)
 
 
 def test_promotion_examples():
@@ -275,6 +285,20 @@ def test_verify_theorems_passes():
     for n, l in ((2, 1), (2, 2), (3, 2)):
         report = verify_theorems(n, l)
         assert all_passed(report), render_report(report)
+
+
+@pytest.mark.parametrize("n", (2, 3))
+@pytest.mark.parametrize("l", range(4))
+def test_element_ids_match_an_uncached_reference(n, l):
+    """Every factor and pair id, and the ids of invalid values of the kind a
+    seeded fault returns: a negative multiplicity, too long or too short."""
+    factors = ROW_KERNEL.values(n, l) + [
+        (l + 1, -1) + (0,) * (n - 1), (l,) + (0,) * (n + 1), (l,)]
+    for v in factors:
+        assert ROW_KERNEL.element_id(v, n) == reference_factor_id("x", v, n)
+        assert COL_KERNEL.element_id(v, n) == reference_factor_id("y", v, n)
+    for b in product(factors, repeat=2):
+        assert KERNEL.element_id(b, n) == reference_pair_id(b, n)
 
 
 def test_model_adapter_ids():

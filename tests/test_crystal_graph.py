@@ -1,6 +1,7 @@
 """Graph construction, structural checks, and the two export formats."""
 
 import json
+import math
 from collections import Counter
 from types import SimpleNamespace
 
@@ -28,7 +29,18 @@ from adjcrys.crystal_graph import (
     render_report,
     stream_graph,
 )
-from helpers import ClassicalCrystal, reference_chain_lengths, reference_connected
+from helpers import ClassicalCrystal, reference_chain_lengths, reference_connected, reference_dot
+
+
+def graph_as_dict(graph: CrystalGraph) -> dict:
+    """The value the JSON export lays out."""
+    return {
+        "family": graph.family,
+        "rank": graph.rank,
+        "level": graph.level,
+        "nodes": [{"id": v.id, "k": v.k, "weight": list(v.weight)} for v in graph.vertices],
+        "edges": [{"src": e.src, "dst": e.dst, "i": e.label} for e in graph.edges],
+    }
 
 
 def graph_from_json(data) -> CrystalGraph:
@@ -182,6 +194,74 @@ def test_streamed_bytes_match_export(family, n, l):
     for m in [model] + [MODELS[family](n, l, k) for k in range(l + 1)]:
         for fmt in ("json", "dot"):
             assert "".join(stream_graph(m, fmt)).encode() == export(build_graph(m), fmt)
+
+
+# ids with quotes, backslashes, newlines, control and non-ASCII characters
+# (one outside the BMP); k, weights and labels from small pools, so they repeat
+ID_TEXT = st.text(st.sampled_from('ab"\\\n\t\x00\x7fé€\U0001f600'), max_size=4)
+WEIGHTS = st.sampled_from([(), (0,), (1, -2), (1, -2, 0), (-3, 0, 3)])
+KS = st.sampled_from([None, 0, 1, 3, -1])
+LABELS = st.sampled_from([0, 1, 2, 12])
+
+
+@st.composite
+def graphs(draw) -> CrystalGraph:
+    ids = draw(st.lists(ID_TEXT, unique=True, max_size=6))
+    vertices = tuple(Vertex(i, draw(KS), draw(WEIGHTS)) for i in ids)
+    edges = draw(st.lists(st.builds(Edge, st.sampled_from(ids), st.sampled_from(ids), LABELS),
+                          max_size=12)) if ids else []
+    return CrystalGraph(draw(st.sampled_from(["a1", "c1"])), draw(st.integers(0, 4)),
+                        draw(st.none() | st.integers(0, 3)), vertices, tuple(edges))
+
+
+@given(graphs())
+def test_export_matches_the_reference_layouts_at_every_batch_size(graph):
+    """JSON as json.dumps(..., indent=2) lays it out and DOT as one f-string
+    per record, across batch seams; a second export gives the same bytes."""
+    expected = {
+        "json": (json.dumps(graph_as_dict(graph), indent=2) + "\n").encode(),
+        "dot": reference_dot(graph),
+    }
+    for batch in (1, 2, 3, 4096):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(crystal_graph, "_BATCH", batch)
+            for fmt, text in expected.items():
+                assert export(graph, fmt) == text
+                assert export(graph, fmt) == text
+
+
+@pytest.mark.parametrize("batch", (1, 2, 3))
+def test_streamed_bytes_match_the_reference_layouts_at_batch_seams(batch, monkeypatch):
+    """Edge batches hold whole sources, and a batch of sources may have no
+    arrow at all: the stream still gives the reference bytes."""
+    monkeypatch.setattr(crystal_graph, "_BATCH", batch)
+    for model in (CrystalA(2, 2), CrystalC(2, 1), CrystalD2(2, 1, 1), ClassicalCrystal(2, (2, 1))):
+        graph = build_graph(model)
+        assert "".join(stream_graph(model, "dot")).encode() == reference_dot(graph)
+        assert "".join(stream_graph(model, "json")) == json.dumps(graph_as_dict(graph), indent=2) + "\n"
+
+
+def test_export_formats_each_distinct_weight_once(monkeypatch):
+    """Each export call makes one weight text per distinct weight, and the
+    `a1` ids read at most comb(l+n, n) cached factor texts."""
+    calls = Counter()
+
+    def counted(helper):
+        original = getattr(crystal_graph, helper)
+        return lambda weight: calls.update([(helper, weight)]) or original(weight)
+
+    for helper in ("_json_coords", "_fmt_weight"):
+        monkeypatch.setattr(crystal_graph, helper, counted(helper))
+    n, l = 3, 3
+    model = CrystalA(n, l)
+    affine_a._coords.cache_clear()
+    weights = set(OperatorTable(model).weight)
+    for fmt, helper in (("json", "_json_coords"), ("dot", "_fmt_weight")):
+        for route in (lambda: "".join(stream_graph(model, fmt)), lambda: export(build_graph(model), fmt)):
+            calls.clear()
+            route()
+            assert calls == Counter({(helper, w): 1 for w in weights})
+    assert 0 < affine_a._coords.cache_info().currsize <= math.comb(l + n, n)
 
 
 def test_json_round_trip():
