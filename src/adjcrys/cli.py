@@ -5,11 +5,13 @@ failed or the model is faulty, 2 usage error or output that cannot be
 written (`--out` or stdout).  A reader that closes stdout early (`| head`)
 ends the output quietly, with the exit code of the run.
 Identical invocations produce byte-identical output.
+A command imports the module of the one family it runs, and no other.
 """
 
 from __future__ import annotations
 
 import argparse
+import importlib
 import math
 import os
 import sys
@@ -17,7 +19,6 @@ from dataclasses import replace
 from itertools import accumulate
 from typing import Iterable, Optional
 
-from . import affine_a, affine_c, affine_d2
 from .crystal_graph import (
     SECTIONS,
     all_passed,
@@ -29,7 +30,7 @@ from .crystal_graph import (
 from .root_data import RootDatum
 
 SIZE_LIMIT = 10**6
-FAMILIES = {"a1": affine_a, "c1": affine_c, "d2": affine_d2}
+FAMILIES = {"a1": "affine_a", "c1": "affine_c", "d2": "affine_d2"}
 
 A1_ONLY_CHECKS = ("promotion", "alpha")
 CHECK_NAMES = ("all", "axioms") + SECTIONS + A1_ONLY_CHECKS
@@ -40,9 +41,14 @@ def _fail_usage(message: str) -> int:
     return 2
 
 
-def _check_bounds(args) -> Optional[int]:
+def family_module(family: str):
+    """The module of a family, imported on first use."""
+    return importlib.import_module(f".{FAMILIES[family]}", __package__)
+
+
+def _check_bounds(args, module) -> Optional[int]:
     try:  # the root datum decides which ranks exist: C needs 2, A and B take 1
-        RootDatum(FAMILIES[args.family].SPEC.model.datum_family, args.rank)
+        RootDatum(module.SPEC.model.datum_family, args.rank)
     except ValueError as err:
         return _fail_usage(str(err))
     if args.level < 0:
@@ -64,7 +70,7 @@ def _too_large(family: str, n: int, l: int) -> bool:
         parts = (math.comb(j + n - 1, j) for j in range(l + 1))
         limit = math.isqrt(SIZE_LIMIT)
     else:  # the shells k = 0..l
-        parts = (FAMILIES[family].shell_size(n, k) for k in range(l + 1))
+        parts = (family_module(family).shell_size(n, k) for k in range(l + 1))
         limit = SIZE_LIMIT
     return any(total > limit for total in accumulate(parts))
 
@@ -93,13 +99,13 @@ def _write_output(chunks: Iterable[str], out: Optional[str]) -> int:
     return 0
 
 
-def cmd_graph(args) -> int:
-    bad = _check_bounds(args)
+def cmd_graph(args, module) -> int:
+    bad = _check_bounds(args, module)
     if bad is not None:
         return bad
     if args.component is not None and not 0 <= args.component <= args.level:
         return _fail_usage(f"component {args.component} out of range 0..{args.level}")
-    model = FAMILIES[args.family].SPEC.model(args.rank, args.level, args.component)
+    model = module.SPEC.model(args.rank, args.level, args.component)
     try:
         chunks = stream_graph(model, args.format)
     except ValueError as err:  # an f_i leaves the enumeration: a model fault
@@ -109,33 +115,34 @@ def cmd_graph(args) -> int:
 
 
 def _verification_report(family: str, rank: int, level: int, selector: str):
+    module = family_module(family)
     report = []
     table = None  # the level-l table, shared by every check that reads it
     if selector in ("all", "axioms") + SECTIONS:
-        model = FAMILIES[family].SPEC.model(rank, level)
+        model = module.SPEC.model(rank, level)
         table = OperatorTable(model)
         if selector in ("all", "axioms"):
             report.extend(axiom_checks(model, table))
             if family == "a1":
                 for prefix, factor in (
-                    ("row", affine_a.RowCrystal(rank, level)),
-                    ("col", affine_a.ColCrystal(rank, level)),
+                    ("row", module.RowCrystal(rank, level)),
+                    ("col", module.ColCrystal(rank, level)),
                 ):
                     report.extend(
                         replace(c, name=f"{prefix}-{c.name}") for c in axiom_checks(factor)
                     )
         if selector in ("all",) + SECTIONS:
-            report.extend(FAMILIES[family].verify_theorems(rank, level, selector, table))
+            report.extend(module.verify_theorems(rank, level, selector, table))
     if family == "a1":
         if selector in ("all", "promotion"):
-            report.extend(affine_a.promotion_checks(rank, level))
+            report.extend(module.promotion_checks(rank, level))
         if selector in ("all", "alpha"):
-            report.extend(affine_a.alpha_checks(rank, level, table))
+            report.extend(module.alpha_checks(rank, level, table))
     return report
 
 
-def cmd_verify(args) -> int:
-    bad = _check_bounds(args)
+def cmd_verify(args, module) -> int:
+    bad = _check_bounds(args, module)
     if bad is not None:
         return bad
     if args.check in A1_ONLY_CHECKS and args.family != "a1":
@@ -149,10 +156,10 @@ def cmd_verify(args) -> int:
     return written or (0 if all_passed(report) else 1)
 
 
-def _parse_start(args):
+def _parse_start(args, module):
     """The value `--start` names: highest-of, coordinates in model order, or
     an element id, whose `=` fields are the coordinates in the same order."""
-    n, l, module = args.rank, args.level, FAMILIES[args.family]
+    n, l = args.rank, args.level
     text = args.start.strip()
     if text == "highest-of":
         return module.highest(n, l, args.k if args.k is not None else l)
@@ -191,16 +198,16 @@ def _parse_word(text: str, n: int) -> list[tuple[str, int]]:
     return ops
 
 
-def cmd_apply(args) -> int:
-    bad = _check_bounds(args)
+def cmd_apply(args, module) -> int:
+    bad = _check_bounds(args, module)
     if bad is not None:
         return bad
     try:
-        current = _parse_start(args)
+        current = _parse_start(args, module)
         ops = _parse_word(args.word, args.rank)
     except ValueError as err:
         return _fail_usage(str(err))
-    kernel = FAMILIES[args.family].KERNEL
+    kernel = module.KERNEL
     lines = [_format_value(current)]
     for direction, i in ops:
         current = getattr(kernel, direction)(current, i, args.level)
@@ -258,7 +265,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    return args.func(args, family_module(args.family))
 
 
 if __name__ == "__main__":

@@ -17,7 +17,6 @@ every tableau goes through it, an operator's result included.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from operator import gt, lt
 from typing import Optional
 
@@ -244,19 +243,18 @@ class TensorPair(Iterated):
 
 
 def ssyt_count(shape, max_entry: int) -> int:
-    """Number of semistandard tableaux of the shape with entries <= max_entry.
-
-    Hook-content product formula; exact rational arithmetic throughout.
-    """
-    shape = tuple(s for s in shape if s > 0)
-    if not shape:
-        return 1
-    conj = [sum(1 for s in shape if s > c) for c in range(shape[0])]
-    total = Fraction(1)
+    """Number of semistandard tableaux of the partition `shape` (trailing zeros
+    allowed) with entries <= max_entry: the hook-content product formula."""
+    shape = tuple(shape)
+    if any(s < 0 for s in shape) or any(b > a for a, b in zip(shape, shape[1:])):
+        raise ValueError(f"shape {shape} is not a partition")
+    conj = [sum(1 for s in shape if s > c) for c in range(max(shape, default=0))]
+    contents = hooks = 1
     for r, length in enumerate(shape):
         for c in range(length):
-            hook = (length - c) + (conj[c] - r) - 1
-            total *= Fraction(max_entry + c - r, hook)
-    if total.denominator != 1:
+            contents *= max_entry + c - r
+            hooks *= (length - c) + (conj[c] - r) - 1
+    count, rest = divmod(contents, hooks)
+    if rest:
         raise ArithmeticError("hook-content product is not an integer")
-    return int(total)
+    return count

@@ -5,9 +5,10 @@ one-letter crystal operators, the bracketing rule of one label at a time,
 the statistics of a kernel by iterating its operators, weights in
 fundamental coordinates (`pairing`, `fundamental_coeffs` and its inverse),
 and straightforward reference versions of the chain-length and
-connectivity walks of the axiom checks, of the DOT export and of the `a1`
-element ids."""
+connectivity walks of the axiom checks, of the DOT export, of the `a1`
+element ids and of the hook-content count."""
 
+from fractions import Fraction
 from typing import Iterator, Optional, Sequence
 
 from adjcrys.crystal_graph import OUTSIDE, UNDEFINED, Kernel, LevelModel
@@ -108,6 +109,18 @@ class ClassicalCrystal(LevelModel):
 
     def sort_key(self, t: Tableau):
         return t.reading_word()
+
+
+def reference_ssyt_count(shape, max_entry: int) -> int:
+    """The hook-content product of a partition, one Fraction factor per cell."""
+    shape = [s for s in shape if s > 0]
+    total = Fraction(1)
+    for r, length in enumerate(shape):
+        for c in range(length):
+            hook = (length - c) + sum(1 for below in shape[r + 1:] if below > c)
+            total *= Fraction(max_entry + c - r, hook)
+    assert total.denominator == 1
+    return int(total)
 
 
 def flatten_letters(b) -> tuple[int, ...]:

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 from adjcrys import cli
-from adjcrys.cli import FAMILIES, SIZE_LIMIT, _too_large, main
+from adjcrys.cli import FAMILIES, SIZE_LIMIT, _too_large, family_module, main
 
 GOLDEN = json.loads((Path(__file__).parent / "golden_outputs.json").read_text())["outputs"]
 
@@ -149,7 +149,7 @@ def test_size_guard_refuses_huge_instances_quickly(family):
 
 
 def test_size_guard_agrees_with_the_closed_forms():
-    for family, module in FAMILIES.items():
+    for family, module in ((f, family_module(f)) for f in FAMILIES):
         for n in range(2 if family == "c1" else 1, 10):
             for l in range(60):
                 assert _too_large(family, n, l) == (module.expected_size(n, l) > SIZE_LIMIT), (
@@ -245,7 +245,7 @@ def test_apply_rejects_an_out_of_range_index_from_every_start(capsys, start):
 @pytest.mark.parametrize("family", ["a1", "c1", "d2"])
 def test_apply_start_takes_every_element_id(capsys, family):
     """Any id a failure message prints replays through apply."""
-    kernel = FAMILIES[family].KERNEL
+    kernel = family_module(family).KERNEL
     common = ["apply", "--family", family, "--rank", "2", "--level", "2", "--word", ""]
     for b in kernel.values(2, 2):
         coords = b[0] + b[1] if family == "a1" else b

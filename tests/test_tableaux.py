@@ -1,7 +1,7 @@
 """Tableau crystals, the reading word, and the bracketing rule."""
 
 import ast
-from itertools import product
+from itertools import combinations_with_replacement, product
 
 import pytest
 from hypothesis import given, strategies as st
@@ -27,6 +27,7 @@ from helpers import (
     highest_weight,
     letter_e,
     letter_f,
+    reference_ssyt_count,
     rows,
     unmatched_positions,
 )
@@ -383,6 +384,22 @@ def test_ssyt_count_examples():
     assert ssyt_count((), 5) == 1
     assert ssyt_count((1,), 4) == 4
     assert ssyt_count((2, 1, 1), 4) == 15  # adjoint of rank 3
+
+
+@pytest.mark.parametrize("shape", [(1, 2), (-1,), (2, 0, 1)])
+def test_ssyt_count_refuses_a_shape_that_is_not_a_partition(shape):
+    with pytest.raises(ValueError, match="not a partition"):
+        ssyt_count(shape, 3)
+
+
+def test_ssyt_count_matches_the_rational_hook_content_product():
+    """Every partition with at most 4 parts, each at most 5, trailing zeros
+    kept, against a Fraction product, for max_entry 0..8."""
+    for parts in combinations_with_replacement(range(6), 4):
+        shape = parts[::-1]
+        for max_entry in range(9):
+            assert ssyt_count(shape, max_entry) == reference_ssyt_count(shape, max_entry), (
+                shape, max_entry)
 
 
 @pytest.mark.parametrize("n", [2, 3])
