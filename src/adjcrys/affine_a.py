@@ -22,6 +22,7 @@ element object.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from functools import cache
 from itertools import product
@@ -403,14 +404,15 @@ def alpha_checks(n: int, l: int, table: Optional[OperatorTable] = None) -> list[
     The model side is read from the level-l table, built here when not
     given.  The tableau side runs on objects and shares no code with the
     checker: `_alpha` runs once per value and builds one tableau, of which
-    (k, column lengths, reading word) is kept.  Images compare as that
-    triple, the column lengths give the shape and the round trip compares
-    coordinates.  One bracketing pass over the word gives every label's
-    `e_i` and `f_i` cells.  A result that is the image
-    of its model value (same k, column lengths and reading word) is that
-    validated tableau and passes unbuilt; for any other, alpha(b) is built
-    again and the result built from it through the constructor.  No element
-    object is built.  Every image is a validated tableau and a wrong shape
+    the flat triple (k, column lengths, reading word) is kept, the lengths
+    shared by equal values and the word a string of its letters as code
+    points.  Images compare as that triple, the column lengths give the
+    shape and the round trip compares coordinates.  One bracketing pass
+    over the word, read back as ints, gives every label's `e_i` and `f_i`
+    cells.  A result that is the image of its model value (same k, column
+    lengths and reading word) is that validated tableau and passes unbuilt;
+    for any other, alpha(b) is built again and the result built from it
+    through the constructor.  No element object is built.  Every image is a validated tableau and a wrong shape
     fails the round trip, so the distinct images of component k are all of
     B((2k, k^(n-1))) when there are as many as the hook-content formula
     counts.  An image or result that fails its check fails at the element.
@@ -418,10 +420,11 @@ def alpha_checks(n: int, l: int, table: Optional[OperatorTable] = None) -> list[
     if table is None:
         table = OperatorTable(CrystalA(n, l))
     size, comp, name = len(table.elems), table.comp, table.element_id
-    # alpha(b) as (k, (column lengths, reading word)), or (None, why it is not a tableau)
+    # alpha(b) as (k, column lengths, reading word), or (None, why it is not a tableau)
     images: list[tuple] = []
     bijection = weight = intertwining = ""
-    owners: dict[int, dict[tuple, int]] = {}  # k, then an image: its first owner
+    owners: dict[tuple, int] = {}  # an image: its first owner
+    shared: dict[tuple, tuple] = {}  # column lengths: one tuple per value
     for b, value in enumerate(table.elems):
         try:
             k, t = _alpha(value, l)
@@ -432,9 +435,10 @@ def alpha_checks(n: int, l: int, table: Optional[OperatorTable] = None) -> list[
             weight = weight or why
             continue
         lengths = tuple(map(len, t.columns))
-        image = (lengths, t.reading_word())
-        images.append((k, image))
-        prev = owners.setdefault(k, {}).setdefault(image, b)
+        lengths = shared.setdefault(lengths, lengths)
+        image = (k, lengths, "".join(map(chr, t.reading_word())))
+        images.append(image)
+        prev = owners.setdefault(image, b)
         if not bijection:
             if k != comp[b]:
                 bijection = f"alpha component mismatch at {name(b)}"
@@ -447,20 +451,20 @@ def alpha_checks(n: int, l: int, table: Optional[OperatorTable] = None) -> list[
 
     rows = [(i, table.row("f", i), table.row("e", i)) for i in range(1, n + 1)]
     for b, value in enumerate(table.elems):
-        k, image = images[b]
-        if k is None or intertwining:  # the first failure is found
-            intertwining = intertwining or image
+        image = images[b]
+        if image[0] is None or intertwining:  # the first failure is found
+            intertwining = intertwining or image[1]
             break
-        lengths, word = image
-        cells = tableaux.bracket_cells(word, n)
+        k, lengths, word = image
+        cells = tableaux.bracket_cells(tuple(map(ord, word)), n)
         for (i, f_row, e_row), (raise_pos, lower_pos) in zip(rows, cells, strict=True):
             for d, pos, letter, row in (("f", lower_pos, i + 1, f_row),
                                         ("e", raise_pos, i, e_row)):
                 a = row[b]
                 ta = None
                 if pos is not None:
-                    if (a >= 0 and pos >= 0 and comp[a] == k == images[a][0]
-                            and images[a][1] == (lengths, word[:pos] + (letter,) + word[pos + 1:])):
+                    if (a >= 0 and pos >= 0 and comp[a] == k
+                            and images[a] == (k, lengths, word[:pos] + chr(letter) + word[pos + 1:])):
                         continue  # the result is alpha(a), a validated tableau
                     try:
                         ta = _alpha(value, l)[1].moved(pos, letter)  # alpha(b) again
@@ -477,9 +481,10 @@ def alpha_checks(n: int, l: int, table: Optional[OperatorTable] = None) -> list[
                     bad = not _maps_to(v, ta) and "alpha does not intertwine {}_{} at {}"
                 if bad:
                     intertwining = intertwining or bad.format(d, i, name(b))
+    counts = Counter(k for k, _, _ in owners)
     bijection = bijection or next(
         (f"alpha image differs from the component crystal at k={k}" for k in range(l + 1)
-         if len(owners.get(k, ())) != ssyt_count(shape_component(n, k), n + 1)),
+         if counts[k] != ssyt_count(shape_component(n, k), n + 1)),
         "",
     )
     return [

@@ -189,9 +189,10 @@ def _parse_word(text: str, n: int) -> list[tuple[str, int]]:
     """The operators of a word such as "f0 f1 e2", each index in 0..n."""
     ops = []
     for token in text.split():
-        if len(token) < 2 or token[0] not in ("e", "f") or not token[1:].isdigit():
+        digits = token[1:]  # ASCII only: str.isdigit() also takes '²' and '٣'
+        if token[0] not in ("e", "f") or not (digits.isascii() and digits.isdigit()):
             raise ValueError(f"cannot parse operator token {token!r}")
-        i = int(token[1:])
+        i = int(digits)
         if i > n:
             raise ValueError(f"operator index {i} out of range 0..{n}")
         ops.append((token[0], i))

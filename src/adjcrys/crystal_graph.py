@@ -355,7 +355,8 @@ OUTSIDE = -2  # the operator returned a value missing from the enumeration
 class OperatorTable:
     """A model's values enumerated once, and its kernel's operators recorded
     by `map` calls alone as rows of indices, through one dict from value to
-    index that also maps None, a vanishing operator, to UNDEFINED."""
+    index that also maps None, a vanishing operator, to UNDEFINED.  Equal
+    weights share one tuple."""
 
     def __init__(self, model):
         self.model = model
@@ -365,7 +366,8 @@ class OperatorTable:
         self.index[None] = UNDEFINED
         self.labels = tuple(model.index_set)
         self.f = {i: self._record(kernel.f, i) for i in self.labels}
-        self.weight = list(map(kernel.weight, elems))
+        seen: dict = {}
+        self.weight = [seen.setdefault(w, w) for w in map(kernel.weight, elems)]
         self.comp = list(map(kernel.component, elems, repeat(level)))
 
     def _record(self, op, i: int) -> tuple[int, ...]:

@@ -231,6 +231,16 @@ def test_apply_parse_failures(capsys):
                  "--start", "0,0,0,0", "--word", "f9"]) == 2
 
 
+@pytest.mark.parametrize("token", ["f\u00b2", "f\u0663", "e1\u0663", "f\uff11"])
+def test_apply_takes_ascii_digits_only(capsys, token):
+    """A superscript, Arabic-Indic or fullwidth digit is not an index:
+    str.isdigit() accepts each, and int() reads some of them."""
+    assert main(["apply", "--family", "a1", "--rank", "2", "--level", "2",
+                 "--start", "highest-of", "--word", token]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: cannot parse operator token {token!r}\n"
+
 
 @pytest.mark.parametrize("start", ["0,0,0,0", "2,0,0,0"])
 def test_apply_rejects_an_out_of_range_index_from_every_start(capsys, start):

@@ -264,6 +264,18 @@ def test_export_formats_each_distinct_weight_once(monkeypatch):
     assert 0 < affine_a._coords.cache_info().currsize <= math.comb(l + n, n)
 
 
+@pytest.mark.parametrize("crystal", [CrystalA, CrystalC, CrystalD2, affine_a.RowCrystal, affine_a.ColCrystal])
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("l", [0, 1, 2, 3])
+def test_table_holds_one_tuple_per_distinct_weight(crystal, n, l):
+    """Equal weights share one object, and each is the kernel's weight of
+    its value: every family's level table and both `a1` factor tables."""
+    model = crystal(n, l)
+    table = OperatorTable(model)
+    assert len(set(map(id, table.weight))) == len(set(table.weight))
+    assert table.weight == list(map(model.kernel.weight, table.elems))
+
+
 def test_json_round_trip():
     for model in (CrystalC(2, 1), CrystalA(2, 1), CrystalD2(2, 1)):
         graph = build_graph(model)
