@@ -187,14 +187,12 @@ def _alpha(b, l: int) -> tuple[int, Tableau]:
     x, y = b
     n = len(x) - 1
     strip = min(x[0], y[0])
-    x = (x[0] - strip,) + x[1:]
-    y = (y[0] - strip,) + y[1:]
     cols = []
-    for j in range(n + 1, 0, -1):
-        if y[j - 1]:
-            cols.extend([column_missing(n, j)] * y[j - 1])
-    for c in range(1, n + 2):
-        cols.extend([(c,)] * x[c - 1])
+    for j in range(n + 1, 1, -1):
+        cols += [column_missing(n, j)] * y[j - 1]
+    cols += [column_missing(n, 1)] * (y[0] - strip) + [(1,)] * (x[0] - strip)
+    for c in range(2, n + 2):
+        cols += [(c,)] * x[c - 1]
     return l - strip, Tableau(n, tuple(cols))
 
 
@@ -410,10 +408,11 @@ def alpha_checks(n: int, l: int, table: Optional[OperatorTable] = None) -> list[
     shape and the round trip compares coordinates.  One bracketing pass
     over the word, read back as ints, gives every label's `e_i` and `f_i`
     cells.  A result that is the image of its model value (same k, column
-    lengths and reading word) is that validated tableau and passes unbuilt;
-    for any other, alpha(b) is built again and the result built from it
-    through the constructor.  No element object is built.  Every image is a validated tableau and a wrong shape
-    fails the round trip, so the distinct images of component k are all of
+    lengths and reading word) is that validated tableau and passes unbuilt,
+    e_i and f_i in one test; for any other, alpha(b) is built again and the
+    result built from it through the constructor.  No element object is
+    built.  Every image is a validated tableau and a wrong shape fails the
+    round trip, so the distinct images of component k are all of
     B((2k, k^(n-1))) when there are as many as the hook-content formula
     counts.  An image or result that fails its check fails at the element.
     """
@@ -423,7 +422,7 @@ def alpha_checks(n: int, l: int, table: Optional[OperatorTable] = None) -> list[
     # alpha(b) as (k, column lengths, reading word), or (None, why it is not a tableau)
     images: list[tuple] = []
     bijection = weight = intertwining = ""
-    owners: dict[tuple, int] = {}  # an image: its first owner
+    seen: set[tuple] = set()  # the distinct images
     shared: dict[tuple, tuple] = {}  # column lengths: one tuple per value
     for b, value in enumerate(table.elems):
         try:
@@ -438,14 +437,14 @@ def alpha_checks(n: int, l: int, table: Optional[OperatorTable] = None) -> list[
         lengths = shared.setdefault(lengths, lengths)
         image = (k, lengths, "".join(map(chr, t.reading_word())))
         images.append(image)
-        prev = owners.setdefault(image, b)
         if not bijection:
             if k != comp[b]:
                 bijection = f"alpha component mismatch at {name(b)}"
-            elif prev != b:
-                bijection = f"alpha not injective: {name(b)} and {name(prev)}"
+            elif image in seen:  # named by its first owner
+                bijection = f"alpha not injective: {name(b)} and {name(images.index(image))}"
             elif lengths != (n,) * k + (1,) * k or not _round_trips(n, l, t, value):
                 bijection = f"alpha round trip fails at {name(b)}"
+        seen.add(image)
         if not weight and tuple(c - k for c in t.content()) != table.weight[b]:
             weight = f"alpha changes the weight at {name(b)}"
 
@@ -458,14 +457,19 @@ def alpha_checks(n: int, l: int, table: Optional[OperatorTable] = None) -> list[
         k, lengths, word = image
         cells = tableaux.bracket_cells(tuple(map(ord, word)), n)
         for (i, f_row, e_row), (raise_pos, lower_pos) in zip(rows, cells, strict=True):
-            for d, pos, letter, row in (("f", lower_pos, i + 1, f_row),
-                                        ("e", raise_pos, i, e_row)):
-                a = row[b]
+            fa, ea = f_row[b], e_row[b]
+            f_ok = fa == UNDEFINED if lower_pos is None else fa >= 0 <= lower_pos and comp[fa] == k and (
+                images[fa] == (k, lengths, word[:lower_pos] + chr(i + 1) + word[lower_pos + 1:]))
+            e_ok = ea == UNDEFINED if raise_pos is None else ea >= 0 <= raise_pos and comp[ea] == k and (
+                images[ea] == (k, lengths, word[:raise_pos] + chr(i) + word[raise_pos + 1:]))
+            if f_ok and e_ok:
+                continue  # each result is alpha of the model's result, or both vanish
+            for d, pos, letter, a, ok in (("f", lower_pos, i + 1, fa, f_ok),
+                                          ("e", raise_pos, i, ea, e_ok)):
+                if ok:
+                    continue
                 ta = None
                 if pos is not None:
-                    if (a >= 0 and pos >= 0 and comp[a] == k
-                            and images[a] == (k, lengths, word[:pos] + chr(letter) + word[pos + 1:])):
-                        continue  # the result is alpha(a), a validated tableau
                     try:
                         ta = _alpha(value, l)[1].moved(pos, letter)  # alpha(b) again
                     except ValueError as err:
@@ -481,7 +485,7 @@ def alpha_checks(n: int, l: int, table: Optional[OperatorTable] = None) -> list[
                     bad = not _maps_to(v, ta) and "alpha does not intertwine {}_{} at {}"
                 if bad:
                     intertwining = intertwining or bad.format(d, i, name(b))
-    counts = Counter(k for k, _, _ in owners)
+    counts = Counter(k for k, _, _ in seen)
     bijection = bijection or next(
         (f"alpha image differs from the component crystal at k={k}" for k in range(l + 1)
          if counts[k] != ssyt_count(shape_component(n, k), n + 1)),

@@ -36,6 +36,14 @@ A1_ONLY_CHECKS = ("promotion", "alpha")
 CHECK_NAMES = ("all", "axioms") + SECTIONS + A1_ONLY_CHECKS
 
 
+def integer(text: str) -> int:
+    """An optional '-' and ASCII digits; int() also takes '+', '_', spaces and '٢'."""
+    digits = text.removeprefix("-")
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"not an integer: {text!r}")
+    return int(text)
+
+
 def _fail_usage(message: str) -> int:
     print(f"error: {message}", file=sys.stderr)
     return 2
@@ -165,7 +173,7 @@ def _parse_start(args, module):
         return module.highest(n, l, args.k if args.k is not None else l)
     fields = [field.split(";")[0] for field in text.split("=")[1:]] or [text.strip("()")]
     try:
-        coords = tuple(int(part) for field in fields for part in field.split(","))
+        coords = tuple(integer(part) for field in fields for part in field.split(","))
     except ValueError:
         raise ValueError(f"cannot parse coordinates from {args.start!r}")
     size = {"a1": 2 * n + 2, "c1": 2 * n, "d2": 2 * n + 1}[args.family]
@@ -221,9 +229,9 @@ def cmd_apply(args, module) -> int:
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--family", required=True, choices=tuple(FAMILIES))
-    parser.add_argument("--rank", required=True, type=int,
+    parser.add_argument("--rank", required=True, type=integer,
                         help="classical rank n (>= 1; >= 2 for c1)")
-    parser.add_argument("--level", required=True, type=int, help="level l (>= 0)")
+    parser.add_argument("--level", required=True, type=integer, help="level l (>= 0)")
     parser.add_argument("--out", help="write output to this path instead of stdout")
     parser.add_argument(
         "--force", action="store_true",
@@ -240,7 +248,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     graph = sub.add_parser("graph", help="export the crystal graph")
     _add_common(graph)
-    graph.add_argument("--component", type=int, default=None,
+    graph.add_argument("--component", type=integer, default=None,
                        help="restrict to one classical component (labels 1..n only)")
     graph.add_argument("--format", choices=("dot", "json"), default="json")
     graph.set_defaults(func=cmd_graph)
@@ -258,7 +266,7 @@ def build_parser() -> argparse.ArgumentParser:
              " messages print it, or the token highest-of",
     )
     apply_.add_argument("--word", default="", help='operator word, e.g. "f0 f1 e2"')
-    apply_.add_argument("--k", type=int, default=None,
+    apply_.add_argument("--k", type=integer, default=None,
                         help="component for highest-of (default: the level)")
     apply_.set_defaults(func=cmd_apply)
     return parser

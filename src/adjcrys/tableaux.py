@@ -11,12 +11,15 @@ c-1, so each letter adds one sign to each of two labels.  An undefined
 operator is the value None, never a sentinel.
 
 Validation: the public `Tableau(...)` constructor is the only check, and
-every tableau goes through it, an operator's result included.
+every tableau goes through it, an operator's result included; it reads
+each verdict from the bounded memos `_column_error` and `_pair_error`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache, lru_cache
+from itertools import chain
 from operator import gt, lt
 from typing import Optional
 
@@ -70,16 +73,13 @@ def eps_phi(b, i: int) -> tuple[int, int]:
     closed statistics are checked against the chain lengths of the operator
     rows instead.
     """
-    eps = 0
+    eps = phi = 0
     cur = b.e(i)
     while cur is not None:
-        eps += 1
-        cur = cur.e(i)
-    phi = 0
+        eps, cur = eps + 1, cur.e(i)
     cur = b.f(i)
     while cur is not None:
-        phi += 1
-        cur = cur.f(i)
+        phi, cur = phi + 1, cur.f(i)
     return eps, phi
 
 
@@ -114,11 +114,36 @@ class Word(Iterated):
         return None if w is None else Word(self.n, w)
 
 
+@cache
 def column_missing(n: int, j: int) -> tuple[int, ...]:
     """The depth-n column with entries 1..n+1 except j."""
     if not 1 <= j <= n + 1:
         raise ValueError(f"column index {j} out of range 1..{n + 1}")
     return tuple(c for c in range(1, n + 2) if c != j)
+
+
+@lru_cache(maxsize=4096)
+def _column_error(n: int, col: tuple[int, ...]) -> str:
+    """Why `col` is not a column of a rank-n tableau, "" when it is one."""
+    if not col:
+        return "empty column"
+    if len(col) > n:
+        return f"column depth {len(col)} exceeds rank {n}"
+    if min(col) < 1 or max(col) > n + 1:
+        return f"entries must lie in 1..{n + 1}"
+    if not all(map(lt, col, col[1:])):
+        return f"column {col} not strictly increasing"
+    return ""
+
+
+@lru_cache(maxsize=4096)
+def _pair_error(a: tuple[int, ...], b: tuple[int, ...]) -> str:
+    """Why the valid column b may not follow the valid column a, "" when it may."""
+    if len(a) < len(b):
+        return "column depths must weakly decrease left to right"
+    if any(map(gt, a, b)):  # stops at the shorter column b
+        return "rows must weakly increase left to right"
+    return ""
 
 
 @dataclass(frozen=True)
@@ -138,25 +163,13 @@ class Tableau(Iterated):
             raise ValueError("rank must be positive")
         cols = self.columns
         prev = None
-        for col in cols:
-            if col == prev:  # a repeat of the previous column: checked already
-                continue
+        for col in cols:  # a repeat of the previous column is checked already
+            if col != prev and (why := _column_error(n, col)):
+                raise ValueError(why)
             prev = col
-            if not col:
-                raise ValueError("empty column")
-            if len(col) > n:
-                raise ValueError(f"column depth {len(col)} exceeds rank {n}")
-            if min(col) < 1 or max(col) > n + 1:
-                raise ValueError(f"entries must lie in 1..{n + 1}")
-            if not all(map(lt, col, col[1:])):
-                raise ValueError(f"column {col} not strictly increasing")
         for a, b in zip(cols, cols[1:]):
-            if a == b:  # equal columns pass both rules
-                continue
-            if len(a) < len(b):
-                raise ValueError("column depths must weakly decrease left to right")
-            if any(map(gt, a, b)):  # stops at the shorter column b
-                raise ValueError("rows must weakly increase left to right")
+            if a != b and (why := _pair_error(a, b)):  # equal columns pass both rules
+                raise ValueError(why)
 
     @classmethod
     def from_rows(cls, n: int, rows) -> "Tableau":
@@ -164,10 +177,7 @@ class Tableau(Iterated):
         if any(len(a) < len(b) for a, b in zip(rows, rows[1:])):
             raise ValueError("row lengths must weakly decrease top to bottom")
         ncols = len(rows[0]) if rows else 0
-        cols = []
-        for c in range(ncols):
-            cols.append(tuple(row[c] for row in rows if c < len(row)))
-        return cls(n, tuple(cols))
+        return cls(n, tuple(tuple(row[c] for row in rows if c < len(row)) for c in range(ncols)))
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -187,8 +197,10 @@ class Tableau(Iterated):
         return tuple(word)
 
     def content(self) -> tuple[int, ...]:
-        word = self.reading_word()
-        return tuple(word.count(c) for c in range(1, self.n + 2))
+        counts = [0] * (self.n + 2)
+        for c in chain.from_iterable(self.columns):
+            counts[c] += 1
+        return tuple(counts[1:])
 
     def moved(self, pos: Optional[int], letter: int) -> Optional["Tableau"]:
         """The tableau with reading-word position `pos` set to `letter`, None

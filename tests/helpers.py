@@ -6,9 +6,10 @@ the statistics of a kernel by iterating its operators, weights in
 fundamental coordinates (`pairing`, `fundamental_coeffs` and its inverse),
 and straightforward reference versions of the chain-length and
 connectivity walks of the axiom checks, of the DOT export, of the `a1`
-element ids and of the hook-content count."""
+element ids, of the hook-content count and of the tableau validator."""
 
 from fractions import Fraction
+from operator import gt, lt
 from typing import Iterator, Optional, Sequence
 
 from adjcrys.crystal_graph import OUTSIDE, UNDEFINED, Kernel, LevelModel
@@ -22,6 +23,35 @@ def rows(t: Tableau) -> tuple[tuple[int, ...], ...]:
         tuple(col[r] for col in t.columns if r < len(col))
         for r in range(len(t.shape))
     )
+
+
+def reference_tableau_error(n: int, columns) -> str:
+    """Why `Tableau(n, columns)` must fail, "" when it is a tableau: every
+    column checked in full, left to right, then every adjacent pair, with
+    no memo."""
+    if n < 1:
+        return "rank must be positive"
+    prev = None
+    for col in columns:
+        if col == prev:  # a repeat of the previous column: checked already
+            continue
+        prev = col
+        if not col:
+            return "empty column"
+        if len(col) > n:
+            return f"column depth {len(col)} exceeds rank {n}"
+        if min(col) < 1 or max(col) > n + 1:
+            return f"entries must lie in 1..{n + 1}"
+        if not all(map(lt, col, col[1:])):
+            return f"column {col} not strictly increasing"
+    for a, b in zip(columns, columns[1:]):
+        if a == b:  # equal columns pass both rules
+            continue
+        if len(a) < len(b):
+            return "column depths must weakly decrease left to right"
+        if any(map(gt, a, b)):  # stops at the shorter column b
+            return "rows must weakly increase left to right"
+    return ""
 
 
 def highest_weight(n: int, shape) -> Tableau:

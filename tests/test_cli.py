@@ -242,6 +242,45 @@ def test_apply_takes_ascii_digits_only(capsys, token):
     assert captured.err == f"error: cannot parse operator token {token!r}\n"
 
 
+NOT_INTEGERS = ["٢", "２", "1_0", "+2", " 2", "2 ", "", "-", "--2", "2.0", "0x2"]
+
+
+@pytest.mark.parametrize("option", ["--rank", "--level", "--k", "--component"])
+@pytest.mark.parametrize("text", NOT_INTEGERS)
+def test_integer_options_take_ascii_digits_only(capsys, option, text):
+    """int() reads '٢', '1_0', '+2' and ' 2'; an option takes an optional
+    '-' and ASCII digits only, and any other form is a parse error."""
+    arg = f"{option}={text}"  # one token, so '-' and '--2' are not taken for options
+    argv = {"--rank": ["verify", "--family", "a1", arg, "--level", "1"],
+            "--level": ["verify", "--family", "a1", "--rank", "2", arg],
+            "--k": ["apply", "--family", "a1", "--rank", "2", "--level", "1",
+                    "--start", "highest-of", arg],
+            "--component": ["graph", "--family", "a1", "--rank", "2", "--level", "1", arg]}
+    with pytest.raises(SystemExit) as exit_:
+        main(argv[option])
+    assert exit_.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"argument {option}: invalid integer value: {text!r}" in captured.err
+
+
+@pytest.mark.parametrize("text", NOT_INTEGERS)
+def test_apply_start_coordinates_take_ascii_digits_only(capsys, text):
+    start = f"1,{text},0,1,0,0"  # inside the text, which is stripped of spaces first
+    assert main(["apply", "--family", "a1", "--rank", "2", "--level", "1",
+                 f"--start={start}"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: cannot parse coordinates from {start!r}\n"
+
+
+def test_integer_options_keep_the_minus_sign(capsys):
+    """A leading '-' parses, so a negative level meets its range check."""
+    assert main(["verify", "--family", "a1", "--rank", "2", "--level", "-1"]) == 2
+    assert capsys.readouterr().err == "error: level must be >= 0, got -1\n"
+    assert cli.integer("-12") == -12 and cli.integer("007") == 7
+
+
 @pytest.mark.parametrize("start", ["0,0,0,0", "2,0,0,0"])
 def test_apply_rejects_an_out_of_range_index_from_every_start(capsys, start):
     """The word is checked before the walk, so an operator that vanishes

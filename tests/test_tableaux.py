@@ -28,6 +28,7 @@ from helpers import (
     letter_e,
     letter_f,
     reference_ssyt_count,
+    reference_tableau_error,
     rows,
     unmatched_positions,
 )
@@ -103,10 +104,12 @@ def test_tableau_validation():
     (2, ((1, 3), (1, 2)), "rows must weakly increase left to right"),
     (2, ((1, 2), (1,)), ""),
     (2, ((0, 0),), "entries must lie in 1..3"),  # range is checked before strictness
+    (2, ((2,), (1,), (4,)), "entries must lie in 1..3"),  # every column before any pair
 ])
 def test_tableau_validation_messages(n, columns, message):
-    """One input per validation branch, with its exact message; the last
-    column is both out of range and not increasing, pinning the order."""
+    """One input per validation branch, with its exact message.  Column
+    (0, 0) is both out of range and not increasing, and ((2,), (1,), (4,))
+    has a bad pair before a bad column: the two pin the order of the rules."""
     if not message:
         assert Tableau(n, columns).columns == columns
         return
@@ -146,6 +149,59 @@ def _full_check(n, columns):
         return Tableau(n, columns)
     except ValueError as err:
         return str(err)
+
+
+def _message(n, columns):
+    """The constructor's message, "" when it accepts."""
+    result = _full_check(n, columns)
+    return "" if isinstance(result, Tableau) else result
+
+
+def any_column(n):
+    """A column of letters around 1..n+1, often invalid: empty, too deep,
+    out of range or not increasing."""
+    return st.lists(st.integers(0, n + 2), max_size=n + 1).map(tuple)
+
+
+def valid_column(n):
+    return st.sets(st.integers(1, n + 1), min_size=1, max_size=n).map(lambda c: tuple(sorted(c)))
+
+
+def column_runs(n):
+    """Runs of one to three equal columns, as `_alpha` builds them."""
+    column = st.one_of(valid_column(n), valid_column(n), any_column(n))  # mostly valid: pair rules apply
+    return st.lists(st.tuples(column, st.integers(1, 3)), max_size=6).map(
+        lambda runs: tuple(col for col, count in runs for _ in range(count)))
+
+
+@given(st.integers(0, 3).flatmap(lambda n: st.tuples(st.just(n), column_runs(max(n, 1)))))
+def test_validation_matches_the_reference(n_columns):
+    """The memoised verdicts give the reference's verdict and message on
+    any column sequence, valid or not."""
+    n, columns = n_columns
+    assert _message(n, columns) == reference_tableau_error(n, columns)
+
+
+@given(st.sampled_from(SMALL_TABLEAUX), st.data())
+def test_validation_after_a_valid_tableau_with_shared_columns(nt, data):
+    """A valid tableau with repeated columns, then a tableau made from its
+    columns with one column inserted or replaced: each gets the reference's
+    verdict, whatever the first left in the memo."""
+    n, t = nt
+    counts = data.draw(st.lists(st.integers(1, 3), min_size=len(t.columns),
+                                max_size=len(t.columns)))
+    valid = tuple(col for col, count in zip(t.columns, counts) for _ in range(count))
+    assert _message(n, valid) == reference_tableau_error(n, valid) == ""
+    pos = data.draw(st.integers(0, len(valid)))
+    col = data.draw(st.one_of(any_column(n), st.sampled_from(valid or ((1,),))))
+    for columns in (valid[:pos] + (col,) + valid[pos:], valid[:pos] + (col,) + valid[pos + 1:]):
+        assert _message(n, columns) == reference_tableau_error(n, columns)
+
+
+def test_validation_memo_is_bounded():
+    for memo in (adjcrys.tableaux._column_error, adjcrys.tableaux._pair_error):
+        assert memo.cache_info().maxsize is not None
+        assert 0 < memo.cache_info().maxsize <= 4096
 
 
 @given(st.sampled_from(SMALL_TABLEAUX), st.data())
