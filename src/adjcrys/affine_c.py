@@ -8,9 +8,11 @@ depend on l - k, so equal tuples at different levels are distinct values.
 
 The crystal itself is `KERNEL`, pure functions on the coordinate tuples that
 take the level as an argument, with x_j at index j-1 and xbar_j at index -j;
-the model adapter `CrystalC` calls into it.  `ElemC` wraps the kernel's
-`e`/`f` for the benchmark's tracer (`perfbench/traced.py`); no command
-builds one.
+the model adapter `CrystalC` calls into it.  Each classical `f_i`/`e_i` moves
+one unit between neighbouring slots (`counting.move_right`/`move_left`), and
+`e_i` and `f_i` stay written independently for the ef-inverse check.  `ElemC`
+wraps the kernel's `e`/`f` for the benchmark's tracer (`perfbench/traced.py`);
+no command builds one.
 """
 
 from __future__ import annotations
@@ -20,65 +22,53 @@ from dataclasses import dataclass
 from operator import sub
 from typing import Optional
 
-from .counting import compositions
+from .counting import compositions, move_left, move_right
 from .crystal_graph import CheckResult, Kernel, LevelModel, OperatorTable, TheoremSpec, run_theorems
 from .root_data import Family
 
 
-def _moved(x: tuple[int, ...], l: int, i: int, di: int, j: int = 0, dj: int = 0):
-    """x with x[i] += di and x[j] += dj; None when that leaves the crystal,
-    which only a changed coordinate or, for a move up, the level bound shows."""
-    out = list(x)
-    out[i] += di
-    out[j] += dj
-    bad = out[i] < 0 or out[j] < 0 or (di + dj > 0 and sum(out) > 2 * l)
-    return None if bad else tuple(out)
-
-
 def _f(x: tuple[int, ...], i: int, l: int) -> Optional[tuple[int, ...]]:
-    n = len(x) // 2
     if i == 0:
-        if x[0] >= x[-1]:
-            return _moved(x, l, 0, +2)
-        if x[0] == x[-1] - 1:
-            return _moved(x, l, 0, +1, -1, -1)
-        return _moved(x, l, -1, -2)
-    if i == n:
-        return _moved(x, l, n - 1, -1, n, +1)
-    if x[i] >= x[-1 - i]:
-        return _moved(x, l, i - 1, -1, i, +1)
-    return _moved(x, l, -1 - i, -1, -i, +1)
+        a, b = x[0], x[-1]
+        if a >= b:
+            return (a + 2,) + x[1:] if sum(x) + 2 <= 2 * l else None
+        if a == b - 1:
+            return (a + 1,) + x[1:-1] + (b - 1,)
+        return x[:-1] + (b - 2,)
+    n = len(x) // 2
+    return move_right(x, i - 1 if i == n or x[i] >= x[-1 - i] else 2 * n - 1 - i)
 
 
 def _e(x: tuple[int, ...], i: int, l: int) -> Optional[tuple[int, ...]]:
-    n = len(x) // 2
     if i == 0:
-        if x[0] >= x[-1] + 2:
-            return _moved(x, l, 0, -2)
-        if x[0] == x[-1] + 1:
-            return _moved(x, l, 0, -1, -1, +1)
-        return _moved(x, l, -1, +2)
-    if i == n:
-        return _moved(x, l, n - 1, +1, n, -1)
-    if x[i] > x[-1 - i]:
-        return _moved(x, l, i - 1, +1, i, -1)
-    return _moved(x, l, -1 - i, +1, -i, -1)
+        a, b = x[0], x[-1]
+        if a >= b + 2:
+            return (a - 2,) + x[1:]
+        if a == b + 1:
+            return (a - 1,) + x[1:-1] + (b + 1,)
+        return x[:-1] + (b + 2,) if sum(x) + 2 <= 2 * l else None
+    n = len(x) // 2
+    return move_left(x, i - 1 if i == n or x[i] > x[-1 - i] else 2 * n - 1 - i)
 
 
 def _eps(x: tuple[int, ...], i: int, l: int) -> int:
     if i == 0:
-        return (l - sum(x) // 2) + max(0, x[0] - x[-1])
+        d = x[0] - x[-1]
+        return l - sum(x) // 2 + (d if d > 0 else 0)
     if i == len(x) // 2:
         return x[-i]
-    return x[-i] + max(0, x[i] - x[-1 - i])
+    d = x[i] - x[-1 - i]
+    return x[-i] + (d if d > 0 else 0)
 
 
 def _phi(x: tuple[int, ...], i: int, l: int) -> int:
     if i == 0:
-        return (l - sum(x) // 2) + max(0, x[-1] - x[0])
+        d = x[-1] - x[0]
+        return l - sum(x) // 2 + (d if d > 0 else 0)
     if i == len(x) // 2:
         return x[i - 1]
-    return x[i - 1] + max(0, x[-1 - i] - x[i])
+    d = x[-1 - i] - x[i]
+    return x[i - 1] + (d if d > 0 else 0)
 
 
 def _raise(j: int, x: tuple[int, ...]) -> tuple[int, ...]:
@@ -160,5 +150,5 @@ SPEC = TheoremSpec(
     prefix="phij",
     raise_map=_raise,
     steps=lambda n: [(j, 1) for j in range(1, n + 1)],
-    coordinate_boundary=lambda x: all(min(x[j], x[-1 - j]) == 0 for j in range(len(x) // 2)),
+    coordinate_boundary=lambda x: not any(map(min, x, reversed(x[len(x) // 2:]))),
 )

@@ -8,9 +8,11 @@ is part of the element, as in the C-type model.
 The crystal itself is `KERNEL`, pure functions on the flat tuples
 x + (x_0,) + xbar that take the level as an argument, with x_j at index j-1,
 x_0 at index n and xbar_j at index -j; the model adapter `CrystalD2` calls
-into it.  `ElemD`, which keeps x_0 as a separate field, wraps the kernel's
-`e`/`f` for the benchmark's tracer (`perfbench/traced.py`); no command
-builds one.
+into it.  Each classical `f_i`/`e_i`, and `f_n`/`e_n` through the x_0 slot,
+moves one unit between neighbouring slots (`counting.move_right`/`move_left`),
+and `e_i` and `f_i` stay written independently for the ef-inverse check.
+`ElemD`, which keeps x_0 as a separate field, wraps the kernel's `e`/`f` for
+the benchmark's tracer (`perfbench/traced.py`); no command builds one.
 """
 
 from __future__ import annotations
@@ -20,67 +22,51 @@ from dataclasses import dataclass
 from operator import sub
 from typing import Optional
 
-from .counting import compositions
+from .counting import compositions, move_left, move_right
 from .crystal_graph import CheckResult, Kernel, LevelModel, OperatorTable, TheoremSpec, run_theorems
 from .root_data import Family
 
 
-def _moved(b: tuple[int, ...], l: int, i: int, di: int, j: int = 0, dj: int = 0):
-    """b with b[i] += di and b[j] += dj; None when that leaves the crystal,
-    which only a changed coordinate or, for a move up, the level bound shows."""
-    out = list(b)
-    out[i] += di
-    out[j] += dj
-    bad = out[i] < 0 or out[j] < 0 or out[len(out) // 2] > 1 or (di + dj > 0 and sum(out) > l)
-    return None if bad else tuple(out)
-
-
 def _f(b: tuple[int, ...], i: int, l: int) -> Optional[tuple[int, ...]]:
-    n = len(b) // 2
     if i == 0:
         if b[0] >= b[-1]:
-            return _moved(b, l, 0, +1)
-        return _moved(b, l, -1, -1)
+            return (b[0] + 1,) + b[1:] if sum(b) + 1 <= l else None
+        return b[:-1] + (b[-1] - 1,)
+    n = len(b) // 2
     if i == n:
-        if b[n] == 0:
-            return _moved(b, l, n - 1, -1, n, +1)
-        return _moved(b, l, n, -1, -n, +1)
-    if b[i] >= b[-1 - i]:
-        return _moved(b, l, i - 1, -1, i, +1)
-    return _moved(b, l, -1 - i, -1, -i, +1)
+        return move_right(b, n if b[n] else n - 1)
+    return move_right(b, i - 1 if b[i] >= b[-1 - i] else 2 * n - i)
 
 
 def _e(b: tuple[int, ...], i: int, l: int) -> Optional[tuple[int, ...]]:
-    n = len(b) // 2
     if i == 0:
         if b[0] > b[-1]:
-            return _moved(b, l, 0, -1)
-        return _moved(b, l, -1, +1)
+            return (b[0] - 1,) + b[1:]
+        return b[:-1] + (b[-1] + 1,) if sum(b) + 1 <= l else None
+    n = len(b) // 2
     if i == n:
-        if b[n] == 0:
-            return _moved(b, l, n, +1, -n, -1)
-        return _moved(b, l, n - 1, +1, n, -1)
-    if b[i] > b[-1 - i]:
-        return _moved(b, l, i - 1, +1, i, -1)
-    return _moved(b, l, -1 - i, +1, -i, -1)
+        return move_left(b, n - 1 if b[n] else n)
+    return move_left(b, i - 1 if b[i] > b[-1 - i] else 2 * n - i)
 
 
 def _eps(b: tuple[int, ...], i: int, l: int) -> int:
-    n = len(b) // 2
     if i == 0:
-        return (l - sum(b)) + 2 * max(0, b[0] - b[-1])
-    if i == n:
-        return 2 * b[-n] + b[n]
-    return b[-i] + max(0, b[i] - b[-1 - i])
+        d = b[0] - b[-1]
+        return l - sum(b) + (2 * d if d > 0 else 0)
+    if i == len(b) // 2:
+        return 2 * b[-i] + b[i]
+    d = b[i] - b[-1 - i]
+    return b[-i] + (d if d > 0 else 0)
 
 
 def _phi(b: tuple[int, ...], i: int, l: int) -> int:
-    n = len(b) // 2
     if i == 0:
-        return (l - sum(b)) + 2 * max(0, b[-1] - b[0])
-    if i == n:
-        return 2 * b[n - 1] + b[n]
-    return b[i - 1] + max(0, b[-1 - i] - b[i])
+        d = b[-1] - b[0]
+        return l - sum(b) + (2 * d if d > 0 else 0)
+    if i == len(b) // 2:
+        return 2 * b[i - 1] + b[i]
+    d = b[-1 - i] - b[i]
+    return b[i - 1] + (d if d > 0 else 0)
 
 
 def _raise(j: int, b: tuple[int, ...]) -> tuple[int, ...]:
@@ -192,7 +178,7 @@ SPEC = TheoremSpec(
     prefix="psij",
     raise_map=_raise,
     steps=lambda n: [(j, 1 if j == n else 2) for j in range(1, n + 1)],
-    coordinate_boundary=lambda b: b[len(b) // 2] == 0 and all(
-        min(b[j], b[-1 - j]) == 0 for j in range(len(b) // 2)
+    coordinate_boundary=lambda b: not b[len(b) // 2] and not any(
+        map(min, b, reversed(b[len(b) // 2 + 1:]))
     ),
 )

@@ -6,7 +6,8 @@ the statistics of a kernel by iterating its operators, weights in
 fundamental coordinates (`pairing`, `fundamental_coeffs` and its inverse),
 and straightforward reference versions of the chain-length and
 connectivity walks of the axiom checks, of the DOT export, of the `a1`
-element ids, of the hook-content count and of the tableau validator."""
+element ids, of the hook-content count, of the tableau validator and of
+the `c1` and `d2` kernels' operators, statistics and boundary criteria."""
 
 from fractions import Fraction
 from operator import gt, lt
@@ -334,3 +335,131 @@ def reference_pair_id(b, n: int) -> str:
     """The id of an `a1` pair value (x, y), made with no cache."""
     x, y = b
     return reference_factor_id("x", x, n) + ";y=" + ",".join(str(c) for c in y)
+
+
+# The `c1` and `d2` kernels as they were first written: every operator result
+# goes through one general move that re-checks the crystal's bounds.
+
+
+def reference_c1_moved(x, l, i, di, j=0, dj=0):
+    """x with x[i] += di and x[j] += dj; None when that leaves the `c1`
+    crystal, which only a changed coordinate or, for a move up, the level
+    bound shows."""
+    out = list(x)
+    out[i] += di
+    out[j] += dj
+    bad = out[i] < 0 or out[j] < 0 or (di + dj > 0 and sum(out) > 2 * l)
+    return None if bad else tuple(out)
+
+
+def reference_c1_f(x, i, l):
+    n = len(x) // 2
+    if i == 0:
+        if x[0] >= x[-1]:
+            return reference_c1_moved(x, l, 0, +2)
+        if x[0] == x[-1] - 1:
+            return reference_c1_moved(x, l, 0, +1, -1, -1)
+        return reference_c1_moved(x, l, -1, -2)
+    if i == n:
+        return reference_c1_moved(x, l, n - 1, -1, n, +1)
+    if x[i] >= x[-1 - i]:
+        return reference_c1_moved(x, l, i - 1, -1, i, +1)
+    return reference_c1_moved(x, l, -1 - i, -1, -i, +1)
+
+
+def reference_c1_e(x, i, l):
+    n = len(x) // 2
+    if i == 0:
+        if x[0] >= x[-1] + 2:
+            return reference_c1_moved(x, l, 0, -2)
+        if x[0] == x[-1] + 1:
+            return reference_c1_moved(x, l, 0, -1, -1, +1)
+        return reference_c1_moved(x, l, -1, +2)
+    if i == n:
+        return reference_c1_moved(x, l, n - 1, +1, n, -1)
+    if x[i] > x[-1 - i]:
+        return reference_c1_moved(x, l, i - 1, +1, i, -1)
+    return reference_c1_moved(x, l, -1 - i, +1, -i, -1)
+
+
+def reference_c1_eps(x, i, l):
+    if i == 0:
+        return (l - sum(x) // 2) + max(0, x[0] - x[-1])
+    if i == len(x) // 2:
+        return x[-i]
+    return x[-i] + max(0, x[i] - x[-1 - i])
+
+
+def reference_c1_phi(x, i, l):
+    if i == 0:
+        return (l - sum(x) // 2) + max(0, x[-1] - x[0])
+    if i == len(x) // 2:
+        return x[i - 1]
+    return x[i - 1] + max(0, x[-1 - i] - x[i])
+
+
+def reference_c1_boundary(x):
+    return all(min(x[j], x[-1 - j]) == 0 for j in range(len(x) // 2))
+
+
+def reference_d2_moved(b, l, i, di, j=0, dj=0):
+    """b with b[i] += di and b[j] += dj; None when that leaves the `d2`
+    crystal, which only a changed coordinate or, for a move up, the level
+    bound shows."""
+    out = list(b)
+    out[i] += di
+    out[j] += dj
+    bad = out[i] < 0 or out[j] < 0 or out[len(out) // 2] > 1 or (di + dj > 0 and sum(out) > l)
+    return None if bad else tuple(out)
+
+
+def reference_d2_f(b, i, l):
+    n = len(b) // 2
+    if i == 0:
+        if b[0] >= b[-1]:
+            return reference_d2_moved(b, l, 0, +1)
+        return reference_d2_moved(b, l, -1, -1)
+    if i == n:
+        if b[n] == 0:
+            return reference_d2_moved(b, l, n - 1, -1, n, +1)
+        return reference_d2_moved(b, l, n, -1, -n, +1)
+    if b[i] >= b[-1 - i]:
+        return reference_d2_moved(b, l, i - 1, -1, i, +1)
+    return reference_d2_moved(b, l, -1 - i, -1, -i, +1)
+
+
+def reference_d2_e(b, i, l):
+    n = len(b) // 2
+    if i == 0:
+        if b[0] > b[-1]:
+            return reference_d2_moved(b, l, 0, -1)
+        return reference_d2_moved(b, l, -1, +1)
+    if i == n:
+        if b[n] == 0:
+            return reference_d2_moved(b, l, n, +1, -n, -1)
+        return reference_d2_moved(b, l, n - 1, +1, n, -1)
+    if b[i] > b[-1 - i]:
+        return reference_d2_moved(b, l, i - 1, +1, i, -1)
+    return reference_d2_moved(b, l, -1 - i, +1, -i, -1)
+
+
+def reference_d2_eps(b, i, l):
+    n = len(b) // 2
+    if i == 0:
+        return (l - sum(b)) + 2 * max(0, b[0] - b[-1])
+    if i == n:
+        return 2 * b[-n] + b[n]
+    return b[-i] + max(0, b[i] - b[-1 - i])
+
+
+def reference_d2_phi(b, i, l):
+    n = len(b) // 2
+    if i == 0:
+        return (l - sum(b)) + 2 * max(0, b[-1] - b[0])
+    if i == n:
+        return 2 * b[n - 1] + b[n]
+    return b[i - 1] + max(0, b[-1 - i] - b[i])
+
+
+def reference_d2_boundary(b):
+    return b[len(b) // 2] == 0 and all(min(b[j], b[-1 - j]) == 0 for j in range(len(b) // 2))

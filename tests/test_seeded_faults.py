@@ -12,7 +12,7 @@ from adjcrys import affine_a, affine_c, affine_d2, crystal_graph, tableaux
 from adjcrys.cli import _verification_report, main
 from adjcrys.crystal_graph import all_passed, axiom_checks
 from adjcrys.root_data import Family, ShellStep
-from helpers import unmatched_positions
+from helpers import reference_c1_moved, unmatched_positions
 
 
 def _failed(family, n, l):
@@ -51,10 +51,10 @@ def _patch_strict_f0(monkeypatch):
             return original(x, i, l)
         x1, xb1 = x[0], x[-1]
         if x1 > xb1:  # the model has >=
-            return affine_c._moved(x, l, 0, +2)
+            return reference_c1_moved(x, l, 0, +2)
         if x1 == xb1 - 1:
-            return affine_c._moved(x, l, 0, +1, -1, -1)
-        return affine_c._moved(x, l, -1, -2)
+            return reference_c1_moved(x, l, 0, +1, -1, -1)
+        return reference_c1_moved(x, l, -1, -2)
 
     monkeypatch.setattr(affine_c.KERNEL, "f", f)
 
@@ -730,3 +730,22 @@ def test_d2_component_without_x0(monkeypatch):
     monkeypatch.setattr(affine_d2.KERNEL, "component", lambda b, l: sum(b) - b[len(b) // 2])
     assert _failures("d2", 2, 2, "multiplicity") == {"multiplicity/boundary-weights-free": (
         2, "weight (0,0) has multiplicity 2 in component k=0")}
+
+
+@pytest.mark.parametrize("family", ["c1", "d2"])
+def test_move_right_out_of_an_empty_slot(family, monkeypatch):
+    # the move refuses an empty slot x[a]; this one takes it below 0
+    module = {"c1": affine_c, "d2": affine_d2}[family]
+    monkeypatch.setattr(
+        module, "move_right", lambda x, a: x[:a] + (x[a] - 1, x[a + 1] + 1) + x[a + 2:])
+    prefix, commute, arrows, slots = {
+        "c1": ("C2:x=0,0;xb=0,0", "phij", 276, 138),
+        "d2": ("D2:x=0,0;x0=0;xb=0,0", "psij", 120, 60),
+    }[family]
+    assert _failures(family, 2, 2) == {
+        "axioms/ef-inverse": (arrows, f"f_1 leaves the crystal at {prefix}"),
+        "axioms/stats-closed-vs-iteration": (slots, f"closed statistics wrong at {prefix}, i=1"),
+        "embedding/level-inclusion-full-subgraph": (3, f"arrow f_1 at {prefix} not preserved"),
+        f"commute/{commute}-classical-commute-nonzero": (
+            2, f"f_1 does not commute with the map at {prefix}"),
+    }
