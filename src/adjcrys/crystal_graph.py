@@ -57,7 +57,7 @@ from dataclasses import dataclass
 from functools import cache, cached_property, partial
 from itertools import chain, compress, count, repeat
 from json.encoder import encode_basestring_ascii
-from operator import add, ne, neg
+from operator import add, eq, ne, neg
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .root_data import Family, RootDatum, classify_shift, in_shell, on_boundary
@@ -489,25 +489,18 @@ def _chain_lengths(step: Sequence[int]) -> list[int]:
 
 
 def _connected(table: OperatorTable) -> bool:
-    """Connectivity of the f-arrows, taken undirected, by breadth-first search."""
-    size = len(table.elems)
-    if size <= 1:
-        return True
-    adjacent: list[list[int]] = [[] for _ in range(size)]
+    """Connectivity of the f-arrows, taken undirected: a union-find that links
+    the roots of each arrow's ends, halving each path it walks to a root."""
+    parent = list(range(len(table.elems)))
     for row in table.f.values():
         for b, c in enumerate(row):
             if c >= 0:
-                adjacent[b].append(c)
-                adjacent[c].append(b)
-    seen = [False] * size
-    seen[0] = True
-    queue = [0]
-    for b in queue:
-        for c in adjacent[b]:
-            if not seen[c]:
-                seen[c] = True
-                queue.append(c)
-    return len(queue) == size
+                while b != parent[b]:
+                    parent[b] = b = parent[parent[b]]
+                while c != parent[c]:
+                    parent[c] = c = parent[parent[c]]
+                parent[b] = c
+    return sum(map(eq, parent, range(len(parent)))) <= 1
 
 
 def _first_difference(a: list, b: list) -> Optional[int]:

@@ -657,6 +657,21 @@ def test_factor_without_labels_0_and_1_is_disconnected(prefix, kernel, monkeypat
         6, "crystal graph is disconnected")
 
 
+def test_pair_without_label_0_is_disconnected(monkeypatch):
+    # without the 0-arrows only the classical components remain, one per k
+    for op in ("e", "f"):
+        original = getattr(affine_a.KERNEL, op)
+        monkeypatch.setattr(
+            affine_a.KERNEL, op,
+            lambda b, i, l, original=original: None if i == 0 else original(b, i, l),
+        )
+    assert _failures("a1", 2, 2, "axioms") == {
+        "axioms/connected": (36, "crystal graph is disconnected"),
+        "axioms/stats-closed-vs-iteration": (
+            108, "closed statistics wrong at A2:x=0,0,2;y=0,1,1, i=0"),
+    }
+
+
 def test_col_eps_1_off_by_one(monkeypatch):
     original = affine_a.COL_KERNEL.eps
     monkeypatch.setattr(
