@@ -10,7 +10,9 @@ map alpha (`_alpha`) onto tableaux of shape (2k, k^(n-1)).
 
 The crystals themselves are `ROW_KERNEL`, `COL_KERNEL` and the pair
 `KERNEL`: pure functions on multiplicity vectors and on pairs (x, y) of
-them; the model adapters call into them.  Their ids share one cached
+them; the model adapters call into them.  Every operator is one slot move of
+`counting`, as in `c1` and `d2`, and the pair reads the slots phi_i(x) and
+eps_i(y) straight from its two vectors.  The kernels' ids share one cached
 coordinate text per factor value (`_coords`).  The element classes `RowElem`,
 `ColElem` and `AdjElemA` wrap the kernels' `e`/`f` for the benchmark's
 tracer (`perfbench/traced.py`); no command builds one.  The checks run on
@@ -30,7 +32,7 @@ from operator import sub
 from typing import Optional
 
 from . import tableaux
-from .counting import compositions
+from .counting import compositions, move_left, move_right
 from .crystal_graph import (
     OUTSIDE,
     UNDEFINED,
@@ -51,44 +53,37 @@ from .tableaux import Tableau, column_missing, ssyt_count
 # the kernels (`ROW_KERNEL`, `COL_KERNEL` and `KERNEL` below): the row and
 # column factors on multiplicity vectors, the pair on (x, y).  Labels act
 # cyclically on the n+1 slots (index -1 is slot n), so each factor operator
-# is one shift.  No operator needs the level l.
-
-
-def _shift(vec: tuple[int, ...], minus: int, plus: int) -> Optional[tuple[int, ...]]:
-    if vec[minus] == 0:
-        return None
-    out = list(vec)
-    out[minus] -= 1
-    out[plus] += 1
-    return tuple(out)
+# is one slot move at i-1.  No operator needs the level l.
 
 
 def _pair_f(b, i: int, l=None):
     x, y = b
-    if ROW_KERNEL.phi(x, i) > COL_KERNEL.eps(y, i):
-        new = ROW_KERNEL.f(x, i)
-        return None if new is None else (new, y)
-    new = COL_KERNEL.f(y, i)
+    a = i - 1
+    if x[a] > y[a]:  # x[a] is phi_i(x), y[a] is eps_i(y); here x[a] > 0, so f acts
+        return move_right(x, a), y
+    new = move_left(y, a)
     return None if new is None else (x, new)
 
 
 def _pair_e(b, i: int, l=None):
     x, y = b
-    if ROW_KERNEL.phi(x, i) >= COL_KERNEL.eps(y, i):
-        new = ROW_KERNEL.e(x, i)
+    a = i - 1
+    if x[a] >= y[a]:  # x[a] is phi_i(x), y[a] is eps_i(y); else y[a] > 0, so e acts
+        new = move_left(x, a)
         return None if new is None else (new, y)
-    new = COL_KERNEL.e(y, i)
-    return None if new is None else (x, new)
+    return x, move_right(y, a)
 
 
 def _pair_eps(b, i: int, l=None) -> int:
     x, y = b
-    return ROW_KERNEL.eps(x, i) + max(0, COL_KERNEL.eps(y, i) - ROW_KERNEL.phi(x, i))
+    d = y[i - 1] - x[i - 1]
+    return x[i] + (d if d > 0 else 0)
 
 
 def _pair_phi(b, i: int, l=None) -> int:
     x, y = b
-    return COL_KERNEL.phi(y, i) + max(0, ROW_KERNEL.phi(x, i) - COL_KERNEL.eps(y, i))
+    d = x[i - 1] - y[i - 1]
+    return y[i] + (d if d > 0 else 0)
 
 
 def promote(v: tuple[int, ...]) -> tuple[int, ...]:
@@ -257,8 +252,8 @@ _coords = cache(lambda v: ",".join(map(str, v)))  # one text per factor value, f
 
 ROW_KERNEL = Kernel(
     values=_factor_values,
-    f=lambda x, i, l=None: _shift(x, i - 1, i),
-    e=lambda x, i, l=None: _shift(x, i, i - 1),
+    f=lambda x, i, l=None: move_right(x, i - 1),
+    e=lambda x, i, l=None: move_left(x, i - 1),
     eps=lambda x, i, l=None: x[i],
     phi=lambda x, i, l=None: x[i - 1],
     weight=tuple, component=lambda x, l: None, contains=_factor_contains,
@@ -266,8 +261,8 @@ ROW_KERNEL = Kernel(
 )
 COL_KERNEL = Kernel(
     values=_factor_values,
-    f=lambda y, i, l=None: _shift(y, i, i - 1),
-    e=lambda y, i, l=None: _shift(y, i - 1, i),
+    f=lambda y, i, l=None: move_left(y, i - 1),
+    e=lambda y, i, l=None: move_right(y, i - 1),
     eps=lambda y, i, l=None: y[i - 1],
     phi=lambda y, i, l=None: y[i],
     weight=lambda y: tuple(sum(y) - c for c in y),

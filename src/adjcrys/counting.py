@@ -1,4 +1,5 @@
-"""Tiny integer-combinatorics helpers shared by the crystal models: compositions and slot moves."""
+"""Tiny integer-combinatorics helpers shared by the crystal models: compositions,
+and the one-unit slot moves that every `a1`, `c1` and `d2` operator is made of."""
 
 from __future__ import annotations
 

@@ -620,8 +620,10 @@ class TheoremRun:
             (j, step, lower[step], compile_map(lower[step], big, partial(spec.raise_map, j)))
             for j, step in steps
         ]
-        self.images = {c for *_, imap in self.level_maps for c in imap}
-        self.complement = [b for b in range(len(big.elems)) if b not in self.images]
+        self.images = bytearray(len(big.elems))  # 1 at each level-l index a level map hits
+        for c in (c for *_, imap in self.level_maps for c in imap if c >= 0):  # a negative code marks none
+            self.images[c] = 1
+        self.complement = [b for b, hit in enumerate(self.images) if not hit]
         self.complement_weights = Counter(big.weight[b] for b in self.complement)
 
     def embedding_checks(self) -> list[CheckResult]:
@@ -743,7 +745,7 @@ class TheoremRun:
                 comp_bad = comp_bad or f"f_0 lands in k={landed} at {big.element_id(b)}, classification says {target}"
                 continue
             uniq_cases += 1
-            if z in images:
+            if images[z]:
                 uniq_bad = uniq_bad or f"f_0 image of {big.element_id(b)} lies in the level-raising images"
             elif weight_counts[big.weight[z]] != 1:
                 uniq_bad = uniq_bad or f"f_0 image of {big.element_id(b)} is not unique of its weight"

@@ -6,8 +6,9 @@ the statistics of a kernel by iterating its operators, weights in
 fundamental coordinates (`pairing`, `fundamental_coeffs` and its inverse),
 and straightforward reference versions of the chain-length and
 connectivity walks of the axiom checks, of the DOT export, of the `a1`
-element ids, of the hook-content count, of the tableau validator and of
-the `c1` and `d2` kernels' operators, statistics and boundary criteria."""
+element ids and kernels, of the hook-content count, of the tableau validator
+and of the `c1` and `d2` kernels' operators, statistics and boundary
+criteria."""
 
 from fractions import Fraction
 from operator import gt, lt
@@ -335,6 +336,82 @@ def reference_pair_id(b, n: int) -> str:
     """The id of an `a1` pair value (x, y), made with no cache."""
     x, y = b
     return reference_factor_id("x", x, n) + ";y=" + ",".join(str(c) for c in y)
+
+
+# The `a1` kernels as they were first written: each factor operator is one
+# general shift, and the pair asks the factor kernels for the statistics its
+# tensor rule compares.
+
+
+def reference_shift(vec, minus: int, plus: int):
+    """vec with one unit moved from slot `minus` to slot `plus`; None when
+    slot `minus` is empty."""
+    if vec[minus] == 0:
+        return None
+    out = list(vec)
+    out[minus] -= 1
+    out[plus] += 1
+    return tuple(out)
+
+
+def reference_row_f(x, i):
+    return reference_shift(x, i - 1, i)
+
+
+def reference_row_e(x, i):
+    return reference_shift(x, i, i - 1)
+
+
+def reference_col_f(y, i):
+    return reference_shift(y, i, i - 1)
+
+
+def reference_col_e(y, i):
+    return reference_shift(y, i - 1, i)
+
+
+def _row_eps(x, i):
+    return x[i]
+
+
+def _row_phi(x, i):
+    return x[i - 1]
+
+
+def _col_eps(y, i):
+    return y[i - 1]
+
+
+def _col_phi(y, i):
+    return y[i]
+
+
+def reference_pair_f(b, i):
+    x, y = b
+    if _row_phi(x, i) > _col_eps(y, i):
+        new = reference_row_f(x, i)
+        return None if new is None else (new, y)
+    new = reference_col_f(y, i)
+    return None if new is None else (x, new)
+
+
+def reference_pair_e(b, i):
+    x, y = b
+    if _row_phi(x, i) >= _col_eps(y, i):
+        new = reference_row_e(x, i)
+        return None if new is None else (new, y)
+    new = reference_col_e(y, i)
+    return None if new is None else (x, new)
+
+
+def reference_pair_eps(b, i):
+    x, y = b
+    return _row_eps(x, i) + max(0, _col_eps(y, i) - _row_phi(x, i))
+
+
+def reference_pair_phi(b, i):
+    x, y = b
+    return _col_phi(y, i) + max(0, _row_phi(x, i) - _col_eps(y, i))
 
 
 # The `c1` and `d2` kernels as they were first written: every operator result

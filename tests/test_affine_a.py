@@ -33,6 +33,7 @@ from adjcrys.affine_a import (
 from adjcrys.crystal_graph import OperatorTable, all_passed, render_report
 from adjcrys.root_data import Family, RootDatum
 from adjcrys.tableaux import Tableau, TensorPair
+import helpers
 from helpers import (
     fundamental_coeffs,
     highest_weight,
@@ -50,6 +51,24 @@ def test_promotion_examples():
     assert promote((1, 1, 1)) == (1, 1, 1)
     assert promote((0, 1, 1)) == (1, 0, 1)
     assert promote_inverse(promote((2, 1, 0))) == (2, 1, 0)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_pair_kernel_matches_the_tensor_rule(n):
+    """The pair operators and statistics on every value of levels 0..4 at
+    every label against the two-factor tensor rule through the factor
+    kernels, and the four factor operators against one general shift."""
+    pair = [(getattr(KERNEL, op), getattr(helpers, f"reference_pair_{op}"))
+            for op in ("f", "e", "eps", "phi")]
+    factor = [(getattr(kernel, op), getattr(helpers, f"reference_{name}_{op}"))
+              for kernel, name in ((ROW_KERNEL, "row"), (COL_KERNEL, "col")) for op in ("f", "e")]
+    for l, i in product(range(5), range(n + 1)):
+        pairs = KERNEL.values(n, l)
+        for op, ref in pair:
+            assert [op(b, i, l) for b in pairs] == [ref(b, i) for b in pairs], (op.__name__, l, i)
+        values = ROW_KERNEL.values(n, l)
+        for op, ref in factor:
+            assert [op(v, i, l) for v in values] == [ref(v, i) for v in values], (ref.__name__, l, i)
 
 
 def test_factor_operator_examples():

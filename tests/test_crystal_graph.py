@@ -349,6 +349,21 @@ def test_check_commutation_side_conditions():
     assert not loose.passed
 
 
+def test_images_ignore_level_map_values_outside_the_table():
+    """A level-map value missing from the level-l table (here a value far
+    above the level, with the code OUTSIDE) marks no element, so the
+    complement is the one a set of the image codes gives.  No level map of
+    `c1` n=2 l=2 hits its second-to-last element, where index -2 would land."""
+    original = affine_c.SPEC.raise_map
+    spec = affine_c.SPEC._replace(raise_map=lambda j, x: (9,) * len(x) if j == 1 else original(j, x))
+    big = OperatorTable(CrystalC(2, 2))
+    run = crystal_graph.TheoremRun(spec, 2, 2, big)
+    codes = {c for *_, imap in run.level_maps for c in imap}
+    expected = [b for b in range(len(big.elems)) if b not in codes]
+    assert OUTSIDE in codes and len(big.elems) - 2 in expected
+    assert run.complement == expected
+
+
 @st.composite
 def rows(draw, count=1):
     """`count` random rows on one index set: entries UNDEFINED, OUTSIDE or

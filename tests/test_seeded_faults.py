@@ -368,6 +368,35 @@ def test_adj_e_strict_tie_rule(monkeypatch):
     assert "alpha/weight-preserving" not in failures
 
 
+def test_adj_f_non_strict_tie_rule(monkeypatch):
+    row, col = affine_a.ROW_KERNEL, affine_a.COL_KERNEL
+
+    def f(b, i, l):
+        x, y = b
+        if row.phi(x, i, l) >= col.eps(y, i, l):  # the model has >
+            new = row.f(x, i, l)
+            return None if new is None else (new, y)
+        new = col.f(y, i, l)
+        return None if new is None else (x, new)
+
+    monkeypatch.setattr(affine_a.KERNEL, "f", f)
+    assert _failures("a1", 2, 2) == {
+        "axioms/ef-inverse": (216, "f_0 not inverted at A2:x=0,0,2;y=0,0,2"),
+        "axioms/stats-closed-vs-iteration": (
+            108, "closed statistics wrong at A2:x=0,0,2;y=0,0,2, i=0"),
+        "axioms/connected": (36, "crystal graph is disconnected"),
+        "embedding/theta1-classical-commute": (
+            1, "f_1 vanishes on A2:x=0,0,1;y=0,0,1 but not on its image"),
+        "embedding/theta1-boundary-step": (
+            11, "f_0 boundary step wrong above A2:x=0,1,0;y=0,1,0"),
+        "commute/thetaj-affine-commute": (
+            27, "f_0 vanishes on A2:x=0,1,0;y=0,1,0 but not on its image"),
+        "f0-landing/vanishing-criterion": (19, "vanishing criterion wrong at A2:x=0,2,0;y=2,0,0"),
+        "alpha/intertwines-classical": (
+            144, "alpha breaks vanishing of f_2 at A2:x=0,0,2;y=0,0,2"),
+    }
+
+
 def test_tableau_fault_found_after_a_clean_alpha_run(monkeypatch):
     """Nothing alpha_checks computes outlives the call, so a clean run of
     the same instance cannot hide a tableau fault planted afterwards."""
