@@ -18,24 +18,31 @@ returns a value missing from the enumeration (an ef-inverse failure).  Each
 row is recorded by `map` calls alone.  The `f` rows are recorded when the
 table is built and the `e` rows on their first read, so graph export, which
 reads only `f`, calls no e_i.  The table also holds each index's weight
-coordinates and component.  The checks build no element object: a failure
-names its elements by id.  `axiom_checks` and `run_theorems` take the
-level-l table as an argument, so one `verify` builds it once.  The axioms
-run one bulk pass per (label, direction) slot and one list comparison per
-label and statistic; each check reports the least of the slots' first
-failures.
+coordinates and component, and `indices`, one int object per index.  The
+dict's values are those objects, and so is every row and index-map entry;
+every index list the package builds takes its entries from `indices` or
+from the rows, so it holds pointers, not new ints.  The checks build no
+element object: a failure names its elements by id.  `axiom_checks` and
+`run_theorems` take the level-l table as an argument, so one `verify`
+builds it once.  The axioms run one bulk pass per (label, direction) slot
+and one list comparison per label and statistic; each check reports the
+least of the slots' first failures.
 
 `stream_graph` formats the DOT or JSON export straight from the table rows
-and yields it in batches of a few thousand records, so it holds the table and
-one token per element but no `Vertex`, `Edge` or whole document.  Nodes come
-in `sort_key` order; edges by source id, then by label.  Each f_i is a
-function and the ids are distinct, so that is the (src, label, dst) order
-without sorting the edges.  An edge line is its source's prefix, the
-destination's token and its label's suffix, and each call formats each
-distinct k, weight and label once, so the text work grows with the distinct
-values, not with the records.  Every `f` row is checked for OUTSIDE before
-the first chunk.  `build_graph` and `export` give the same bytes as values,
-and `export` runs the same record formatter.
+and yields it in batches of a few thousand records.  It keeps only what
+the export reads: the table, with its value -> index dict, is let go before
+the ids are built, and the values once the ids and the node order exist.
+From then on it holds the `f` rows, components, weights, one token per
+element and two orders of the shared indices, but no `Vertex`, `Edge` or
+whole document.  Nodes come in `sort_key` order; edges by source id, then
+by label.  Each f_i is a function and the ids are distinct, so that is the
+(src, label, dst) order without sorting the edges.  An edge line is its
+source's prefix, the destination's token and its label's suffix, and each
+call formats each distinct k, weight and label once, so the text work
+grows with the distinct values, not with the records.  Every `f` row is
+checked for OUTSIDE before the first chunk.  `build_graph` reads the same
+parts of the table through the same helper, `export` runs the same record
+formatter, and the two give the same bytes as values.
 
 `run_theorems` checks one family's structure theorems from a `TheoremSpec`:
 the model class, the level embedding `B_{l-1} -> B_l`, the level-raising
@@ -52,12 +59,12 @@ passing run calls `RootDatum.weight` for the root steps, not per element.
 from __future__ import annotations
 
 import json
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from functools import cache, cached_property, partial
 from itertools import chain, compress, count, repeat
 from json.encoder import encode_basestring_ascii
-from operator import add, eq, ne, neg
+from operator import add, eq, gt, ne, neg, not_
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .root_data import Family, RootDatum, classify_shift, in_shell, on_boundary
@@ -134,14 +141,9 @@ def build_graph(model) -> CrystalGraph:
 
     Raises ValueError when an f_i result is missing from the enumeration.
     """
-    table, ids = _graph_table(model)
-    vertices = tuple(
-        Vertex(ids[b], table.comp[b], table.weight[b]) for b in _node_order(model, table)
-    )
-    rows = sorted(table.f.items())
-    edges = tuple(
-        Edge(ids[b], ids[c], i) for b in _id_order(ids) for i, row in rows if (c := row[b]) >= 0
-    )
+    rows, comp, weight, ids, nodes, by_id = _graph_parts(model)
+    vertices = tuple(Vertex(ids[b], comp[b], weight[b]) for b in nodes)
+    edges = tuple(Edge(ids[b], ids[c], i) for b in by_id for i, row in rows if (c := row[b]) >= 0)
     return CrystalGraph(model.family, model.rank, model.level, vertices, edges)
 
 
@@ -162,39 +164,38 @@ def stream_graph(model, fmt: str) -> Iterator[str]:
     f_i result is missing from the enumeration, before the first chunk.
     """
     name, node, prefix, suffix, chunks = _layout(fmt)
-    table, ids = _graph_table(model)
-    by_id = _id_order(ids)
-    names = ids  # each id gives way to its token, so the two lists never coexist
-    for b, s in enumerate(names):
+    rows, comp, weight, names, by_node, by_id = _graph_parts(model)
+    for b, s in enumerate(names):  # each id gives way to its token, so the two lists never coexist
         names[b] = name(s)
-    comp, weight = table.comp, table.weight
-    nodes = ([node(names[b], comp[b], weight[b]) for b in batch]
-             for batch in _batches(_node_order(model, table)))
-    ends = [(suffix(i), row) for i, row in sorted(table.f.items())]
+    nodes = ([node(names[b], comp[b], weight[b]) for b in batch] for batch in _batches(by_node))
+    ends = [(suffix(i), row) for i, row in rows]
     edges = ([pre + names[c] + end
               for b in batch for pre in (prefix(names[b]),) for end, row in ends if (c := row[b]) >= 0]
              for batch in _batches(by_id, len(ends)))
     return chunks(model.family, model.rank, model.level, nodes, edges)
 
 
-def _graph_table(model) -> tuple[OperatorTable, list[str]]:
-    """The model's table and element ids; ValueError at the first f_i row
-    (in label order) that leaves the enumeration, at its first element."""
+def _graph_parts(model) -> tuple[list, list, list, list[str], list[int], list[int]]:
+    """What an export reads of the model's table: the (label, f row) pairs in
+    label order, each index's component and weight, the element ids, and
+    the table's indices in node (`sort_key`) order and in id order.
+
+    The table is let go before the ids are built, which frees its value ->
+    index dict, and the values once the ids and the node order exist.
+    ValueError at the first f_i row (in label order) that leaves the
+    enumeration, at its first element.
+    """
     table = OperatorTable(model)
-    ids = [model.element_id(b) for b in table.elems]
-    for i, row in table.f.items():
+    rows, comp, weight, indices, elems = table.f, table.comp, table.weight, table.indices, table.elems
+    del table
+    for i, row in rows.items():
         if OUTSIDE in row:
-            raise ValueError(f"f_{i} leaves the enumeration at {ids[row.index(OUTSIDE)]}")
-    return table, ids
-
-
-def _node_order(model, table: OperatorTable) -> list[int]:
-    elems = table.elems
-    return sorted(range(len(elems)), key=lambda b: model.sort_key(elems[b]))
-
-
-def _id_order(ids: list[str]) -> list[int]:
-    return sorted(range(len(ids)), key=ids.__getitem__)
+            first = elems[row.index(OUTSIDE)]
+            raise ValueError(f"f_{i} leaves the enumeration at {model.element_id(first)}")
+    ids = list(map(model.element_id, elems))
+    nodes = sorted(indices, key=lambda b: model.sort_key(elems[b]))
+    del elems
+    return sorted(rows.items()), comp, weight, ids, nodes, sorted(indices, key=ids.__getitem__)
 
 
 # The record formatter of each export format, shared by `export` and
@@ -356,13 +357,16 @@ class OperatorTable:
     """A model's values enumerated once, and its kernel's operators recorded
     by `map` calls alone as rows of indices, through one dict from value to
     index that also maps None, a vanishing operator, to UNDEFINED.  Equal
-    weights share one tuple."""
+    weights share one tuple.  `indices` holds one int object per index; the
+    dict maps each value to it, so each row and index-map entry is that
+    object, and lists built from `indices` or the rows hold no new ints."""
 
     def __init__(self, model):
         self.model = model
         kernel, level = model.kernel, model.level
         self.elems = elems = list(model.elements())
-        self.index = dict(zip(elems, range(len(elems))))
+        self.indices = indices = list(range(len(elems)))
+        self.index = dict(zip(elems, indices))
         self.index[None] = UNDEFINED
         self.labels = tuple(model.index_set)
         self.f = {i: self._record(kernel.f, i) for i in self.labels}
@@ -443,7 +447,7 @@ def check_embedding(domain: OperatorTable, target: OperatorTable, imap, labels, 
     """
     fail = partial(CheckResult, name, category, False)
     image: dict[int, int] = {}
-    for b, c in enumerate(imap):
+    for b, c in zip(domain.indices, imap):
         if c < 0:
             return fail(0, f"{domain.element_id(b)} maps outside the target")
         if c in image:
@@ -491,7 +495,7 @@ def _chain_lengths(step: Sequence[int]) -> list[int]:
 def _connected(table: OperatorTable) -> bool:
     """Connectivity of the f-arrows, taken undirected: a union-find that links
     the roots of each arrow's ends, halving each path it walks to a root."""
-    parent = list(range(len(table.elems)))
+    parent = list(table.indices)
     for row in table.f.values():
         for b, c in enumerate(row):
             if c >= 0:
@@ -500,7 +504,7 @@ def _connected(table: OperatorTable) -> bool:
                 while c != parent[c]:
                     parent[c] = c = parent[parent[c]]
                 parent[b] = c
-    return sum(map(eq, parent, range(len(parent)))) <= 1
+    return sum(map(eq, parent, table.indices)) <= 1
 
 
 def _first_difference(a: list, b: list) -> Optional[int]:
@@ -532,7 +536,7 @@ def axiom_checks(model, table: Optional[OperatorTable] = None) -> list[CheckResu
         down = dict(zip(up.values(), up))  # its inverse, and None to some id, never asked
         for d, op, fwd, back, shifted in ((0, f"f_{i}", f, e, up), (1, f"e_{i}", e, f, down)):
             defined = list(map(UNDEFINED.__lt__, fwd))
-            sources = list(compress(range(len(fwd)), defined))
+            sources = list(compress(table.indices, defined))
             targets = list(compress(fwd, defined))
             arrows += len(targets)
             bad = _first_difference(sources, list(map(back.__getitem__, targets)))
@@ -623,7 +627,7 @@ class TheoremRun:
         self.images = bytearray(len(big.elems))  # 1 at each level-l index a level map hits
         for c in (c for *_, imap in self.level_maps for c in imap if c >= 0):  # a negative code marks none
             self.images[c] = 1
-        self.complement = [b for b, hit in enumerate(self.images) if not hit]
+        self.complement = list(compress(big.indices, map(not_, self.images)))
         self.complement_weights = Counter(big.weight[b] for b in self.complement)
 
     def embedding_checks(self) -> list[CheckResult]:
@@ -655,24 +659,23 @@ class TheoremRun:
         return [merge_checks(column) for column in zip(*parts)]
 
     def boundary_checks(self) -> list[CheckResult]:
-        big, l, family = self.big, self.l, self.family
-        images = [set() for _ in range(l + 1)]  # by source component + step
+        big, l, family, comp = self.big, self.l, self.family, self.big.comp
+        # 1 at each level-l index whose weight lies inside (k-1)*theta, k its component
+        inner = bytearray(map(in_shell, repeat(family), big.weight, map(add, comp, repeat(-1))))
+        reached = bytearray(len(comp))  # 1 at each inner index a level map hits from its component
+        differ = set()  # each k whose images (by source component + step) and inner indices differ
         for _, step, domain, imap in self.level_maps:
-            for b, c in enumerate(imap):
-                k = domain.comp[b] + step
-                if k <= l:
-                    images[k].add(c)
-        inner = [set() for _ in range(l + 1)]  # level-l weights inside (k-1)*theta
-        for b, k in enumerate(big.comp):
-            if in_shell(family, big.weight[b], k - 1):
-                inner[k].add(b)
-        bad = next(
-            (f"image description fails in component k={k}"
-             for k in range(l + 1) if images[k] != inner[k]),
-            "",
-        )
+            for k, c in zip(map(add, domain.comp, repeat(step)), imap):
+                if k > l:
+                    continue
+                if c >= 0 and comp[c] == k and inner[c]:  # a negative code is in no inner set
+                    reached[c] = 1
+                else:
+                    differ.add(k)
+        differ.update(compress(comp, map(gt, inner, reached)))
+        bad = f"image description fails in component k={min(differ)}" if differ else ""
         checks = [CheckResult(
-            "image-equality", "boundary", not bad, sum(len(s) for s in inner), bad,
+            "image-equality", "boundary", not bad, sum(inner), bad,
         )]
         coordinate = self.spec.coordinate_boundary
         if coordinate is not None:
@@ -688,10 +691,13 @@ class TheoremRun:
         return checks
 
     def multiplicity_checks(self) -> list[CheckResult]:
-        big, l = self.big, self.l
+        by_component = defaultdict(dict)  # k -> {weight: count}, in element order
+        for k, w in zip(self.big.comp, self.big.weight):  # one pass, keyed by the shared weight tuples
+            counts = by_component[k]
+            counts[w] = counts.get(w, 0) + 1
         bad, cases = "", 0
-        for k in range(l + 1):
-            counts = Counter(w for w, kb in zip(big.weight, big.comp) if kb == k)
+        for k in range(self.l + 1):
+            counts = by_component.get(k, {})
             cases += sum(counts.values())
             bad = next(
                 (f"weight {_fmt_weight(w)} has multiplicity {count} in component k={k}"

@@ -5,17 +5,17 @@ one-letter crystal operators, the bracketing rule of one label at a time,
 the statistics of a kernel by iterating its operators, weights in
 fundamental coordinates (`pairing`, `fundamental_coeffs` and its inverse),
 and straightforward reference versions of the chain-length and
-connectivity walks of the axiom checks, of the DOT export, of the `a1`
-element ids and kernels, of the hook-content count, of the tableau validator
-and of the `c1` and `d2` kernels' operators, statistics and boundary
-criteria."""
+connectivity walks of the axiom checks, of the boundary image equality, of
+the DOT export, of the `a1` element ids and kernels, of the hook-content
+count, of the tableau validator and of the `c1` and `d2` kernels'
+operators, statistics and boundary criteria."""
 
 from fractions import Fraction
 from operator import gt, lt
 from typing import Iterator, Optional, Sequence
 
 from adjcrys.crystal_graph import OUTSIDE, UNDEFINED, Kernel, LevelModel
-from adjcrys.root_data import Family, RootDatum
+from adjcrys.root_data import Family, RootDatum, in_shell
 from adjcrys.tableaux import Tableau, TensorPair, Word, column_missing, ssyt_count
 
 
@@ -309,6 +309,27 @@ def reference_connected(table) -> bool:
                 seen[c] = True
                 queue.append(c)
     return len(queue) == size
+
+
+def reference_image_equality(run) -> tuple[int, str]:
+    """The cases and detail of `boundary/image-equality` on a `TheoremRun`,
+    by one set of level-l codes per component: the images of the level maps
+    (by source component + step) and the indices whose weight lies inside
+    (k-1)*theta, k their component."""
+    big, l = run.big, run.l
+    images = [set() for _ in range(l + 1)]
+    for _, step, domain, imap in run.level_maps:
+        for b, c in enumerate(imap):
+            k = domain.comp[b] + step
+            if k <= l:
+                images[k].add(c)
+    inner = [set() for _ in range(l + 1)]
+    for b, k in enumerate(big.comp):
+        if in_shell(run.family, big.weight[b], k - 1):
+            inner[k].add(b)
+    bad = next((f"image description fails in component k={k}"
+                for k in range(l + 1) if images[k] != inner[k]), "")
+    return sum(len(s) for s in inner), bad
 
 
 def reference_dot(graph) -> bytes:

@@ -1,5 +1,6 @@
 """Graph construction, structural checks, and the two export formats."""
 
+import copy
 import gc
 import json
 import math
@@ -10,7 +11,7 @@ from types import SimpleNamespace
 import pytest
 from hypothesis import example, given, strategies as st
 
-from adjcrys import affine_a, affine_c, crystal_graph
+from adjcrys import affine_a, affine_c, affine_d2, crystal_graph
 from adjcrys.affine_a import CrystalA
 from adjcrys.affine_c import CrystalC
 from adjcrys.affine_d2 import CrystalD2
@@ -31,7 +32,13 @@ from adjcrys.crystal_graph import (
     render_report,
     stream_graph,
 )
-from helpers import ClassicalCrystal, reference_chain_lengths, reference_connected, reference_dot
+from helpers import (
+    ClassicalCrystal,
+    reference_chain_lengths,
+    reference_connected,
+    reference_dot,
+    reference_image_equality,
+)
 
 
 def graph_as_dict(graph: CrystalGraph) -> dict:
@@ -405,25 +412,142 @@ STAR = 12
 @example([HALVES, (UNDEFINED,) * (2 * HALF)])  # never joined
 @example([(k,) + (UNDEFINED,) * STAR for k in range(1, STAR + 1)])  # a star, one row per leaf
 def test_connected_matches_the_reference(drawn):
-    table = SimpleNamespace(elems=range(len(drawn[0])), f=dict(enumerate(drawn)))
+    size = len(drawn[0])
+    table = SimpleNamespace(elems=range(size), indices=list(range(size)), f=dict(enumerate(drawn)))
     assert crystal_graph._connected(table) == reference_connected(table)
 
 
-def test_connected_memory_per_element():
-    """`_connected` holds one parent index per element.  Per element of `c1`
-    n=4 l=5, the tracemalloc peak read 40 B with a union-find over a list
-    and 239 B with adjacency lists and a breadth-first search (Python 3.11).
-    As in `test_alpha_checks_memory_per_element`, a full collection first
-    empties the free lists, and none runs during the measured call."""
-    table = OperatorTable(CrystalC(4, 5))
+def _traced_peak(call):
+    """The result of `call()` and the tracemalloc peak of the call.  As in
+    `test_alpha_checks_memory_per_element`, a full collection first empties
+    the free lists, and none runs during the measured call."""
     gc.collect()
     gc.disable()
     tracemalloc.start()
     try:
-        connected = crystal_graph._connected(table)
+        result = call()
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
         gc.enable()
+    return result, peak
+
+
+def test_connected_memory_per_element():
+    """`_connected` holds one pointer per element: its parent list copies the
+    table's shared indices and stores only entries of the rows.  Per element
+    of `c1` n=4 l=5, the tracemalloc peak read 8 B, against 40 B with a
+    parent list of fresh ints and 239 B with adjacency lists and a
+    breadth-first search (Python 3.11)."""
+    table = OperatorTable(CrystalC(4, 5))
+    connected, peak = _traced_peak(lambda: crystal_graph._connected(table))
     assert connected
-    assert peak / len(table.elems) < 64
+    assert peak / len(table.elems) < 16
+
+
+@pytest.mark.parametrize("fmt", ["json", "dot"])
+def test_stream_graph_memory_per_element(fmt):
+    """The export holds the f rows, components, weights, tokens and two
+    orders of the shared indices, not the table's value -> index dict or the
+    values.  Per element of `c1` n=4 l=5, the tracemalloc peak of a whole
+    export read 330 B; 375/362 B (json/dot) with orders of fresh ints, 385 B
+    with the table held through the ids, and 442 B with both (Python 3.11)."""
+    model = CrystalC(4, 5)
+    size, peak = _traced_peak(lambda: sum(map(len, stream_graph(model, fmt))))
+    assert size > 0
+    assert peak / len(model.elements()) < 350
+
+
+@pytest.mark.parametrize("spec", [affine_a.SPEC, affine_c.SPEC, affine_d2.SPEC])
+def test_table_entries_are_its_shared_indices(spec):
+    """Every entry of every f/e row and of an index map that names an
+    element is the table's own int object for that index, so lists built
+    from them hold pointers, not new ints."""
+    small, big = OperatorTable(spec.model(3, 3)), OperatorTable(spec.model(3, 4))
+    assert big.indices == list(range(len(big.elems)))
+    rows = [*big.f.values(), *big.e.values(), compile_map(small, big, spec.include)]
+    entries = [c for row in rows for c in row if c >= 0]
+    assert len(entries) > len(big.elems)
+    assert all(c is big.indices[c] for c in entries)
+
+
+BOUNDARY_RUNS = {
+    family: crystal_graph.TheoremRun(spec, n, l, OperatorTable(spec.model(n, l)))
+    for family, spec, n, l in (("a1", affine_a.SPEC, 2, 2), ("c1", affine_c.SPEC, 2, 2),
+                               ("d2", affine_d2.SPEC, 2, 3))
+}
+
+
+def _with_level_maps(run, maps):
+    moved = copy.copy(run)
+    moved.level_maps = maps
+    return moved
+
+
+def _image_equality(run) -> tuple[int, str]:
+    (check, *_) = run.boundary_checks()
+    assert check.passed == (not check.details)
+    return check.cases, check.details
+
+
+@st.composite
+def moved_level_maps(draw):
+    """A theorem run whose level maps, and perhaps a copy of one with its
+    step raised by 0 or 1, send up to three entries each to another code:
+    UNDEFINED, OUTSIDE or any level-l index.  So an index is hit from a
+    wrong component, hit twice or not at all."""
+    run = BOUNDARY_RUNS[draw(st.sampled_from(sorted(BOUNDARY_RUNS)))]
+    maps = list(run.level_maps)
+    if draw(st.booleans()):
+        j, step, domain, imap = draw(st.sampled_from(maps))
+        maps.append((j, step + draw(st.integers(0, 1)), domain, imap))
+    code = st.sampled_from((UNDEFINED, OUTSIDE) + tuple(run.big.indices))
+    moved = []
+    for j, step, domain, imap in maps:
+        imap = list(imap)
+        for b, c in draw(st.lists(st.tuples(st.integers(0, len(imap) - 1), code), max_size=3)):
+            imap[b] = c
+        moved.append((j, step, domain, imap))
+    return _with_level_maps(run, moved)
+
+
+@given(moved_level_maps())
+def test_image_equality_matches_the_reference_sets(run):
+    assert _image_equality(run) == reference_image_equality(run)
+
+
+@pytest.mark.parametrize("family", sorted(BOUNDARY_RUNS))
+def test_image_equality_fails_where_the_reference_sets_differ(family):
+    """Level maps that leave the table or hit one index from two components
+    give the reference sets' cases and first failing component.  The moves:
+    one source of the highest component sent OUTSIDE; a source of the
+    lowest and one of the highest sent to each other's image; a copy of the
+    last map with its step raised, so every index it hits is in the wrong
+    component.  Then a copy whose entries of component comp[-1] are
+    UNDEFINED (comp[-2], OUTSIDE): in `d2` the last two indices are hit
+    inner indices, so a mask that read a negative code as an index would
+    miss the failure there."""
+    run = BOUNDARY_RUNS[family]
+    assert _image_equality(run) == reference_image_equality(run)
+    assert not _image_equality(run)[1]
+    big, (j, step, domain, imap) = run.big, run.level_maps[-1]
+    by_k = {domain.comp[b] + step: b for b in reversed(range(len(imap)))}  # each k's first source
+    low, high = min(by_k), max(by_k)
+    assert low < high <= run.l
+    failing = []
+    for b, c in ((by_k[high], OUTSIDE), (by_k[high], imap[by_k[low]]), (by_k[low], imap[by_k[high]])):
+        moved = list(imap)
+        moved[b] = c
+        failing.append(run.level_maps[:-1] + [(j, step, domain, moved)])
+    failing.append(run.level_maps + [(j, step + 1, domain, imap)])
+    for maps in failing:
+        moved_run = _with_level_maps(run, maps)
+        cases, detail = _image_equality(moved_run)
+        assert (cases, detail) == reference_image_equality(moved_run)
+        assert detail.startswith("image description fails in component k=")
+    for code in (UNDEFINED, OUTSIDE):
+        coded = [code if k == big.comp[code] else c
+                 for k, c in zip(map(step.__add__, domain.comp), imap)]
+        moved_run = _with_level_maps(run, run.level_maps + [(j, step, domain, coded)])
+        assert _image_equality(moved_run) == reference_image_equality(moved_run)
+        assert bool(_image_equality(moved_run)[1]) == (coded != imap)
