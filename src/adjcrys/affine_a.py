@@ -239,6 +239,11 @@ def expected_size(n: int, l: int) -> int:
     return factor_size(n, l) ** 2
 
 
+def shell_size(n: int, k: int) -> int:
+    """The size of component k at any level: that of level k less that of level k-1."""
+    return math.comb(k + n, n) ** 2 - math.comb(k + n - 1, n) ** 2
+
+
 def _factor_values(n: int, l: int) -> list[tuple[int, ...]]:
     return list(compositions(l, n + 1))
 
@@ -404,10 +409,10 @@ def alpha_checks(n: int, l: int, table: Optional[OperatorTable] = None) -> list[
     over the word, read back as ints, gives every label's `e_i` and `f_i`
     cells.  A result that is the image of its model value (same k, column
     lengths and reading word) is that validated tableau and passes unbuilt,
-    e_i and f_i in one test; for any other, alpha(b) is built again and the
-    result built from it through the constructor.  No element object is
-    built.  Every image is a validated tableau and a wrong shape fails the
-    round trip, so the distinct images of component k are all of
+    e_i and f_i in one test; for any other, alpha(b) is built again and its
+    own e_i or f_i builds the result through the constructor.  No element
+    object is built.  Every image is a validated tableau and a wrong shape
+    fails the round trip, so the distinct images of component k are all of
     B((2k, k^(n-1))) when there are as many as the hook-content formula
     counts.  An image or result that fails its check fails at the element.
     """
@@ -459,18 +464,14 @@ def alpha_checks(n: int, l: int, table: Optional[OperatorTable] = None) -> list[
                 images[ea] == (k, lengths, word[:raise_pos] + chr(i) + word[raise_pos + 1:]))
             if f_ok and e_ok:
                 continue  # each result is alpha of the model's result, or both vanish
-            for d, pos, letter, a, ok in (("f", lower_pos, i + 1, fa, f_ok),
-                                          ("e", raise_pos, i, ea, e_ok)):
+            for d, a, ok in (("f", fa, f_ok), ("e", ea, e_ok)):
                 if ok:
                     continue
-                ta = None
-                if pos is not None:
-                    try:
-                        ta = _alpha(value, l)[1].moved(pos, letter)  # alpha(b) again
-                    except ValueError as err:
-                        intertwining = intertwining or (
-                            f"{d}_{i} of alpha({name(b)}) is not a tableau: {err}")
-                        continue
+                try:
+                    ta = getattr(_alpha(value, l)[1], d)(i)  # on alpha(b), built again
+                except ValueError as err:
+                    intertwining = intertwining or f"{d}_{i} of alpha({name(b)}) is not a tableau: {err}"
+                    continue
                 if a == UNDEFINED:
                     bad = ta is not None and "alpha breaks vanishing of {}_{} at {}"
                 elif a >= 0:  # the result is None or not alpha(a)

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import importlib
-import math
 import os
 import sys
 from dataclasses import replace
@@ -73,14 +72,8 @@ def _too_large(family: str, n: int, l: int) -> bool:
     """Whether the crystal has more than SIZE_LIMIT elements.  The count is
     summed from its smallest parts up and the sum stops once past the limit,
     so no number much larger than the limit is formed."""
-    if family == "a1":
-        # comb(l + n, n) ** 2; comb(j + n - 1, j) factor values have j letters below n+1
-        parts = (math.comb(j + n - 1, j) for j in range(l + 1))
-        limit = math.isqrt(SIZE_LIMIT)
-    else:  # the shells k = 0..l
-        parts = (family_module(family).shell_size(n, k) for k in range(l + 1))
-        limit = SIZE_LIMIT
-    return any(total > limit for total in accumulate(parts))
+    parts = (family_module(family).shell_size(n, k) for k in range(l + 1))  # the components k = 0..l
+    return any(total > SIZE_LIMIT for total in accumulate(parts))
 
 
 def _write_output(chunks: Iterable[str], out: Optional[str]) -> int:

@@ -25,7 +25,7 @@ from the rows, so it holds pointers, not new ints.  The checks build no
 element object: a failure names its elements by id.  `axiom_checks` and
 `run_theorems` take the level-l table as an argument, so one `verify`
 builds it once.  The axioms run one bulk pass per (label, direction) slot
-and one list comparison per label and statistic; each check reports the
+and one comparison per label and statistic; each check reports the
 least of the slots' first failures.
 
 `stream_graph` formats the DOT or JSON export straight from the table rows
@@ -443,53 +443,36 @@ def check_embedding(domain: OperatorTable, target: OperatorTable, imap, labels, 
 
     Injectivity, then arrow-for-arrow correspondence: a present arrow maps to
     the corresponding arrow; an absent arrow must be absent on the image or
-    escape the image set.
+    escape the image set, so each domain row is the target row pulled back.
     """
     fail = partial(CheckResult, name, category, False)
-    image: dict[int, int] = {}
+    preimage = [UNDEFINED] * (len(target.elems) + 2)  # image owners; OUTSIDE, UNDEFINED read the ends
     for b, c in zip(domain.indices, imap):
         if c < 0:
             return fail(0, f"{domain.element_id(b)} maps outside the target")
-        if c in image:
-            return fail(0, f"map not injective: {domain.element_id(b)} and {domain.element_id(image[c])}")
-        image[c] = b
-    rows = [(d, i, domain.row(d, i), target.row(d, i)) for i in labels for d in ("f", "e")]
-    cases = 0
-    for b, c in enumerate(imap):
-        for direction, i, inner_row, outer_row in rows:
-            cases += 1
-            inner, outer = inner_row[b], outer_row[c]
-            if inner != UNDEFINED:
-                if inner < 0 or outer != imap[inner]:
-                    return fail(
-                        cases, f"arrow {direction}_{i} at {domain.element_id(b)} not preserved")
-            elif outer in image:
-                return fail(
-                    cases, f"extra arrow {direction}_{i} inside the image at {domain.element_id(b)}")
-    return CheckResult(name, category, True, cases)
+        if preimage[c] != UNDEFINED:
+            return fail(0, f"map not injective: {domain.element_id(b)} and {domain.element_id(preimage[c])}")
+        preimage[c] = b
+    keys = [(d, i) for i in labels for d in ("f", "e")]
+    rows = [domain.row(d, i) for d, i in keys]
+    pulled = (tuple(map(preimage.__getitem__, map(target.row(d, i).__getitem__, imap))) for d, i in keys)
+    firsts = [(b, r) for r, b in enumerate(map(_first_difference, rows, pulled)) if b is not None]
+    if not firsts:
+        return CheckResult(name, category, True, len(imap) * len(keys))
+    b, r = min(firsts)  # the least failing (element, row) pair
+    (d, i), inner = keys[r], rows[r][b]
+    message = "arrow {}_{} at {} not preserved" if inner != UNDEFINED else "extra arrow {}_{} inside the image at {}"
+    return fail(b * len(keys) + r + 1, message.format(d, i, domain.element_id(b)))
 
 
-def _chain_lengths(step: Sequence[int]) -> list[int]:
-    """How often `step` applies from each index before it vanishes.
-
-    Each chain is walked once.  An OUTSIDE result ends a chain after one
-    step; indices that walk into a cycle get -4, which no statistic equals.
-    """
-    unknown, on_path, cycle = -2, -3, -4
-    out = [unknown] * len(step)
-    for start in range(len(step)):
-        if out[start] != unknown:
-            continue
-        path, cur = [], start
-        while cur >= 0 and out[cur] == unknown:
-            out[cur] = on_path
-            path.append(cur)
-            cur = step[cur]
-        run = -2 - cur if cur < 0 else out[cur]  # after the path; UNDEFINED -1, OUTSIDE 0
-        for node in reversed(path):
-            run = cycle if run < -1 else run + 1  # below -1: on this path or a cycle
-            out[node] = run
-    return out
+def _chain_length(row: Sequence[int], b: int) -> Optional[int]:
+    """How often `row` applies from index b before it vanishes, an OUTSIDE
+    result counting as one step; None when b walks into a cycle."""
+    for steps in range(len(row) + 1):  # a chain without a cycle ends within len(row) steps
+        if b < 0:
+            return steps if b == OUTSIDE else steps - 1
+        b = row[b]
+    return None
 
 
 def _connected(table: OperatorTable) -> bool:
@@ -507,8 +490,8 @@ def _connected(table: OperatorTable) -> bool:
     return sum(map(eq, parent, table.indices)) <= 1
 
 
-def _first_difference(a: list, b: list) -> Optional[int]:
-    """The first position where the equal-length lists differ, or None."""
+def _first_difference(a: Sequence, b: Sequence) -> Optional[int]:
+    """The first position where the equal-length sequences, of one type, differ, or None."""
     return None if a == b else list(map(ne, a, b)).index(True)
 
 
@@ -518,9 +501,11 @@ def axiom_checks(model, table: Optional[OperatorTable] = None) -> list[CheckResu
 
     Each (label, direction) slot is one bulk pass over its rows; the weight
     step maps interned weight ids to the id of that weight plus the step.
-    Each label compares the kernel's closed `eps`/`phi`, as whole lists,
-    with the chain lengths of its rows.  A check reports the least of the
-    slots' first failures in (element, label, direction) order.
+    Each label checks the kernel's closed `eps`/`phi`, as whole lists, by
+    eps_i(b) = eps_i(e_i b) + 1, 0 where e_i vanishes (phi_i on f_i alike).
+    No cycle obeys that, so it holds iff each value is its `_chain_length`,
+    and a mismatch names the least element where they differ.  Each check
+    reports its least failure in (element, label, direction) order.
     """
     if table is None:
         table = OperatorTable(model)
@@ -549,10 +534,11 @@ def axiom_checks(model, table: Optional[OperatorTable] = None) -> list[CheckResu
             if bad is not None:
                 steps.append((sources[bad], pos, d, f"{op} weight step wrong at {{}}"))
         for closed, row in ((kernel.eps, e), (kernel.phi, f)):
-            bad = _first_difference(list(map(closed, elems, repeat(i), repeat(level))),
-                                    _chain_lengths(row))
-            if bad is not None:
+            stat = [*map(closed, elems, repeat(i), repeat(level)), 0, -1]  # read by OUTSIDE, UNDEFINED
+            if any(map(ne, stat, map(add, map(stat.__getitem__, row), repeat(1)))):  # builds no 2nd list
+                bad = next(b for b in range(len(row)) if stat[b] != _chain_length(row, b))
                 stats.append((bad, pos, 0, f"closed statistics wrong at {{}}, i={i}"))
+        del stat  # not held through the next label's slot lists, which set the peak
     size = len(elems) * len(table.labels)
     checks = []
     for (name, found), cases in zip(failures.items(), (2 * size, size, arrows)):

@@ -70,8 +70,8 @@ def eps_phi(b, i: int) -> tuple[int, int]:
     Definitionally correct for any object exposing e/f; `Iterated` turns
     it into the `eps` and `phi` that `Word`, `Tableau` and `TensorPair`
     share.  The models' kernels are plain functions on values, so their
-    closed statistics are checked against the chain lengths of the operator
-    rows instead.
+    closed statistics are checked by their one-step identity along the
+    operator rows instead.
     """
     eps = phi = 0
     cur = b.e(i)

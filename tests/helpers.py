@@ -4,17 +4,19 @@ highest-weight tableau, tableau and letter-word views of pair values, the
 one-letter crystal operators, the bracketing rule of one label at a time,
 the statistics of a kernel by iterating its operators, weights in
 fundamental coordinates (`pairing`, `fundamental_coeffs` and its inverse),
-and straightforward reference versions of the chain-length and
-connectivity walks of the axiom checks, of the boundary image equality, of
-the DOT export, of the `a1` element ids and kernels, of the hook-content
-count, of the tableau validator and of the `c1` and `d2` kernels'
-operators, statistics and boundary criteria."""
+and straightforward reference versions of the chain-length walk, the
+closed-statistics rule and the connectivity walk of the axiom checks, of
+the full-subgraph check, of the boundary image equality, of the DOT
+export, of the `a1` element ids and kernels, of the hook-content count, of
+the tableau validator and of the `c1` and `d2` kernels' operators,
+statistics and boundary criteria."""
 
 from fractions import Fraction
+from functools import partial
 from operator import gt, lt
 from typing import Iterator, Optional, Sequence
 
-from adjcrys.crystal_graph import OUTSIDE, UNDEFINED, Kernel, LevelModel
+from adjcrys.crystal_graph import OUTSIDE, UNDEFINED, CheckResult, Kernel, LevelModel
 from adjcrys.root_data import Family, RootDatum, in_shell
 from adjcrys.tableaux import Tableau, TensorPair, Word, column_missing, ssyt_count
 
@@ -113,8 +115,8 @@ class ClassicalCrystal(LevelModel):
     are the classical 1..n.
 
     Weight coordinates are contents.  `eps`/`phi` are the tableau's own,
-    which iterate `Tableau.e`/`f` on objects, so `axiom_checks` compares them
-    with the chain lengths of the table's rows: two independent routes.
+    which iterate `Tableau.e`/`f` on objects, so `axiom_checks` checks them
+    by their one-step identity along the table's rows: two independent routes.
     """
 
     family = "A"
@@ -286,6 +288,53 @@ def reference_chain_lengths(step: Sequence[int]) -> list[int]:
             run = cycle if run in (on_path, cycle) else run + 1
             out[node] = run
     return out
+
+
+def reference_stats_check(model, table) -> tuple[bool, int, str]:
+    """(passed, cases, detail) of `axioms/stats-closed-vs-iteration` on the
+    model's table: per label, the closed `eps`/`phi` compared with the
+    chain lengths of the `e`/`f` rows, and the least (element, label)
+    where they differ named."""
+    kernel, elems, labels = model.kernel, table.elems, table.labels
+    firsts = []
+    for pos, i in enumerate(labels):
+        for closed, row in ((kernel.eps, table.e[i]), (kernel.phi, table.f[i])):
+            lengths = reference_chain_lengths(row)
+            firsts += [(b, pos) for b, value in enumerate(elems)
+                       if closed(value, i, model.level) != lengths[b]][:1]
+    cases = len(elems) * len(labels)
+    if not firsts:
+        return True, cases, ""
+    b, pos = min(firsts)
+    return False, cases, f"closed statistics wrong at {model.element_id(elems[b])}, i={labels[pos]}"
+
+
+def reference_check_embedding(domain, target, imap, labels, *, name: str, category: str):
+    """`check_embedding` as first written: injectivity through a dict from
+    each image to its owner, then every (element, label, direction) case in
+    turn, stopping at the first failure."""
+    fail = partial(CheckResult, name, category, False)
+    image: dict[int, int] = {}
+    for b, c in zip(domain.indices, imap):
+        if c < 0:
+            return fail(0, f"{domain.element_id(b)} maps outside the target")
+        if c in image:
+            return fail(0, f"map not injective: {domain.element_id(b)} and {domain.element_id(image[c])}")
+        image[c] = b
+    rows = [(d, i, domain.row(d, i), target.row(d, i)) for i in labels for d in ("f", "e")]
+    cases = 0
+    for b, c in enumerate(imap):
+        for direction, i, inner_row, outer_row in rows:
+            cases += 1
+            inner, outer = inner_row[b], outer_row[c]
+            if inner != UNDEFINED:
+                if inner < 0 or outer != imap[inner]:
+                    return fail(
+                        cases, f"arrow {direction}_{i} at {domain.element_id(b)} not preserved")
+            elif outer in image:
+                return fail(
+                    cases, f"extra arrow {direction}_{i} inside the image at {domain.element_id(b)}")
+    return CheckResult(name, category, True, cases)
 
 
 def reference_connected(table) -> bool:

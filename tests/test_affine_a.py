@@ -3,7 +3,7 @@
 import gc
 import tracemalloc
 from collections import Counter
-from itertools import product
+from itertools import accumulate, product
 
 import pytest
 
@@ -28,11 +28,12 @@ from adjcrys.affine_a import (
     promote_inverse,
     promotion_checks,
     shape_component,
+    shell_size,
     verify_theorems,
 )
 from adjcrys.crystal_graph import OperatorTable, all_passed, render_report
 from adjcrys.root_data import Family, RootDatum
-from adjcrys.tableaux import Tableau, TensorPair
+from adjcrys.tableaux import Tableau, TensorPair, ssyt_count
 import helpers
 from helpers import (
     fundamental_coeffs,
@@ -248,6 +249,13 @@ def test_component_sizes_sum_to_total():
     assert [KERNEL.component(b, 1) for b in KERNEL.values(2, 1)].count(1) == 8
     assert shape_component(2, 1) == (2, 1)
     assert shape_component(3, 2) == (4, 2, 2)
+
+
+def test_shell_size_counts_each_component():
+    for n in range(1, 7):
+        sizes = [shell_size(n, k) for k in range(9)]
+        assert sizes == [ssyt_count(shape_component(n, k), n + 1) for k in range(9)]
+        assert list(accumulate(sizes)) == [expected_size(n, l) for l in range(9)]
 
 
 def test_promotion_checks_pass():

@@ -1,11 +1,13 @@
 """Graph construction, structural checks, and the two export formats."""
 
 import copy
+import dataclasses
 import gc
 import json
 import math
 import tracemalloc
 from collections import Counter
+from functools import cache, partial
 from types import SimpleNamespace
 
 import pytest
@@ -35,9 +37,11 @@ from adjcrys.crystal_graph import (
 from helpers import (
     ClassicalCrystal,
     reference_chain_lengths,
+    reference_check_embedding,
     reference_connected,
     reference_dot,
     reference_image_equality,
+    reference_stats_check,
 )
 
 
@@ -396,9 +400,116 @@ def rows(draw, count=1):
 
 
 @given(rows())
+@example([(OUTSIDE, 0)])  # index 1 walks to 0 and then leaves the enumeration
+@example([(0, 0)])  # a self-loop at 0, and index 1 feeding into it
+@example([(OUTSIDE,) + tuple(range(499))])  # 500 steps from the last index, one per entry
 def test_chain_lengths_match_the_reference(drawn):
-    (step,) = drawn
-    assert crystal_graph._chain_lengths(step) == reference_chain_lengths(step)
+    (row,) = drawn
+    expected = [None if n == -4 else n for n in reference_chain_lengths(row)]  # -4 marks a cycle
+    assert [crystal_graph._chain_length(row, b) for b in range(len(row))] == expected
+
+
+STAT_MODELS = {"a1": partial(CrystalA, 2, 2), "c1": partial(CrystalC, 2, 2)}
+
+
+@cache
+def _stat_table(family):
+    """The family's table, shared by every example."""
+    return OperatorTable(STAT_MODELS[family]())
+
+
+@st.composite
+def stat_offsets(draw):
+    """A family and up to three (element, label, statistic, offset) changes
+    of its closed statistics."""
+    family = draw(st.sampled_from(sorted(STAT_MODELS)))
+    table = _stat_table(family)
+    change = st.tuples(st.integers(0, len(table.elems) - 1), st.sampled_from(table.labels),
+                       st.sampled_from(("eps", "phi")), st.sampled_from((-2, -1, 1, 2)))
+    return family, draw(st.lists(change, max_size=3))
+
+
+@given(stat_offsets())
+def test_stats_check_matches_the_reference_rule(drawn):
+    family, changes = drawn
+    table = _stat_table(family)
+    model = copy.copy(table.model)
+    shift = Counter()
+    for b, i, stat, offset in changes:
+        shift[table.elems[b], i, stat] += offset
+    model.kernel = dataclasses.replace(model.kernel, **{
+        stat: lambda value, i, l, closed=getattr(model.kernel, stat), stat=stat:
+            closed(value, i, l) + shift[value, i, stat]
+        for stat in ("eps", "phi")})
+    (line,) = [c for c in axiom_checks(model, table) if c.name == "stats-closed-vs-iteration"]
+    assert (line.passed, line.cases, line.details) == reference_stats_check(model, table)
+
+
+@st.composite
+def embeddings(draw):
+    """A fake domain and target table, labels and an index map: the target
+    rows follow the domain's through the map, an absent arrow staying
+    absent or leaving the image, and then up to two entries of the target
+    rows or of the map are drawn afresh."""
+    labels = (0, 1)[:draw(st.integers(1, 2))]
+    keys = [(d, i) for i in labels for d in ("f", "e")]
+    inner = dict(zip(keys, draw(rows(len(keys)))))
+    size = len(inner[keys[0]])
+    width = size + draw(st.integers(0, 3))
+    imap = draw(st.permutations(range(width)))[:size]
+    code = st.sampled_from((UNDEFINED, OUTSIDE) + tuple(range(width)))
+    off = st.sampled_from((UNDEFINED, OUTSIDE) + tuple(c for c in range(width) if c not in imap))
+    outer = {key: [draw(code) for _ in range(width)] for key in keys}
+    for key, row in inner.items():
+        for b, a in enumerate(row):
+            outer[key][imap[b]] = imap[a] if a >= 0 else draw(off)
+    for _ in range(draw(st.integers(0, 2))):
+        changed = draw(st.sampled_from([imap] + list(outer.values())))
+        if changed:
+            changed[draw(st.integers(0, len(changed) - 1))] = draw(code)
+
+    def table(rows_by_key, n):
+        return SimpleNamespace(elems=range(n), indices=list(range(n)), element_id=str,
+                               row=lambda d, i: tuple(rows_by_key[d, i]))
+
+    return table(inner, size), table(outer, width), imap, labels
+
+
+@given(embeddings())
+def test_check_embedding_matches_the_reference(drawn):
+    domain, target, imap, labels = drawn
+    assert check_embedding(domain, target, imap, labels, name="n", category="c") == (
+        reference_check_embedding(domain, target, imap, labels, name="n", category="c"))
+
+
+EMBEDDINGS = {"a1": (CrystalA, affine_a.SPEC.include), "c1": (CrystalC, affine_c.SPEC.include)}
+
+
+@cache
+def _embedding_tables(family):
+    model, include = EMBEDDINGS[family]
+    small, big = OperatorTable(model(2, 1)), OperatorTable(model(2, 2))
+    return small, big, compile_map(small, big, include)
+
+
+@given(st.sampled_from(sorted(EMBEDDINGS)), st.sampled_from(("swap", "off-image", "outside", "collide")),
+       st.data())
+def test_check_embedding_matches_the_reference_on_corrupted_maps(family, corruption, data):
+    small, big, true_map = _embedding_tables(family)
+    imap = list(true_map)
+    a, b = (data.draw(st.integers(0, len(imap) - 1)) for _ in range(2))
+    if corruption == "swap":
+        imap[a], imap[b] = imap[b], imap[a]
+    elif corruption == "off-image":
+        imap[b] = data.draw(st.sampled_from([c for c in big.indices if c not in true_map]))
+    elif corruption == "outside":
+        imap[b] = OUTSIDE
+    else:
+        imap[b] = imap[a]
+    labels = big.labels
+    result = check_embedding(small, big, imap, labels, name="n", category="c")
+    assert result == reference_check_embedding(small, big, imap, labels, name="n", category="c")
+    assert result.passed == (imap == true_map)
 
 
 HALF = 12

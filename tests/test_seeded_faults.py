@@ -600,6 +600,19 @@ def test_closed_statistics_report_the_first_element(monkeypatch):
         138, f"closed statistics wrong at {_A_ID}, i=2")}
 
 
+def test_closed_statistic_on_a_cycle_is_a_failure(monkeypatch):
+    # f_1 is a self-loop at C, so no phi_1 value there is a chain length;
+    # the closed phi_1 reads -4, a value no chain length takes either
+    c = (0, 0, 2, 0)
+    f, phi = affine_c.KERNEL.f, affine_c.KERNEL.phi
+    monkeypatch.setattr(affine_c.KERNEL, "f", lambda x, i, l: x if (x, i) == (c, 1) else f(x, i, l))
+    monkeypatch.setattr(affine_c.KERNEL, "phi", lambda x, i, l: -4 if (x, i) == (c, 1) else phi(x, i, l))
+    failures = _failures("c1", 2, 1, "axioms")
+    assert failures["axioms/stats-closed-vs-iteration"] == (
+        33, "closed statistics wrong at C2:x=0,0;xb=2,0, i=1")
+    assert failures["axioms/ef-inverse"] == (66, "e_1 not inverted at C2:x=0,0;xb=1,1")
+
+
 def test_theta1_on_a_rotated_column_factor(monkeypatch):
     # the model adds the letter 1 and the column missing 1 to (x, y) itself
     original = affine_a.SPEC.include
