@@ -101,9 +101,6 @@ def _write_output(chunks: Iterable[str], out: Optional[str]) -> int:
 
 
 def cmd_graph(args, module) -> int:
-    bad = _check_bounds(args, module)
-    if bad is not None:
-        return bad
     if args.component is not None and not 0 <= args.component <= args.level:
         return _fail_usage(f"component {args.component} out of range 0..{args.level}")
     model = module.SPEC.model(args.rank, args.level, args.component)
@@ -143,9 +140,6 @@ def _verification_report(family: str, rank: int, level: int, selector: str):
 
 
 def cmd_verify(args, module) -> int:
-    bad = _check_bounds(args, module)
-    if bad is not None:
-        return bad
     if args.check in A1_ONLY_CHECKS and args.family != "a1":
         return _fail_usage(f"check {args.check!r} only applies to family a1")
     report = _verification_report(args.family, args.rank, args.level, args.check)
@@ -201,9 +195,6 @@ def _parse_word(text: str, n: int) -> list[tuple[str, int]]:
 
 
 def cmd_apply(args, module) -> int:
-    bad = _check_bounds(args, module)
-    if bad is not None:
-        return bad
     try:
         current = _parse_start(args, module)
         ops = _parse_word(args.word, args.rank)
@@ -267,7 +258,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args, family_module(args.family))
+    module = family_module(args.family)
+    return _check_bounds(args, module) or args.func(args, module)
 
 
 if __name__ == "__main__":

@@ -50,10 +50,11 @@ maps with the step by which each raises level and component, an optional
 coordinate boundary and an extras hook for family-specific embedding checks.
 It builds the tables of levels l-1 and, for maps raising two levels, l-2,
 turns each map into an index map and counts the weights off the maps'
-images, all once per run, then reports the category asked.
-The shell predicates of `root_data` read the table's weight tuples, and the
-f_0 landing adds theta to them as the tuple `model.root_step(0)`, so a
-passing run calls `RootDatum.weight` for the root steps, not per element.
+images, all once per run, then reports the category asked.  The boundary
+checks read shell masks made by one `root_data.shell` call per distinct
+level-l weight; the other shell predicates read the weight tuples, and the
+f_0 landing adds theta as the tuple `model.root_step(0)`, so a passing run
+calls `RootDatum.weight` for the root steps, not per element.
 """
 
 from __future__ import annotations
@@ -64,10 +65,11 @@ from dataclasses import dataclass
 from functools import cache, cached_property, partial
 from itertools import chain, compress, count, repeat
 from json.encoder import encode_basestring_ascii
-from operator import add, eq, gt, ne, neg, not_
+from math import inf
+from operator import add, eq, gt, lt, ne, neg, not_
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
-from .root_data import Family, RootDatum, classify_shift, in_shell, on_boundary
+from .root_data import Family, RootDatum, classify_shift, in_shell, on_boundary, shell
 
 
 # ---------------------------------------------------------------------------
@@ -616,6 +618,18 @@ class TheoremRun:
         self.complement = list(compress(big.indices, map(not_, self.images)))
         self.complement_weights = Counter(big.weight[b] for b in self.complement)
 
+    @cached_property
+    def shell_masks(self) -> tuple[bytearray, bytearray]:
+        """Byte masks over the level-l indices, 1 where the weight lies inside
+        (k-1)*theta and where on k*theta, k the component; `shell` runs once
+        per distinct weight, and one in no shell is in neither.  Made on
+        first read, so the sections that set the run's peak do not hold them."""
+        big = self.big
+        weights = dict.fromkeys(big.weight)
+        shells = {w: inf if s is None else s for w, s in zip(weights, map(shell, repeat(self.family), weights))}
+        return (bytearray(map(lt, map(shells.__getitem__, big.weight), big.comp)),
+                bytearray(map(eq, map(shells.__getitem__, big.weight), big.comp)))
+
     def embedding_checks(self) -> list[CheckResult]:
         checks = list(self.spec.extras(self)) if self.spec.extras else []
         checks.append(check_embedding(
@@ -645,9 +659,7 @@ class TheoremRun:
         return [merge_checks(column) for column in zip(*parts)]
 
     def boundary_checks(self) -> list[CheckResult]:
-        big, l, family, comp = self.big, self.l, self.family, self.big.comp
-        # 1 at each level-l index whose weight lies inside (k-1)*theta, k its component
-        inner = bytearray(map(in_shell, repeat(family), big.weight, map(add, comp, repeat(-1))))
+        big, l, comp, (inner, boundary) = self.big, self.l, self.big.comp, self.shell_masks
         reached = bytearray(len(comp))  # 1 at each inner index a level map hits from its component
         differ = set()  # each k whose images (by source component + step) and inner indices differ
         for _, step, domain, imap in self.level_maps:
@@ -665,12 +677,8 @@ class TheoremRun:
         )]
         coordinate = self.spec.coordinate_boundary
         if coordinate is not None:
-            bad = next(
-                (f"coordinate boundary criterion fails at {big.element_id(b)}"
-                 for b, value in enumerate(big.elems)
-                 if coordinate(value) != on_boundary(family, big.weight[b], big.comp[b])),
-                "",
-            )
+            b = next(compress(big.indices, map(ne, map(coordinate, big.elems), boundary)), None)
+            bad = "" if b is None else f"coordinate boundary criterion fails at {big.element_id(b)}"
             checks.append(CheckResult(
                 "coordinate-criterion", "boundary", not bad, len(big.elems), bad,
             ))
@@ -712,7 +720,7 @@ class TheoremRun:
         and uniqueness of the landing element by weight.
         """
         big, l, family = self.big, self.l, self.family
-        images, weight_counts = self.images, self.complement_weights
+        images, weight_counts, boundary = self.images, self.complement_weights, self.shell_masks[1]
         theta = big.model.root_step(0)
         f0 = big.f[0]
 
@@ -728,7 +736,7 @@ class TheoremRun:
             if z == UNDEFINED:
                 continue
             comp_cases += 1
-            if not on_boundary(family, mu, k):
+            if not boundary[b]:
                 comp_bad = comp_bad or f"{big.element_id(b)} escapes the level-raising images but is not on its boundary shell"
                 continue
             target = k + classify_shift(family, mu, k).value

@@ -2,19 +2,21 @@
 
 Weights are plain tuples of integers (m_1, ..., m_dim).  For family A the
 tuple has n+1 entries normalized to sum to zero; `RootDatum.weight` rejects
-violating input rather than renormalizing it.  The shell predicates decide
-whether a weight occurs in the irreducible highest-weight module with highest
-weight k*theta, where theta is the distinguished root of the family (the
-highest root for A and C, the highest short root for B), and how the shell
-index moves under adding theta to a weight sitting on the outermost shell.
-They take the family and the weight's coordinate tuple, as the operator
-tables hold it, and trust the tuple to have the family's form.
+violating input rather than renormalizing it.  `shell` gives the least k
+whose irreducible module with highest weight k*theta holds a weight, theta
+the family's distinguished root (the highest root for A and C, the highest
+short root for B), and is the one place each family's criterion is written.
+`in_shell`, `on_boundary` and `classify_shift`, the move of that index
+under adding theta on the outermost shell, read it.  They take the family
+and the weight's coordinate tuple, as the operator tables hold it, and
+trust the tuple to have the family's form.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from typing import Optional
 
 
 class Family(Enum):
@@ -75,37 +77,34 @@ class RootDatum:
         return self.weight(coeffs)
 
 
-def in_shell(family: Family, coords, k: int) -> bool:
-    """Whether the weight mu with coordinates `coords` lies in the module
-    with highest weight k*theta.
+def shell(family: Family, coords) -> Optional[int]:
+    """The least k >= 0 whose module with highest weight k*theta holds the
+    weight mu with coordinates `coords`, or None when no k does.
 
-    Criteria: sum of positive coordinates <= k (A); |mu| even and <= 2k (C);
-    |mu| <= k (B).  k < 0 gives False (empty module).
+    Criteria: the sum of positive coordinates (A); |mu|/2, None for odd
+    |mu| (C); |mu| (B).
     """
-    if k < 0:
-        return False
     if family is Family.A:
-        return sum(c for c in coords if c > 0) <= k
+        return sum(c for c in coords if c > 0)
     s = sum(map(abs, coords))
     if family is Family.C:
-        return s % 2 == 0 and s <= 2 * k
-    return s <= k
+        return None if s % 2 else s // 2
+    return s
+
+
+def in_shell(family: Family, coords, k: int) -> bool:
+    """Whether the weight mu with coordinates `coords` lies in the module
+    with highest weight k*theta: its `shell` is at most k.  k < 0 gives
+    False (empty module)."""
+    s = shell(family, coords)
+    return s is not None and s <= k
 
 
 def on_boundary(family: Family, coords, k: int) -> bool:
     """Whether the weight mu with coordinates `coords` sits on the outermost
-    shell: in k*theta but not (k-1)*theta.
-
-    Computed from the closed criteria (positive sum = k for A, |mu| = 2k for
-    C, |mu| = k for B); agreement with the two-call route through `in_shell`
-    is a tested invariant.
-    """
-    if k < 0:
-        return False
-    if family is Family.A:
-        return sum(c for c in coords if c > 0) == k
-    s = sum(map(abs, coords))
-    return s == (2 * k if family is Family.C else k)
+    shell, in k*theta but not (k-1)*theta: its `shell` is k.  It agrees
+    with the two-call route through `in_shell` by construction."""
+    return shell(family, coords) == k
 
 
 class ShellStep(Enum):
@@ -125,7 +124,7 @@ def classify_shift(family: Family, coords, k: int) -> ShellStep:
     {>= 0, == -1, <= -2}; B never produces SAME.  Raises ValueError when mu
     is not on the boundary shell (the criteria assume it).
     """
-    if not on_boundary(family, coords, k):
+    if shell(family, coords) != k:
         raise ValueError(f"weight {tuple(coords)} is not on the boundary shell for k={k}")
     first = coords[0]
     if family is Family.A:

@@ -6,10 +6,11 @@ the statistics of a kernel by iterating its operators, weights in
 fundamental coordinates (`pairing`, `fundamental_coeffs` and its inverse),
 and straightforward reference versions of the chain-length walk, the
 closed-statistics rule and the connectivity walk of the axiom checks, of
-the full-subgraph check, of the boundary image equality, of the DOT
-export, of the `a1` element ids and kernels, of the hook-content count, of
-the tableau validator and of the `c1` and `d2` kernels' operators,
-statistics and boundary criteria."""
+the full-subgraph check, of the two shell criteria, written one per family
+each, of the boundary image equality, of the DOT export, of the `a1`
+element ids and kernels, of the hook-content count, of the tableau
+validator and of the `c1` and `d2` kernels' operators, statistics and
+boundary criteria."""
 
 from fractions import Fraction
 from functools import partial
@@ -17,7 +18,7 @@ from operator import gt, lt
 from typing import Iterator, Optional, Sequence
 
 from adjcrys.crystal_graph import OUTSIDE, UNDEFINED, CheckResult, Kernel, LevelModel
-from adjcrys.root_data import Family, RootDatum, in_shell
+from adjcrys.root_data import Family, RootDatum
 from adjcrys.tableaux import Tableau, TensorPair, Word, column_missing, ssyt_count
 
 
@@ -360,6 +361,31 @@ def reference_connected(table) -> bool:
     return len(queue) == size
 
 
+def reference_in_shell(family: Family, coords, k: int) -> bool:
+    """Whether mu lies in the module with highest weight k*theta: sum of
+    positive coordinates <= k (A); |mu| even and <= 2k (C); |mu| <= k (B).
+    k < 0 gives False (empty module)."""
+    if k < 0:
+        return False
+    if family is Family.A:
+        return sum(c for c in coords if c > 0) <= k
+    s = sum(map(abs, coords))
+    if family is Family.C:
+        return s % 2 == 0 and s <= 2 * k
+    return s <= k
+
+
+def reference_on_boundary(family: Family, coords, k: int) -> bool:
+    """Whether mu is in k*theta but not (k-1)*theta, by its own closed
+    criteria: positive sum = k (A); |mu| = 2k (C); |mu| = k (B)."""
+    if k < 0:
+        return False
+    if family is Family.A:
+        return sum(c for c in coords if c > 0) == k
+    s = sum(map(abs, coords))
+    return s == (2 * k if family is Family.C else k)
+
+
 def reference_image_equality(run) -> tuple[int, str]:
     """The cases and detail of `boundary/image-equality` on a `TheoremRun`,
     by one set of level-l codes per component: the images of the level maps
@@ -374,7 +400,7 @@ def reference_image_equality(run) -> tuple[int, str]:
                 images[k].add(c)
     inner = [set() for _ in range(l + 1)]
     for b, k in enumerate(big.comp):
-        if in_shell(run.family, big.weight[b], k - 1):
+        if reference_in_shell(run.family, big.weight[b], k - 1):
             inner[k].add(b)
     bad = next((f"image description fails in component k={k}"
                 for k in range(l + 1) if images[k] != inner[k]), "")

@@ -17,6 +17,7 @@ from adjcrys import affine_a, affine_c, affine_d2, crystal_graph
 from adjcrys.affine_a import CrystalA
 from adjcrys.affine_c import CrystalC
 from adjcrys.affine_d2 import CrystalD2
+from adjcrys.cli import main
 from adjcrys.crystal_graph import (
     OUTSIDE,
     UNDEFINED,
@@ -587,6 +588,22 @@ BOUNDARY_RUNS = {
     for family, spec, n, l in (("a1", affine_a.SPEC, 2, 2), ("c1", affine_c.SPEC, 2, 2),
                                ("d2", affine_d2.SPEC, 2, 3))
 }
+
+
+@pytest.mark.parametrize("check", ["boundary", "all"])
+def test_verify_reads_the_shell_of_each_distinct_weight_once(check, monkeypatch, capsys):
+    """`verify --check boundary`, and `all`, whose boundary and f_0 landing
+    sections both read the shell masks, call `shell` once per distinct
+    level-l weight, not once per element, and the report still passes."""
+    calls = Counter()
+    original = crystal_graph.shell
+    monkeypatch.setattr(crystal_graph, "shell",
+                        lambda family, coords: calls.update([coords]) or original(family, coords))
+    assert main(["verify", "--family", "c1", "--rank", "3", "--level", "3", "--check", check]) == 0
+    assert " 0 failed" in capsys.readouterr().out
+    table = OperatorTable(CrystalC(3, 3))
+    assert len(set(table.weight)) < len(table.elems)
+    assert calls == Counter(dict.fromkeys(table.weight, 1))
 
 
 def _with_level_maps(run, maps):

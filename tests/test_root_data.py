@@ -4,7 +4,7 @@ from itertools import product
 from operator import add
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from adjcrys import affine_a, affine_c, affine_d2
 from adjcrys.affine_a import shape_component
@@ -15,8 +15,16 @@ from adjcrys.root_data import (
     classify_shift,
     in_shell,
     on_boundary,
+    shell,
 )
-from helpers import all_ssyt, fundamental_coeffs, pairing, weight_from_fundamental
+from helpers import (
+    all_ssyt,
+    fundamental_coeffs,
+    pairing,
+    reference_in_shell,
+    reference_on_boundary,
+    weight_from_fundamental,
+)
 
 A2 = RootDatum(Family.A, 2)
 C2 = RootDatum(Family.C, 2)
@@ -42,6 +50,16 @@ def weights(draw, max_rank=4, bound=6):
     if family is Family.A:
         coeffs[-1] = -sum(coeffs[:-1])
     return datum, datum.weight(coeffs)
+
+
+@st.composite
+def coordinate_tuples(draw, max_rank=4, bound=6):
+    """A family and `dim` coordinates in -bound..bound for one of its ranks,
+    not normalized: a family A tuple need not sum to zero."""
+    family = draw(st.sampled_from(list(Family)))
+    rank = draw(st.integers(2 if family is Family.C else 1, max_rank))
+    dim = RootDatum(family, rank).dim
+    return family, tuple(draw(st.lists(st.integers(-bound, bound), min_size=dim, max_size=dim)))
 
 
 def test_theta():
@@ -125,6 +143,16 @@ def test_in_shell_examples():
         assert in_shell(datum.family, (0,) * datum.dim, 0)
 
 
+def test_shell_examples():
+    assert shell(Family.A, (1, 0, -1)) == 1
+    assert shell(Family.A, (-1, 2, -1)) == 2
+    assert shell(Family.C, (1, 1)) == 1
+    assert shell(Family.C, (1, 0)) is None  # odd |mu| lies in no shell
+    assert shell(Family.B, (1, -1)) == 2
+    for datum in (A2, C2, B2):
+        assert shell(datum.family, (0,) * datum.dim) == 0
+
+
 def test_on_boundary_examples():
     assert on_boundary(Family.C, (1, 1), 1)
     assert on_boundary(Family.B, (0, 0, 0), 0)
@@ -189,6 +217,20 @@ def test_classify_shift_consistency():
 def test_boundary_routes_agree_random(weight, k):
     datum, mu = weight
     assert _boundary_routes_agree(datum.family, mu, k)
+
+
+@given(coordinate_tuples(), st.integers(-2, 8))
+@example((Family.C, (1, 0)), 0)
+@example((Family.C, (-3, 0, 0)), 2)
+def test_shell_predicates_match_the_twin_criteria(weight, k):
+    """`in_shell` and `on_boundary` read `shell` and agree with the closed
+    criteria written out per predicate; `shell` is the least k that
+    `reference_in_shell` takes, None when it takes none."""
+    family, coords = weight
+    assert in_shell(family, coords, k) == reference_in_shell(family, coords, k)
+    assert on_boundary(family, coords, k) == reference_on_boundary(family, coords, k)
+    least = next((j for j in range(6 * len(coords) + 1) if reference_in_shell(family, coords, j)), None)
+    assert shell(family, coords) == least
 
 
 @given(weights(), st.integers(0, 5))

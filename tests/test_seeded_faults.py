@@ -268,6 +268,23 @@ def _patch_weight_adds_xbar_n(monkeypatch):
     monkeypatch.setattr(affine_c.KERNEL, "weight", weight)
 
 
+def test_c1_weight_in_no_shell(monkeypatch):
+    original = affine_c.KERNEL.weight
+
+    def weight(x):
+        out = list(original(x))
+        out[0] += x[0] == 1  # the model has mu_1 = x_1 - xbar_1; the extra unit makes |mu| odd
+        return tuple(out)
+
+    monkeypatch.setattr(affine_c.KERNEL, "weight", weight)
+    assert _failures("c1", 2, 2, "boundary") == {
+        "boundary/image-equality": (12, "image description fails in component k=1"),
+        "boundary/coordinate-criterion": (46, "coordinate boundary criterion fails at C2:x=1,0;xb=1,0"),
+    }
+    assert _failures("c1", 2, 2, "f0-landing") == {"f0-landing/landing-component": (
+        16, "C2:x=1,0;xb=1,0 escapes the level-raising images but is not on its boundary shell")}
+
+
 def test_c1_weight_adds_xbar_n(monkeypatch):
     _patch_weight_adds_xbar_n(monkeypatch)
     failures = _failures("c1", 2, 2, "multiplicity")
