@@ -29,12 +29,15 @@ and one comparison per label and statistic; each check reports the
 least of the slots' first failures.
 
 `stream_graph` formats the DOT or JSON export straight from the table rows
-and yields it in batches of a few thousand records.  It keeps only what
-the export reads: the table, with its value -> index dict, is let go before
-the ids are built, and the values once the ids and the node order exist.
-From then on it holds the `f` rows, components, weights, one token per
-element and two orders of the shared indices, but no `Vertex`, `Edge` or
-whole document.  Nodes come in `sort_key` order; edges by source id, then
+and yields it in batches of a few hundred records.  It keeps only what the
+export reads, in this order: the table, with its value -> index dict, is
+let go first; the node order is sorted by `sort_key` while only the values
+exist; then each value gives way to its id in the one list, so the values
+and the ids never all exist at once; the id order is sorted; and for JSON
+each id gives way to its token.  From then on it holds the `f` rows,
+components, weights, one token per element and two orders of the shared
+indices, but no `Vertex`, `Edge` or whole document.  Only the JSON layout
+imports `json`.  Nodes come in `sort_key` order; edges by source id, then
 by label.  Each f_i is a function and the ids are distinct, so that is the
 (src, label, dst) order without sorting the edges.  An edge line is its
 source's prefix, the destination's token and its label's suffix, and each
@@ -59,12 +62,10 @@ calls `RootDatum.weight` for the root steps, not per element.
 
 from __future__ import annotations
 
-import json
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 from functools import cache, cached_property, partial
 from itertools import chain, compress, count, repeat
-from json.encoder import encode_basestring_ascii
 from math import inf
 from operator import add, eq, gt, lt, ne, neg, not_
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
@@ -160,10 +161,12 @@ def export(graph: CrystalGraph, fmt: str) -> bytes:
 
 def stream_graph(model, fmt: str) -> Iterator[str]:
     """The text of `export(build_graph(model), fmt)`, in chunks of a few
-    thousand records formatted straight from the operator table.
+    hundred records formatted straight from the operator table.
 
-    Builds no `Vertex`, `Edge` or whole document.  Raises ValueError when an
-    f_i result is missing from the enumeration, before the first chunk.
+    The parts come from `_graph_parts` (node order, then ids, then id
+    order); then each id gives way to its token.  Builds no `Vertex`, `Edge`
+    or whole document.  Raises ValueError when an f_i result is missing from
+    the enumeration, before the first chunk.
     """
     name, node, prefix, suffix, chunks = _layout(fmt)
     rows, comp, weight, names, by_node, by_id = _graph_parts(model)
@@ -182,10 +185,11 @@ def _graph_parts(model) -> tuple[list, list, list, list[str], list[int], list[in
     label order, each index's component and weight, the element ids, and
     the table's indices in node (`sort_key`) order and in id order.
 
-    The table is let go before the ids are built, which frees its value ->
-    index dict, and the values once the ids and the node order exist.
-    ValueError at the first f_i row (in label order) that leaves the
-    enumeration, at its first element.
+    The table is let go first, which frees its value -> index dict.  The
+    node order is sorted before any id exists; then each value gives way
+    to its id in the one list, so the values and the ids never all exist
+    at once; the id order comes last.  ValueError at the first f_i row (in
+    label order) that leaves the enumeration, at its first element.
     """
     table = OperatorTable(model)
     rows, comp, weight, indices, elems = table.f, table.comp, table.weight, table.indices, table.elems
@@ -194,9 +198,10 @@ def _graph_parts(model) -> tuple[list, list, list, list[str], list[int], list[in
         if OUTSIDE in row:
             first = elems[row.index(OUTSIDE)]
             raise ValueError(f"f_{i} leaves the enumeration at {model.element_id(first)}")
-    ids = list(map(model.element_id, elems))
     nodes = sorted(indices, key=lambda b: model.sort_key(elems[b]))
-    del elems
+    ids = elems
+    for b, value in enumerate(ids):
+        ids[b] = model.element_id(value)
     return sorted(rows.items()), comp, weight, ids, nodes, sorted(indices, key=ids.__getitem__)
 
 
@@ -206,7 +211,7 @@ def _graph_parts(model) -> tuple[list, list, list, list[str], list[int], list[in
 # writes; a node line is `node(name, k, weight)`, an edge line `prefix(src
 # name) + dst name + suffix(label)`; `chunks` yields the text from batches.
 
-_BATCH = 4096
+_BATCH = 512
 
 
 def _batches(records: Sequence, per: int = 1) -> Iterator[Sequence]:
@@ -249,10 +254,10 @@ def _json_records(batches) -> Iterator[str]:
     yield "]" if sep == "\n" else "\n  ]"
 
 
-def _json_chunks(family, rank, level, nodes, edges) -> Iterator[str]:
+def _json_chunks(dumps, family, rank, level, nodes, edges) -> Iterator[str]:
     yield (
-        f'{{\n  "family": {json.dumps(family)},\n  "rank": {json.dumps(rank)},\n'
-        f'  "level": {json.dumps(level)},\n  "nodes": ['
+        f'{{\n  "family": {dumps(family)},\n  "rank": {dumps(rank)},\n'
+        f'  "level": {dumps(level)},\n  "nodes": ['
     )
     yield from _json_records(nodes)
     yield ',\n  "edges": ['
@@ -261,6 +266,9 @@ def _json_chunks(family, rank, level, nodes, edges) -> Iterator[str]:
 
 
 def _json() -> tuple:
+    import json  # here, not at module level: only a JSON export loads json
+    from json.encoder import encode_basestring_ascii
+
     ks, weights = cache(json.dumps), cache(_json_coords)
     return (
         encode_basestring_ascii,  # the escape of json.dumps(str): the same bytes
@@ -268,7 +276,7 @@ def _json() -> tuple:
             f'    {{\n      "id": {name},\n      "k": {ks(k)},\n      "weight": {weights(weight)}\n    }}',
         lambda src: f'    {{\n      "src": {src},\n      "dst": ',
         cache(lambda label: f',\n      "i": {label}\n    }}'),
-        _json_chunks,
+        partial(_json_chunks, json.dumps),
     )
 
 

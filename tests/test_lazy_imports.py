@@ -22,7 +22,8 @@ ENV = dict(os.environ, PYTHONPATH=os.pathsep.join(
 PROBE = """
 import os, sys
 {setup}
-print(repr((sorted(m for m in sys.modules if m.startswith("adjcrys.")), "fractions" in sys.modules)))
+print(repr((sorted(m for m in sys.modules if m.startswith("adjcrys.")),
+            "fractions" in sys.modules, "json" in sys.modules)))
 """
 RUN_CLI = """
 from contextlib import redirect_stdout
@@ -34,8 +35,8 @@ with open(os.devnull, "w") as null, redirect_stdout(null):
 BASE = ["adjcrys.cli", "adjcrys.crystal_graph", "adjcrys.root_data"]
 
 
-def loaded(setup: str) -> tuple[list[str], bool]:
-    """The sorted adjcrys.* modules and whether fractions is loaded, after setup."""
+def loaded(setup: str) -> tuple[list[str], bool, bool]:
+    """The sorted adjcrys.* modules and whether fractions and json are loaded, after setup."""
     proc = subprocess.run([sys.executable, "-c", PROBE.format(setup=setup)],
                           capture_output=True, text=True, env=ENV, timeout=60)
     assert proc.returncode == 0, proc.stderr
@@ -43,11 +44,11 @@ def loaded(setup: str) -> tuple[list[str], bool]:
 
 
 def test_bare_import_loads_no_submodule():
-    assert loaded("import adjcrys") == ([], False)
+    assert loaded("import adjcrys") == ([], False, False)
 
 
 def test_cli_import_loads_only_what_every_command_runs():
-    assert loaded("import adjcrys.cli") == (BASE, False)
+    assert loaded("import adjcrys.cli") == (BASE, False, False)
 
 
 @pytest.mark.parametrize(("argv", "family"), [
@@ -55,13 +56,16 @@ def test_cli_import_loads_only_what_every_command_runs():
     ("verify --family d2 --rank 2 --level 1", "affine_d2"),
     ("verify --family a1 --rank 2 --level 1", "affine_a"),
     ("graph --family d2 --rank 2 --level 1", "affine_d2"),
+    ("graph --family c1 --rank 2 --level 1 --format dot", "affine_c"),
     ("apply --family c1 --rank 2 --level 1 --start highest-of --word f1", "affine_c"),
 ])
 def test_a_command_loads_only_its_own_family(argv, family):
-    """Only a1 needs the tableau oracle, and no command loads fractions."""
+    """Only a1 needs the tableau oracle, only a JSON export (the `graph`
+    default) loads json, and no command loads fractions."""
     extra = ["adjcrys.tableaux"] if family == "affine_a" else []
     want = sorted(BASE + ["adjcrys.counting", f"adjcrys.{family}"] + extra)
-    assert loaded(RUN_CLI.format(argv=argv.split())) == (want, False)
+    json = argv.startswith("graph") and "--format dot" not in argv
+    assert loaded(RUN_CLI.format(argv=argv.split())) == (want, False, json)
 
 
 EXPORTS = {  # name in the package -> (submodule, name there)
