@@ -318,11 +318,8 @@ def _theta1_checks(run) -> list[CheckResult]:
     vanishes below, the image sits one zero-node step from component l."""
     small, big, theta1 = run.small, run.big, run.embedding
     checks = [
-        check_map(
-            small, theta1, lambda b, c: big.comp[c] == small.comp[b],
-            "component changed by the level map at {}",
-            name="theta1-component", category="embedding",
-        ),
+        check_map(small, theta1, big.comp, small.comp, "component changed by the level map at {}",
+                  name="theta1-component", category="embedding"),
         check_commutation(small, big, theta1, run.labels0, False,
                           name="theta1-classical-commute", category="embedding"),
         check_commutation(small, big, theta1, (0,), True,

@@ -53,11 +53,13 @@ maps with the step by which each raises level and component, an optional
 coordinate boundary and an extras hook for family-specific embedding checks.
 It builds the tables of levels l-1 and, for maps raising two levels, l-2,
 turns each map into an index map and counts the weights off the maps'
-images, all once per run, then reports the category asked.  The boundary
-checks read shell masks made by one `root_data.shell` call per distinct
-level-l weight; the other shell predicates read the weight tuples, and the
-f_0 landing adds theta as the tuple `model.root_step(0)`, so a passing run
-calls `RootDatum.weight` for the root steps, not per element.
+images, all once per run, then reports the category asked.  The map checks
+compare data: `check_map` a target column read through the index map with
+an expected column, and `check_commutation` each (element, operator) case
+by one comparison.  The boundary checks read shell masks made by one
+`root_data.shell` call per distinct level-l weight; theta, for the f_0
+landing, is the tuple `model.root_step(0)`, so a passing run calls
+`RootDatum.weight` for the root steps, not per element.
 """
 
 from __future__ import annotations
@@ -65,7 +67,7 @@ from __future__ import annotations
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 from functools import cache, cached_property, partial
-from itertools import chain, compress, count, repeat
+from itertools import chain, compress, count, islice, repeat
 from math import inf
 from operator import add, eq, gt, lt, ne, neg, not_
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
@@ -411,13 +413,15 @@ def compile_map(domain: OperatorTable, target: OperatorTable, vmap) -> list[int]
 # checks on tables
 
 
-def check_map(domain: OperatorTable, imap, ok, message: str, *,
+def check_map(domain: OperatorTable, imap, column, expected, message: str, *,
               name: str, category: str) -> CheckResult:
-    """ok(b, imap[b]) at every domain index; `message` names the first failure."""
-    bad = next(
-        (message.format(domain.element_id(b)) for b, c in enumerate(imap) if c < 0 or not ok(b, c)),
-        "",
-    )
+    """column[imap[b]] == expected[b] at every domain index b, a negative
+    imap[b] failing; `expected` is iterated once, in domain order, and
+    `message` names the first failure."""
+    negative = next(compress(domain.indices, map(gt, repeat(0), imap)), len(imap))
+    got = map(column.__getitem__, islice(imap, negative))  # reads no negative code
+    b = next(compress(domain.indices, map(ne, got, expected)), negative)
+    bad = message.format(domain.element_id(b)) if b < len(imap) else ""
     return CheckResult(name, category, not bad, len(imap), bad)
 
 
@@ -427,21 +431,24 @@ def check_commutation(domain: OperatorTable, target: OperatorTable, imap, labels
     of `labels` and then e_i at each.
 
     With only_when_defined the statement is checked just where op(b) is
-    defined; otherwise vanishing must agree on both sides as well.
+    defined; otherwise vanishing must agree on both sides as well.  Each case
+    is one comparison through `image`: imap with its negative codes replaced
+    by one that no row holds, then the entries OUTSIDE and UNDEFINED read,
+    that code and UNDEFINED.
     """
     rows = [(f"{d}_{i}", domain.row(d, i), target.row(d, i)) for d in ("f", "e") for i in labels]
+    unmatched = OUTSIDE - 1  # no row entry and no OUTSIDE equals it
+    image = [c if c >= 0 else unmatched for c in imap] + [unmatched, UNDEFINED]
     cases = 0
     for b, c in enumerate(imap):
         for op, inner, outer in rows:
-            a, other = inner[b], outer[c] if c >= 0 else OUTSIDE
+            a = inner[b]
             if a == UNDEFINED and only_when_defined:
                 continue
             cases += 1
-            if a == UNDEFINED:
-                bad = other != UNDEFINED and "vanishes on {} but not on its image"
-            else:
-                bad = (a < 0 or imap[a] < 0 or other != imap[a]) and "does not commute with the map at {}"
-            if bad:
+            if image[a] != (outer[c] if c >= 0 else OUTSIDE):
+                bad = ("vanishes on {} but not on its image" if a == UNDEFINED
+                       else "does not commute with the map at {}")
                 return CheckResult(name, category, False, cases,
                                    f"{op} " + bad.format(domain.element_id(b)))
     return CheckResult(name, category, True, cases)
@@ -649,16 +656,11 @@ class TheoremRun:
     def commute_checks(self) -> list[CheckResult]:
         big, prefix = self.big, self.spec.prefix
         parts = [(  # one result per level map and statement, merged by statement below
-            check_map(
-                domain, imap, lambda b, c: big.comp[c] == domain.comp[b] + step,
-                f"level map {j} does not raise the component by {step} at {{}}",
-                name=f"{prefix}-component-shift", category="commute",
-            ),
-            check_map(
-                domain, imap, lambda b, c: big.weight[c] == domain.weight[b],
-                f"level map {j} changes the weight at {{}}",
-                name=f"{prefix}-weight-preserving", category="commute",
-            ),
+            check_map(domain, imap, big.comp, map(add, domain.comp, repeat(step)),
+                      f"level map {j} does not raise the component by {step} at {{}}",
+                      name=f"{prefix}-component-shift", category="commute"),
+            check_map(domain, imap, big.weight, domain.weight, f"level map {j} changes the weight at {{}}",
+                      name=f"{prefix}-weight-preserving", category="commute"),
             check_commutation(domain, big, imap, self.labels0, True,
                               name=f"{prefix}-classical-commute-nonzero", category="commute"),
             check_commutation(domain, big, imap, (0,), False,
@@ -733,10 +735,9 @@ class TheoremRun:
         f0 = big.f[0]
 
         kill_bad = comp_bad = uniq_bad = ""
-        kill_cases = comp_cases = uniq_cases = 0
+        comp_cases = uniq_cases = 0
         for b in self.complement:
             mu, k, z = big.weight[b], big.comp[b], f0[b]
-            kill_cases += 1
             expect_dead = k == l and not in_shell(family, tuple(map(add, mu, theta)), l)
             if (z == UNDEFINED) != expect_dead:
                 kill_bad = kill_bad or f"vanishing criterion wrong at {big.element_id(b)}"
@@ -758,7 +759,7 @@ class TheoremRun:
             elif weight_counts[big.weight[z]] != 1:
                 uniq_bad = uniq_bad or f"f_0 image of {big.element_id(b)} is not unique of its weight"
         return [
-            CheckResult("vanishing-criterion", "f0-landing", not kill_bad, kill_cases, kill_bad),
+            CheckResult("vanishing-criterion", "f0-landing", not kill_bad, len(self.complement), kill_bad),
             CheckResult("landing-component", "f0-landing", not comp_bad, comp_cases, comp_bad),
             CheckResult("landing-unique-by-weight", "f0-landing", not uniq_bad, uniq_cases, uniq_bad),
         ]

@@ -6,11 +6,11 @@ the statistics of a kernel by iterating its operators, weights in
 fundamental coordinates (`pairing`, `fundamental_coeffs` and its inverse),
 and straightforward reference versions of the chain-length walk, the
 closed-statistics rule and the connectivity walk of the axiom checks, of
-the full-subgraph check, of the two shell criteria, written one per family
-each, of the boundary image equality, of the DOT export, of the `a1`
-element ids and kernels, of the hook-content count, of the tableau
-validator and of the `c1` and `d2` kernels' operators, statistics and
-boundary criteria."""
+the full-subgraph check, of the map and commutation checks, of the two
+shell criteria, written one per family each, of the boundary image
+equality, of the DOT export, of the `a1` element ids and kernels, of the
+hook-content count, of the tableau validator and of the `c1` and `d2`
+kernels' operators, statistics and boundary criteria."""
 
 from fractions import Fraction
 from functools import partial
@@ -335,6 +335,39 @@ def reference_check_embedding(domain, target, imap, labels, *, name: str, catego
             elif outer in image:
                 return fail(
                     cases, f"extra arrow {direction}_{i} inside the image at {domain.element_id(b)}")
+    return CheckResult(name, category, True, cases)
+
+
+def reference_check_map(domain, imap, ok, message: str, *, name: str, category: str):
+    """`check_map` as first written: ok(b, imap[b]) at every domain index,
+    a negative imap[b] failing; `message` names the first failure."""
+    bad = next(
+        (message.format(domain.element_id(b)) for b, c in enumerate(imap) if c < 0 or not ok(b, c)),
+        "",
+    )
+    return CheckResult(name, category, not bad, len(imap), bad)
+
+
+def reference_check_commutation(domain, target, imap, labels, only_when_defined: bool, *,
+                                name: str, category: str):
+    """`check_commutation` as first written: each (element, operator) case
+    takes one branch where the operator vanishes and another where it does
+    not, stopping at the first failure."""
+    rows = [(f"{d}_{i}", domain.row(d, i), target.row(d, i)) for d in ("f", "e") for i in labels]
+    cases = 0
+    for b, c in enumerate(imap):
+        for op, inner, outer in rows:
+            a, other = inner[b], outer[c] if c >= 0 else OUTSIDE
+            if a == UNDEFINED and only_when_defined:
+                continue
+            cases += 1
+            if a == UNDEFINED:
+                bad = other != UNDEFINED and "vanishes on {} but not on its image"
+            else:
+                bad = (a < 0 or imap[a] < 0 or other != imap[a]) and "does not commute with the map at {}"
+            if bad:
+                return CheckResult(name, category, False, cases,
+                                   f"{op} " + bad.format(domain.element_id(b)))
     return CheckResult(name, category, True, cases)
 
 

@@ -30,6 +30,7 @@ from adjcrys.crystal_graph import (
     OperatorTable,
     check_commutation,
     check_embedding,
+    check_map,
     compile_map,
     export,
     render_report,
@@ -38,7 +39,9 @@ from adjcrys.crystal_graph import (
 from helpers import (
     ClassicalCrystal,
     reference_chain_lengths,
+    reference_check_commutation,
     reference_check_embedding,
+    reference_check_map,
     reference_connected,
     reference_dot,
     reference_image_equality,
@@ -483,6 +486,32 @@ def test_check_embedding_matches_the_reference(drawn):
         reference_check_embedding(domain, target, imap, labels, name="n", category="c"))
 
 
+@given(embeddings(), st.data())
+def test_map_checks_match_the_references(drawn, data):
+    """`check_commutation` at both settings, and `check_map` on a column
+    through the map, equal the references, negative codes in the map included."""
+    domain, target, imap, labels = drawn
+    for only_when_defined in (False, True):
+        args = (domain, target, imap, labels, only_when_defined)
+        assert check_commutation(*args, name="n", category="c") == (
+            reference_check_commutation(*args, name="n", category="c"))
+    column = [c // 2 for c in target.indices]
+    expected = [c // 2 for c in imap]
+    if expected and data.draw(st.booleans()):
+        expected[data.draw(st.integers(0, len(expected) - 1))] += 1
+    result = check_map(domain, imap, column, expected, "at {}", name="n", category="c")
+    assert result == reference_check_map(
+        domain, imap, lambda b, c: column[c] == expected[b], "at {}", name="n", category="c")
+
+
+def test_check_map_fails_at_a_negative_code_without_reading_it():
+    """OUTSIDE is not read as a position from the end of the column, so a
+    one-index target fails at the code and raises no IndexError."""
+    domain = SimpleNamespace(indices=[0, 1, 2], element_id=str)
+    result = check_map(domain, [0, OUTSIDE, 0], [5], [5, 5, 6], "at {}", name="n", category="c")
+    assert result == crystal_graph.CheckResult("n", "c", False, 3, "at 1")
+
+
 EMBEDDINGS = {"a1": (CrystalA, affine_a.SPEC.include), "c1": (CrystalC, affine_c.SPEC.include)}
 
 
@@ -493,9 +522,13 @@ def _embedding_tables(family):
     return small, big, compile_map(small, big, include)
 
 
-@given(st.sampled_from(sorted(EMBEDDINGS)), st.sampled_from(("swap", "off-image", "outside", "collide")),
-       st.data())
+@given(st.sampled_from(sorted(EMBEDDINGS)),
+       st.sampled_from(("swap", "off-image", "outside", "collide", "vanish")), st.data())
 def test_check_embedding_matches_the_reference_on_corrupted_maps(family, corruption, data):
+    """`check_embedding`, `check_commutation` as the level maps' and theta_1's
+    checks call it, and `check_map` on the component and weight columns
+    equal the references on a map with one corruption; "vanish" is a map
+    that returns None."""
     small, big, true_map = _embedding_tables(family)
     imap = list(true_map)
     a, b = (data.draw(st.integers(0, len(imap) - 1)) for _ in range(2))
@@ -505,12 +538,22 @@ def test_check_embedding_matches_the_reference_on_corrupted_maps(family, corrupt
         imap[b] = data.draw(st.sampled_from([c for c in big.indices if c not in true_map]))
     elif corruption == "outside":
         imap[b] = OUTSIDE
+    elif corruption == "vanish":
+        imap[b] = UNDEFINED
     else:
         imap[b] = imap[a]
     labels = big.labels
     result = check_embedding(small, big, imap, labels, name="n", category="c")
     assert result == reference_check_embedding(small, big, imap, labels, name="n", category="c")
     assert result.passed == (imap == true_map)
+    for labels, only_when_defined in ((labels[1:], False), (labels[1:], True), ((0,), False), ((0,), True)):
+        args = (small, big, imap, labels, only_when_defined)
+        assert check_commutation(*args, name="n", category="c") == (
+            reference_check_commutation(*args, name="n", category="c"))
+    for column in ("comp", "weight"):
+        inner, outer = getattr(small, column), getattr(big, column)
+        assert check_map(small, imap, outer, inner, "at {}", name="n", category="c") == reference_check_map(
+            small, imap, lambda b, c: outer[c] == inner[b], "at {}", name="n", category="c")
 
 
 HALF = 12
