@@ -14,9 +14,10 @@ them; the model adapters call into them.  Every operator is one slot move of
 `counting`, as in `c1` and `d2`, and the pair reads the slots phi_i(x) and
 eps_i(y) straight from its two vectors.  The kernels' ids share one cached
 coordinate text per factor value (`_coords`).  The element classes `RowElem`,
-`ColElem` and `AdjElemA` wrap the kernels' `e`/`f` for the benchmark's
-tracer (`perfbench/traced.py`); no command builds one.  The checks run on
-the values: `promote` is the promotion map of both factors and `_alpha`
+`ColElem` and `AdjElemA`, a value and its level each, are built by
+`element_class` over the three kernels for the benchmark's tracer
+(`perfbench/traced.py`); no command builds one.  The checks run on the
+values: `promote` is the promotion map of both factors and `_alpha`
 takes a pair value, so `promotion_checks` and `alpha_checks` build no
 element object.
 """
@@ -25,7 +26,6 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
 from functools import cache
 from itertools import product
 from operator import sub
@@ -43,6 +43,7 @@ from .crystal_graph import (
     TheoremSpec,
     check_commutation,
     check_map,
+    element_class,
     run_theorems,
 )
 from .root_data import Family
@@ -104,71 +105,6 @@ def _theta(j: int, b):
     return tuple(x), tuple(y)
 
 
-@dataclass(frozen=True)
-class RowElem:
-    """One-row rectangle element: x_j = multiplicity of the letter j."""
-
-    x: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        level = sum(self.x)
-        if not ROW_KERNEL.contains(self.x, level):
-            raise ValueError(f"coordinates do not describe a level-{level} element")
-
-    def f(self, i: int) -> Optional["RowElem"]:
-        out = ROW_KERNEL.f(self.x, i)
-        return None if out is None else RowElem(out)
-
-    def e(self, i: int) -> Optional["RowElem"]:
-        out = ROW_KERNEL.e(self.x, i)
-        return None if out is None else RowElem(out)
-
-
-@dataclass(frozen=True)
-class ColElem:
-    """n-row rectangle element: y_j = multiplicity of the column missing j."""
-
-    y: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        level = sum(self.y)
-        if not COL_KERNEL.contains(self.y, level):
-            raise ValueError(f"coordinates do not describe a level-{level} element")
-
-    def f(self, i: int) -> Optional["ColElem"]:
-        out = COL_KERNEL.f(self.y, i)
-        return None if out is None else ColElem(out)
-
-    def e(self, i: int) -> Optional["ColElem"]:
-        out = COL_KERNEL.e(self.y, i)
-        return None if out is None else ColElem(out)
-
-
-@dataclass(frozen=True)
-class AdjElemA:
-    """A row factor tensor a column factor of the same rank and level."""
-
-    row: RowElem
-    col: ColElem
-
-    def __post_init__(self) -> None:
-        level = sum(self.row.x)
-        if not KERNEL.contains((self.row.x, self.col.y), level):
-            raise ValueError(f"coordinates do not describe a level-{level} element")
-
-    def f(self, i: int) -> Optional["AdjElemA"]:
-        b = KERNEL.f((self.row.x, self.col.y), i, sum(self.row.x))
-        return None if b is None else _pair_element(b)
-
-    def e(self, i: int) -> Optional["AdjElemA"]:
-        b = KERNEL.e((self.row.x, self.col.y), i, sum(self.row.x))
-        return None if b is None else _pair_element(b)
-
-
-def _pair_element(b) -> AdjElemA:
-    return AdjElemA(RowElem(b[0]), ColElem(b[1]))
-
-
 def shape_component(n: int, k: int) -> tuple[int, ...]:
     """Shape of the k-th classical component: (2k, k^(n-1))."""
     return () if k == 0 else (2 * k,) + (k,) * (n - 1)
@@ -210,18 +146,6 @@ def _alpha_inverse(n: int, l: int, t: Tableau) -> tuple[tuple[int, ...], tuple[i
     x[0] += l - k
     y[0] += l - k
     return tuple(x), tuple(y)
-
-
-def row_elements(n: int, l: int) -> list[RowElem]:
-    return [RowElem(x) for x in compositions(l, n + 1)]
-
-
-def col_elements(n: int, l: int) -> list[ColElem]:
-    return [ColElem(y) for y in compositions(l, n + 1)]
-
-
-def elements(n: int, l: int) -> list[AdjElemA]:
-    return [_pair_element(b) for b in KERNEL.values(n, l)]
 
 
 def highest(n: int, l: int, k: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -282,6 +206,21 @@ KERNEL = Kernel(
     element_id=lambda b, n: f"A{n}:x={_coords(b[0])};y={_coords(b[1])}",
     size=expected_size,
 )
+RowElem = element_class("RowElem", ROW_KERNEL, __name__)
+ColElem = element_class("ColElem", COL_KERNEL, __name__)
+AdjElemA = element_class("AdjElemA", KERNEL, __name__)
+
+
+def row_elements(n: int, l: int) -> list[RowElem]:
+    return [RowElem(x, l) for x in ROW_KERNEL.values(n, l)]
+
+
+def col_elements(n: int, l: int) -> list[ColElem]:
+    return [ColElem(y, l) for y in COL_KERNEL.values(n, l)]
+
+
+def elements(n: int, l: int) -> list[AdjElemA]:
+    return [AdjElemA(b, l) for b in KERNEL.values(n, l)]
 
 
 # ---------------------------------------------------------------------------

@@ -10,20 +10,19 @@ The crystal itself is `KERNEL`, pure functions on the coordinate tuples that
 take the level as an argument, with x_j at index j-1 and xbar_j at index -j;
 the model adapter `CrystalC` calls into it.  Each classical `f_i`/`e_i` moves
 one unit between neighbouring slots (`counting.move_right`/`move_left`), and
-`e_i` and `f_i` stay written independently for the ef-inverse check.  `ElemC`
-wraps the kernel's `e`/`f` for the benchmark's tracer (`perfbench/traced.py`);
-no command builds one.
+`e_i` and `f_i` stay written independently for the ef-inverse check.  `ElemC`,
+a value and its level, is built by `element_class` over the kernel for the
+benchmark's tracer (`perfbench/traced.py`); no command builds one.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from operator import sub
 from typing import Optional
 
 from .counting import compositions, move_left, move_right
-from .crystal_graph import CheckResult, Kernel, LevelModel, OperatorTable, TheoremSpec, run_theorems
+from .crystal_graph import CheckResult, Kernel, LevelModel, OperatorTable, TheoremSpec, element_class, run_theorems
 from .root_data import Family
 
 
@@ -79,28 +78,6 @@ def _raise(j: int, x: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class ElemC:
-    coords: tuple[int, ...]
-    level: int
-
-    def __post_init__(self) -> None:
-        if not KERNEL.contains(self.coords, self.level):
-            raise ValueError(f"coordinates do not describe a level-{self.level} element")
-
-    def e(self, i: int) -> Optional["ElemC"]:
-        c = KERNEL.e(self.coords, i, self.level)
-        return None if c is None else ElemC(c, self.level)
-
-    def f(self, i: int) -> Optional["ElemC"]:
-        c = KERNEL.f(self.coords, i, self.level)
-        return None if c is None else ElemC(c, self.level)
-
-
-def elements(n: int, l: int) -> list[ElemC]:
-    return [ElemC(c, l) for c in KERNEL.values(n, l)]
-
-
 def highest(n: int, l: int, k: int) -> tuple[int, ...]:
     """The classically highest value of component k at level l."""
     if not 0 <= k <= l:
@@ -127,6 +104,11 @@ KERNEL = Kernel(
     element_id=lambda x, n: f"C{n}:x={','.join(map(str, x[:n]))};xb={','.join(map(str, x[n:]))}",
     size=expected_size,
 )
+ElemC = element_class("ElemC", KERNEL, __name__)
+
+
+def elements(n: int, l: int) -> list[ElemC]:
+    return [ElemC(x, l) for x in KERNEL.values(n, l)]
 
 
 class CrystalC(LevelModel):

@@ -11,19 +11,19 @@ x_0 at index n and xbar_j at index -j; the model adapter `CrystalD2` calls
 into it.  Each classical `f_i`/`e_i`, and `f_n`/`e_n` through the x_0 slot,
 moves one unit between neighbouring slots (`counting.move_right`/`move_left`),
 and `e_i` and `f_i` stay written independently for the ef-inverse check.
-`ElemD`, which keeps x_0 as a separate field, wraps the kernel's `e`/`f` for
-the benchmark's tracer (`perfbench/traced.py`); no command builds one.
+`ElemD`, a flat value and its level, is built by `element_class` over the
+kernel for the benchmark's tracer (`perfbench/traced.py`); no command builds
+one.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from operator import sub
 from typing import Optional
 
 from .counting import compositions, move_left, move_right
-from .crystal_graph import CheckResult, Kernel, LevelModel, OperatorTable, TheoremSpec, run_theorems
+from .crystal_graph import CheckResult, Kernel, LevelModel, OperatorTable, TheoremSpec, element_class, run_theorems
 from .root_data import Family
 
 
@@ -90,39 +90,6 @@ def _shell(n: int, k: int) -> list[tuple[int, ...]]:
     return [c[:n] + (x0,) + c[n:] for x0 in (0, 1) for c in compositions(k - x0, 2 * n)]
 
 
-def _element(b: tuple[int, ...], l: int) -> "ElemD":
-    n = len(b) // 2
-    return ElemD(b[:n], b[n], b[n + 1:], l)
-
-
-@dataclass(frozen=True)
-class ElemD:
-    x: tuple[int, ...]
-    x0: int
-    xbar: tuple[int, ...]  # descending index order: xbar_n, ..., xbar_1
-    level: int
-
-    def __post_init__(self) -> None:
-        if len(self.x) != len(self.xbar) or not KERNEL.contains(self.coords, self.level):
-            raise ValueError(f"coordinates do not describe a level-{self.level} element")
-
-    @property
-    def coords(self) -> tuple[int, ...]:
-        return self.x + (self.x0,) + self.xbar
-
-    def e(self, i: int) -> Optional["ElemD"]:
-        c = KERNEL.e(self.coords, i, self.level)
-        return None if c is None else _element(c, self.level)
-
-    def f(self, i: int) -> Optional["ElemD"]:
-        c = KERNEL.f(self.coords, i, self.level)
-        return None if c is None else _element(c, self.level)
-
-
-def elements(n: int, l: int) -> list[ElemD]:
-    return [_element(b, l) for b in KERNEL.values(n, l)]
-
-
 def highest(n: int, l: int, k: int) -> tuple[int, ...]:
     """The classically highest value of component k at level l."""
     if not 0 <= k <= l:
@@ -151,6 +118,11 @@ KERNEL = Kernel(
     ),
     size=expected_size,
 )
+ElemD = element_class("ElemD", KERNEL, __name__)
+
+
+def elements(n: int, l: int) -> list[ElemD]:
+    return [ElemD(b, l) for b in KERNEL.values(n, l)]
 
 
 class CrystalD2(LevelModel):

@@ -29,6 +29,7 @@ from .crystal_graph import (
 from .root_data import RootDatum
 
 SIZE_LIMIT = 10**6
+MAX_RANK = sys.maxsize // 16  # beyond it a value's 2n + 2 coordinates, 8 B each, outgrow the address space
 FAMILIES = {"a1": "affine_a", "c1": "affine_c", "d2": "affine_d2"}
 
 A1_ONLY_CHECKS = ("promotion", "alpha")
@@ -58,6 +59,8 @@ def _check_bounds(args, module) -> Optional[int]:
         RootDatum(module.SPEC.model.datum_family, args.rank)
     except ValueError as err:
         return _fail_usage(str(err))
+    if args.rank > MAX_RANK:
+        return _fail_usage(f"rank must be at most {MAX_RANK}, got {args.rank}")
     if args.level < 0:
         return _fail_usage(f"level must be >= 0, got {args.level}")
     enumerates = args.command != "apply"  # apply walks one word from one value

@@ -6,8 +6,8 @@ plain coordinate tuples), `kernel`, a `Kernel` of pure functions on the
 values that take the level as an argument, and `element_id` (the name every
 message and export gives a value), `component`, `sort_key`, `root_step(i)`
 (the expected weight change of f_i) and `expected_size()`.  Each family
-writes its crystal once, as a kernel, and the element classes call the same
-kernel.
+writes its crystal once, as a kernel, and `element_class` builds its element
+classes, a kernel value and its level each, over the same kernel.
 
 The graph and the checks run on tables, not on the operators.  An
 `OperatorTable` enumerates a model's values once and calls the kernel's `f`
@@ -65,7 +65,7 @@ landing, is the tuple `model.root_step(0)`, so a passing run calls
 from __future__ import annotations
 
 from collections import Counter, defaultdict
-from dataclasses import dataclass
+from dataclasses import dataclass, make_dataclass
 from functools import cache, cached_property, partial
 from itertools import chain, compress, count, islice, repeat
 from math import inf
@@ -316,6 +316,32 @@ class Kernel:
     contains: Callable
     element_id: Callable
     size: Callable
+
+
+def element_class(name: str, kernel: Kernel, module: str) -> type:
+    """A frozen element class over `kernel`, named `name` in the family
+    module `module`, so that pickle and `repr` find it there.  An element is
+    a kernel value and its level, which `kernel.contains` must accept, and
+    its `e`/`f` are the kernel's at that level.  No command builds one.  The
+    benchmark's tracer (`perfbench/traced.py`) patches `__post_init__`, `e`
+    and `f` in each class's own namespace, so each class gets its own."""
+
+    def __post_init__(self) -> None:
+        if not kernel.contains(self.value, self.level):
+            raise ValueError(f"coordinates do not describe a level-{self.level} element")
+
+    def e(self, i: int):
+        out = kernel.e(self.value, i, self.level)
+        return None if out is None else type(self)(out, self.level)
+
+    def f(self, i: int):
+        out = kernel.f(self.value, i, self.level)
+        return None if out is None else type(self)(out, self.level)
+
+    cls = make_dataclass(name, ["value", ("level", int)], frozen=True,
+                         namespace={"__post_init__": __post_init__, "e": e, "f": f})
+    cls.__module__ = module
+    return cls
 
 
 class LevelModel:

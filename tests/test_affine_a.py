@@ -21,7 +21,6 @@ from adjcrys.affine_a import (
     _alpha_inverse,
     _theta,
     alpha_checks,
-    elements,
     expected_size,
     highest,
     promote,
@@ -73,22 +72,24 @@ def test_pair_kernel_matches_the_tensor_rule(n):
 
 
 def test_factor_operator_examples():
-    assert RowElem((0, 0, 2)).f(0) == RowElem((1, 0, 1))
-    assert RowElem((2, 0, 0)).f(0) is None
-    assert ColElem((0, 1, 1)).f(2) == ColElem((0, 2, 0))
-    assert RowElem((1, 0, 0)).f(1) == RowElem((0, 1, 0))
-    assert ColElem((1, 0, 0)).e(0) is None
+    assert RowElem((0, 0, 2), 2).f(0) == RowElem((1, 0, 1), 2)
+    assert RowElem((2, 0, 0), 2).f(0) is None
+    assert ColElem((0, 1, 1), 2).f(2) == ColElem((0, 2, 0), 2)
+    assert RowElem((1, 0, 0), 1).f(1) == RowElem((0, 1, 0), 1)
+    assert ColElem((1, 0, 0), 1).e(0) is None
 
 
 def test_element_construction():
     with pytest.raises(ValueError):
-        RowElem((1, -1, 0))
+        RowElem((1, -1, 0), 0)
     with pytest.raises(ValueError):
-        ColElem((2,))
+        ColElem((2,), 2)
     with pytest.raises(ValueError):
-        AdjElemA(RowElem((1, 0, 0)), ColElem((1, 1, 0)))  # the levels differ
+        RowElem((1, 0, 0), 2)  # the value is of level 1
     with pytest.raises(ValueError):
-        AdjElemA(RowElem((1, 0)), ColElem((1, 0, 0)))  # the ranks differ
+        AdjElemA(((1, 0, 0), (1, 1, 0)), 1)  # the factor levels differ
+    with pytest.raises(ValueError):
+        AdjElemA(((1, 0), (1, 0, 0)), 1)  # the factor ranks differ
 
 
 def test_factor_stats_match_iteration():
@@ -104,8 +105,8 @@ def test_factor_stats_match_iteration():
 def test_pair_operator_examples():
     value = ((1, 0, 0), (1, 0, 0))  # the k=0 element
     assert KERNEL.component(value, 1) == 0
-    b = AdjElemA(RowElem(value[0]), ColElem(value[1]))
-    assert b.f(0) == AdjElemA(RowElem((1, 0, 0)), ColElem((0, 0, 1)))
+    b = AdjElemA(value, 1)
+    assert b.f(0) == AdjElemA(((1, 0, 0), (0, 0, 1)), 1)
     # all classical operators vanish on the trivial component
     for i in (1, 2):
         assert b.f(i) is None
@@ -114,18 +115,6 @@ def test_pair_operator_examples():
     word = to_word(value)
     assert word.letters == (1, 2, 3)
     assert word.f(1) is None
-
-
-def test_pair_elements_call_the_kernel():
-    for n in (2, 3):
-        for l in range(3):
-            for b, value in zip(elements(n, l), KERNEL.values(n, l)):
-                assert (b.row.x, b.col.y) == value
-                for i in range(n + 1):
-                    for direction in ("e", "f"):
-                        got = getattr(b, direction)(i)
-                        want = getattr(KERNEL, direction)(value, i, l)
-                        assert (got if got is None else (got.row.x, got.col.y)) == want
 
 
 def test_pair_inverse_pairing():

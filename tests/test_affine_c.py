@@ -26,23 +26,23 @@ def test_construction_rejects_invalid_tuples():
         ElemC((2, 2, 0, 0), 1)  # sum beyond 2l
     with pytest.raises(ValueError):
         ElemC((1, -1, 0, 0), 1)
-    x = ElemC((0, 1, 0, 1), 1).coords
+    x = ElemC((0, 1, 0, 1), 1).value
     assert KERNEL.component(x, 1) == 1
     assert (x[1], x[-2], x[-1]) == (1, 0, 1)  # x_2, xbar_2, xbar_1
 
 
 def test_zero_node_operator_examples():
-    assert ElemC((0, 0, 0, 0), 1).f(0).coords == (2, 0, 0, 0)
-    assert ElemC((0, 0, 0, 2), 1).f(0).coords == (0, 0, 0, 0)
-    assert ElemC((0, 1, 0, 1), 1).f(0).coords == (1, 1, 0, 0)
+    assert ElemC((0, 0, 0, 0), 1).f(0).value == (2, 0, 0, 0)
+    assert ElemC((0, 0, 0, 2), 1).f(0).value == (0, 0, 0, 0)
+    assert ElemC((0, 1, 0, 1), 1).f(0).value == (1, 1, 0, 0)
     assert ElemC((2, 0, 0, 0), 1).f(0) is None  # would leave the level
-    assert ElemC((2, 0, 0, 0), 2).f(0).coords == (4, 0, 0, 0)
+    assert ElemC((2, 0, 0, 0), 2).f(0).value == (4, 0, 0, 0)
 
 
 def test_classical_operator_examples():
-    assert ElemC((1, 0, 0, 1), 1).f(1).coords == (0, 1, 0, 1)
-    assert ElemC((0, 1, 0, 1), 1).f(2).coords == (0, 0, 1, 1)
-    assert ElemC((0, 0, 1, 1), 1).e(2).coords == (0, 1, 0, 1)
+    assert ElemC((1, 0, 0, 1), 1).f(1).value == (0, 1, 0, 1)
+    assert ElemC((0, 1, 0, 1), 1).f(2).value == (0, 0, 1, 1)
+    assert ElemC((0, 0, 1, 1), 1).e(2).value == (0, 1, 0, 1)
     assert ElemC((0, 0, 0, 0), 1).f(1) is None
 
 

@@ -21,30 +21,30 @@ from helpers import iterated_stats
 
 def test_construction_rejects_invalid_tuples():
     with pytest.raises(ValueError):
-        ElemD((0, 0), 2, (0, 0), 1)  # middle slot beyond {0, 1}
+        ElemD((0, 0, 2, 0, 0), 1)  # middle slot beyond {0, 1}
     with pytest.raises(ValueError):
-        ElemD((1, 0), 1, (0, 0), 1)  # sum beyond the level
+        ElemD((1, 0, 1, 0, 0), 1)  # sum beyond the level
     with pytest.raises(ValueError):
-        ElemD((1, 0), 0, (0,), 1)  # length mismatch
-    x = ElemD((0, 1), 1, (1, 0), 3).coords
+        ElemD((1, 0, 0, 0), 1)  # no middle slot: an even length
+    x = ElemD((0, 1, 1, 1, 0), 3).value
     assert x == (0, 1, 1, 1, 0)
     assert KERNEL.component(x, 3) == 3
     assert (x[1], x[-2], x[-1]) == (1, 1, 0)  # x_2, xbar_2, xbar_1
 
 
 def test_zero_node_operator_examples():
-    assert ElemD((0, 0), 0, (0, 0), 1).f(0).coords == (1, 0, 0, 0, 0)
-    assert ElemD((0, 0), 0, (0, 1), 1).f(0).coords == (0, 0, 0, 0, 0)
-    assert ElemD((1, 0), 0, (0, 0), 1).f(0) is None  # would leave the level
-    assert ElemD((1, 0), 0, (0, 0), 1).e(0).coords == (0, 0, 0, 0, 0)
+    assert ElemD((0, 0, 0, 0, 0), 1).f(0).value == (1, 0, 0, 0, 0)
+    assert ElemD((0, 0, 0, 0, 1), 1).f(0).value == (0, 0, 0, 0, 0)
+    assert ElemD((1, 0, 0, 0, 0), 1).f(0) is None  # would leave the level
+    assert ElemD((1, 0, 0, 0, 0), 1).e(0).value == (0, 0, 0, 0, 0)
 
 
 def test_top_node_operator_examples():
     # the x_0 parity drives the last-node moves
-    assert ElemD((0, 1), 0, (0, 0), 1).f(2).coords == (0, 0, 1, 0, 0)
-    assert ElemD((0, 0), 1, (0, 0), 1).f(2).coords == (0, 0, 0, 1, 0)
-    assert ElemD((0, 0), 1, (0, 0), 1).e(2).coords == (0, 1, 0, 0, 0)
-    assert ElemD((0, 0), 0, (1, 0), 1).e(2).coords == (0, 0, 1, 0, 0)
+    assert ElemD((0, 1, 0, 0, 0), 1).f(2).value == (0, 0, 1, 0, 0)
+    assert ElemD((0, 0, 1, 0, 0), 1).f(2).value == (0, 0, 0, 1, 0)
+    assert ElemD((0, 0, 1, 0, 0), 1).e(2).value == (0, 1, 0, 0, 0)
+    assert ElemD((0, 0, 0, 1, 0), 1).e(2).value == (0, 0, 1, 0, 0)
 
 
 def test_stats_match_iteration_including_doubling():

@@ -129,6 +129,21 @@ def test_invalid_rank_and_level(capsys):
                  "--component", "5"]) == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["apply", "--family", "a1", "--level", "1", "--start", "highest-of"],
+    ["apply", "--family", "d2", "--level", "1", "--start", "highest-of"],
+    ["verify", "--family", "c1", "--level", "1", "--force"],
+    ["graph", "--family", "d2", "--level", "0", "--force"],
+])
+def test_huge_rank_exits_2_before_any_tuple(argv, capsys):
+    """A rank whose values could not fit in memory is refused with one line
+    before any tuple is built; this one used to end in an OverflowError
+    traceback.  No smaller huge rank is tried: it would allocate its tuple."""
+    rank = "99999999999999999999"
+    assert main([*argv, "--rank", rank]) == 2
+    assert capsys.readouterr() == ("", f"error: rank must be at most {cli.MAX_RANK}, got {rank}\n")
+
+
 def test_size_guard_requires_force(capsys):
     # rank 3, level 40 gives far more than 10^6 elements
     assert main(["graph", "--family", "a1", "--rank", "3", "--level", "40"]) == 2

@@ -5,6 +5,7 @@ import dataclasses
 import gc
 import json
 import math
+import pickle
 import tracemalloc
 from collections import Counter
 from functools import cache, partial
@@ -291,6 +292,44 @@ def test_table_holds_one_tuple_per_distinct_weight(crystal, n, l):
     table = OperatorTable(model)
     assert len(set(map(id, table.weight))) == len(set(table.weight))
     assert table.weight == list(map(model.kernel.weight, table.elems))
+
+
+ELEMENT_CLASSES = [  # (family module, class, enumerator, kernel)
+    pytest.param(affine_a, "RowElem", "row_elements", "ROW_KERNEL", id="RowElem"),
+    pytest.param(affine_a, "ColElem", "col_elements", "COL_KERNEL", id="ColElem"),
+    pytest.param(affine_a, "AdjElemA", "elements", "KERNEL", id="AdjElemA"),
+    pytest.param(affine_c, "ElemC", "elements", "KERNEL", id="ElemC"),
+    pytest.param(affine_d2, "ElemD", "elements", "KERNEL", id="ElemD"),
+]
+
+
+@pytest.mark.parametrize("module, name, enumerator, kernel", ELEMENT_CLASSES)
+@pytest.mark.parametrize("n", (2, 3))
+@pytest.mark.parametrize("l", (0, 1, 2))
+def test_element_classes_call_the_kernel(module, name, enumerator, kernel, n, l):
+    """An enumerated element is each kernel value at the level, and its
+    `e`/`f` are the kernel's at that level on every label."""
+    kernel = getattr(module, kernel)
+    elements = getattr(module, enumerator)(n, l)
+    assert {type(b) for b in elements} == {getattr(module, name)}
+    assert [(b.value, b.level) for b in elements] == [(v, l) for v in kernel.values(n, l)]
+    for b in elements:
+        for i in range(n + 1):
+            for direction in ("e", "f"):
+                want = getattr(kernel, direction)(b.value, i, l)
+                assert getattr(b, direction)(i) == (None if want is None else type(b)(want, l))
+
+
+@pytest.mark.parametrize("module, name, enumerator, kernel", ELEMENT_CLASSES)
+def test_element_classes_own_their_traced_methods_and_pickle(module, name, enumerator, kernel):
+    """The benchmark's tracer patches `e`, `f` and `__post_init__` in each
+    class's own namespace; pickle finds the class in its family module."""
+    cls = getattr(module, name)
+    assert {"e", "f", "__post_init__"} <= set(vars(cls))
+    assert (cls.__module__, cls.__qualname__) == (module.__name__, name)
+    elements = getattr(module, enumerator)(2, 2)
+    assert [pickle.loads(pickle.dumps(b)) for b in elements] == elements
+    assert repr(elements[0]).startswith(f"{name}(value=")
 
 
 def test_json_round_trip():
