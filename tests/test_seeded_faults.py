@@ -6,6 +6,10 @@ into the models, the family specs or the check helpers; the rest of the
 report is not asserted.
 """
 
+import ast
+from collections import defaultdict
+from pathlib import Path
+
 import pytest
 
 from adjcrys import affine_a, affine_c, affine_d2, crystal_graph, tableaux
@@ -183,11 +187,61 @@ def test_psi_map_n_bumps_x1(monkeypatch):
     assert "commute/psij-weight-preserving" in _failed("d2", 3, 3)
 
 
-def test_d2_without_the_one_level_map_misses_images(monkeypatch):
+def _patch_d2_without_the_one_level_map(monkeypatch):
     spec = affine_d2.SPEC._replace(steps=lambda n: [(j, 2) for j in range(1, n)])  # drops psi_n
     monkeypatch.setattr(affine_d2, "SPEC", spec)
+
+
+def test_d2_without_the_one_level_map_misses_images(monkeypatch):
+    _patch_d2_without_the_one_level_map(monkeypatch)
     assert _failures("d2", 2, 2, "boundary") == {
         "boundary/image-equality": (7, "image description fails in component k=1")}
+
+
+def test_d2_without_the_one_level_map_breaks_the_complement(monkeypatch):
+    """The elements psi_n would reach fall into the complement of the
+    images, where weights repeat and f_0 no longer acts as predicted."""
+    _patch_d2_without_the_one_level_map(monkeypatch)
+    assert _failures("d2", 2, 2) == {
+        "boundary/image-equality": (7, "image description fails in component k=1"),
+        "multiplicity/weight-injective-off-images": (
+            19, "weight (0,0) repeats 3 times off the images"),
+        "f0-landing/vanishing-criterion": (19, "vanishing criterion wrong at D2:x=0,1;x0=0;xb=1,0"),
+        "f0-landing/landing-component": (
+            10, "D2:x=0,0;x0=1;xb=0,0 escapes the level-raising images but is not on its boundary shell"),
+        "f0-landing/landing-unique-by-weight": (
+            8, "f_0 image of D2:x=0,0;x0=0;xb=0,0 is not unique of its weight"),
+    }
+
+
+def test_a1_without_the_last_level_map_misses_images(monkeypatch):
+    spec = affine_a.SPEC._replace(steps=lambda n: [(j, 1) for j in range(2, n + 1)])  # drops theta_{n+1}
+    monkeypatch.setattr(affine_a, "SPEC", spec)
+    assert _failures("a1", 2, 2) == {
+        "boundary/image-equality": (17, "image description fails in component k=1"),
+        "multiplicity/weight-injective-off-images": (
+            27, "weight (0,0,0) repeats 3 times off the images"),
+        "f0-landing/vanishing-criterion": (27, "vanishing criterion wrong at A2:x=0,0,2;y=0,0,2"),
+        "f0-landing/landing-component": (
+            18, "A2:x=0,0,2;y=0,1,1 escapes the level-raising images but is not on its boundary shell"),
+        "f0-landing/landing-unique-by-weight": (
+            14, "f_0 image of A2:x=0,0,2;y=1,1,0 is not unique of its weight"),
+    }
+
+
+def test_c1_without_the_last_level_map_misses_images(monkeypatch):
+    spec = affine_c.SPEC._replace(steps=lambda n: [(j, 1) for j in range(1, n)])  # drops phi_n
+    monkeypatch.setattr(affine_c, "SPEC", spec)
+    assert _failures("c1", 2, 2) == {
+        "boundary/image-equality": (21, "image description fails in component k=1"),
+        "multiplicity/weight-injective-off-images": (
+            35, "weight (0,0) repeats 3 times off the images"),
+        "f0-landing/vanishing-criterion": (35, "vanishing criterion wrong at C2:x=0,1;xb=3,0"),
+        "f0-landing/landing-component": (
+            20, "C2:x=0,1;xb=1,0 escapes the level-raising images but is not on its boundary shell"),
+        "f0-landing/landing-unique-by-weight": (
+            16, "f_0 image of C2:x=0,0;xb=0,0 is not unique of its weight"),
+    }
 
 
 def test_theta_3_bumps_the_wrong_column(monkeypatch):
@@ -332,21 +386,32 @@ def test_content_counts_letter_one_twice(monkeypatch):
         36, "alpha changes the weight at A2:x=0,0,2;y=0,0,2")
 
 
-def test_alpha_inverse_moves_a_column(monkeypatch):
-    original = affine_a._alpha_inverse
+def test_alpha_drops_a_one_box_column(monkeypatch):
+    """An image that is a valid tableau of the right component but one box
+    short of its shape fails the shape test."""
+    original = affine_a._alpha
 
-    def alpha_inverse(n, l, t):
-        x, y = original(n, l, t)
-        y = list(y)
-        if y[0]:
-            y[0] -= 1  # one column missing 1 becomes a column missing 2
-            y[1] += 1
-        return x, tuple(y)
+    def alpha(b, l):
+        k, t = original(b, l)
+        if k and len(t.columns[-1]) == 1:  # the model keeps every column
+            t = tableaux.Tableau(t.n, t.columns[:-1])
+        return k, t
 
-    monkeypatch.setattr(affine_a, "_alpha_inverse", alpha_inverse)
-    expected = (39, "alpha round trip fails at A2:x=0,0,2;y=1,0,1")
-    assert _failures("a1", 2, 2, "alpha") == {"alpha/bijection": expected}
-    assert _failures("a1", 2, 2)["alpha/bijection"] == expected
+    monkeypatch.setattr(affine_a, "_alpha", alpha)
+    assert _failures("a1", 2, 2, "alpha")["alpha/bijection"] == (
+        39, "alpha image has the wrong shape at A2:x=0,0,2;y=0,0,2")
+
+
+def test_alpha_swapping_two_images_of_one_weight(monkeypatch):
+    """A swap of two images of one component and one weight keeps alpha a
+    weight-preserving bijection onto the tableaux; intertwining, not a
+    round trip, tells it from alpha."""
+    original = affine_a._alpha
+    a, b = ((0, 0, 2), (0, 0, 2)), ((0, 1, 1), (0, 1, 1))
+    monkeypatch.setattr(
+        affine_a, "_alpha", lambda v, l: original({a: b, b: a}.get(v, v), l))
+    assert _failures("a1", 2, 2, "alpha") == {"alpha/intertwines-classical": (
+        144, "alpha breaks vanishing of f_1 at A2:x=0,0,2;y=0,0,2")}
 
 
 def test_alpha_collision_is_not_injective(monkeypatch):
@@ -770,6 +835,13 @@ def test_d2_weight_reversed_breaks_the_weight_step(monkeypatch):
         "axioms/weight-step": (60, "f_0 weight step wrong at D2:x=0,0;x0=0;xb=0,0")}
 
 
+def test_a1_weight_reversed_breaks_the_weight_step(monkeypatch):
+    original = affine_a.KERNEL.weight
+    monkeypatch.setattr(affine_a.KERNEL, "weight", lambda b: original(b)[::-1])
+    assert _failures("a1", 2, 2, "axioms") == {
+        "axioms/weight-step": (132, "f_2 weight step wrong at A2:x=0,0,2;y=0,0,2")}
+
+
 def test_d2_e_1_as_f_1_is_not_inverted(monkeypatch):
     e, f = affine_d2.KERNEL.e, affine_d2.KERNEL.f
     monkeypatch.setattr(affine_d2.KERNEL, "e", lambda b, i, l: (f if i == 1 else e)(b, i, l))
@@ -823,3 +895,79 @@ def test_move_right_out_of_an_empty_slot(family, monkeypatch):
         f"commute/{commute}-classical-commute-nonzero": (
             2, f"f_1 does not commute with the map at {prefix}"),
     }
+
+
+def _parametrizations(test):
+    """Each binding of argument names to values that pytest runs `test` with."""
+    bindings = [{}]
+    for mark in getattr(test, "pytestmark", []):
+        if mark.name == "parametrize":
+            names, values = mark.args
+            names = [name.strip() for name in names.split(",")]
+            bindings = [{**binding, **dict(zip(names, value if len(names) > 1 else (value,)))}
+                        for binding in bindings for value in values]
+    return bindings
+
+
+def _label_nodes(test, assigned):
+    """The expressions an `assert` in `test` reads as failed labels: each
+    key of a dict or set literal compared by `==` (or a local in `assigned`
+    that holds one), the left side of `in` (not `not in`) and each
+    subscript."""
+    for node in (n for a in ast.walk(test) if isinstance(a, ast.Assert) for n in ast.walk(a.test)):
+        if isinstance(node, ast.Compare) and isinstance(node.ops[0], ast.Eq):
+            for side in (node.left, *node.comparators):
+                if isinstance(side, ast.Name) and side.id in assigned:
+                    yield side
+                else:
+                    yield from side.keys if isinstance(side, ast.Dict) else getattr(side, "elts", [])
+        elif isinstance(node, ast.Compare) and isinstance(node.ops[0], ast.In):
+            yield node.left
+        elif isinstance(node, ast.Subscript):
+            yield node.slice
+
+
+def _asserted_failures():
+    """{family: every `category/name` a test in this module asserts to FAIL}.
+
+    Each test is read once per parametrization, after its call-free local
+    assignments, so f-string labels take their values.  Its family is the
+    first argument of its `_failures` and `_failed` calls, and a1 for
+    `_verify_a1_failures`."""
+    asserted = defaultdict(set)
+    for test in ast.parse(Path(__file__).read_text(encoding="utf-8")).body:
+        if not (isinstance(test, ast.FunctionDef) and test.name.startswith("test_")):
+            continue
+        assignments = [  # to local names only, so running them changes nothing outside
+            s for s in test.body if isinstance(s, ast.Assign)
+            and all(isinstance(n, (ast.Name, ast.Tuple, ast.Store)) for t in s.targets for n in ast.walk(t))
+            and not any(isinstance(n, ast.Call) for n in ast.walk(s.value))]
+        assigned = {n.id for s in assignments for t in s.targets for n in ast.walk(t)
+                    if isinstance(n, ast.Name)}
+        labels = [n for n in _label_nodes(test, assigned) if isinstance(n, (ast.Constant, ast.JoinedStr))
+                  or isinstance(n, ast.Name) and n.id in assigned]
+        calls = [n for n in ast.walk(test) if isinstance(n, ast.Call) and isinstance(n.func, ast.Name)]
+        for binding in _parametrizations(globals()[test.name]):
+            scope = {**globals(), **binding}
+            exec(compile(ast.Module(assignments, []), __file__, "exec"), scope)
+            families = {_evaluate(c.args[0], scope) for c in calls if c.func.id in ("_failures", "_failed")}
+            families |= {"a1" for c in calls if c.func.id == "_verify_a1_failures"}
+            found = set()
+            for v in (_evaluate(label, scope) for label in labels):
+                found |= set(v) if isinstance(v, (dict, set)) else {v}
+            for family in families:
+                asserted[family] |= {v for v in found if isinstance(v, str) and "/" in v}
+    return asserted
+
+
+def _evaluate(node, scope):
+    return eval(compile(ast.Expression(node), __file__, "eval"), scope)
+
+
+@pytest.mark.parametrize("family", ["a1", "c1", "d2"])
+def test_every_printed_check_has_a_seeded_fault(family):
+    """Every `category/name` that `verify --check all` prints at n=2 l=2 (36
+    for a1, 17 each for c1 and d2) is asserted to FAIL by a test here."""
+    printed = {f"{c.category}/{c.name}" for c in _verification_report(family, 2, 2, "all")}
+    missing = printed - _asserted_failures()[family]
+    assert printed and not missing
