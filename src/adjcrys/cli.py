@@ -6,6 +6,14 @@ written (`--out` or stdout).  A reader that closes stdout early (`| head`)
 ends the output quietly, with the exit code of the run.
 Identical invocations produce byte-identical output.
 A command imports the module of the one family it runs, and no other.
+
+`verify --check all` on a crystal of at least FORK_MIN_ELEMENTS elements,
+in a one-thread process that may use two CPUs, builds the level-l table and
+then forks once: a child runs the largest section that reads only the table
+(`alpha` for a1, the level-l axioms for c1 and d2) while this process runs
+the rest, and the child's checks take their place in the report, so the
+output is the same bytes as in one process.  A child that ends without
+sending them is an error, exit code 1.
 """
 
 from __future__ import annotations
@@ -15,6 +23,7 @@ import importlib
 import os
 import sys
 from dataclasses import replace
+from functools import partial
 from itertools import accumulate
 from typing import Iterable, Optional
 
@@ -29,6 +38,9 @@ from .crystal_graph import (
 from .root_data import RootDatum
 
 SIZE_LIMIT = 10**6
+# The fork costs about 5 ms of CPU.  Measured on 2 vCPUs, 40 alternating
+# CLI pairs each, it lost at 610-1,036 elements and won from 1,782 up.
+FORK_MIN_ELEMENTS = 2_000
 MAX_RANK = sys.maxsize // 16  # beyond it a value's 2n + 2 coordinates, 8 B each, outgrow the address space
 FAMILIES = {"a1": "affine_a", "c1": "affine_c", "d2": "affine_d2"}
 
@@ -115,37 +127,125 @@ def cmd_graph(args, module) -> int:
     return _write_output(chunks, args.out)
 
 
+def _factor_axioms(module, rank: int, level: int) -> list:
+    """The axioms of `a1`'s one-row and n-row factor crystals, as row-*/col-*."""
+    return [
+        replace(c, name=f"{prefix}-{c.name}")
+        for prefix, factor in (("row", module.RowCrystal), ("col", module.ColCrystal))
+        for c in axiom_checks(factor(rank, level))
+    ]
+
+
 def _verification_report(family: str, rank: int, level: int, selector: str):
+    """The checks of `verify --check selector`, in report order.  Each
+    section reads the level-l table and writes nothing another reads, so
+    with `all`, once the table holds its e rows, the largest section runs in
+    a forked child when `_fork_available()` and the table has at least
+    FORK_MIN_ELEMENTS elements: `alpha` for a1, the level-l axioms for c1
+    and d2."""
     module = family_module(family)
-    report = []
+    sections = []  # each gives its checks when called
     table = None  # the level-l table, shared by every check that reads it
     if selector in ("all", "axioms") + SECTIONS:
         model = module.SPEC.model(rank, level)
         table = OperatorTable(model)
         if selector in ("all", "axioms"):
-            report.extend(axiom_checks(model, table))
+            sections.append(partial(axiom_checks, model, table))
             if family == "a1":
-                for prefix, factor in (
-                    ("row", module.RowCrystal(rank, level)),
-                    ("col", module.ColCrystal(rank, level)),
-                ):
-                    report.extend(
-                        replace(c, name=f"{prefix}-{c.name}") for c in axiom_checks(factor)
-                    )
+                sections.append(partial(_factor_axioms, module, rank, level))
         if selector in ("all",) + SECTIONS:
-            report.extend(module.verify_theorems(rank, level, selector, table))
+            sections.append(partial(module.verify_theorems, rank, level, selector, table))
     if family == "a1":
         if selector in ("all", "promotion"):
-            report.extend(module.promotion_checks(rank, level))
+            sections.append(partial(module.promotion_checks, rank, level))
         if selector in ("all", "alpha"):
-            report.extend(module.alpha_checks(rank, level, table))
-    return report
+            sections.append(partial(module.alpha_checks, rank, level, table))
+    if selector == "all" and len(table.elems) >= FORK_MIN_ELEMENTS and _fork_available():
+        table.e  # both processes read the e rows: recorded once, before the fork
+        return _run_forked(sections, len(sections) - 1 if family == "a1" else 0)
+    return [c for section in sections for c in section()]
+
+
+def _fork_available() -> bool:
+    """Whether a forked child can run beside this process: the platform
+    forks, the process may use two CPUs, and it runs one thread, which is
+    what a fork copies safely."""
+    threading = sys.modules.get("threading")
+    return (
+        hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
+        and len(os.sched_getaffinity(0)) >= 2
+        and (threading is None or threading.active_count() == 1)
+    )
+
+
+class ForkedSectionLost(RuntimeError):
+    """The forked child ended without sending its checks."""
+
+
+def _run_forked(sections: list, forked: int) -> list:
+    """Every section's checks in order, `sections[forked]` run in a forked
+    child while this process runs the others.  The child pickles (True,
+    checks) or (False, exception) into a pipe and leaves by `os._exit`, so it
+    writes nothing to stdout and runs no exit handler; the exception is
+    raised here.  The child is always reaped, and killed first when this
+    process's own sections raise.  When no process can be forked, every
+    section runs here."""
+    import gc
+    import pickle
+
+    read_fd, write_fd = os.pipe()
+    gc.freeze()  # the collector then leaves the shared objects' pages uncopied
+    try:
+        pid = os.fork()
+    except OSError:
+        gc.unfreeze()
+        os.close(read_fd)
+        os.close(write_fd)
+        return [c for section in sections for c in section()]
+    if pid == 0:
+        status = 1
+        try:
+            os.close(read_fd)
+            try:
+                payload = (True, sections[forked]())
+            except Exception as err:
+                payload = (False, err)
+            with open(write_fd, "wb") as pipe:
+                pickle.dump(payload, pipe)
+            status = 0
+        finally:
+            os._exit(status)
+    os.close(write_fd)
+    with open(read_fd, "rb") as pipe:
+        try:
+            parts = [[] if k == forked else section() for k, section in enumerate(sections)]
+            data = pipe.read()
+        except BaseException:
+            os.kill(pid, 9)  # SIGKILL: its checks are no longer wanted
+            raise
+        finally:
+            status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            gc.unfreeze()
+    if status != 0 or not data:
+        import signal
+
+        how = f"killed by {signal.Signals(-status).name}" if status < 0 else f"exit status {status}"
+        raise ForkedSectionLost(f"the child process checking a section ended without a result ({how})")
+    ok, result = pickle.loads(data)
+    if not ok:
+        raise result
+    parts[forked] = result
+    return [c for part in parts for c in part]
 
 
 def cmd_verify(args, module) -> int:
     if args.check in A1_ONLY_CHECKS and args.family != "a1":
         return _fail_usage(f"check {args.check!r} only applies to family a1")
-    report = _verification_report(args.family, args.rank, args.level, args.check)
+    try:
+        report = _verification_report(args.family, args.rank, args.level, args.check)
+    except ForkedSectionLost as err:
+        print(f"error: {err}", file=sys.stderr)
+        return 1
     header = (
         f"== adjcrys verify family={args.family} rank={args.rank}"
         f" level={args.level} check={args.check} ==\n"

@@ -546,11 +546,13 @@ def test_clean_verify_builds_no_element_objects(family, constructed):
     """Every check of a passing report reads coordinate tuples: it builds
     no element object, and its weights checked through `RootDatum.weight`
     (the root steps, not one per element) do not grow with the level."""
-    from adjcrys.cli import _verification_report
+    from adjcrys.cli import FORK_MIN_ELEMENTS, _verification_report
     from adjcrys.crystal_graph import all_passed
 
     weights = []
     for level in (2, 4):
+        size = sum(family_module(family).shell_size(2, k) for k in range(level + 1))
+        assert size < FORK_MIN_ELEMENTS  # a forked section's counts would not reach this process
         constructed.clear()
         assert all_passed(_verification_report(family, 2, level, "all"))
         weights.append(constructed.pop("weight", 0))

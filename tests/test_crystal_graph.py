@@ -18,7 +18,7 @@ from adjcrys import affine_a, affine_c, affine_d2, crystal_graph
 from adjcrys.affine_a import CrystalA
 from adjcrys.affine_c import CrystalC
 from adjcrys.affine_d2 import CrystalD2
-from adjcrys.cli import main
+from adjcrys.cli import FORK_MIN_ELEMENTS, main
 from adjcrys.crystal_graph import (
     OUTSIDE,
     UNDEFINED,
@@ -714,6 +714,7 @@ def test_verify_reads_the_shell_of_each_distinct_weight_once(check, monkeypatch,
     assert main(["verify", "--family", "c1", "--rank", "3", "--level", "3", "--check", check]) == 0
     assert " 0 failed" in capsys.readouterr().out
     table = OperatorTable(CrystalC(3, 3))
+    assert len(table.elems) < FORK_MIN_ELEMENTS  # so no section ran in a forked child, out of sight
     assert len(set(table.weight)) < len(table.elems)
     assert calls == Counter(dict.fromkeys(table.weight, 1))
 

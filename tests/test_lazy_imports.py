@@ -23,7 +23,7 @@ PROBE = """
 import os, sys
 {setup}
 print(repr((sorted(m for m in sys.modules if m.startswith("adjcrys.")),
-            "fractions" in sys.modules, "json" in sys.modules)))
+            "fractions" in sys.modules, "json" in sys.modules, "pickle" in sys.modules)))
 """
 RUN_CLI = """
 from contextlib import redirect_stdout
@@ -35,8 +35,9 @@ with open(os.devnull, "w") as null, redirect_stdout(null):
 BASE = ["adjcrys.cli", "adjcrys.crystal_graph", "adjcrys.root_data"]
 
 
-def loaded(setup: str) -> tuple[list[str], bool, bool]:
-    """The sorted adjcrys.* modules and whether fractions and json are loaded, after setup."""
+def loaded(setup: str) -> tuple[list[str], bool, bool, bool]:
+    """The sorted adjcrys.* modules and whether fractions, json and pickle
+    are loaded, after setup."""
     proc = subprocess.run([sys.executable, "-c", PROBE.format(setup=setup)],
                           capture_output=True, text=True, env=ENV, timeout=60)
     assert proc.returncode == 0, proc.stderr
@@ -44,11 +45,11 @@ def loaded(setup: str) -> tuple[list[str], bool, bool]:
 
 
 def test_bare_import_loads_no_submodule():
-    assert loaded("import adjcrys") == ([], False, False)
+    assert loaded("import adjcrys") == ([], False, False, False)
 
 
 def test_cli_import_loads_only_what_every_command_runs():
-    assert loaded("import adjcrys.cli") == (BASE, False, False)
+    assert loaded("import adjcrys.cli") == (BASE, False, False, False)
 
 
 @pytest.mark.parametrize(("argv", "family"), [
@@ -61,11 +62,12 @@ def test_cli_import_loads_only_what_every_command_runs():
 ])
 def test_a_command_loads_only_its_own_family(argv, family):
     """Only a1 needs the tableau oracle, only a JSON export (the `graph`
-    default) loads json, and no command loads fractions."""
+    default) loads json, and no command loads fractions.  A crystal this
+    small runs `verify` in one process, which loads no pickle."""
     extra = ["adjcrys.tableaux"] if family == "affine_a" else []
     want = sorted(BASE + ["adjcrys.counting", f"adjcrys.{family}"] + extra)
     json = argv.startswith("graph") and "--format dot" not in argv
-    assert loaded(RUN_CLI.format(argv=argv.split())) == (want, False, json)
+    assert loaded(RUN_CLI.format(argv=argv.split())) == (want, False, json, False)
 
 
 EXPORTS = {  # name in the package -> (submodule, name there)
