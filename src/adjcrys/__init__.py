@@ -20,8 +20,7 @@ _NAMES = {
     "affine_d2": ("CrystalD2", "verify_theorems_d2"),
     "crystal_graph": ("CheckResult", "CrystalGraph", "all_passed", "axiom_checks",
                       "build_graph", "export", "render_report", "stream_graph"),
-    "root_data": ("Family", "RootDatum", "ShellStep", "classify_shift", "in_shell",
-                  "on_boundary"),
+    "root_data": ("Family", "RootDatum", "ShellStep", "classify_shift", "in_shell"),
     "tableaux": ("Tableau", "TensorPair", "Word", "column_missing", "eps_phi", "ssyt_count"),
 }
 _SUBMODULE = {name: module for module, names in _NAMES.items() for name in names}

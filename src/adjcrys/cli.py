@@ -9,11 +9,12 @@ A command imports the module of the one family it runs, and no other.
 
 `verify --check all` on a crystal of at least FORK_MIN_ELEMENTS elements,
 in a one-thread process that may use two CPUs, builds the level-l table and
-then forks once: a child runs the largest section that reads only the table
-(`alpha` for a1, the level-l axioms for c1 and d2) while this process runs
-the rest, and the child's checks take their place in the report, so the
-output is the same bytes as in one process.  A child that ends without
-sending them is an error, exit code 1.
+then forks once: a child runs one section that reads only the table
+(`alpha`, the largest, for a1; the level-l axioms for c1 and d2, whose
+`all` has just two sections) while this process runs the rest, and the
+child's checks take their place in the report, so the output is the same
+bytes as in one process.  A child that ends without sending them is an
+error, exit code 1.
 """
 
 from __future__ import annotations
@@ -139,10 +140,10 @@ def _factor_axioms(module, rank: int, level: int) -> list:
 def _verification_report(family: str, rank: int, level: int, selector: str):
     """The checks of `verify --check selector`, in report order.  Each
     section reads the level-l table and writes nothing another reads, so
-    with `all`, once the table holds its e rows, the largest section runs in
-    a forked child when `_fork_available()` and the table has at least
-    FORK_MIN_ELEMENTS elements: `alpha` for a1, the level-l axioms for c1
-    and d2."""
+    with `all`, once the table holds its e rows, one section runs in a
+    forked child when `_fork_available()` and the table has at least
+    FORK_MIN_ELEMENTS elements: `alpha`, the largest, for a1; the axioms of
+    c1 and d2, whose `all` has two sections."""
     module = family_module(family)
     sections = []  # each gives its checks when called
     table = None  # the level-l table, shared by every check that reads it

@@ -56,23 +56,23 @@ turns each map into an index map and counts the weights off the maps'
 images, all once per run, then reports the category asked.  The map checks
 compare data: `check_map` a target column read through the index map with
 an expected column, and `check_commutation` each (element, operator) case
-by one comparison.  The boundary checks read shell masks made by one
-`root_data.shell` call per distinct level-l weight; theta, for the f_0
-landing, is the tuple `model.root_step(0)`, so a passing run calls
-`RootDatum.weight` for the root steps, not per element.
+by one comparison.  Every boundary-shell read is a read of one shell
+mask, made by one `root_data.shell` call per distinct level-l weight;
+theta, for the f_0 landing, is the tuple `model.root_step(0)`, so a
+passing run calls `RootDatum.weight` for the root steps, not per element.
 """
 
 from __future__ import annotations
 
-from collections import Counter, defaultdict
+from collections import Counter
 from dataclasses import dataclass, make_dataclass
 from functools import cache, cached_property, partial
 from itertools import chain, compress, count, islice, repeat
 from math import inf
-from operator import add, eq, gt, lt, ne, neg, not_
+from operator import add, and_, eq, gt, itemgetter, lt, ne, neg, not_
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
-from .root_data import Family, RootDatum, classify_shift, in_shell, on_boundary, shell
+from .root_data import Family, RootDatum, classify_shift, in_shell, shell
 
 
 # ---------------------------------------------------------------------------
@@ -713,31 +713,24 @@ class TheoremRun:
         )]
         coordinate = self.spec.coordinate_boundary
         if coordinate is not None:
-            b = next(compress(big.indices, map(ne, map(coordinate, big.elems), boundary)), None)
-            bad = "" if b is None else f"coordinate boundary criterion fails at {big.element_id(b)}"
-            checks.append(CheckResult(
-                "coordinate-criterion", "boundary", not bad, len(big.elems), bad,
-            ))
+            checks.append(check_map(big, big.indices, boundary, map(coordinate, big.elems),
+                                    "coordinate boundary criterion fails at {}",
+                                    name="coordinate-criterion", category="boundary"))
         return checks
 
     def multiplicity_checks(self) -> list[CheckResult]:
-        by_component = defaultdict(dict)  # k -> {weight: count}, in element order
-        for k, w in zip(self.big.comp, self.big.weight):  # one pass, keyed by the shared weight tuples
-            counts = by_component[k]
-            counts[w] = counts.get(w, 0) + 1
-        bad, cases = "", 0
-        for k in range(self.l + 1):
-            counts = by_component.get(k, {})
-            cases += sum(counts.values())
-            bad = next(
-                (f"weight {_fmt_weight(w)} has multiplicity {count} in component k={k}"
-                 for w, count in counts.items()
-                 if count != 1 and on_boundary(self.family, w, k)),
-                "",
-            )
-            if bad:
-                break
-        checks = [CheckResult("boundary-weights-free", "multiplicity", not bad, cases, bad)]
+        big, l, boundary = self.big, self.l, self.shell_masks[1]
+        # a (k, weight) pair repeats only if its weight does: the shared weight
+        # tuples are counted first, and pairs only for the repeated weights
+        repeated = {w for w, count in Counter(compress(big.weight, boundary)).items() if count != 1}
+        suspect = map(and_, boundary, map(repeated.__contains__, big.weight)) if repeated else ()
+        pairs = Counter(compress(zip(big.comp, big.weight), suspect))
+        failures = [(k, w, count) for (k, w), count in pairs.items() if count != 1 and 0 <= k <= l]
+        k, w, count = min(failures, key=itemgetter(0), default=(l, None, 1))  # min keeps the first of equal k
+        bad = f"weight {_fmt_weight(w)} has multiplicity {count} in component k={k}" if failures else ""
+        sizes = Counter(big.comp)
+        checks = [CheckResult("boundary-weights-free", "multiplicity", not bad,
+                              sum(map(sizes.__getitem__, range(k + 1))), bad)]
         bad = next(
             (f"weight {_fmt_weight(w)} repeats {count} times off the images"
              for w, count in self.complement_weights.items() if count != 1),

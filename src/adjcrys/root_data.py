@@ -6,10 +6,13 @@ violating input rather than renormalizing it.  `shell` gives the least k
 whose irreducible module with highest weight k*theta holds a weight, theta
 the family's distinguished root (the highest root for A and C, the highest
 short root for B), and is the one place each family's criterion is written.
-`in_shell`, `on_boundary` and `classify_shift`, the move of that index
-under adding theta on the outermost shell, read it.  They take the family
-and the weight's coordinate tuple, as the operator tables hold it, and
-trust the tuple to have the family's form.
+`in_shell` and `classify_shift`, the move of that index under adding theta
+on the outermost shell, read it.  They take the family and the weight's
+coordinate tuple, as the operator tables hold it, and trust the tuple to
+have the family's form.  Whether a weight lies on the boundary shell k*theta
+of its component k is `shell(...) == k`; a theorem run reads it per element
+from masks made by one `shell` call per distinct weight, and `in_shell`
+serves the weights mu + theta, which no table holds.
 """
 
 from __future__ import annotations
@@ -98,13 +101,6 @@ def in_shell(family: Family, coords, k: int) -> bool:
     False (empty module)."""
     s = shell(family, coords)
     return s is not None and s <= k
-
-
-def on_boundary(family: Family, coords, k: int) -> bool:
-    """Whether the weight mu with coordinates `coords` sits on the outermost
-    shell, in k*theta but not (k-1)*theta: its `shell` is k.  It agrees
-    with the two-call route through `in_shell` by construction."""
-    return shell(family, coords) == k
 
 
 class ShellStep(Enum):

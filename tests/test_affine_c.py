@@ -15,8 +15,8 @@ from adjcrys.affine_c import (
     verify_theorems,
 )
 from adjcrys.crystal_graph import all_passed, render_report
-from adjcrys.root_data import Family, RootDatum, ShellStep, classify_shift, on_boundary
-from helpers import iterated_stats
+from adjcrys.root_data import Family, RootDatum, ShellStep, classify_shift
+from helpers import iterated_stats, reference_on_boundary
 
 
 def test_construction_rejects_invalid_tuples():
@@ -103,7 +103,7 @@ def test_boundary_coordinate_criterion():
         for l in range(3):
             for x in KERNEL.values(n, l):  # x_j at index j-1, xbar_j at index -j
                 coordinate = all(min(x[j - 1], x[-j]) == 0 for j in range(1, n + 1))
-                assert coordinate == on_boundary(Family.C, KERNEL.weight(x), KERNEL.component(x, l))
+                assert coordinate == reference_on_boundary(Family.C, KERNEL.weight(x), KERNEL.component(x, l))
 
 
 def test_level_inclusion_is_full_subgraph():

@@ -15,8 +15,8 @@ from adjcrys.affine_d2 import (
     verify_theorems,
 )
 from adjcrys.crystal_graph import all_passed, render_report
-from adjcrys.root_data import Family, RootDatum, ShellStep, classify_shift, on_boundary
-from helpers import iterated_stats
+from adjcrys.root_data import Family, RootDatum, ShellStep, classify_shift, shell
+from helpers import iterated_stats, reference_on_boundary
 
 
 def test_construction_rejects_invalid_tuples():
@@ -122,7 +122,7 @@ def test_boundary_coordinate_criterion():
         for l in range(3):
             for x in KERNEL.values(n, l):  # x_j at index j-1, x_0 at n, xbar_j at index -j
                 coordinate = x[n] == 0 and all(min(x[j - 1], x[-j]) == 0 for j in range(1, n + 1))
-                assert coordinate == on_boundary(Family.B, KERNEL.weight(x), KERNEL.component(x, l))
+                assert coordinate == reference_on_boundary(Family.B, KERNEL.weight(x), KERNEL.component(x, l))
 
 
 def test_level_inclusion_is_full_subgraph():
@@ -145,7 +145,7 @@ def test_zero_node_landing_never_stays():
         for l in (1, 2):
             for b in KERNEL.values(n, l):
                 mu, k = KERNEL.weight(b), KERNEL.component(b, l)
-                if not on_boundary(Family.B, mu, k):
+                if shell(Family.B, mu) != k:
                     continue
                 z = KERNEL.f(b, 0, l)
                 if z is None:

@@ -702,11 +702,12 @@ BOUNDARY_RUNS = {
 }
 
 
-@pytest.mark.parametrize("check", ["boundary", "all"])
+@pytest.mark.parametrize("check", ["boundary", "multiplicity", "all"])
 def test_verify_reads_the_shell_of_each_distinct_weight_once(check, monkeypatch, capsys):
-    """`verify --check boundary`, and `all`, whose boundary and f_0 landing
-    sections both read the shell masks, call `shell` once per distinct
-    level-l weight, not once per element, and the report still passes."""
+    """`verify --check boundary`, `multiplicity`, and `all`, whose boundary,
+    multiplicity and f_0 landing sections all read the shell masks, call
+    `shell` once per distinct level-l weight, not once per element, and the
+    report still passes."""
     calls = Counter()
     original = crystal_graph.shell
     monkeypatch.setattr(crystal_graph, "shell",

@@ -81,7 +81,7 @@ EXPORTS = {  # name in the package -> (submodule, name there)
         "CheckResult", "CrystalGraph", "all_passed", "axiom_checks", "build_graph", "export",
         "render_report", "stream_graph")},
     **{name: ("root_data", name) for name in (
-        "Family", "RootDatum", "ShellStep", "classify_shift", "in_shell", "on_boundary")},
+        "Family", "RootDatum", "ShellStep", "classify_shift", "in_shell")},
     **{name: ("tableaux", name) for name in (
         "Tableau", "TensorPair", "Word", "column_missing", "eps_phi", "ssyt_count")},
 }

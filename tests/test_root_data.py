@@ -14,7 +14,6 @@ from adjcrys.root_data import (
     ShellStep,
     classify_shift,
     in_shell,
-    on_boundary,
     shell,
 )
 from helpers import (
@@ -153,10 +152,10 @@ def test_shell_examples():
         assert shell(datum.family, (0,) * datum.dim) == 0
 
 
-def test_on_boundary_examples():
-    assert on_boundary(Family.C, (1, 1), 1)
-    assert on_boundary(Family.B, (0, 0, 0), 0)
-    assert not on_boundary(Family.A, (1, 0, -1), 2)
+def test_boundary_shell_examples():
+    assert shell(Family.C, (1, 1)) == 1
+    assert shell(Family.B, (0, 0, 0)) == 0
+    assert shell(Family.A, (1, 0, -1)) != 2
 
 
 def test_classify_shift_examples():
@@ -184,7 +183,7 @@ def test_shell_nesting_exhaustive():
 
 
 def _boundary_routes_agree(family, coords, k):
-    return on_boundary(family, coords, k) == (
+    return (shell(family, coords) == k) == (
         in_shell(family, coords, k) and not in_shell(family, coords, k - 1))
 
 
@@ -205,12 +204,12 @@ def test_classify_shift_consistency():
         theta = datum.theta()
         for mu in all_weights(datum, 3):
             for k in range(4):
-                if not on_boundary(datum.family, mu, k):
+                if shell(datum.family, mu) != k:
                     continue
                 step = classify_shift(datum.family, mu, k)
                 if datum.family is Family.B:
                     assert step is not ShellStep.SAME
-                assert on_boundary(datum.family, tuple(map(add, mu, theta)), k + step.value)
+                assert shell(datum.family, tuple(map(add, mu, theta))) == k + step.value
 
 
 @given(weights(), st.integers(0, 6))
@@ -223,12 +222,12 @@ def test_boundary_routes_agree_random(weight, k):
 @example((Family.C, (1, 0)), 0)
 @example((Family.C, (-3, 0, 0)), 2)
 def test_shell_predicates_match_the_twin_criteria(weight, k):
-    """`in_shell` and `on_boundary` read `shell` and agree with the closed
-    criteria written out per predicate; `shell` is the least k that
+    """`in_shell` and the boundary test `shell(...) == k` agree with the
+    closed criteria written out per predicate; `shell` is the least k that
     `reference_in_shell` takes, None when it takes none."""
     family, coords = weight
     assert in_shell(family, coords, k) == reference_in_shell(family, coords, k)
-    assert on_boundary(family, coords, k) == reference_on_boundary(family, coords, k)
+    assert (shell(family, coords) == k) == reference_on_boundary(family, coords, k)
     least = next((j for j in range(6 * len(coords) + 1) if reference_in_shell(family, coords, j)), None)
     assert shell(family, coords) == least
 

@@ -8,6 +8,7 @@ report is not asserted.
 
 import ast
 from collections import defaultdict
+from operator import or_
 from pathlib import Path
 
 import pytest
@@ -15,7 +16,7 @@ import pytest
 from adjcrys import affine_a, affine_c, affine_d2, crystal_graph, tableaux
 from adjcrys.cli import _verification_report, main
 from adjcrys.crystal_graph import all_passed, axiom_checks
-from adjcrys.root_data import Family, ShellStep
+from adjcrys.root_data import Family, ShellStep, shell
 from helpers import reference_c1_moved, unmatched_positions
 
 
@@ -812,11 +813,14 @@ def test_a1_closed_size_off_by_one(monkeypatch):
 
 
 def test_a1_boundary_shell_that_also_takes_the_shell_below(monkeypatch):
-    original = crystal_graph.on_boundary
-    monkeypatch.setattr(  # the model takes shell k only
-        crystal_graph, "on_boundary",
-        lambda family, mu, k: original(family, mu, k) or original(family, mu, k - 1),
-    )
+    original = crystal_graph.TheoremRun.shell_masks.func
+
+    def widened(run):  # the model takes shell k only
+        inner, boundary = original(run)
+        below = [shell(run.family, w) == k - 1 for w, k in zip(run.big.weight, run.big.comp)]
+        return inner, bytearray(map(or_, boundary, below))
+
+    monkeypatch.setattr(crystal_graph.TheoremRun, "shell_masks", property(widened))
     assert _failures("a1", 2, 2, "multiplicity") == {"multiplicity/boundary-weights-free": (
         9, "weight (0,0,0) has multiplicity 2 in component k=1")}
 
